@@ -51,11 +51,7 @@ pub fn binding(
     payload.extend_from_slice(b"acctee-evidence-v1");
     payload.extend_from_slice(original_hash);
     payload.extend_from_slice(instrumented_hash);
-    payload.push(match level {
-        Level::Naive => 0,
-        Level::FlowBased => 1,
-        Level::LoopBased => 2,
-    });
+    payload.push(level.tag());
     payload.extend_from_slice(weight_hash);
     payload.extend_from_slice(&counter_global.to_le_bytes());
     sha256(&payload)

@@ -54,6 +54,7 @@
 //! ```
 
 pub mod cache;
+pub mod codec;
 pub mod enclave;
 pub mod error;
 pub mod evidence;

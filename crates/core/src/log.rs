@@ -4,6 +4,8 @@
 use acctee_sgx::crypto::{sha256, Digest};
 use acctee_sgx::Quote;
 
+use crate::codec::Enc;
+
 /// Memory accounting policy (§3.5 "Memory"): either peak linear-memory
 /// size, or the integral of memory size over the instruction counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,18 +38,14 @@ pub struct ResourceUsageLog {
 }
 
 impl ResourceUsageLog {
-    /// Canonical digest bound into the accounting enclave's quote.
+    /// Canonical digest bound into the accounting enclave's quote:
+    /// SHA-256 of a domain tag and the log's canonical encoding, so the
+    /// signed, stored and transmitted field orders are one order.
     pub fn binding(&self) -> Digest {
-        let mut payload = Vec::with_capacity(96);
-        payload.extend_from_slice(b"acctee-log-v1");
-        payload.extend_from_slice(&self.weighted_instructions.to_le_bytes());
-        payload.extend_from_slice(&self.peak_memory_bytes.to_le_bytes());
-        payload.extend_from_slice(&self.memory_integral.to_le_bytes());
-        payload.extend_from_slice(&self.io_bytes_in.to_le_bytes());
-        payload.extend_from_slice(&self.io_bytes_out.to_le_bytes());
-        payload.extend_from_slice(&self.module_hash);
-        payload.extend_from_slice(&self.session_id.to_le_bytes());
-        sha256(&payload)
+        let mut e = Enc(Vec::with_capacity(96));
+        e.raw(b"acctee-log-v1");
+        e.log(self);
+        sha256(&e.0)
     }
 }
 

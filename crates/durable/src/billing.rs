@@ -27,8 +27,8 @@ use acctee::{AccountingEnclave, Invoice, PricingModel, ResourceUsageLog};
 use acctee_sgx::crypto::{sha256, Digest};
 use acctee_sgx::{AttestationAuthority, Measurement, Quote};
 
-use crate::record::{Dec, Enc};
 use crate::DurableError;
+use acctee::codec::{CodecError, Dec, Enc};
 
 /// Exact per-tenant metering totals.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -74,7 +74,7 @@ impl TenantRollup {
         e.u128(self.integral_remainder);
     }
 
-    pub(crate) fn decode(d: &mut Dec) -> Result<TenantRollup, DurableError> {
+    pub(crate) fn decode(d: &mut Dec) -> Result<TenantRollup, CodecError> {
         Ok(TenantRollup {
             requests: d.u64()?,
             weighted_instructions: d.u128()?,
@@ -199,17 +199,16 @@ impl SettlementStatement {
     /// Digest the accounting enclave signs: domain-separated,
     /// length-framed tenant name, then fixed-width fields in order.
     pub fn binding(&self) -> Digest {
-        let mut payload = Vec::with_capacity(128);
-        payload.extend_from_slice(b"acctee-settle-v1");
-        payload.extend_from_slice(&(self.tenant.len() as u32).to_le_bytes());
-        payload.extend_from_slice(self.tenant.as_bytes());
-        payload.extend_from_slice(&self.requests.to_le_bytes());
-        payload.extend_from_slice(&self.upto_session.to_le_bytes());
-        payload.extend_from_slice(&self.compute_nano.to_le_bytes());
-        payload.extend_from_slice(&self.memory_nano.to_le_bytes());
-        payload.extend_from_slice(&self.io_nano.to_le_bytes());
-        payload.extend_from_slice(&self.integral_remainder.to_le_bytes());
-        sha256(&payload)
+        let mut e = Enc(Vec::with_capacity(128));
+        e.raw(b"acctee-settle-v1");
+        e.bytes(self.tenant.as_bytes());
+        e.u64(self.requests);
+        e.u64(self.upto_session);
+        e.u128(self.compute_nano);
+        e.u128(self.memory_nano);
+        e.u128(self.io_nano);
+        e.u128(self.integral_remainder);
+        sha256(&e.0)
     }
 }
 
@@ -431,7 +430,7 @@ mod tests {
             io_nano: 3,
             integral_remainder: (1 << 20) - 1,
         };
-        let mut e = Enc::new();
+        let mut e = Enc::default();
         r.encode(&mut e);
         let mut d = Dec::new(&e.0);
         let back = TenantRollup::decode(&mut d).unwrap();

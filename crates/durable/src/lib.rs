@@ -2,9 +2,10 @@
 //!
 //! Three pieces, one state directory:
 //!
-//! * [`wal`] — a write-ahead log of canonical-encoded, CRC-guarded
-//!   signed usage records (append + configurable fsync, torn-tail
-//!   tolerant replay, segment rotation and compaction);
+//! * [`wal`] — a write-ahead log of canonical-encoded signed usage
+//!   records (append + configurable fsync, segment rotation and
+//!   compaction) on [`framed`], the CRC-framed, torn-tail-tolerant file
+//!   format it shares with the fleet coordinator's journal;
 //! * [`registry`] — a sealed snapshot of the deployment registry and
 //!   tenant state, sealed with the accounting enclave's key under a
 //!   monotonic nonce schedule, so a restart rehydrates deployments and
@@ -24,6 +25,7 @@
 //! acknowledged records is refused rather than silently under-billed.
 
 pub mod billing;
+pub mod framed;
 pub mod record;
 pub mod registry;
 pub mod wal;
@@ -32,8 +34,11 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use acctee::codec::CodecError;
 use acctee::{AccountingEnclave, Invoice, PricingModel, SignedLog};
 use acctee_instrument::Level;
+
+use framed::Damaged;
 
 pub use billing::{Aggregator, SettlementStatement, SignedSettlement, TenantRollup};
 pub use record::{decode_record, encode_record, UsageRecord};
@@ -83,30 +88,32 @@ impl From<std::io::Error> for DurableError {
     }
 }
 
+impl From<CodecError> for DurableError {
+    fn from(e: CodecError) -> DurableError {
+        DurableError::Decode(e.to_string())
+    }
+}
+
+impl From<Damaged> for DurableError {
+    fn from(e: Damaged) -> DurableError {
+        DurableError::Corrupt(e.0)
+    }
+}
+
+/// Rotate WAL segments past this size.
+const SEGMENT_BYTES: u64 = 4 << 20;
+/// Seal a registry snapshot every this many appended records (deploys
+/// and lease extensions snapshot immediately regardless).
+const CHECKPOINT_EVERY: u32 = 256;
+/// How far past the last sealed lease new session ids may run; the
+/// lease is re-sealed before allocation crosses it.
+const SESSION_LEASE: u64 = 4096;
+
 /// Tunables for [`Durable::open`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DurableOptions {
     /// When appended usage records reach disk.
     pub fsync: FsyncPolicy,
-    /// Rotate WAL segments past this size.
-    pub segment_bytes: u64,
-    /// Seal a registry snapshot every N appended records (deploys and
-    /// lease extensions snapshot immediately regardless).
-    pub checkpoint_every: u32,
-    /// How far past the last sealed lease new session ids may run; the
-    /// lease is re-sealed before allocation crosses it.
-    pub session_lease: u64,
-}
-
-impl Default for DurableOptions {
-    fn default() -> DurableOptions {
-        DurableOptions {
-            fsync: FsyncPolicy::Always,
-            segment_bytes: 4 << 20,
-            checkpoint_every: 256,
-            session_lease: 4096,
-        }
-    }
 }
 
 /// What [`Durable::open`] recovered from the state directory.
@@ -141,7 +148,6 @@ struct Inner {
 
 /// The durable control plane: one state directory, one lock.
 pub struct Durable {
-    opts: DurableOptions,
     dir: PathBuf,
     inner: Mutex<Inner>,
 }
@@ -150,7 +156,6 @@ impl std::fmt::Debug for Durable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Durable")
             .field("dir", &self.dir)
-            .field("opts", &self.opts)
             .finish_non_exhaustive()
     }
 }
@@ -186,7 +191,7 @@ impl Durable {
         std::fs::create_dir_all(dir)?;
         let snapshots = SnapshotStore::open(dir)?;
         let snapshot = snapshots.load(ae)?;
-        let (wal, replay) = Wal::open(dir, opts.fsync, opts.segment_bytes)?;
+        let (wal, replay) = Wal::open(dir, opts.fsync, SEGMENT_BYTES)?;
 
         let mut agg = Aggregator::new(pricing);
         for rec in &replay.records {
@@ -212,7 +217,6 @@ impl Durable {
             snapshot_restored,
         };
         let durable = Durable {
-            opts,
             dir: dir.to_path_buf(),
             inner: Mutex::new(Inner {
                 wal,
@@ -260,11 +264,10 @@ impl Durable {
         ae: &AccountingEnclave,
     ) -> Result<(), DurableError> {
         let mut inner = self.lock();
-        let margin = (self.opts.session_lease / 4).max(1);
-        if session_id + margin < inner.session_lease {
+        if session_id + SESSION_LEASE / 4 < inner.session_lease {
             return Ok(());
         }
-        inner.session_lease = session_id + self.opts.session_lease;
+        inner.session_lease = session_id + SESSION_LEASE;
         self.checkpoint_locked(&mut inner, ae)
     }
 
@@ -290,7 +293,7 @@ impl Durable {
         })?;
         let invoice = inner.agg.fold(tenant, &signed.log);
         inner.appends_since_checkpoint += 1;
-        if inner.appends_since_checkpoint >= self.opts.checkpoint_every {
+        if inner.appends_since_checkpoint >= CHECKPOINT_EVERY {
             self.checkpoint_locked(&mut inner, ae)?;
         }
         Ok(invoice)
@@ -406,11 +409,6 @@ impl Durable {
     pub fn read_all_records(&self) -> Result<Vec<UsageRecord>, DurableError> {
         self.lock().wal.read_all()
     }
-
-    /// Unique records currently in the WAL.
-    pub fn record_count(&self) -> usize {
-        self.lock().wal.len()
-    }
 }
 
 /// Restore-time integrity check: the rollups rebuilt from WAL replay
@@ -521,9 +519,8 @@ mod tests {
         let pricing = dep.infrastructure().pricing;
         let lease_extent;
         {
-            let opts = DurableOptions::default();
-            lease_extent = opts.session_lease;
-            let (d, _) = Durable::open(&dir, opts, ae, pricing).unwrap();
+            lease_extent = SESSION_LEASE;
+            let (d, _) = Durable::open(&dir, DurableOptions::default(), ae, pricing).unwrap();
             // Allocate (and lease) ids 1..=3 but never log them.
             for s in 1..=3 {
                 d.ensure_lease(s, ae).unwrap();

@@ -2,22 +2,15 @@
 //!
 //! A [`UsageRecord`] is the durable unit the write-ahead log stores:
 //! the tenant that was billed plus the accounting enclave's
-//! [`SignedLog`]. The encoding follows the same conventions as the
-//! wire protocol in `acctee-net` — explicit version tag, little-endian
-//! fixed-width integers, `u32` length prefixes on variable fields, a
-//! total decoder that never panics and rejects trailing bytes — but is
-//! its own format: the WAL must be able to evolve (or stay frozen)
-//! independently of the wire protocol version.
-//!
-//! The log fields are written in exactly the order
-//! [`ResourceUsageLog::binding`] hashes them, so the canonical
-//! encoding and the binding preimage cannot silently diverge: a
-//! decoded record re-binds to the identical digest, which the
-//! round-trip tests below pin.
+//! [`SignedLog`], written with the shared [`acctee::codec`] (so the log
+//! fields are, by construction, the preimage
+//! [`ResourceUsageLog::binding`](acctee::ResourceUsageLog::binding)
+//! hashes). The record has its own version tag, and caps every length
+//! prefix at 64 KiB: the WAL must be able to evolve (or stay
+//! frozen) independently of the wire protocol version.
 
-use acctee::{ResourceUsageLog, SignedLog};
-use acctee_sgx::crypto::Digest;
-use acctee_sgx::{Measurement, Quote};
+use acctee::codec::{Dec, Enc};
+use acctee::SignedLog;
 
 use crate::DurableError;
 
@@ -27,7 +20,7 @@ pub const RECORD_VERSION: u16 = 1;
 /// Upper bound on any length prefix inside a record (tenant and
 /// platform names); hostile lengths beyond it are rejected before any
 /// allocation.
-const MAX_FIELD: u32 = 1 << 16;
+pub(crate) const MAX_FIELD: u32 = 1 << 16;
 
 /// One accounted request, as persisted: the billed tenant plus the
 /// signed resource usage log.
@@ -39,184 +32,18 @@ pub struct UsageRecord {
     pub signed: SignedLog,
 }
 
-// ------------------------------------------------------------ encoder
-
-pub(crate) struct Enc(pub Vec<u8>);
-
-impl Enc {
-    pub(crate) fn new() -> Enc {
-        Enc(Vec::new())
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-
-    pub(crate) fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u128(&mut self, v: u128) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn raw(&mut self, bytes: &[u8]) {
-        self.0.extend_from_slice(bytes);
-    }
-
-    /// `u32` length prefix + bytes.
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        self.u32(bytes.len() as u32);
-        self.raw(bytes);
-    }
-}
-
-// ------------------------------------------------------------ decoder
-
-/// Bounds-checked total decoder: every read is checked against the
-/// remaining input and returns [`DurableError::Decode`] instead of
-/// panicking on hostile bytes.
-pub(crate) struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DurableError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| DurableError::Decode("record truncated".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, DurableError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, DurableError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, DurableError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, DurableError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u128(&mut self) -> Result<u128, DurableError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn digest(&mut self) -> Result<Digest, DurableError> {
-        Ok(self.take(32)?.try_into().unwrap())
-    }
-
-    /// Exactly `n` raw bytes, no length prefix.
-    pub(crate) fn raw(&mut self, n: usize) -> Result<&'a [u8], DurableError> {
-        self.take(n)
-    }
-
-    /// Length-prefixed byte string, with the length checked against
-    /// both [`MAX_FIELD`] and the remaining input before allocating.
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, DurableError> {
-        let len = self.u32()?;
-        if len > MAX_FIELD {
-            return Err(DurableError::Decode(format!(
-                "field length {len} too large"
-            )));
-        }
-        Ok(self.take(len as usize)?.to_vec())
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, DurableError> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| DurableError::Decode("field is not UTF-8".into()))
-    }
-
-    /// Rejects trailing bytes: a canonical record decodes completely.
-    pub(crate) fn finish(&self) -> Result<(), DurableError> {
-        if self.pos != self.buf.len() {
-            return Err(DurableError::Decode(format!(
-                "{} trailing bytes after record",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-// ----------------------------------------------------- record codec
-
-pub(crate) fn put_log(e: &mut Enc, log: &ResourceUsageLog) {
-    // Field order is the binding-preimage order of
-    // `ResourceUsageLog::binding` — keep the two in lockstep.
-    e.u64(log.weighted_instructions);
-    e.u64(log.peak_memory_bytes);
-    e.u128(log.memory_integral);
-    e.u64(log.io_bytes_in);
-    e.u64(log.io_bytes_out);
-    e.raw(&log.module_hash);
-    e.u64(log.session_id);
-}
-
-pub(crate) fn get_log(d: &mut Dec) -> Result<ResourceUsageLog, DurableError> {
-    Ok(ResourceUsageLog {
-        weighted_instructions: d.u64()?,
-        peak_memory_bytes: d.u64()?,
-        memory_integral: d.u128()?,
-        io_bytes_in: d.u64()?,
-        io_bytes_out: d.u64()?,
-        module_hash: d.digest()?,
-        session_id: d.u64()?,
-    })
-}
-
-pub(crate) fn put_quote(e: &mut Enc, quote: &Quote) {
-    e.raw(&quote.mrenclave.0);
-    e.raw(&quote.report_data);
-    e.bytes(quote.platform.as_bytes());
-    e.raw(&quote.signature);
-}
-
-pub(crate) fn get_quote(d: &mut Dec) -> Result<Quote, DurableError> {
-    Ok(Quote {
-        mrenclave: Measurement(d.digest()?),
-        report_data: {
-            let mut rd = [0u8; 64];
-            rd.copy_from_slice(d.take(64)?);
-            rd
-        },
-        platform: d.string()?,
-        signature: d.digest()?,
-    })
+/// Writes a record: version tag, tenant, then the signed log.
+pub(crate) fn put_record(e: &mut Enc, rec: &UsageRecord) {
+    e.u16(RECORD_VERSION);
+    e.bytes(rec.tenant.as_bytes());
+    e.signed_log(&rec.signed);
 }
 
 /// Encodes a record into its canonical byte form (the WAL frame
 /// payload).
 pub fn encode_record(rec: &UsageRecord) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u16(RECORD_VERSION);
-    e.bytes(rec.tenant.as_bytes());
-    put_log(&mut e, &rec.signed.log);
-    put_quote(&mut e, &rec.signed.quote);
+    let mut e = Enc::default();
+    put_record(&mut e, rec);
     e.0
 }
 
@@ -227,7 +54,7 @@ pub fn encode_record(rec: &UsageRecord) -> Vec<u8> {
 /// [`DurableError::Decode`] on a version mismatch, truncation,
 /// hostile length, non-UTF-8 text or trailing bytes.
 pub fn decode_record(buf: &[u8]) -> Result<UsageRecord, DurableError> {
-    let mut d = Dec::new(buf);
+    let mut d = Dec::with_field_limit(buf, MAX_FIELD);
     let version = d.u16()?;
     if version != RECORD_VERSION {
         return Err(DurableError::Decode(format!(
@@ -235,19 +62,17 @@ pub fn decode_record(buf: &[u8]) -> Result<UsageRecord, DurableError> {
         )));
     }
     let tenant = d.string()?;
-    let log = get_log(&mut d)?;
-    let quote = get_quote(&mut d)?;
+    let signed = d.signed_log()?;
     d.finish()?;
-    Ok(UsageRecord {
-        tenant,
-        signed: SignedLog { log, quote },
-    })
+    Ok(UsageRecord { tenant, signed })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acctee::ResourceUsageLog;
     use acctee_sgx::crypto::sha256;
+    use acctee_sgx::{Measurement, Quote};
 
     pub(crate) fn sample_log(session_id: u64) -> ResourceUsageLog {
         ResourceUsageLog {
@@ -358,7 +183,7 @@ mod tests {
 
     #[test]
     fn hostile_length_is_rejected_before_allocation() {
-        let mut e = Enc::new();
+        let mut e = Enc::default();
         e.u16(RECORD_VERSION);
         e.u32(u32::MAX); // tenant "length"
         assert!(decode_record(&e.0).is_err());

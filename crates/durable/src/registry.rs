@@ -30,18 +30,21 @@ use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use acctee::codec::{CodecError, Dec, Enc};
 use acctee::AccountingEnclave;
 use acctee_instrument::Level;
 use acctee_sgx::crypto::sha256;
 
 use crate::billing::TenantRollup;
-use crate::record::{Dec, Enc};
+use crate::framed::{self, sync_dir, HEADER_LEN};
+use crate::record::MAX_FIELD;
 use crate::DurableError;
 
-/// Magic bytes opening every snapshot file.
-const SNAPSHOT_MAGIC: [u8; 4] = *b"ASNP";
-/// Snapshot container version.
+/// Snapshot container and state version.
 const SNAPSHOT_VERSION: u16 = 1;
+/// Header opening every snapshot file: the framed logs' magic +
+/// version convention, though a snapshot is one sealed blob, not a log.
+const SNAPSHOT_HEADER: [u8; HEADER_LEN] = framed::header(*b"ASNP", SNAPSHOT_VERSION);
 /// Upper bound on a deployed module (matches the wire protocol's
 /// tolerance for module uploads).
 const MAX_MODULE: u32 = 64 << 20;
@@ -78,42 +81,19 @@ pub struct RegistryState {
     pub rollups: BTreeMap<String, TenantRollup>,
 }
 
-fn level_byte(level: Level) -> u8 {
-    match level {
-        Level::Naive => 0,
-        Level::FlowBased => 1,
-        Level::LoopBased => 2,
-    }
-}
-
-fn level_from_byte(b: u8) -> Result<Level, DurableError> {
-    match b {
-        0 => Ok(Level::Naive),
-        1 => Ok(Level::FlowBased),
-        2 => Ok(Level::LoopBased),
-        other => Err(DurableError::Decode(format!(
-            "unknown instrumentation level {other}"
-        ))),
-    }
-}
-
 impl RegistryState {
     /// Serialises to the canonical plaintext that gets sealed.
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut e = Enc::default();
         e.u16(SNAPSHOT_VERSION);
         e.u64(self.next_deploy);
         e.u64(self.session_lease);
         e.u64(self.wal_watermark);
-        e.u32(self.deployments.len() as u32);
-        for d in &self.deployments {
+        e.list(&self.deployments, |e, d| {
             e.u64(d.deploy_id);
-            e.u8(level_byte(d.level));
-            // Module bytes can exceed the generic field bound, so the
-            // length is written raw and checked against MAX_MODULE.
-            e.u32(d.module.len() as u32);
-            e.raw(&d.module);
-        }
+            e.u8(d.level.tag());
+            e.bytes(&d.module);
+        });
         e.u32(self.rollups.len() as u32);
         for (tenant, rollup) in &self.rollups {
             e.bytes(tenant.as_bytes());
@@ -123,7 +103,7 @@ impl RegistryState {
     }
 
     pub(crate) fn decode(buf: &[u8]) -> Result<RegistryState, DurableError> {
-        let mut d = Dec::new(buf);
+        let mut d = Dec::with_field_limit(buf, MAX_FIELD);
         let version = d.u16()?;
         if version != SNAPSHOT_VERSION {
             return Err(DurableError::Decode(format!(
@@ -133,30 +113,25 @@ impl RegistryState {
         let next_deploy = d.u64()?;
         let session_lease = d.u64()?;
         let wal_watermark = d.u64()?;
-        let n_deploys = d.u32()?;
-        let mut deployments = Vec::new();
-        for _ in 0..n_deploys {
-            let deploy_id = d.u64()?;
-            let level = level_from_byte(d.u8()?)?;
-            let len = d.u32()?;
+        // id + level + module length
+        let deployments = d.list(13, |d| {
+            let (deploy_id, level, len) = (d.u64()?, d.level()?, d.u32()?);
+            // Module bytes exceed the generic field bound.
             if len > MAX_MODULE {
-                return Err(DurableError::Decode(format!(
-                    "module of {len} bytes exceeds the snapshot bound"
-                )));
+                return Err(CodecError::FieldTooLong(len));
             }
-            let module = d.raw(len as usize)?.to_vec();
-            deployments.push(DeployRecord {
+            let module = d.take(len as usize)?.to_vec();
+            Ok(DeployRecord {
                 deploy_id,
                 level,
                 module,
-            });
-        }
-        let n_rollups = d.u32()?;
-        let mut rollups = BTreeMap::new();
-        for _ in 0..n_rollups {
-            let tenant = d.string()?;
-            let rollup = TenantRollup::decode(&mut d)?;
-            rollups.insert(tenant, rollup);
+            })
+        })?;
+        // tenant name length + a rollup's 2 u64s and 7 u128s
+        let rollups = d.list(4 + 128, |d| Ok((d.string()?, TenantRollup::decode(d)?)))?;
+        // Canonical order: the encoder writes each tenant once, ascending.
+        if rollups.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(DurableError::Decode("rollups out of order".into()));
         }
         d.finish()?;
         Ok(RegistryState {
@@ -164,7 +139,7 @@ impl RegistryState {
             session_lease,
             wal_watermark,
             deployments,
-            rollups,
+            rollups: rollups.into_iter().collect(),
         })
     }
 }
@@ -191,12 +166,6 @@ fn parse_snapshot_seq(name: &str) -> Option<u64> {
         .strip_suffix(".seal.tmp")
         .or_else(|| stem.strip_suffix(".seal"))?;
     stem.parse().ok()
-}
-
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
 }
 
 /// Manages the sealed snapshot files in a state directory.
@@ -265,20 +234,15 @@ impl SnapshotStore {
         let path = snapshot_path(&self.dir, seq);
         let bytes = std::fs::read(&path)?;
         let mut d = Dec::new(&bytes);
-        let magic = d.raw(4)?;
-        let version = d.u16()?;
-        if magic != SNAPSHOT_MAGIC || version != SNAPSHOT_VERSION {
+        if d.take(HEADER_LEN)? != SNAPSHOT_HEADER {
             return Err(DurableError::Corrupt(format!(
                 "{}: bad snapshot container",
                 path.display()
             )));
         }
-        let mut nonce = [0u8; 16];
-        nonce.copy_from_slice(d.raw(16)?);
-        let ct_len = d.u32()?;
-        let ciphertext = d.raw(ct_len as usize)?.to_vec();
-        let mut tag = [0u8; 32];
-        tag.copy_from_slice(d.raw(32)?);
+        let nonce = d.array()?;
+        let ciphertext = d.bytes()?.to_vec();
+        let tag = d.array()?;
         d.finish()
             .map_err(|_| DurableError::Corrupt(format!("{}: trailing bytes", path.display())))?;
         if nonce != snapshot_nonce(seq) {
@@ -319,12 +283,10 @@ impl SnapshotStore {
         self.last_seq += 1;
         let seq = self.last_seq;
         let sealed = ae.seal_state(snapshot_nonce(seq), &state.encode());
-        let mut e = Enc::new();
-        e.raw(&SNAPSHOT_MAGIC);
-        e.u16(SNAPSHOT_VERSION);
+        let mut e = Enc::default();
+        e.raw(&SNAPSHOT_HEADER);
         e.raw(&sealed.nonce);
-        e.u32(sealed.ciphertext.len() as u32);
-        e.raw(&sealed.ciphertext);
+        e.bytes(&sealed.ciphertext);
         e.raw(&sealed.tag);
 
         let final_path = snapshot_path(&self.dir, seq);
@@ -409,9 +371,22 @@ mod tests {
     #[test]
     fn every_level_round_trips() {
         for level in [Level::Naive, Level::FlowBased, Level::LoopBased] {
-            assert_eq!(level_from_byte(level_byte(level)).unwrap(), level);
+            let mut s = state();
+            s.deployments[0].level = level;
+            assert_eq!(RegistryState::decode(&s.encode()).unwrap(), s);
         }
-        assert!(level_from_byte(9).is_err());
+        let mut bytes = state().encode();
+        // version, three u64s, the deployment count, then its id.
+        let level_at = 2 + 3 * 8 + 4 + 8;
+        bytes[level_at] = 9;
+        assert!(RegistryState::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn state_decoding_is_total() {
+        let mut s = state();
+        s.rollups.insert("zeta".into(), TenantRollup::default());
+        acctee::codec::check_total(&s.encode(), RegistryState::decode, RegistryState::encode);
     }
 
     #[test]

@@ -1,28 +1,18 @@
-//! Write-ahead log for signed usage records.
+//! Write-ahead log for signed usage records, on the framed log file
+//! of [`crate::framed`] (frame format and torn-tail rule there).
 //!
 //! On-disk layout: a directory of segment files `wal-NNNNNNNN.log`
-//! (monotonic sequence numbers). Each segment starts with a 6-byte
-//! header (`AWAL` magic + `u16` version) followed by frames:
-//!
-//! ```text
-//! u32 payload_len | u32 crc32(payload) | payload (canonical record)
-//! ```
-//!
-//! Appends go to the highest-numbered segment; once it exceeds the
-//! configured size a new segment is started (rotation). Replay walks
-//! the segments in order, CRC-checking every frame:
-//!
-//! * a short or CRC-failing frame at the **tail of the last segment**
-//!   is a torn write from a crash mid-append — the tail is truncated
-//!   and replay succeeds (the record was never acknowledged, losing it
-//!   is correct);
-//! * the same anywhere **else** is data loss of acknowledged records —
-//!   replay refuses with [`DurableError::Corrupt`] rather than billing
-//!   from a log known to be incomplete;
-//! * a **duplicate session id** (e.g. a frame doubled by a crashed
-//!   compaction) is dropped exactly-once: the first copy wins, later
-//!   copies are counted in [`WalReplay::duplicates_dropped`] and never
-//!   re-indexed or re-folded.
+//! (monotonic sequence numbers, `AWAL` magic), each frame payload one
+//! canonical [`UsageRecord`]. Appends go to the highest-numbered
+//! segment; once it exceeds the configured size a new segment is
+//! started (rotation). Only the final segment is appended to, so only
+//! its tail can be torn; a bad frame in any earlier segment is
+//! acknowledged data lost, and replay refuses with
+//! [`DurableError::Corrupt`] rather than billing from a log known to be
+//! incomplete. A **duplicate session id** (e.g. a frame doubled by a
+//! crashed compaction) is dropped exactly-once: the first copy wins,
+//! later copies are counted in [`WalReplay::duplicates_dropped`] and
+//! never re-indexed or re-folded.
 //!
 //! Compaction rewrites all sealed (non-active) segments into one
 //! segment containing each unique record once — it reclaims the space
@@ -36,24 +26,18 @@
 //! throughput — a checkpoint still fsyncs before sealing, so sealed
 //! rollups never claim a record the disk does not hold.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::record::{decode_record, encode_record, UsageRecord};
+use crate::framed::{self, sync_dir, FramedLog, HEADER_LEN};
+use crate::record::{decode_record, put_record, UsageRecord};
 use crate::DurableError;
 
-/// Magic bytes opening every segment file.
-const SEGMENT_MAGIC: [u8; 4] = *b"AWAL";
-/// Segment format version.
-const SEGMENT_VERSION: u16 = 1;
-/// Bytes of segment header (magic + version).
-const SEGMENT_HEADER: u64 = 6;
-/// Bytes of frame header (length + CRC).
-const FRAME_HEADER: u64 = 8;
-/// Upper bound on a frame payload; anything larger is corruption.
-const MAX_FRAME: u32 = 16 << 20;
+/// Segment file header.
+const SEGMENT: [u8; HEADER_LEN] = framed::header(*b"AWAL", 1);
+/// Bytes of segment header.
+const SEGMENT_HEADER: u64 = HEADER_LEN as u64;
 
 /// When to fsync appended records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,40 +76,6 @@ impl FsyncPolicy {
     }
 }
 
-// -------------------------------------------------------------- crc32
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven; the
-/// same checksum `gzip` and `zlib` frame with.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
 // ----------------------------------------------------------- segments
 
 /// Where a record's frame lives (for point lookups from disk).
@@ -134,13 +84,6 @@ struct RecordLoc {
     seg: u64,
     /// Offset of the frame header within the segment file.
     offset: u64,
-}
-
-#[derive(Debug, Clone)]
-struct SegmentMeta {
-    seq: u64,
-    /// Highest session id stored in the segment (0 when empty).
-    max_session: u64,
 }
 
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
@@ -152,21 +95,6 @@ fn parse_segment_seq(name: &str) -> Option<u64> {
         .strip_suffix(".log")?
         .parse()
         .ok()
-}
-
-fn segment_header() -> [u8; 6] {
-    let mut h = [0u8; 6];
-    h[..4].copy_from_slice(&SEGMENT_MAGIC);
-    h[4..].copy_from_slice(&SEGMENT_VERSION.to_le_bytes());
-    h
-}
-
-/// Best-effort directory fsync so renames/creates are durable on
-/// filesystems that need it.
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
 }
 
 // ---------------------------------------------------------------- wal
@@ -187,10 +115,10 @@ pub struct Wal {
     dir: PathBuf,
     policy: FsyncPolicy,
     segment_bytes: u64,
-    active: File,
+    active: FramedLog,
     active_seq: u64,
-    active_size: u64,
-    segments: Vec<SegmentMeta>,
+    /// Sequence numbers of every segment, the active one last.
+    segments: Vec<u64>,
     index: HashMap<u64, RecordLoc>,
     appends_since_sync: u32,
     max_session: u64,
@@ -198,6 +126,7 @@ pub struct Wal {
 
 impl Wal {
     /// Opens (creating if needed) the log in `dir` and replays it.
+    /// `segment_bytes` is the rotation threshold.
     ///
     /// # Errors
     ///
@@ -214,140 +143,58 @@ impl Wal {
             .filter_map(|e| parse_segment_seq(&e.file_name().to_string_lossy()))
             .collect();
         seqs.sort_unstable();
-
-        let mut wal = Wal {
-            dir: dir.to_path_buf(),
-            policy,
-            segment_bytes: segment_bytes.max(SEGMENT_HEADER + FRAME_HEADER),
-            // Placeholder; replaced below once the active segment is
-            // known (fresh logs start at segment 1).
-            active: OpenOptions::new()
-                .create(true)
-                .truncate(false)
-                .read(true)
-                .write(true)
-                .open(segment_path(dir, *seqs.last().unwrap_or(&1)))?,
-            active_seq: 0,
-            active_size: 0,
-            segments: Vec::new(),
-            index: HashMap::new(),
-            appends_since_sync: 0,
-            max_session: 0,
-        };
-        let mut replay = WalReplay::default();
-
         if seqs.is_empty() {
-            wal.active_seq = 1;
-            wal.active.write_all(&segment_header())?;
-            wal.active.sync_all()?;
-            sync_dir(dir);
-            wal.active_size = SEGMENT_HEADER;
-            wal.segments.push(SegmentMeta {
-                seq: 1,
-                max_session: 0,
-            });
-            return Ok((wal, replay));
+            seqs.push(1); // fresh logs start at segment 1
         }
+        let active_seq = *seqs.last().expect("at least one segment");
 
-        for (i, &seq) in seqs.iter().enumerate() {
-            let last = i == seqs.len() - 1;
-            let good_end = wal.replay_segment(seq, last, &mut replay)?;
-            if last {
-                // Truncate any torn tail so appends resume from the
-                // last good frame boundary.
-                let mut f = OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .open(segment_path(dir, seq))?;
-                f.set_len(good_end)?;
-                f.seek(SeekFrom::End(0))?;
-                wal.active = f;
-                wal.active_seq = seq;
-                wal.active_size = good_end;
-            }
-        }
-        Ok((wal, replay))
-    }
-
-    /// Replays one segment, filling the index and `replay`. Returns
-    /// the offset after the last good frame.
-    fn replay_segment(
-        &mut self,
-        seq: u64,
-        last: bool,
-        replay: &mut WalReplay,
-    ) -> Result<u64, DurableError> {
-        let path = segment_path(&self.dir, seq);
-        let bytes = std::fs::read(&path)?;
-        let corrupt =
-            |what: &str| Err(DurableError::Corrupt(format!("{}: {what}", path.display())));
-        if bytes.len() < SEGMENT_HEADER as usize
-            || bytes[..4] != SEGMENT_MAGIC
-            || bytes[4..6] != SEGMENT_VERSION.to_le_bytes()
-        {
-            // A torn header can only happen to a freshly rotated final
-            // segment; anywhere else the file was tampered with.
-            if last && bytes.len() < SEGMENT_HEADER as usize {
-                replay.torn_bytes_discarded += bytes.len() as u64;
-                std::fs::write(&path, segment_header())?;
-                self.segments.push(SegmentMeta {
-                    seq,
-                    max_session: 0,
-                });
-                return Ok(SEGMENT_HEADER);
-            }
-            return corrupt("bad segment header");
-        }
-        let mut meta = SegmentMeta {
-            seq,
-            max_session: 0,
-        };
-        let mut pos = SEGMENT_HEADER as usize;
-        loop {
-            if pos == bytes.len() {
-                break;
-            }
-            let frame_ok = bytes.len() - pos >= FRAME_HEADER as usize;
-            let (len, crc) = if frame_ok {
-                (
-                    u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()),
-                    u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap()),
-                )
-            } else {
-                (0, 0)
-            };
-            let payload_start = pos + FRAME_HEADER as usize;
-            let payload_end = payload_start + len as usize;
-            let complete = frame_ok && len <= MAX_FRAME && payload_end <= bytes.len();
-            if !complete || crc32(&bytes[payload_start..payload_end]) != crc {
-                if last {
-                    // Torn tail: a crash mid-append. The record was
-                    // never acknowledged; drop it and recover.
-                    replay.torn_bytes_discarded += (bytes.len() - pos) as u64;
-                    break;
-                }
-                return corrupt("bad frame in a sealed segment");
-            }
+        let mut replay = WalReplay::default();
+        let mut index = HashMap::new();
+        let mut max_session = 0;
+        let mut visit = |seg: u64, offset: u64, payload: &[u8]| -> Result<(), DurableError> {
             // CRC-valid payloads must decode: a failure here means the
             // writer and reader disagree, which no amount of replay
             // can paper over.
-            let rec = decode_record(&bytes[payload_start..payload_end])?;
+            let rec = decode_record(payload)?;
             let session = rec.signed.log.session_id;
-            if let std::collections::hash_map::Entry::Vacant(slot) = self.index.entry(session) {
-                slot.insert(RecordLoc {
-                    seg: seq,
-                    offset: pos as u64,
-                });
-                meta.max_session = meta.max_session.max(session);
-                self.max_session = self.max_session.max(session);
-                replay.records.push(rec);
-            } else {
-                replay.duplicates_dropped += 1;
+            match index.entry(session) {
+                Entry::Vacant(slot) => {
+                    slot.insert(RecordLoc { seg, offset });
+                    max_session = max_session.max(session);
+                    replay.records.push(rec);
+                }
+                Entry::Occupied(_) => replay.duplicates_dropped += 1,
             }
-            pos = payload_end;
+            Ok(())
+        };
+        for &seq in &seqs[..seqs.len() - 1] {
+            let path = segment_path(dir, seq);
+            // Only the active segment is appended to, so only it can
+            // be torn: a sealed segment must replay whole.
+            let (len, end) = framed::replay(&path, SEGMENT, |off, p| visit(seq, off, p))?;
+            if end != len || end == 0 {
+                return Err(DurableError::Corrupt(format!(
+                    "{}: bad frame in a sealed segment",
+                    path.display()
+                )));
+            }
         }
-        self.segments.push(meta);
-        Ok(pos as u64)
+        let path = segment_path(dir, active_seq);
+        let (active, torn) = FramedLog::open(&path, SEGMENT, |off, p| visit(active_seq, off, p))?;
+        replay.torn_bytes_discarded = torn;
+
+        let wal = Wal {
+            dir: dir.to_path_buf(),
+            policy,
+            segment_bytes: segment_bytes.max(SEGMENT_HEADER + framed::FRAME_HEADER as u64),
+            active,
+            active_seq,
+            segments: seqs,
+            index,
+            appends_since_sync: 0,
+            max_session,
+        };
+        Ok((wal, replay))
     }
 
     /// Appends one record, rotating and fsyncing per policy.
@@ -362,28 +209,20 @@ impl Wal {
         if self.index.contains_key(&session) {
             return Err(DurableError::DuplicateSession(session));
         }
-        let payload = encode_record(rec);
-        let frame_len = FRAME_HEADER + payload.len() as u64;
-        if self.active_size > SEGMENT_HEADER && self.active_size + frame_len > self.segment_bytes {
+        let frame = framed::frame(|e| put_record(e, rec));
+        let size = self.active.len();
+        if size > SEGMENT_HEADER && size + frame.len() as u64 > self.segment_bytes {
             self.rotate()?;
         }
-        let mut frame = Vec::with_capacity(frame_len as usize);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.active.write_all(&frame)?;
+        let offset = self.active.append(&frame)?;
         self.index.insert(
             session,
             RecordLoc {
                 seg: self.active_seq,
-                offset: self.active_size,
+                offset,
             },
         );
-        self.active_size += frame_len;
         self.max_session = self.max_session.max(session);
-        if let Some(meta) = self.segments.last_mut() {
-            meta.max_session = meta.max_session.max(session);
-        }
         match self.policy {
             FsyncPolicy::Always => self.sync()?,
             FsyncPolicy::EveryN(n) => {
@@ -399,23 +238,11 @@ impl Wal {
 
     /// Seals the active segment and starts the next one.
     fn rotate(&mut self) -> Result<(), DurableError> {
-        self.active.sync_all()?;
+        self.active.sync()?;
         let seq = self.active_seq + 1;
-        let mut f = OpenOptions::new()
-            .create_new(true)
-            .read(true)
-            .write(true)
-            .open(segment_path(&self.dir, seq))?;
-        f.write_all(&segment_header())?;
-        f.sync_all()?;
-        sync_dir(&self.dir);
-        self.active = f;
+        self.active = FramedLog::create(&segment_path(&self.dir, seq), SEGMENT)?;
         self.active_seq = seq;
-        self.active_size = SEGMENT_HEADER;
-        self.segments.push(SegmentMeta {
-            seq,
-            max_session: 0,
-        });
+        self.segments.push(seq);
         Ok(())
     }
 
@@ -425,14 +252,9 @@ impl Wal {
     ///
     /// I/O errors from fsync.
     pub fn sync(&mut self) -> Result<(), DurableError> {
-        self.active.sync_data()?;
+        self.active.sync()?;
         self.appends_since_sync = 0;
         Ok(())
-    }
-
-    /// Whether a record for `session_id` is in the log.
-    pub fn contains(&self, session_id: u64) -> bool {
-        self.index.contains_key(&session_id)
     }
 
     /// The highest session id in the log (0 when empty).
@@ -463,26 +285,10 @@ impl Wal {
     /// I/O errors; [`DurableError::Corrupt`] when the stored frame no
     /// longer checks out.
     pub fn get(&self, session_id: u64) -> Result<Option<UsageRecord>, DurableError> {
-        let Some(loc) = self.index.get(&session_id) else {
-            return Ok(None);
-        };
-        let mut f = File::open(segment_path(&self.dir, loc.seg))?;
-        f.seek(SeekFrom::Start(loc.offset))?;
-        let mut header = [0u8; FRAME_HEADER as usize];
-        f.read_exact(&mut header)?;
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
-        if len > MAX_FRAME {
-            return Err(DurableError::Corrupt("frame length out of range".into()));
-        }
-        let mut payload = vec![0u8; len as usize];
-        f.read_exact(&mut payload)?;
-        if crc32(&payload) != crc {
-            return Err(DurableError::Corrupt(format!(
-                "stored frame for session {session_id} fails its CRC"
-            )));
-        }
-        Ok(Some(decode_record(&payload)?))
+        self.index
+            .get(&session_id)
+            .map(|l| self.read(*l))
+            .transpose()
     }
 
     /// Re-reads every unique record from disk, in segment order (the
@@ -492,16 +298,31 @@ impl Wal {
     ///
     /// I/O or corruption errors from [`Wal::get`].
     pub fn read_all(&self) -> Result<Vec<UsageRecord>, DurableError> {
-        let mut locs: Vec<(u64, RecordLoc)> = self.index.iter().map(|(s, l)| (*s, *l)).collect();
+        self.records_on_disk(|_| true)
+            .map(|r| r.map(|(_, rec)| rec))
+            .collect()
+    }
+
+    /// The unique records in segments `keep` selects, re-read from disk
+    /// in on-disk order, with their session ids.
+    fn records_on_disk(
+        &self,
+        keep: impl Fn(u64) -> bool,
+    ) -> impl Iterator<Item = Result<(u64, UsageRecord), DurableError>> + '_ {
+        let mut locs: Vec<(u64, RecordLoc)> = self
+            .index
+            .iter()
+            .filter(|(_, l)| keep(l.seg))
+            .map(|(s, l)| (*s, *l))
+            .collect();
         locs.sort_by_key(|(_, l)| (l.seg, l.offset));
-        let mut out = Vec::with_capacity(locs.len());
-        for (session, _) in locs {
-            match self.get(session)? {
-                Some(rec) => out.push(rec),
-                None => unreachable!("indexed session vanished"),
-            }
-        }
-        Ok(out)
+        locs.into_iter()
+            .map(|(session, loc)| Ok((session, self.read(loc)?)))
+    }
+
+    fn read(&self, loc: RecordLoc) -> Result<UsageRecord, DurableError> {
+        let payload = framed::read_frame(&segment_path(&self.dir, loc.seg), loc.offset)?;
+        decode_record(&payload)
     }
 
     /// Compacts all sealed segments into one: each unique record is
@@ -522,44 +343,20 @@ impl Wal {
         if self.segments.len() <= 1 {
             return Ok(0);
         }
-        let sealed: Vec<u64> = self.segments[..self.segments.len() - 1]
-            .iter()
-            .map(|m| m.seq)
-            .collect();
-        // Gather sealed records in on-disk order.
-        let mut locs: Vec<(u64, RecordLoc)> = self
-            .index
-            .iter()
-            .filter(|(_, l)| l.seg != self.active_seq)
-            .map(|(s, l)| (*s, *l))
-            .collect();
-        locs.sort_by_key(|(_, l)| (l.seg, l.offset));
+        let sealed = self.segments[..self.segments.len() - 1].to_vec();
         let target_seq = sealed[0];
         let tmp = self.dir.join(format!("wal-{target_seq:08}.log.tmp"));
-        let mut out = File::create(&tmp)?;
-        out.write_all(&segment_header())?;
-        let mut new_locs: Vec<(u64, RecordLoc)> = Vec::with_capacity(locs.len());
-        let mut offset = SEGMENT_HEADER;
-        let mut max_session = 0u64;
-        for (session, _) in &locs {
-            let rec = self
-                .get(*session)?
-                .ok_or_else(|| DurableError::Corrupt("indexed session vanished".into()))?;
-            let payload = encode_record(&rec);
-            out.write_all(&(payload.len() as u32).to_le_bytes())?;
-            out.write_all(&crc32(&payload).to_le_bytes())?;
-            out.write_all(&payload)?;
-            new_locs.push((
-                *session,
-                RecordLoc {
-                    seg: target_seq,
-                    offset,
-                },
-            ));
-            offset += FRAME_HEADER + payload.len() as u64;
-            max_session = max_session.max(*session);
+        // A crashed compaction may have left its temp file behind.
+        let _ = std::fs::remove_file(&tmp);
+        let mut out = FramedLog::create(&tmp, SEGMENT)?;
+        let mut new_locs = Vec::new();
+        for rec in self.records_on_disk(|seg| seg != self.active_seq) {
+            let (session, rec) = rec?;
+            let offset = out.append(&framed::frame(|e| put_record(e, &rec)))?;
+            let seg = target_seq;
+            new_locs.push((session, RecordLoc { seg, offset }));
         }
-        out.sync_all()?;
+        out.sync()?;
         drop(out);
         std::fs::rename(&tmp, segment_path(&self.dir, target_seq))?;
         sync_dir(&self.dir);
@@ -572,14 +369,7 @@ impl Wal {
         for (session, loc) in new_locs {
             self.index.insert(session, loc);
         }
-        let active = self.segments.last().cloned().expect("active segment");
-        self.segments = vec![
-            SegmentMeta {
-                seq: target_seq,
-                max_session,
-            },
-            active,
-        ];
+        self.segments = vec![target_seq, self.active_seq];
         Ok(removed)
     }
 }
@@ -587,6 +377,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framed::crc32;
     use acctee::{ResourceUsageLog, SignedLog};
     use acctee_sgx::crypto::sha256;
     use acctee_sgx::{Measurement, Quote};

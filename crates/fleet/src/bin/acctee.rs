@@ -736,7 +736,6 @@ fn open_durable_offline(opts: &Opts) -> Result<(Deployment, Durable), String> {
         std::path::Path::new(dir),
         DurableOptions {
             fsync: FsyncPolicy::Never, // read-mostly; nothing to protect
-            ..DurableOptions::default()
         },
         infra.accounting_enclave(),
         infra.pricing,

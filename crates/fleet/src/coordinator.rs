@@ -35,7 +35,7 @@ use acctee_net::wire::{self, FleetAck, FleetReport, FleetSubmission, FleetUnit, 
 use acctee_net::{Request, Response, WireError};
 use acctee_sgx::crypto::sha256;
 
-use crate::journal::Journal;
+use crate::journal::{credited, Journal, JournalSubmission, JournalUnit};
 use crate::reconcile::{reconcile, ReconcileConfig, SignedNodeStatement};
 use crate::unit::{result_key, UnitSpec};
 use crate::FleetError;
@@ -117,31 +117,15 @@ struct Assignment {
     granted_at: Instant,
 }
 
-/// One verified submission held in memory (mirrors the journal).
-struct Sub {
-    worker: String,
-    result: i64,
-    log: SignedLog,
-}
-
 struct UnitState {
-    spec: UnitSpec,
+    /// The unit's journaled state: spec, deadline, checks, verified
+    /// submissions and completion.
+    unit: JournalUnit,
     module: Vec<u8>,
     evidence: InstrumentationEvidence,
-    deadline_ms: u64,
-    /// Extra executions required beyond the first.
-    checks: u32,
-    subs: Vec<Sub>,
     live: Vec<Assignment>,
     /// Tickets for this unit currently sitting in the pending queue.
     queued: u32,
-    done: Option<Vec<u64>>,
-}
-
-impl UnitState {
-    fn needed(&self) -> usize {
-        1 + self.checks as usize
-    }
 }
 
 struct WorkerState {
@@ -183,7 +167,7 @@ impl State {
     }
 
     fn campaign_done(&self) -> bool {
-        self.units.iter().all(|u| u.done.is_some())
+        self.units.iter().all(|u| u.unit.done.is_some())
     }
 
     fn fresh_nonce(&mut self) -> [u8; 32] {
@@ -212,11 +196,12 @@ impl State {
     /// Tops the pending queue up so `needed` executions are always
     /// either verified, in flight, or queued.
     fn refill(&mut self, idx: usize) {
-        if self.units[idx].done.is_some() {
+        if self.units[idx].unit.done.is_some() {
             return;
         }
         let eligible = self.units[idx]
-            .subs
+            .unit
+            .submissions
             .iter()
             .filter(|s| {
                 self.workers
@@ -226,8 +211,8 @@ impl State {
             .count();
         let u = &self.units[idx];
         let have = eligible + u.live.len() + u.queued as usize;
-        let missing = u.needed().saturating_sub(have);
-        let id = u.spec.id;
+        let missing = (u.unit.needed() as usize).saturating_sub(have);
+        let id = u.unit.spec.id;
         for _ in 0..missing {
             self.units[idx].queued += 1;
             self.pending.push_back(id);
@@ -249,8 +234,8 @@ impl State {
         w.live = 0;
         for u in &mut self.units {
             u.live.retain(|a| a.worker != worker);
-            if u.done.is_none() {
-                u.subs.retain(|s| s.worker != worker);
+            if u.unit.done.is_none() {
+                u.unit.submissions.retain(|s| s.worker != worker);
             }
         }
         for idx in 0..self.units.len() {
@@ -267,13 +252,14 @@ impl State {
     /// submissions, possibly refilling the queue).
     fn try_complete(&mut self, idx: usize) -> Result<(), FleetError> {
         loop {
-            if self.units[idx].done.is_some() {
+            if self.units[idx].unit.done.is_some() {
                 return Ok(());
             }
-            let needed = self.units[idx].needed();
+            let needed = self.units[idx].unit.needed() as usize;
             let eligible: Vec<usize> = {
                 let u = &self.units[idx];
-                u.subs
+                u.unit
+                    .submissions
                     .iter()
                     .enumerate()
                     .filter(|(_, s)| {
@@ -287,25 +273,32 @@ impl State {
             if eligible.len() < needed {
                 return Ok(());
             }
-            let key = |s: &Sub| {
+            let key = |s: &JournalSubmission| {
                 (
                     s.result,
-                    s.log.log.weighted_instructions,
-                    s.log.log.memory_integral,
+                    s.record.signed.log.weighted_instructions,
+                    s.record.signed.log.memory_integral,
                 )
             };
-            let first = key(&self.units[idx].subs[eligible[0]]);
+            let first = key(&self.units[idx].unit.submissions[eligible[0]]);
             let agree = eligible
                 .iter()
-                .all(|&i| key(&self.units[idx].subs[i]) == first);
+                .all(|&i| key(&self.units[idx].unit.submissions[i]) == first);
             if agree {
                 let sessions: Vec<u64> = eligible
                     .iter()
-                    .map(|&i| self.units[idx].subs[i].log.log.session_id)
+                    .map(|&i| {
+                        self.units[idx].unit.submissions[i]
+                            .record
+                            .signed
+                            .log
+                            .session_id
+                    })
                     .collect();
-                self.journal.unit_done(self.units[idx].spec.id, &sessions)?;
+                self.journal
+                    .unit_done(self.units[idx].unit.spec.id, &sessions)?;
                 for &i in &eligible {
-                    let worker = self.units[idx].subs[i].worker.clone();
+                    let worker = self.units[idx].unit.submissions[i].worker.clone();
                     if let Some(w) = self.workers.get_mut(&worker) {
                         w.completed += 1;
                     }
@@ -318,7 +311,7 @@ impl State {
                         w.live = w.live.saturating_sub(1);
                     }
                 }
-                self.units[idx].done = Some(sessions);
+                self.units[idx].unit.done = Some(sessions);
                 return Ok(());
             }
             // Counters disagree: the coordinator's own enclave is the
@@ -327,7 +320,7 @@ impl State {
             self.checks_mismatched += 1;
             let (module, evidence, func) = {
                 let u = &self.units[idx];
-                (u.module.clone(), u.evidence.clone(), u.spec.func())
+                (u.module.clone(), u.evidence.clone(), u.unit.spec.func())
             };
             let out = self
                 .dep
@@ -342,11 +335,11 @@ impl State {
                 let u = &self.units[idx];
                 eligible
                     .iter()
-                    .filter(|&&i| key(&u.subs[i]) != truth)
-                    .map(|&i| u.subs[i].worker.clone())
+                    .filter(|&&i| key(&u.unit.submissions[i]) != truth)
+                    .map(|&i| u.unit.submissions[i].worker.clone())
                     .collect()
             };
-            let unit_id = self.units[idx].spec.id;
+            let unit_id = self.units[idx].unit.spec.id;
             for l in &losers {
                 self.quarantine_worker(
                     l,
@@ -380,7 +373,7 @@ impl State {
         workers.sort_by(|a, b| a.name.cmp(&b.name));
         FleetReport {
             units_total: self.units.len() as u64,
-            completed: self.units.iter().filter(|u| u.done.is_some()).count() as u64,
+            completed: self.units.iter().filter(|u| u.unit.done.is_some()).count() as u64,
             pending: self.pending.len() as u64,
             inflight: self.units.iter().map(|u| u.live.len() as u64).sum(),
             checks_scheduled: self.checks_scheduled,
@@ -436,73 +429,55 @@ impl Coordinator {
         let mut index = HashMap::new();
         let resuming = !replay.units.is_empty();
         let mut workers: HashMap<String, WorkerState> = HashMap::new();
-        let mut checks_scheduled = 0u64;
-        if resuming {
-            for ju in replay.units {
-                let (module, evidence) = dep
-                    .instrument(&ju.spec.module_bytes(), Level::LoopBased)
-                    .map_err(|e| {
-                        FleetError::Corrupt(format!("journaled unit does not re-instrument: {e}"))
-                    })?;
-                checks_scheduled += u64::from(ju.checks);
-                index.insert(ju.spec.id, units.len());
-                units.push(UnitState {
-                    spec: ju.spec,
-                    module,
-                    evidence,
-                    deadline_ms: ju.deadline_ms,
-                    checks: ju.checks,
-                    subs: ju
-                        .submissions
-                        .into_iter()
-                        .map(|s| Sub {
-                            worker: s.worker,
-                            result: s.result,
-                            log: s.record.signed,
-                        })
-                        .collect(),
-                    live: Vec::new(),
-                    queued: 0,
-                    done: ju.done,
-                });
-            }
-            for (name, reason) in replay.quarantined {
-                workers.insert(
-                    name,
-                    WorkerState {
-                        id: 0,
-                        probation: 0,
-                        quarantine: Some(reason),
-                        completed: 0,
-                        live: 0,
-                    },
-                );
-            }
+        let journaled = if resuming {
+            replay.units
         } else {
+            let mut fresh = Vec::with_capacity(specs.len());
             for spec in specs {
                 journal.unit_added(spec, config.deadline_ms)?;
-                let mut checks = 0u32;
+                let mut checks = 0;
                 if check_sampled(spec.id, config.seed, config.redundancy) {
                     journal.check_scheduled(spec.id)?;
                     checks = 1;
-                    checks_scheduled += 1;
                 }
-                let (module, evidence) = dep
-                    .instrument(&spec.module_bytes(), Level::LoopBased)
-                    .map_err(|e| FleetError::Protocol(format!("instrumentation failed: {e}")))?;
-                index.insert(spec.id, units.len());
-                units.push(UnitState {
+                fresh.push(JournalUnit {
                     spec: *spec,
-                    module,
-                    evidence,
                     deadline_ms: config.deadline_ms,
                     checks,
-                    subs: Vec::new(),
-                    live: Vec::new(),
-                    queued: 0,
+                    submissions: Vec::new(),
                     done: None,
                 });
             }
+            fresh
+        };
+        let mut checks_scheduled = 0u64;
+        for unit in journaled {
+            let (module, evidence) = dep
+                .instrument(&unit.spec.module_bytes(), Level::LoopBased)
+                .map_err(|e| {
+                    FleetError::Protocol(format!("unit {} does not instrument: {e}", unit.spec.id))
+                })?;
+            checks_scheduled += u64::from(unit.checks);
+            index.insert(unit.spec.id, units.len());
+            units.push(UnitState {
+                unit,
+                module,
+                evidence,
+                live: Vec::new(),
+                queued: 0,
+            });
+        }
+        for (name, reason) in replay.quarantined {
+            workers.insert(
+                name,
+                WorkerState {
+                    id: 0,
+                    probation: 0,
+                    quarantine: Some(reason),
+                    completed: 0,
+                    live: 0,
+                },
+            );
         }
         let next_session = replay.session_floor.max(1);
         let io_timeout = config.io_timeout;
@@ -602,10 +577,10 @@ fn reap_stragglers(st: &mut State) {
     let grace = Duration::from_millis(st.config.straggler_grace_ms);
     let mut reaped: Vec<(usize, String)> = Vec::new();
     for (idx, u) in st.units.iter_mut().enumerate() {
-        if u.done.is_some() {
+        if u.unit.done.is_some() {
             continue;
         }
-        let budget = Duration::from_millis(u.deadline_ms.saturating_mul(factor)) + grace;
+        let budget = Duration::from_millis(u.unit.deadline_ms.saturating_mul(factor)) + grace;
         let mut dropped = Vec::new();
         u.live.retain(|a| {
             if a.granted_at.elapsed() > budget {
@@ -679,15 +654,12 @@ impl CoordinatorHandle {
     /// Quoting failures from the coordinator's accounting enclave.
     pub fn reconcile(&self, cfg: &ReconcileConfig) -> Result<Vec<SignedNodeStatement>, FleetError> {
         let st = self.lock();
-        let mut credited: Vec<(String, SignedLog)> = Vec::new();
-        for u in &st.units {
-            let Some(sessions) = &u.done else { continue };
-            for s in sessions {
-                if let Some(sub) = u.subs.iter().find(|sub| sub.log.log.session_id == *s) {
-                    credited.push((sub.worker.clone(), sub.log.clone()));
-                }
-            }
-        }
+        let pairs: Vec<(String, SignedLog)> = st
+            .units
+            .iter()
+            .flat_map(|u| credited(&u.unit.submissions, u.unit.done.as_deref()))
+            .map(|sub| (sub.worker.clone(), sub.record.signed.clone()))
+            .collect();
         let quarantined: Vec<String> = st
             .workers
             .iter()
@@ -695,7 +667,7 @@ impl CoordinatorHandle {
             .map(|(n, _)| n.clone())
             .collect();
         reconcile(
-            &credited,
+            &pairs,
             &quarantined,
             st.dep.workload_provider(),
             st.dep.infrastructure().accounting_enclave(),
@@ -889,11 +861,15 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
             Some(&i) => i,
             None => continue,
         };
-        if st.units[idx].done.is_some() {
+        if st.units[idx].unit.done.is_some() {
             st.units[idx].queued = st.units[idx].queued.saturating_sub(1);
             continue;
         }
-        let involved = st.units[idx].subs.iter().any(|s| s.worker == name)
+        let involved = st.units[idx]
+            .unit
+            .submissions
+            .iter()
+            .any(|s| s.worker == name)
             || st.units[idx].live.iter().any(|a| a.worker == name);
         // Redundant executions must come from distinct nodes — unless
         // this is a single-node fleet, where cross-checking is
@@ -905,7 +881,7 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
         // Probation: a new node's first units are force-promoted to
         // spot checks so its honesty is tested deterministically.
         let promote = st.workers.get(&name).is_some_and(|w| w.probation > 0)
-            && st.units[idx].checks == 0
+            && st.units[idx].unit.checks == 0
             && !sole;
         if promote {
             if let Err(e) = st.journal.check_scheduled(unit_id) {
@@ -919,7 +895,7 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
                     message: format!("journal append failed: {e}"),
                 };
             }
-            st.units[idx].checks += 1;
+            st.units[idx].unit.checks += 1;
             st.checks_scheduled += 1;
             if let Some(w) = st.workers.get_mut(&name) {
                 w.probation -= 1;
@@ -952,10 +928,10 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
         granted.push(FleetUnit {
             unit_id,
             session_id,
-            func: st.units[idx].spec.func().to_string(),
+            func: st.units[idx].unit.spec.func().to_string(),
             module: st.units[idx].module.clone(),
             evidence: st.units[idx].evidence.clone(),
-            deadline_ms: st.units[idx].deadline_ms,
+            deadline_ms: st.units[idx].unit.deadline_ms,
         });
     }
     for s in skipped {
@@ -971,9 +947,9 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
                 .units
                 .iter()
                 .enumerate()
-                .filter(|(_, u)| u.done.is_none())
+                .filter(|(_, u)| u.unit.done.is_none())
                 .filter(|(_, u)| {
-                    !u.subs.iter().any(|s| s.worker == name)
+                    !u.unit.submissions.iter().any(|s| s.worker == name)
                         && !u.live.iter().any(|a| a.worker == name)
                 })
                 .filter(|(_, u)| {
@@ -998,12 +974,12 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
                             w.live += 1;
                         }
                         granted.push(FleetUnit {
-                            unit_id: st.units[idx].spec.id,
+                            unit_id: st.units[idx].unit.spec.id,
                             session_id,
-                            func: st.units[idx].spec.func().to_string(),
+                            func: st.units[idx].unit.spec.func().to_string(),
                             module: st.units[idx].module.clone(),
                             evidence: st.units[idx].evidence.clone(),
-                            deadline_ms: st.units[idx].deadline_ms,
+                            deadline_ms: st.units[idx].unit.deadline_ms,
                         });
                     }
                     Err(e) => {
@@ -1063,7 +1039,8 @@ fn handle_submit(
                 // plumbing every accounted execution uses; there is no
                 // separate fleet timer).
                 let u = &mut st.units[idx];
-                u.deadline_ms = u
+                u.unit.deadline_ms = u
+                    .unit
                     .deadline_ms
                     .max(1)
                     .saturating_mul(st.config.deadline_growth.max(2));
@@ -1088,7 +1065,7 @@ fn handle_submit(
             let result = result_key(&results);
             let record = UsageRecord {
                 tenant: name.clone(),
-                signed: (*log).clone(),
+                signed: *log,
             };
             // Journal first (fsync), acknowledge after: an
             // acknowledged submission survives any crash.
@@ -1097,10 +1074,10 @@ fn handle_submit(
             if let Some(w) = st.workers.get_mut(&name) {
                 w.live = w.live.saturating_sub(1);
             }
-            st.units[idx].subs.push(Sub {
+            st.units[idx].unit.submissions.push(JournalSubmission {
                 worker: name,
                 result,
-                log: *log,
+                record,
             });
             st.try_complete(idx)?;
             Ok(FleetAck::Accepted)

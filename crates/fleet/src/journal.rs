@@ -1,16 +1,7 @@
-//! The coordinator's durable job queue: a single append-only journal
-//! of campaign-changing events, following the `acctee-durable` WAL
-//! discipline (CRC-framed records, fsync-before-ack, torn-tail
-//! truncation, exactly-once replay).
-//!
-//! On-disk layout: one file `fleet.log` opening with a 6-byte header
-//! (`AFLJ` magic + `u16` version) followed by frames:
-//!
-//! ```text
-//! u32 payload_len | u32 crc32(payload) | payload (u8 kind + body)
-//! ```
-//!
-//! Event kinds:
+//! The coordinator's durable job queue: one append-only file,
+//! `fleet.log`, on the framed log of `acctee_durable::framed` (magic
+//! `AFLJ`; frame format and torn-tail rule are defined there). Each
+//! frame payload is one campaign-changing event, `u8 kind + body`:
 //!
 //! | kind | event | body |
 //! |------|-------|------|
@@ -23,33 +14,23 @@
 //!
 //! Every append fsyncs before returning — the coordinator writes the
 //! event *then* acknowledges the worker, so an acknowledged submission
-//! is on disk by construction. Replay tolerates exactly one torn frame
-//! at the tail (a crash mid-append: the event was never acknowledged,
-//! dropping it is correct) and refuses anything else as corruption.
-//! Duplicate submissions (same session id) and duplicate unit-done
-//! frames are dropped first-wins and counted, so a doubled frame can
-//! never double-credit a unit.
+//! is on disk by construction. Duplicate submissions (same session id)
+//! and duplicate unit-done frames are dropped first-wins and counted,
+//! so a doubled frame can never double-credit a unit.
 
-use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
+use acctee::codec::{Dec, Enc};
+use acctee_durable::framed::{self, FramedLog, HEADER_LEN};
 use acctee_durable::{decode_record, encode_record, UsageRecord};
 
 use crate::unit::{UnitSpec, WorkloadKind};
 use crate::FleetError;
 
-/// Magic bytes opening the journal file.
-const JOURNAL_MAGIC: [u8; 4] = *b"AFLJ";
-/// Journal format version.
-const JOURNAL_VERSION: u16 = 1;
-/// Bytes of file header (magic + version).
-const FILE_HEADER: usize = 6;
-/// Bytes of frame header (length + CRC).
-const FRAME_HEADER: usize = 8;
-/// Upper bound on a frame payload; anything larger is corruption.
-const MAX_FRAME: u32 = 16 << 20;
+/// Journal file header.
+const JOURNAL: [u8; HEADER_LEN] = framed::header(*b"AFLJ", 1);
 
 const EV_UNIT_ADDED: u8 = 1;
 const EV_CHECK_SCHEDULED: u8 = 2;
@@ -57,40 +38,6 @@ const EV_SUBMISSION: u8 = 3;
 const EV_UNIT_DONE: u8 = 4;
 const EV_QUARANTINE: u8 = 5;
 const EV_SESSION_LEASE: u8 = 6;
-
-// -------------------------------------------------------------- crc32
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) — the same framing
-/// checksum the durable WAL uses.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 // ----------------------------------------------------------- replay
 
@@ -154,76 +101,202 @@ impl JournalReplay {
     /// event names. This is the reconciliation input and the audit
     /// surface — each session id appears at most once by construction.
     pub fn credited_pairs(&self) -> Vec<(String, UsageRecord)> {
-        let mut out = Vec::new();
-        for u in &self.units {
-            let Some(sessions) = &u.done else { continue };
-            for s in sessions {
-                if let Some(sub) = u
-                    .submissions
-                    .iter()
-                    .find(|sub| sub.record.signed.log.session_id == *s)
-                {
-                    out.push((sub.worker.clone(), sub.record.clone()));
-                }
+        self.units
+            .iter()
+            .flat_map(|u| credited(&u.submissions, u.done.as_deref()))
+            .map(|sub| (sub.worker.clone(), sub.record.clone()))
+            .collect()
+    }
+}
+
+/// The submissions a unit's credited session ids (its unit-done event)
+/// name, in that order; none while the unit is not done.
+pub(crate) fn credited<'a>(
+    subs: &'a [JournalSubmission],
+    done: Option<&'a [u64]>,
+) -> impl Iterator<Item = &'a JournalSubmission> {
+    let sessions = done.unwrap_or_default().iter();
+    sessions.filter_map(move |s| {
+        subs.iter()
+            .find(|sub| sub.record.signed.log.session_id == *s)
+    })
+}
+
+// ------------------------------------------------------------ events
+
+/// One journaled event, as one frame payload.
+#[derive(Debug, Clone, PartialEq)]
+enum Event {
+    UnitAdded {
+        spec: UnitSpec,
+        deadline_ms: u64,
+    },
+    CheckScheduled {
+        unit: u64,
+    },
+    Submission {
+        unit: u64,
+        sub: Box<JournalSubmission>,
+    },
+    UnitDone {
+        unit: u64,
+        sessions: Vec<u64>,
+    },
+    Quarantine {
+        worker: String,
+        reason: String,
+    },
+    SessionLease {
+        upto: u64,
+    },
+}
+
+impl Event {
+    fn encode(&self, e: &mut Enc) {
+        match self {
+            Event::UnitAdded { spec, deadline_ms } => {
+                e.u8(EV_UNIT_ADDED);
+                e.u64(spec.id);
+                e.u8(spec.kind.tag());
+                e.u32(spec.count);
+                e.u64(spec.seed);
+                e.u64(*deadline_ms);
+            }
+            Event::CheckScheduled { unit } => {
+                e.u8(EV_CHECK_SCHEDULED);
+                e.u64(*unit);
+            }
+            Event::Submission { unit, sub } => {
+                e.u8(EV_SUBMISSION);
+                e.u64(*unit);
+                e.bytes(sub.worker.as_bytes());
+                e.u64(sub.result as u64);
+                e.bytes(&encode_record(&sub.record));
+            }
+            Event::UnitDone { unit, sessions } => {
+                e.u8(EV_UNIT_DONE);
+                e.u64(*unit);
+                e.list(sessions, |e, s| e.u64(*s));
+            }
+            Event::Quarantine { worker, reason } => {
+                e.u8(EV_QUARANTINE);
+                e.bytes(worker.as_bytes());
+                e.bytes(reason.as_bytes());
+            }
+            Event::SessionLease { upto } => {
+                e.u8(EV_SESSION_LEASE);
+                e.u64(*upto);
             }
         }
-        out
     }
+
+    fn decode(payload: &[u8]) -> Result<Event, FleetError> {
+        let mut d = Dec::new(payload);
+        let event = match d.u8()? {
+            EV_UNIT_ADDED => {
+                let id = d.u64()?;
+                let tag = d.u8()?;
+                let kind = WorkloadKind::from_tag(tag)
+                    .ok_or_else(|| FleetError::Corrupt(format!("unknown workload tag {tag}")))?;
+                Event::UnitAdded {
+                    spec: UnitSpec {
+                        id,
+                        kind,
+                        count: d.u32()?,
+                        seed: d.u64()?,
+                    },
+                    deadline_ms: d.u64()?,
+                }
+            }
+            EV_CHECK_SCHEDULED => Event::CheckScheduled { unit: d.u64()? },
+            EV_SUBMISSION => Event::Submission {
+                unit: d.u64()?,
+                sub: Box::new(JournalSubmission {
+                    worker: d.string()?,
+                    result: d.u64()? as i64,
+                    record: decode_record(d.bytes()?)
+                        .map_err(|e| FleetError::Corrupt(format!("submission record: {e}")))?,
+                }),
+            },
+            EV_UNIT_DONE => Event::UnitDone {
+                unit: d.u64()?,
+                sessions: d.list(8, Dec::u64)?,
+            },
+            EV_QUARANTINE => Event::Quarantine {
+                worker: d.string()?,
+                reason: d.string()?,
+            },
+            EV_SESSION_LEASE => Event::SessionLease { upto: d.u64()? },
+            other => return Err(FleetError::Corrupt(format!("unknown event kind {other}"))),
+        };
+        d.finish()?;
+        Ok(event)
+    }
+}
+
+impl JournalReplay {
+    /// Folds one replayed event in. `index` maps unit ids to `units`
+    /// positions; `seen` holds every submission's session id so far.
+    fn apply(
+        &mut self,
+        event: Event,
+        index: &mut HashMap<u64, usize>,
+        seen: &mut HashSet<u64>,
+    ) -> Result<(), FleetError> {
+        match event {
+            Event::UnitAdded { spec, deadline_ms } => {
+                if let Entry::Vacant(slot) = index.entry(spec.id) {
+                    slot.insert(self.units.len());
+                    self.units.push(JournalUnit {
+                        spec,
+                        deadline_ms,
+                        checks: 0,
+                        submissions: Vec::new(),
+                        done: None,
+                    });
+                }
+            }
+            Event::CheckScheduled { unit: id } => {
+                self.units[unit_at(index, id, "check")?].checks += 1;
+            }
+            Event::Submission { unit: id, sub } => {
+                let idx = unit_at(index, id, "submission")?;
+                if seen.insert(sub.record.signed.log.session_id) {
+                    self.units[idx].submissions.push(*sub);
+                } else {
+                    self.duplicate_submissions_dropped += 1;
+                }
+            }
+            Event::UnitDone { unit: id, sessions } => {
+                let done = &mut self.units[unit_at(index, id, "done")?].done;
+                if done.is_none() {
+                    *done = Some(sessions);
+                } else {
+                    self.duplicate_done_dropped += 1;
+                }
+            }
+            Event::Quarantine { worker, reason } => {
+                self.quarantined.entry(worker).or_insert(reason);
+            }
+            Event::SessionLease { upto } => {
+                self.session_floor = self.session_floor.max(upto);
+            }
+        }
+        Ok(())
+    }
+}
+
+fn unit_at(index: &HashMap<u64, usize>, id: u64, what: &str) -> Result<usize, FleetError> {
+    let unknown = || FleetError::Corrupt(format!("{what} for unknown unit {id}"));
+    index.get(&id).copied().ok_or_else(unknown)
 }
 
 // ----------------------------------------------------------- journal
 
 /// The append side of the fleet journal.
 pub struct Journal {
-    file: File,
+    log: FramedLog,
     path: PathBuf,
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FleetError> {
-        if self.buf.len() - self.pos < n {
-            return Err(FleetError::Corrupt("event body truncated".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, FleetError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FleetError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, FleetError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, FleetError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, FleetError> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| FleetError::Corrupt("event string not UTF-8".into()))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
 }
 
 impl Journal {
@@ -237,187 +310,19 @@ impl Journal {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("fleet.log");
         let mut replay = JournalReplay::default();
-        let mut good_end = FILE_HEADER;
-        let fresh = !path.exists();
-        if fresh {
-            let mut f = File::create(&path)?;
-            let mut h = Vec::with_capacity(FILE_HEADER);
-            h.extend_from_slice(&JOURNAL_MAGIC);
-            h.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
-            f.write_all(&h)?;
-            f.sync_all()?;
-        } else {
-            let bytes = std::fs::read(&path)?;
-            good_end = Journal::replay_bytes(&bytes, &mut replay)?;
-            if (good_end as u64) < bytes.len() as u64 {
-                replay.torn_bytes_discarded = (bytes.len() - good_end) as u64;
-            }
-        }
-        let file = OpenOptions::new().read(true).write(true).open(&path)?;
-        file.set_len(good_end as u64)?;
-        let mut journal = Journal { file, path };
-        use std::io::Seek;
-        journal.file.seek(std::io::SeekFrom::End(0))?;
-        if replay.torn_bytes_discarded > 0 {
-            journal.file.sync_all()?;
-        }
-        Ok((journal, replay))
+        let (mut index, mut seen) = (HashMap::new(), HashSet::new());
+        let (log, torn) = FramedLog::open(&path, JOURNAL, |_, payload| {
+            replay.apply(Event::decode(payload)?, &mut index, &mut seen)
+        })?;
+        replay.torn_bytes_discarded = torn;
+        Ok((Journal { log, path }, replay))
     }
 
-    /// Walks frames, filling `replay`; returns the offset after the
-    /// last good frame.
-    fn replay_bytes(bytes: &[u8], replay: &mut JournalReplay) -> Result<usize, FleetError> {
-        if bytes.len() < FILE_HEADER
-            || bytes[..4] != JOURNAL_MAGIC
-            || bytes[4..6] != JOURNAL_VERSION.to_le_bytes()
-        {
-            return Err(FleetError::Corrupt("bad journal header".into()));
-        }
-        let mut index: HashMap<u64, usize> = HashMap::new(); // unit id -> units idx
-        let mut sessions_seen: std::collections::HashSet<u64> = Default::default();
-        let mut pos = FILE_HEADER;
-        while pos < bytes.len() {
-            let frame_ok = bytes.len() - pos >= FRAME_HEADER;
-            let (len, crc) = if frame_ok {
-                (
-                    u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()),
-                    u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap()),
-                )
-            } else {
-                (0, 0)
-            };
-            let start = pos + FRAME_HEADER;
-            let end = start + len as usize;
-            let complete = frame_ok && len <= MAX_FRAME && end <= bytes.len();
-            if !complete || crc32(&bytes[start..end]) != crc {
-                // Torn tail from a crash mid-append: the event was
-                // never acknowledged, so dropping it is correct. A bad
-                // frame *followed by good data* would be acknowledged
-                // history gone missing — but a short/CRC-failing frame
-                // can only be the physical tail of the file here, so
-                // the distinction the WAL draws between segments does
-                // not arise: everything from `pos` on is discarded.
-                return Ok(pos);
-            }
-            Journal::replay_event(&bytes[start..end], replay, &mut index, &mut sessions_seen)?;
-            pos = end;
-        }
-        Ok(pos)
-    }
-
-    fn replay_event(
-        payload: &[u8],
-        replay: &mut JournalReplay,
-        index: &mut HashMap<u64, usize>,
-        sessions_seen: &mut std::collections::HashSet<u64>,
-    ) -> Result<(), FleetError> {
-        let mut r = Reader {
-            buf: payload,
-            pos: 0,
-        };
-        let kind = r.u8()?;
-        match kind {
-            EV_UNIT_ADDED => {
-                let id = r.u64()?;
-                let tag = r.u8()?;
-                let count = r.u32()?;
-                let seed = r.u64()?;
-                let deadline_ms = r.u64()?;
-                let workload = WorkloadKind::from_tag(tag)
-                    .ok_or_else(|| FleetError::Corrupt(format!("unknown workload tag {tag}")))?;
-                if let std::collections::hash_map::Entry::Vacant(slot) = index.entry(id) {
-                    slot.insert(replay.units.len());
-                    replay.units.push(JournalUnit {
-                        spec: UnitSpec {
-                            id,
-                            kind: workload,
-                            count,
-                            seed,
-                        },
-                        deadline_ms,
-                        checks: 0,
-                        submissions: Vec::new(),
-                        done: None,
-                    });
-                }
-            }
-            EV_CHECK_SCHEDULED => {
-                let id = r.u64()?;
-                let idx = *index
-                    .get(&id)
-                    .ok_or_else(|| FleetError::Corrupt(format!("check for unknown unit {id}")))?;
-                replay.units[idx].checks += 1;
-            }
-            EV_SUBMISSION => {
-                let id = r.u64()?;
-                let worker = r.str()?;
-                let result = r.i64()?;
-                let rec_len = r.u32()? as usize;
-                let rec_bytes = r.take(rec_len)?;
-                let record = decode_record(rec_bytes)
-                    .map_err(|e| FleetError::Corrupt(format!("submission record: {e}")))?;
-                let idx = *index.get(&id).ok_or_else(|| {
-                    FleetError::Corrupt(format!("submission for unknown unit {id}"))
-                })?;
-                if sessions_seen.insert(record.signed.log.session_id) {
-                    replay.units[idx].submissions.push(JournalSubmission {
-                        worker,
-                        result,
-                        record,
-                    });
-                } else {
-                    replay.duplicate_submissions_dropped += 1;
-                }
-            }
-            EV_UNIT_DONE => {
-                let id = r.u64()?;
-                let n = r.u32()? as usize;
-                if n > payload.len() {
-                    return Err(FleetError::Corrupt("hostile session count".into()));
-                }
-                let mut sessions = Vec::with_capacity(n);
-                for _ in 0..n {
-                    sessions.push(r.u64()?);
-                }
-                let idx = *index
-                    .get(&id)
-                    .ok_or_else(|| FleetError::Corrupt(format!("done for unknown unit {id}")))?;
-                if replay.units[idx].done.is_none() {
-                    replay.units[idx].done = Some(sessions);
-                } else {
-                    replay.duplicate_done_dropped += 1;
-                }
-            }
-            EV_QUARANTINE => {
-                let worker = r.str()?;
-                let reason = r.str()?;
-                replay.quarantined.entry(worker).or_insert(reason);
-            }
-            EV_SESSION_LEASE => {
-                let upto = r.u64()?;
-                replay.session_floor = replay.session_floor.max(upto);
-            }
-            other => {
-                return Err(FleetError::Corrupt(format!("unknown event kind {other}")));
-            }
-        }
-        if !r.done() {
-            return Err(FleetError::Corrupt(format!(
-                "event kind {kind} carries trailing bytes"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Appends one frame and fsyncs — when this returns, the event is
+    /// Appends one event and fsyncs — when this returns, the event is
     /// on disk, so the caller may acknowledge it.
-    fn append(&mut self, payload: &[u8]) -> Result<(), FleetError> {
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
-        self.file.sync_data()?;
+    fn append(&mut self, event: &Event) -> Result<(), FleetError> {
+        self.log.append(&framed::frame(|e| event.encode(e)))?;
+        self.log.sync()?;
         Ok(())
     }
 
@@ -427,13 +332,10 @@ impl Journal {
     ///
     /// I/O errors from the fsynced append (as for every event below).
     pub fn unit_added(&mut self, spec: &UnitSpec, deadline_ms: u64) -> Result<(), FleetError> {
-        let mut p = vec![EV_UNIT_ADDED];
-        p.extend_from_slice(&spec.id.to_le_bytes());
-        p.push(spec.kind.tag());
-        p.extend_from_slice(&spec.count.to_le_bytes());
-        p.extend_from_slice(&spec.seed.to_le_bytes());
-        p.extend_from_slice(&deadline_ms.to_le_bytes());
-        self.append(&p)
+        self.append(&Event::UnitAdded {
+            spec: *spec,
+            deadline_ms,
+        })
     }
 
     /// Journals one extra required execution for a unit (spot-check
@@ -443,9 +345,7 @@ impl Journal {
     ///
     /// I/O errors.
     pub fn check_scheduled(&mut self, unit_id: u64) -> Result<(), FleetError> {
-        let mut p = vec![EV_CHECK_SCHEDULED];
-        p.extend_from_slice(&unit_id.to_le_bytes());
-        self.append(&p)
+        self.append(&Event::CheckScheduled { unit: unit_id })
     }
 
     /// Journals a verified submission (write *before* acking).
@@ -460,14 +360,14 @@ impl Journal {
         result: i64,
         record: &UsageRecord,
     ) -> Result<(), FleetError> {
-        let mut p = vec![EV_SUBMISSION];
-        p.extend_from_slice(&unit_id.to_le_bytes());
-        put_str(&mut p, worker);
-        p.extend_from_slice(&result.to_le_bytes());
-        let rec = encode_record(record);
-        p.extend_from_slice(&(rec.len() as u32).to_le_bytes());
-        p.extend_from_slice(&rec);
-        self.append(&p)
+        self.append(&Event::Submission {
+            unit: unit_id,
+            sub: Box::new(JournalSubmission {
+                worker: worker.to_string(),
+                result,
+                record: record.clone(),
+            }),
+        })
     }
 
     /// Journals a unit's completion with its credited session ids.
@@ -476,13 +376,10 @@ impl Journal {
     ///
     /// I/O errors.
     pub fn unit_done(&mut self, unit_id: u64, sessions: &[u64]) -> Result<(), FleetError> {
-        let mut p = vec![EV_UNIT_DONE];
-        p.extend_from_slice(&unit_id.to_le_bytes());
-        p.extend_from_slice(&(sessions.len() as u32).to_le_bytes());
-        for s in sessions {
-            p.extend_from_slice(&s.to_le_bytes());
-        }
-        self.append(&p)
+        self.append(&Event::UnitDone {
+            unit: unit_id,
+            sessions: sessions.to_vec(),
+        })
     }
 
     /// Journals a node quarantine.
@@ -491,10 +388,10 @@ impl Journal {
     ///
     /// I/O errors.
     pub fn quarantine(&mut self, worker: &str, reason: &str) -> Result<(), FleetError> {
-        let mut p = vec![EV_QUARANTINE];
-        put_str(&mut p, worker);
-        put_str(&mut p, reason);
-        self.append(&p)
+        self.append(&Event::Quarantine {
+            worker: worker.to_string(),
+            reason: reason.to_string(),
+        })
     }
 
     /// Journals a session-id lease high watermark: ids below `upto`
@@ -505,9 +402,7 @@ impl Journal {
     ///
     /// I/O errors.
     pub fn session_lease(&mut self, upto: u64) -> Result<(), FleetError> {
-        let mut p = vec![EV_SESSION_LEASE];
-        p.extend_from_slice(&upto.to_le_bytes());
-        self.append(&p)
+        self.append(&Event::SessionLease { upto })
     }
 
     /// The journal file path (tests cut its tail to simulate crashes).
@@ -520,6 +415,7 @@ impl Journal {
 mod tests {
     use super::*;
     use acctee::{ResourceUsageLog, SignedLog};
+    use acctee_durable::framed::{crc32, FRAME_HEADER, HEADER_LEN as FILE_HEADER};
     use acctee_sgx::crypto::sha256;
     use acctee_sgx::{Measurement, Quote};
 
@@ -680,5 +576,68 @@ mod tests {
     #[test]
     fn crc32_matches_known_vector() {
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+    }
+
+    #[test]
+    fn a_header_cut_at_every_byte_is_torn_and_appends_resume() {
+        // A crash between creating fleet.log and fsyncing its header
+        // leaves 0..6 bytes: that is a torn write, not corruption.
+        let dir = tmpdir("torn-header");
+        let path = {
+            let (j, _) = Journal::open(&dir).unwrap();
+            j.path().to_path_buf()
+        };
+        let header = std::fs::read(&path).unwrap();
+        assert_eq!(header.len(), FILE_HEADER);
+        for cut in 0..FILE_HEADER {
+            std::fs::write(&path, &header[..cut]).unwrap();
+            let (mut j, replay) = Journal::open(&dir).unwrap();
+            assert!(replay.units.is_empty(), "cut at {cut}");
+            assert_eq!(replay.torn_bytes_discarded, cut as u64);
+            j.unit_added(&spec(0), 500).unwrap();
+            drop(j);
+            let (_, replay) = Journal::open(&dir).unwrap();
+            assert_eq!(replay.units.len(), 1, "cut at {cut}");
+            assert_eq!(replay.torn_bytes_discarded, 0);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_event_payload_decodes_totally() {
+        let events = [
+            Event::UnitAdded {
+                spec: spec(3),
+                deadline_ms: 500,
+            },
+            Event::CheckScheduled { unit: 3 },
+            Event::Submission {
+                unit: 3,
+                sub: Box::new(JournalSubmission {
+                    worker: "node-a".into(),
+                    result: -5,
+                    record: rec(8),
+                }),
+            },
+            Event::UnitDone {
+                unit: 3,
+                sessions: vec![8, 9],
+            },
+            Event::Quarantine {
+                worker: "node-b".into(),
+                reason: "flip".into(),
+            },
+            Event::SessionLease { upto: 1 << 40 },
+        ];
+        let encode = |ev: &Event| {
+            let mut e = Enc::default();
+            ev.encode(&mut e);
+            e.0
+        };
+        for ev in &events {
+            let bytes = encode(ev);
+            assert_eq!(&Event::decode(&bytes).unwrap(), ev);
+            acctee::codec::check_total(&bytes, Event::decode, encode);
+        }
     }
 }

@@ -78,3 +78,15 @@ impl From<std::io::Error> for FleetError {
         FleetError::Io(e)
     }
 }
+
+impl From<acctee_durable::framed::Damaged> for FleetError {
+    fn from(e: acctee_durable::framed::Damaged) -> FleetError {
+        FleetError::Corrupt(e.0)
+    }
+}
+
+impl From<acctee::codec::CodecError> for FleetError {
+    fn from(e: acctee::codec::CodecError) -> FleetError {
+        FleetError::Corrupt(format!("event body: {e}"))
+    }
+}

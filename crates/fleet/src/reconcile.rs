@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 
+use acctee::codec::Enc;
 use acctee::{AccTeeError, AccountingEnclave, SignedLog, WorkloadProvider};
 use acctee_sgx::crypto::{sha256, Digest};
 use acctee_sgx::{AttestationAuthority, Measurement, Quote};
@@ -58,15 +59,14 @@ impl NodeStatement {
     /// domain-separated, length-framed node name, then fixed-width
     /// fields in order.
     pub fn binding(&self) -> Digest {
-        let mut payload = Vec::with_capacity(96);
-        payload.extend_from_slice(b"acctee-fleet-statement-v1");
-        payload.extend_from_slice(&(self.worker.len() as u32).to_le_bytes());
-        payload.extend_from_slice(self.worker.as_bytes());
-        payload.extend_from_slice(&self.units_credited.to_le_bytes());
-        payload.extend_from_slice(&self.weighted_instructions.to_le_bytes());
-        payload.extend_from_slice(&self.paid_nano.to_le_bytes());
-        payload.extend_from_slice(&self.bonus_nano.to_le_bytes());
-        sha256(&payload)
+        let mut e = Enc(Vec::with_capacity(96));
+        e.raw(b"acctee-fleet-statement-v1");
+        e.bytes(self.worker.as_bytes());
+        e.u64(self.units_credited);
+        e.u64(self.weighted_instructions);
+        e.u128(self.paid_nano);
+        e.u128(self.bonus_nano);
+        sha256(&e.0)
     }
 }
 

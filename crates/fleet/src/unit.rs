@@ -25,27 +25,22 @@ pub fn result_key(values: &[Value]) -> i64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
     /// Subset-sum search (`acctee-workloads::subsetsum`).
-    SubsetSum,
+    SubsetSum = 0,
     /// Integer factorisation batches (`acctee-workloads::msieve`).
-    Msieve,
+    Msieve = 1,
 }
 
 impl WorkloadKind {
-    /// Stable on-disk / CLI tag.
+    /// Stable on-disk / CLI tag: the discriminant above.
     pub fn tag(self) -> u8 {
-        match self {
-            WorkloadKind::SubsetSum => 0,
-            WorkloadKind::Msieve => 1,
-        }
+        self as u8
     }
 
     /// Inverse of [`WorkloadKind::tag`].
     pub fn from_tag(t: u8) -> Option<WorkloadKind> {
-        match t {
-            0 => Some(WorkloadKind::SubsetSum),
-            1 => Some(WorkloadKind::Msieve),
-            _ => None,
-        }
+        [WorkloadKind::SubsetSum, WorkloadKind::Msieve]
+            .into_iter()
+            .find(|k| k.tag() == t)
     }
 
     /// Parses a `--workload` flag value.

@@ -30,12 +30,28 @@ use crate::weights::WeightTable;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Level {
     /// One increment per basic block.
-    Naive,
+    Naive = 0,
     /// Naive + the two CFG transformations (push-down, min-pred).
-    FlowBased,
+    FlowBased = 1,
     /// Flow-based + hoisting increments out of counted loops.
     #[default]
-    LoopBased,
+    LoopBased = 2,
+}
+
+impl Level {
+    /// The level's stable one-byte tag: the discriminant above, as the
+    /// evidence binding, the wire protocol and the sealed registry all
+    /// carry it.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`Level::tag`].
+    pub fn from_tag(tag: u8) -> Option<Level> {
+        [Level::Naive, Level::FlowBased, Level::LoopBased]
+            .into_iter()
+            .find(|l| l.tag() == tag)
+    }
 }
 
 impl std::fmt::Display for Level {

@@ -364,7 +364,6 @@ impl Server {
             Some(dir) => {
                 let opts = DurableOptions {
                     fsync: config.fsync,
-                    ..DurableOptions::default()
                 };
                 let infra = dep.infrastructure();
                 let (durable, recovery) =

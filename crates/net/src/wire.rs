@@ -12,12 +12,14 @@
 //! payload  [length]
 //! ```
 //!
-//! The encodings of [`Quote`], [`InstrumentationEvidence`],
-//! [`ResourceUsageLog`] and [`SignedLog`] are **canonical**: decoding
-//! and re-encoding is the identity, and the decoded structs are
-//! field-for-field identical to the server's originals. That is what
-//! makes remote verification work — the client recomputes
-//! [`ResourceUsageLog::binding`] and the evidence binding over the
+//! Payloads are written with the shared [`acctee::codec`], so the
+//! encodings of [`Quote`], [`SignedLog`] and its
+//! [`ResourceUsageLog`](acctee::ResourceUsageLog) are the ones the WAL
+//! stores, and with [`InstrumentationEvidence`] they are
+//! **canonical**: decoding and re-encoding is the identity, and the
+//! decoded structs are field-for-field identical to the server's
+//! originals. That is what makes remote verification work — the client
+//! recomputes the log and evidence bindings over the
 //! *received* bytes and checks them against the quote's report data,
 //! so any in-flight tampering breaks the MAC check exactly as it would
 //! in-process. Floats travel as IEEE-754 bit patterns (`to_bits`), so
@@ -30,9 +32,10 @@
 use std::io::{Read, Write};
 use std::time::Instant;
 
-use acctee::{InstrumentationEvidence, Level, ResourceUsageLog, SignedLog};
+use acctee::codec::{CodecError, Dec, Enc};
+use acctee::{InstrumentationEvidence, Level, SignedLog};
 use acctee_interp::Value;
-use acctee_sgx::{Measurement, Quote};
+use acctee_sgx::Quote;
 
 use crate::stats::{
     CacheStats, HealthReport, LatencySummary, RequestOutcome, RequestRecord, StatsSnapshot,
@@ -422,76 +425,34 @@ pub enum Response {
 
 // ---------------------------------------------------------------- encode
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
+fn put_value(e: &mut Enc, v: &Value) {
     match v {
         Value::I32(x) => {
-            out.push(0);
-            out.extend_from_slice(&x.to_le_bytes());
+            e.u8(0);
+            e.u32(*x as u32);
         }
         Value::I64(x) => {
-            out.push(1);
-            out.extend_from_slice(&x.to_le_bytes());
+            e.u8(1);
+            e.u64(*x as u64);
         }
         Value::F32(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
+            e.u8(2);
+            e.u32(x.to_bits());
         }
         Value::F64(x) => {
-            out.push(3);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
+            e.u8(3);
+            e.u64(x.to_bits());
         }
     }
 }
 
-fn put_values(out: &mut Vec<u8>, vs: &[Value]) {
-    out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
-    for v in vs {
-        put_value(out, v);
-    }
-}
-
-fn level_byte(level: Level) -> u8 {
-    match level {
-        Level::Naive => 0,
-        Level::FlowBased => 1,
-        Level::LoopBased => 2,
-    }
-}
-
-fn put_quote(out: &mut Vec<u8>, q: &Quote) {
-    out.extend_from_slice(&q.mrenclave.0);
-    out.extend_from_slice(&q.report_data);
-    put_bytes(out, q.platform.as_bytes());
-    out.extend_from_slice(&q.signature);
-}
-
-fn put_log(out: &mut Vec<u8>, log: &ResourceUsageLog) {
-    out.extend_from_slice(&log.weighted_instructions.to_le_bytes());
-    out.extend_from_slice(&log.peak_memory_bytes.to_le_bytes());
-    out.extend_from_slice(&log.memory_integral.to_le_bytes());
-    out.extend_from_slice(&log.io_bytes_in.to_le_bytes());
-    out.extend_from_slice(&log.io_bytes_out.to_le_bytes());
-    out.extend_from_slice(&log.module_hash);
-    out.extend_from_slice(&log.session_id.to_le_bytes());
-}
-
-fn put_signed_log(out: &mut Vec<u8>, s: &SignedLog) {
-    put_log(out, &s.log);
-    put_quote(out, &s.quote);
-}
-
-fn put_evidence(out: &mut Vec<u8>, e: &InstrumentationEvidence) {
-    out.extend_from_slice(&e.original_hash);
-    out.extend_from_slice(&e.instrumented_hash);
-    out.push(level_byte(e.level));
-    out.extend_from_slice(&e.weight_hash);
-    out.extend_from_slice(&e.counter_global.to_le_bytes());
-    put_quote(out, &e.quote);
+fn put_evidence(e: &mut Enc, ev: &InstrumentationEvidence) {
+    e.raw(&ev.original_hash);
+    e.raw(&ev.instrumented_hash);
+    e.u8(ev.level.tag());
+    e.raw(&ev.weight_hash);
+    e.u32(ev.counter_global);
+    e.quote(&ev.quote);
 }
 
 fn outcome_byte(o: RequestOutcome) -> u8 {
@@ -503,156 +464,149 @@ fn outcome_byte(o: RequestOutcome) -> u8 {
     }
 }
 
-fn put_record(out: &mut Vec<u8>, r: &RequestRecord) {
-    out.extend_from_slice(&r.trace_id.to_le_bytes());
-    put_bytes(out, r.kind.as_bytes());
-    put_bytes(out, r.tenant.as_bytes());
-    put_bytes(out, r.func.as_bytes());
-    out.extend_from_slice(&r.session_id.to_le_bytes());
-    out.push(outcome_byte(r.outcome));
-    put_bytes(out, r.error.as_bytes());
-    out.extend_from_slice(&r.start_ns.to_le_bytes());
-    out.extend_from_slice(&r.total_ns.to_le_bytes());
-    out.extend_from_slice(&(r.stages.len() as u32).to_le_bytes());
-    for (stage, ns) in &r.stages {
-        put_bytes(out, stage.as_bytes());
-        out.extend_from_slice(&ns.to_le_bytes());
-    }
+fn put_record(e: &mut Enc, r: &RequestRecord) {
+    e.u64(r.trace_id);
+    e.bytes(r.kind.as_bytes());
+    e.bytes(r.tenant.as_bytes());
+    e.bytes(r.func.as_bytes());
+    e.u64(r.session_id);
+    e.u8(outcome_byte(r.outcome));
+    e.bytes(r.error.as_bytes());
+    e.u64(r.start_ns);
+    e.u64(r.total_ns);
+    e.list(&r.stages, |e, (stage, ns)| {
+        e.bytes(stage.as_bytes());
+        e.u64(*ns);
+    });
 }
 
-fn put_latency(out: &mut Vec<u8>, l: &LatencySummary) {
-    out.extend_from_slice(&l.count.to_le_bytes());
-    out.extend_from_slice(&l.sum_ns.to_le_bytes());
-    out.extend_from_slice(&l.p50_ns.to_le_bytes());
-    out.extend_from_slice(&l.p90_ns.to_le_bytes());
-    out.extend_from_slice(&l.p99_ns.to_le_bytes());
+fn put_latency(e: &mut Enc, l: &LatencySummary) {
+    e.u64(l.count);
+    e.u64(l.sum_ns);
+    e.u64(l.p50_ns);
+    e.u64(l.p90_ns);
+    e.u64(l.p99_ns);
 }
 
-fn put_snapshot(out: &mut Vec<u8>, s: &StatsSnapshot) {
-    out.extend_from_slice(&s.uptime_ns.to_le_bytes());
-    out.extend_from_slice(&s.workers.to_le_bytes());
-    out.extend_from_slice(&s.workers_busy.to_le_bytes());
-    out.extend_from_slice(&s.queue_capacity.to_le_bytes());
-    out.extend_from_slice(&s.queue_depth.to_le_bytes());
-    out.extend_from_slice(&s.connections_total.to_le_bytes());
-    out.extend_from_slice(&s.connections_active.to_le_bytes());
-    out.extend_from_slice(&(s.requests_by_kind.len() as u32).to_le_bytes());
-    for (kind, n) in &s.requests_by_kind {
-        put_bytes(out, kind.as_bytes());
-        out.extend_from_slice(&n.to_le_bytes());
-    }
-    out.extend_from_slice(&s.shed_queue_total.to_le_bytes());
-    out.extend_from_slice(&s.shed_tenant_total.to_le_bytes());
-    out.extend_from_slice(&s.errors_total.to_le_bytes());
-    out.extend_from_slice(&s.timeouts_total.to_le_bytes());
-    out.extend_from_slice(&s.instr_cache.hits.to_le_bytes());
-    out.extend_from_slice(&s.instr_cache.misses.to_le_bytes());
-    out.extend_from_slice(&s.instr_cache.evictions.to_le_bytes());
-    out.extend_from_slice(&s.instr_cache.singleflight_waits.to_le_bytes());
-    out.extend_from_slice(&(s.tenants.len() as u32).to_le_bytes());
-    for t in &s.tenants {
-        put_bytes(out, t.tenant.as_bytes());
-        out.extend_from_slice(&t.inflight.to_le_bytes());
-        out.extend_from_slice(&t.requests_total.to_le_bytes());
-        out.extend_from_slice(&t.shed_total.to_le_bytes());
-        out.extend_from_slice(&t.weighted_instructions_total.to_le_bytes());
-        out.extend_from_slice(&t.invoice_nanocredits_total.to_le_bytes());
-    }
-    put_latency(out, &s.latency);
-    out.extend_from_slice(&(s.stages.len() as u32).to_le_bytes());
-    for (stage, l) in &s.stages {
-        put_bytes(out, stage.as_bytes());
-        put_latency(out, l);
-    }
+fn put_snapshot(e: &mut Enc, s: &StatsSnapshot) {
+    e.u64(s.uptime_ns);
+    e.u32(s.workers);
+    e.u32(s.workers_busy);
+    e.u32(s.queue_capacity);
+    e.u32(s.queue_depth);
+    e.u64(s.connections_total);
+    e.u32(s.connections_active);
+    e.list(&s.requests_by_kind, |e, (kind, n)| {
+        e.bytes(kind.as_bytes());
+        e.u64(*n);
+    });
+    e.u64(s.shed_queue_total);
+    e.u64(s.shed_tenant_total);
+    e.u64(s.errors_total);
+    e.u64(s.timeouts_total);
+    e.u64(s.instr_cache.hits);
+    e.u64(s.instr_cache.misses);
+    e.u64(s.instr_cache.evictions);
+    e.u64(s.instr_cache.singleflight_waits);
+    e.list(&s.tenants, |e, t| {
+        e.bytes(t.tenant.as_bytes());
+        e.u32(t.inflight);
+        e.u64(t.requests_total);
+        e.u64(t.shed_total);
+        e.u64(t.weighted_instructions_total);
+        e.u128(t.invoice_nanocredits_total);
+    });
+    put_latency(e, &s.latency);
+    e.list(&s.stages, |e, (stage, l)| {
+        e.bytes(stage.as_bytes());
+        put_latency(e, l);
+    });
 }
 
-fn put_fleet_unit(out: &mut Vec<u8>, u: &FleetUnit) {
-    out.extend_from_slice(&u.unit_id.to_le_bytes());
-    out.extend_from_slice(&u.session_id.to_le_bytes());
-    put_bytes(out, u.func.as_bytes());
-    put_bytes(out, &u.module);
-    put_evidence(out, &u.evidence);
-    out.extend_from_slice(&u.deadline_ms.to_le_bytes());
+fn put_fleet_unit(e: &mut Enc, u: &FleetUnit) {
+    e.u64(u.unit_id);
+    e.u64(u.session_id);
+    e.bytes(u.func.as_bytes());
+    e.bytes(&u.module);
+    put_evidence(e, &u.evidence);
+    e.u64(u.deadline_ms);
 }
 
-fn put_fleet_submission(out: &mut Vec<u8>, s: &FleetSubmission) {
+fn put_fleet_submission(e: &mut Enc, s: &FleetSubmission) {
     match s {
         FleetSubmission::Completed { results, log } => {
-            out.push(0);
-            put_values(out, results);
-            put_signed_log(out, log);
+            e.u8(0);
+            e.list(results, put_value);
+            e.signed_log(log);
         }
         FleetSubmission::Trapped { reason } => {
-            out.push(1);
-            put_bytes(out, reason.as_bytes());
+            e.u8(1);
+            e.bytes(reason.as_bytes());
         }
     }
 }
 
-fn put_fleet_ack(out: &mut Vec<u8>, a: &FleetAck) {
+fn put_fleet_ack(e: &mut Enc, a: &FleetAck) {
     match a {
-        FleetAck::Accepted => out.push(0),
-        FleetAck::Stale => out.push(1),
+        FleetAck::Accepted => e.u8(0),
+        FleetAck::Stale => e.u8(1),
         FleetAck::Rejected { reason } => {
-            out.push(2);
-            put_bytes(out, reason.as_bytes());
+            e.u8(2);
+            e.bytes(reason.as_bytes());
         }
         FleetAck::Quarantined { reason } => {
-            out.push(3);
-            put_bytes(out, reason.as_bytes());
+            e.u8(3);
+            e.bytes(reason.as_bytes());
         }
     }
 }
 
-fn put_fleet_report(out: &mut Vec<u8>, r: &FleetReport) {
-    out.extend_from_slice(&r.units_total.to_le_bytes());
-    out.extend_from_slice(&r.completed.to_le_bytes());
-    out.extend_from_slice(&r.pending.to_le_bytes());
-    out.extend_from_slice(&r.inflight.to_le_bytes());
-    out.extend_from_slice(&r.checks_scheduled.to_le_bytes());
-    out.extend_from_slice(&r.checks_mismatched.to_le_bytes());
-    out.extend_from_slice(&r.redispatched.to_le_bytes());
-    out.extend_from_slice(&r.rejected.to_le_bytes());
-    out.push(u8::from(r.done));
-    out.extend_from_slice(&(r.workers.len() as u32).to_le_bytes());
-    for w in &r.workers {
-        put_bytes(out, w.name.as_bytes());
-        out.extend_from_slice(&w.completed.to_le_bytes());
-        out.extend_from_slice(&w.inflight.to_le_bytes());
-        out.push(u8::from(w.quarantined));
-    }
+fn put_fleet_report(e: &mut Enc, r: &FleetReport) {
+    e.u64(r.units_total);
+    e.u64(r.completed);
+    e.u64(r.pending);
+    e.u64(r.inflight);
+    e.u64(r.checks_scheduled);
+    e.u64(r.checks_mismatched);
+    e.u64(r.redispatched);
+    e.u64(r.rejected);
+    e.bool(r.done);
+    e.list(&r.workers, |e, w| {
+        e.bytes(w.name.as_bytes());
+        e.u64(w.completed);
+        e.u32(w.inflight);
+        e.bool(w.quarantined);
+    });
 }
 
-fn put_health(out: &mut Vec<u8>, h: &HealthReport) {
-    out.push(u8::from(h.healthy));
-    out.push(u8::from(h.draining));
-    out.extend_from_slice(&h.uptime_ns.to_le_bytes());
-    out.extend_from_slice(&h.wire_version.to_le_bytes());
-    out.extend_from_slice(&h.workers.to_le_bytes());
-    out.extend_from_slice(&h.queue_capacity.to_le_bytes());
-    out.extend_from_slice(&h.deployments.to_le_bytes());
-    out.extend_from_slice(&h.sessions_served.to_le_bytes());
+fn put_health(e: &mut Enc, h: &HealthReport) {
+    e.bool(h.healthy);
+    e.bool(h.draining);
+    e.u64(h.uptime_ns);
+    e.u16(h.wire_version);
+    e.u32(h.workers);
+    e.u32(h.queue_capacity);
+    e.u32(h.deployments);
+    e.u64(h.sessions_served);
 }
 
 /// Frame header size: magic + version + kind + length.
 pub const HEADER_LEN: usize = 11;
 
-/// Appends a frame header with a placeholder kind/length, returning
-/// the offset to patch once the payload has been written in place.
-fn begin_frame(out: &mut Vec<u8>) -> usize {
-    let start = out.len();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out.push(0); // kind, patched by end_frame
-    out.extend_from_slice(&[0u8; 4]); // length, patched by end_frame
-    start
-}
-
-/// Patches the kind and payload length of a frame begun at `start`.
-fn end_frame(out: &mut [u8], start: usize, kind: u8) {
-    let len = (out.len() - start - HEADER_LEN) as u32;
-    out[start + 6] = kind;
-    out[start + 7..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+/// Appends a frame to `out`: the header, then the payload `write`
+/// encodes in place, then the header's kind (`write`'s return value)
+/// and payload length are patched in.
+fn put_frame(out: &mut Vec<u8>, write: impl FnOnce(&mut Enc) -> u8) {
+    let mut e = Enc(std::mem::take(out));
+    let start = e.0.len();
+    e.raw(&MAGIC);
+    e.u16(WIRE_VERSION);
+    e.raw(&[0; 5]); // kind + length, patched below
+    let kind = write(&mut e);
+    let len = (e.0.len() - start - HEADER_LEN) as u32;
+    e.0[start + 6] = kind;
+    e.0[start + 7..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    *out = e.0;
 }
 
 /// Encodes a request as a complete frame.
@@ -666,11 +620,9 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// the write-coalescing path: a pipelining client encodes a whole batch
 /// into one buffer and issues a single write.
 pub fn encode_request_into(out: &mut Vec<u8>, req: &Request) {
-    let start = begin_frame(out);
-    let p = out;
-    let kind = match req {
+    put_frame(out, |e| match req {
         Request::Attest { nonce } => {
-            p.extend_from_slice(nonce);
+            e.raw(nonce);
             REQ_ATTEST
         }
         Request::Deploy {
@@ -678,9 +630,9 @@ pub fn encode_request_into(out: &mut Vec<u8>, req: &Request) {
             module,
             trace_id,
         } => {
-            p.push(level_byte(*level));
-            put_bytes(p, module);
-            p.extend_from_slice(&trace_id.to_le_bytes());
+            e.u8(level.tag());
+            e.bytes(module);
+            e.u64(*trace_id);
             REQ_DEPLOY
         }
         Request::Invoke {
@@ -691,43 +643,43 @@ pub fn encode_request_into(out: &mut Vec<u8>, req: &Request) {
             tenant,
             trace_id,
         } => {
-            p.extend_from_slice(&deploy_id.to_le_bytes());
-            put_bytes(p, func.as_bytes());
-            put_values(p, args);
-            put_bytes(p, input);
-            put_bytes(p, tenant.as_bytes());
-            p.extend_from_slice(&trace_id.to_le_bytes());
+            e.u64(*deploy_id);
+            e.bytes(func.as_bytes());
+            e.list(args, put_value);
+            e.bytes(input);
+            e.bytes(tenant.as_bytes());
+            e.u64(*trace_id);
             REQ_INVOKE
         }
         Request::FetchLog { session_id } => {
-            p.extend_from_slice(&session_id.to_le_bytes());
+            e.u64(*session_id);
             REQ_FETCH_LOG
         }
         Request::Shutdown => REQ_SHUTDOWN,
         Request::Stats { prometheus } => {
-            p.push(u8::from(*prometheus));
+            e.bool(*prometheus);
             REQ_STATS
         }
         Request::Health => REQ_HEALTH,
         Request::Recent { limit } => {
-            p.extend_from_slice(&limit.to_le_bytes());
+            e.u32(*limit);
             REQ_RECENT
         }
         Request::FleetHello { worker } => {
-            put_bytes(p, worker.as_bytes());
+            e.bytes(worker.as_bytes());
             REQ_FLEET_HELLO
         }
         Request::FleetJoin { worker, quote } => {
-            put_bytes(p, worker.as_bytes());
-            put_quote(p, quote);
+            e.bytes(worker.as_bytes());
+            e.quote(quote);
             REQ_FLEET_JOIN
         }
         Request::FleetPull {
             worker_id,
             capacity,
         } => {
-            p.extend_from_slice(&worker_id.to_le_bytes());
-            p.extend_from_slice(&capacity.to_le_bytes());
+            e.u64(*worker_id);
+            e.u32(*capacity);
             REQ_FLEET_PULL
         }
         Request::FleetSubmit {
@@ -736,15 +688,14 @@ pub fn encode_request_into(out: &mut Vec<u8>, req: &Request) {
             session_id,
             submission,
         } => {
-            p.extend_from_slice(&worker_id.to_le_bytes());
-            p.extend_from_slice(&unit_id.to_le_bytes());
-            p.extend_from_slice(&session_id.to_le_bytes());
-            put_fleet_submission(p, submission);
+            e.u64(*worker_id);
+            e.u64(*unit_id);
+            e.u64(*session_id);
+            put_fleet_submission(e, submission);
             REQ_FLEET_SUBMIT
         }
         Request::FleetStatus => REQ_FLEET_STATUS,
-    };
-    end_frame(p, start, kind);
+    });
 }
 
 /// Encodes a response as a complete frame.
@@ -758,11 +709,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// the server's write-coalescing path: all responses to a pipelined
 /// batch are encoded into one buffer and flushed together.
 pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
-    let start = begin_frame(out);
-    let p = out;
-    let kind = match resp {
+    put_frame(out, |e| match resp {
         Response::AttestOk { quote } => {
-            put_quote(p, quote);
+            e.quote(quote);
             RESP_ATTEST_OK
         }
         Response::DeployOk {
@@ -770,9 +719,9 @@ pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
             module,
             evidence,
         } => {
-            p.extend_from_slice(&deploy_id.to_le_bytes());
-            put_bytes(p, module);
-            put_evidence(p, evidence);
+            e.u64(*deploy_id);
+            e.bytes(module);
+            put_evidence(e, evidence);
             RESP_DEPLOY_OK
         }
         Response::InvokeOk {
@@ -782,68 +731,61 @@ pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
             log,
             invoice_total,
         } => {
-            p.extend_from_slice(&session_id.to_le_bytes());
-            put_values(p, results);
-            put_bytes(p, output);
-            put_signed_log(p, log);
-            p.extend_from_slice(&invoice_total.to_le_bytes());
+            e.u64(*session_id);
+            e.list(results, put_value);
+            e.bytes(output);
+            e.signed_log(log);
+            e.u128(*invoice_total);
             RESP_INVOKE_OK
         }
         Response::LogOk { log } => {
-            put_signed_log(p, log);
+            e.signed_log(log);
             RESP_LOG_OK
         }
         Response::ShutdownOk => RESP_SHUTDOWN_OK,
         Response::Busy => RESP_BUSY,
         Response::Error { message } => {
-            put_bytes(p, message.as_bytes());
+            e.bytes(message.as_bytes());
             RESP_ERROR
         }
         Response::StatsOk { snapshot } => {
-            put_snapshot(p, snapshot);
+            put_snapshot(e, snapshot);
             RESP_STATS_OK
         }
         Response::StatsTextOk { text } => {
-            put_bytes(p, text.as_bytes());
+            e.bytes(text.as_bytes());
             RESP_STATS_TEXT_OK
         }
         Response::HealthOk { report } => {
-            put_health(p, report);
+            put_health(e, report);
             RESP_HEALTH_OK
         }
         Response::RecentOk { records } => {
-            p.extend_from_slice(&(records.len() as u32).to_le_bytes());
-            for r in records {
-                put_record(p, r);
-            }
+            e.list(records, put_record);
             RESP_RECENT_OK
         }
         Response::FleetChallenge { nonce } => {
-            p.extend_from_slice(nonce);
+            e.raw(nonce);
             RESP_FLEET_CHALLENGE
         }
         Response::FleetWelcome { worker_id } => {
-            p.extend_from_slice(&worker_id.to_le_bytes());
+            e.u64(*worker_id);
             RESP_FLEET_WELCOME
         }
         Response::FleetAssign { units, done } => {
-            p.extend_from_slice(&(units.len() as u32).to_le_bytes());
-            for u in units {
-                put_fleet_unit(p, u);
-            }
-            p.push(u8::from(*done));
+            e.list(units, put_fleet_unit);
+            e.bool(*done);
             RESP_FLEET_ASSIGN
         }
         Response::FleetAckOk { ack } => {
-            put_fleet_ack(p, ack);
+            put_fleet_ack(e, ack);
             RESP_FLEET_ACK
         }
         Response::FleetStatusOk { fleet } => {
-            put_fleet_report(p, fleet);
+            put_fleet_report(e, fleet);
             RESP_FLEET_STATUS_OK
         }
-    };
-    end_frame(p, start, kind);
+    });
 }
 
 /// Writes a request frame to `w`.
@@ -868,344 +810,221 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> std::io::Result<()
 
 // ---------------------------------------------------------------- decode
 
-/// Bounds-checked payload cursor.
-struct Cursor<'a> {
-    rest: &'a [u8],
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> WireError {
+        match e {
+            // Wire strings are bounded by the payload alone, so a
+            // too-long field is one the payload cannot hold.
+            CodecError::Truncated | CodecError::FieldTooLong(_) => WireError::Truncated,
+            CodecError::BadUtf8 => WireError::BadUtf8,
+            CodecError::BadTag(t) => WireError::BadTag(t),
+            CodecError::TrailingBytes(n) => WireError::TrailingBytes(n),
+        }
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.rest.len() < n {
-            return Err(WireError::Truncated);
-        }
-        let (head, tail) = self.rest.split_at(n);
-        self.rest = tail;
-        Ok(head)
+/// One value: a tag byte and at least four more, so value lists
+/// decode with a 5-byte item floor.
+fn get_value(c: &mut Dec) -> Result<Value, CodecError> {
+    match c.u8()? {
+        0 => Ok(Value::I32(c.u32()? as i32)),
+        1 => Ok(Value::I64(c.u64()? as i64)),
+        2 => Ok(Value::F32(f32::from_bits(c.u32()?))),
+        3 => Ok(Value::F64(f64::from_bits(c.u64()?))),
+        t => Err(CodecError::BadTag(t)),
     }
+}
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+fn get_evidence(c: &mut Dec) -> Result<InstrumentationEvidence, CodecError> {
+    Ok(InstrumentationEvidence {
+        original_hash: c.array()?,
+        instrumented_hash: c.array()?,
+        level: c.level()?,
+        weight_hash: c.array()?,
+        counter_global: c.u32()?,
+        quote: c.quote()?,
+    })
+}
+
+fn get_outcome(c: &mut Dec) -> Result<RequestOutcome, CodecError> {
+    match c.u8()? {
+        0 => Ok(RequestOutcome::Ok),
+        1 => Ok(RequestOutcome::Shed),
+        2 => Ok(RequestOutcome::Error),
+        3 => Ok(RequestOutcome::Timeout),
+        t => Err(CodecError::BadTag(t)),
     }
+}
 
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
+fn get_latency(c: &mut Dec) -> Result<LatencySummary, CodecError> {
+    Ok(LatencySummary {
+        count: c.u64()?,
+        sum_ns: c.u64()?,
+        p50_ns: c.u64()?,
+        p90_ns: c.u64()?,
+        p99_ns: c.u64()?,
+    })
+}
 
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
+fn get_record(c: &mut Dec) -> Result<RequestRecord, CodecError> {
+    let trace_id = c.u64()?;
+    let kind = c.string()?;
+    let tenant = c.string()?;
+    let func = c.string()?;
+    let session_id = c.u64()?;
+    let outcome = get_outcome(c)?;
+    let error = c.string()?;
+    let start_ns = c.u64()?;
+    let total_ns = c.u64()?;
+    let stages = c.list(12, |c| Ok((c.string()?, c.u64()?)))?; // name length + ns
+    Ok(RequestRecord {
+        trace_id,
+        kind,
+        tenant,
+        func,
+        session_id,
+        outcome,
+        error,
+        start_ns,
+        total_ns,
+        stages,
+    })
+}
 
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn u128(&mut self) -> Result<u128, WireError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16")))
-    }
-
-    fn digest(&mut self) -> Result<[u8; 32], WireError> {
-        Ok(self.take(32)?.try_into().expect("32"))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
-    }
-
-    fn value(&mut self) -> Result<Value, WireError> {
-        match self.u8()? {
-            0 => Ok(Value::I32(self.u32()? as i32)),
-            1 => Ok(Value::I64(self.u64()? as i64)),
-            2 => Ok(Value::F32(f32::from_bits(self.u32()?))),
-            3 => Ok(Value::F64(f64::from_bits(self.u64()?))),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-
-    fn values(&mut self) -> Result<Vec<Value>, WireError> {
-        let n = self.u32()?;
-        // Do not trust `n` for the allocation: a value is ≥5 bytes, so
-        // a count the payload cannot hold is Truncated, not an OOM.
-        let mut vs = Vec::with_capacity((n as usize).min(self.rest.len() / 5));
-        for _ in 0..n {
-            vs.push(self.value()?);
-        }
-        Ok(vs)
-    }
-
-    fn level(&mut self) -> Result<Level, WireError> {
-        match self.u8()? {
-            0 => Ok(Level::Naive),
-            1 => Ok(Level::FlowBased),
-            2 => Ok(Level::LoopBased),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-
-    fn quote(&mut self) -> Result<Quote, WireError> {
-        Ok(Quote {
-            mrenclave: Measurement(self.digest()?),
-            report_data: self.take(64)?.try_into().expect("64"),
-            platform: self.string()?,
-            signature: self.digest()?,
+fn get_snapshot(c: &mut Dec) -> Result<StatsSnapshot, CodecError> {
+    let uptime_ns = c.u64()?;
+    let workers = c.u32()?;
+    let workers_busy = c.u32()?;
+    let queue_capacity = c.u32()?;
+    let queue_depth = c.u32()?;
+    let connections_total = c.u64()?;
+    let connections_active = c.u32()?;
+    let requests_by_kind = c.list(12, |c| Ok((c.string()?, c.u64()?)))?; // name length + count
+    let shed_queue_total = c.u64()?;
+    let shed_tenant_total = c.u64()?;
+    let errors_total = c.u64()?;
+    let timeouts_total = c.u64()?;
+    let instr_cache = CacheStats {
+        hits: c.u64()?,
+        misses: c.u64()?,
+        evictions: c.u64()?,
+        singleflight_waits: c.u64()?,
+    };
+    // tenant: name length + 4 + 3×8 + 16
+    let tenants = c.list(48, |c| {
+        Ok(TenantStats {
+            tenant: c.string()?,
+            inflight: c.u32()?,
+            requests_total: c.u64()?,
+            shed_total: c.u64()?,
+            weighted_instructions_total: c.u64()?,
+            invoice_nanocredits_total: c.u128()?,
         })
-    }
+    })?;
+    let latency = get_latency(c)?;
+    let stages = c.list(44, |c| Ok((c.string()?, get_latency(c)?)))?; // name length + 5×8
+    Ok(StatsSnapshot {
+        uptime_ns,
+        workers,
+        workers_busy,
+        queue_capacity,
+        queue_depth,
+        connections_total,
+        connections_active,
+        requests_by_kind,
+        shed_queue_total,
+        shed_tenant_total,
+        errors_total,
+        timeouts_total,
+        instr_cache,
+        tenants,
+        latency,
+        stages,
+    })
+}
 
-    fn log(&mut self) -> Result<ResourceUsageLog, WireError> {
-        Ok(ResourceUsageLog {
-            weighted_instructions: self.u64()?,
-            peak_memory_bytes: self.u64()?,
-            memory_integral: self.u128()?,
-            io_bytes_in: self.u64()?,
-            io_bytes_out: self.u64()?,
-            module_hash: self.digest()?,
-            session_id: self.u64()?,
+fn get_health(c: &mut Dec) -> Result<HealthReport, CodecError> {
+    Ok(HealthReport {
+        healthy: c.bool()?,
+        draining: c.bool()?,
+        uptime_ns: c.u64()?,
+        wire_version: c.u16()?,
+        workers: c.u32()?,
+        queue_capacity: c.u32()?,
+        deployments: c.u32()?,
+        sessions_served: c.u64()?,
+    })
+}
+
+fn get_fleet_unit(c: &mut Dec) -> Result<FleetUnit, CodecError> {
+    Ok(FleetUnit {
+        unit_id: c.u64()?,
+        session_id: c.u64()?,
+        func: c.string()?,
+        module: c.bytes()?.to_vec(),
+        evidence: get_evidence(c)?,
+        deadline_ms: c.u64()?,
+    })
+}
+
+fn get_fleet_submission(c: &mut Dec) -> Result<FleetSubmission, CodecError> {
+    match c.u8()? {
+        0 => Ok(FleetSubmission::Completed {
+            results: c.list(5, get_value)?,
+            log: Box::new(c.signed_log()?),
+        }),
+        1 => Ok(FleetSubmission::Trapped {
+            reason: c.string()?,
+        }),
+        t => Err(CodecError::BadTag(t)),
+    }
+}
+
+fn get_fleet_ack(c: &mut Dec) -> Result<FleetAck, CodecError> {
+    match c.u8()? {
+        0 => Ok(FleetAck::Accepted),
+        1 => Ok(FleetAck::Stale),
+        2 => Ok(FleetAck::Rejected {
+            reason: c.string()?,
+        }),
+        3 => Ok(FleetAck::Quarantined {
+            reason: c.string()?,
+        }),
+        t => Err(CodecError::BadTag(t)),
+    }
+}
+
+fn get_fleet_report(c: &mut Dec) -> Result<FleetReport, CodecError> {
+    let units_total = c.u64()?;
+    let completed = c.u64()?;
+    let pending = c.u64()?;
+    let inflight = c.u64()?;
+    let checks_scheduled = c.u64()?;
+    let checks_mismatched = c.u64()?;
+    let redispatched = c.u64()?;
+    let rejected = c.u64()?;
+    let done = c.bool()?;
+    // row: name length + 8 + 4 + 1
+    let workers = c.list(17, |c| {
+        Ok(FleetWorkerRow {
+            name: c.string()?,
+            completed: c.u64()?,
+            inflight: c.u32()?,
+            quarantined: c.bool()?,
         })
-    }
-
-    fn signed_log(&mut self) -> Result<SignedLog, WireError> {
-        Ok(SignedLog {
-            log: self.log()?,
-            quote: self.quote()?,
-        })
-    }
-
-    fn evidence(&mut self) -> Result<InstrumentationEvidence, WireError> {
-        Ok(InstrumentationEvidence {
-            original_hash: self.digest()?,
-            instrumented_hash: self.digest()?,
-            level: self.level()?,
-            weight_hash: self.digest()?,
-            counter_global: self.u32()?,
-            quote: self.quote()?,
-        })
-    }
-
-    fn boolean(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-
-    /// Element count for a repeated structure whose elements occupy at
-    /// least `min_size` bytes each. A count the payload cannot hold is
-    /// `Truncated` before any allocation, so hostile counts never OOM.
-    fn count(&mut self, min_size: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n > self.rest.len() / min_size.max(1) {
-            return Err(WireError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn outcome(&mut self) -> Result<RequestOutcome, WireError> {
-        match self.u8()? {
-            0 => Ok(RequestOutcome::Ok),
-            1 => Ok(RequestOutcome::Shed),
-            2 => Ok(RequestOutcome::Error),
-            3 => Ok(RequestOutcome::Timeout),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-
-    fn latency(&mut self) -> Result<LatencySummary, WireError> {
-        Ok(LatencySummary {
-            count: self.u64()?,
-            sum_ns: self.u64()?,
-            p50_ns: self.u64()?,
-            p90_ns: self.u64()?,
-            p99_ns: self.u64()?,
-        })
-    }
-
-    fn record(&mut self) -> Result<RequestRecord, WireError> {
-        let trace_id = self.u64()?;
-        let kind = self.string()?;
-        let tenant = self.string()?;
-        let func = self.string()?;
-        let session_id = self.u64()?;
-        let outcome = self.outcome()?;
-        let error = self.string()?;
-        let start_ns = self.u64()?;
-        let total_ns = self.u64()?;
-        let n = self.count(12)?; // stage: 4-byte name length + 8-byte ns
-        let mut stages = Vec::with_capacity(n);
-        for _ in 0..n {
-            stages.push((self.string()?, self.u64()?));
-        }
-        Ok(RequestRecord {
-            trace_id,
-            kind,
-            tenant,
-            func,
-            session_id,
-            outcome,
-            error,
-            start_ns,
-            total_ns,
-            stages,
-        })
-    }
-
-    fn snapshot(&mut self) -> Result<StatsSnapshot, WireError> {
-        let uptime_ns = self.u64()?;
-        let workers = self.u32()?;
-        let workers_busy = self.u32()?;
-        let queue_capacity = self.u32()?;
-        let queue_depth = self.u32()?;
-        let connections_total = self.u64()?;
-        let connections_active = self.u32()?;
-        let n = self.count(12)?; // kind: 4-byte name length + 8-byte count
-        let mut requests_by_kind = Vec::with_capacity(n);
-        for _ in 0..n {
-            requests_by_kind.push((self.string()?, self.u64()?));
-        }
-        let shed_queue_total = self.u64()?;
-        let shed_tenant_total = self.u64()?;
-        let errors_total = self.u64()?;
-        let timeouts_total = self.u64()?;
-        let instr_cache = CacheStats {
-            hits: self.u64()?,
-            misses: self.u64()?,
-            evictions: self.u64()?,
-            singleflight_waits: self.u64()?,
-        };
-        let n = self.count(48)?; // tenant: name length + 4 + 3×8 + 16
-        let mut tenants = Vec::with_capacity(n);
-        for _ in 0..n {
-            tenants.push(TenantStats {
-                tenant: self.string()?,
-                inflight: self.u32()?,
-                requests_total: self.u64()?,
-                shed_total: self.u64()?,
-                weighted_instructions_total: self.u64()?,
-                invoice_nanocredits_total: self.u128()?,
-            });
-        }
-        let latency = self.latency()?;
-        let n = self.count(44)?; // stage: name length + 5×8
-        let mut stages = Vec::with_capacity(n);
-        for _ in 0..n {
-            stages.push((self.string()?, self.latency()?));
-        }
-        Ok(StatsSnapshot {
-            uptime_ns,
-            workers,
-            workers_busy,
-            queue_capacity,
-            queue_depth,
-            connections_total,
-            connections_active,
-            requests_by_kind,
-            shed_queue_total,
-            shed_tenant_total,
-            errors_total,
-            timeouts_total,
-            instr_cache,
-            tenants,
-            latency,
-            stages,
-        })
-    }
-
-    fn health(&mut self) -> Result<HealthReport, WireError> {
-        Ok(HealthReport {
-            healthy: self.boolean()?,
-            draining: self.boolean()?,
-            uptime_ns: self.u64()?,
-            wire_version: self.u16()?,
-            workers: self.u32()?,
-            queue_capacity: self.u32()?,
-            deployments: self.u32()?,
-            sessions_served: self.u64()?,
-        })
-    }
-
-    fn fleet_unit(&mut self) -> Result<FleetUnit, WireError> {
-        Ok(FleetUnit {
-            unit_id: self.u64()?,
-            session_id: self.u64()?,
-            func: self.string()?,
-            module: self.bytes()?,
-            evidence: self.evidence()?,
-            deadline_ms: self.u64()?,
-        })
-    }
-
-    fn fleet_submission(&mut self) -> Result<FleetSubmission, WireError> {
-        match self.u8()? {
-            0 => Ok(FleetSubmission::Completed {
-                results: self.values()?,
-                log: Box::new(self.signed_log()?),
-            }),
-            1 => Ok(FleetSubmission::Trapped {
-                reason: self.string()?,
-            }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-
-    fn fleet_ack(&mut self) -> Result<FleetAck, WireError> {
-        match self.u8()? {
-            0 => Ok(FleetAck::Accepted),
-            1 => Ok(FleetAck::Stale),
-            2 => Ok(FleetAck::Rejected {
-                reason: self.string()?,
-            }),
-            3 => Ok(FleetAck::Quarantined {
-                reason: self.string()?,
-            }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-
-    fn fleet_report(&mut self) -> Result<FleetReport, WireError> {
-        let units_total = self.u64()?;
-        let completed = self.u64()?;
-        let pending = self.u64()?;
-        let inflight = self.u64()?;
-        let checks_scheduled = self.u64()?;
-        let checks_mismatched = self.u64()?;
-        let redispatched = self.u64()?;
-        let rejected = self.u64()?;
-        let done = self.boolean()?;
-        let n = self.count(17)?; // row: name length + 8 + 4 + 1
-        let mut workers = Vec::with_capacity(n);
-        for _ in 0..n {
-            workers.push(FleetWorkerRow {
-                name: self.string()?,
-                completed: self.u64()?,
-                inflight: self.u32()?,
-                quarantined: self.boolean()?,
-            });
-        }
-        Ok(FleetReport {
-            units_total,
-            completed,
-            pending,
-            inflight,
-            checks_scheduled,
-            checks_mismatched,
-            redispatched,
-            rejected,
-            done,
-            workers,
-        })
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes(self.rest.len()))
-        }
-    }
+    })?;
+    Ok(FleetReport {
+        units_total,
+        completed,
+        pending,
+        inflight,
+        checks_scheduled,
+        checks_mismatched,
+        redispatched,
+        rejected,
+        done,
+        workers,
+    })
 }
 
 /// Reads one frame header + payload. `Ok(None)` means the peer closed
@@ -1215,11 +1034,11 @@ impl<'a> Cursor<'a> {
 /// stage (frame read + structural decode) without counting the idle
 /// wait for the peer to speak.
 fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>, Instant)>, WireError> {
-    let mut magic = [0u8; 4];
+    let mut head = [0u8; HEADER_LEN];
     // Distinguish clean close (no bytes at all) from mid-frame EOF.
     let mut got = 0;
     while got < 4 {
-        match r.read(&mut magic[got..]) {
+        match r.read(&mut head[got..4]) {
             Ok(0) if got == 0 => return Ok(None),
             Ok(0) => return Err(WireError::Truncated),
             Ok(n) => got += n,
@@ -1228,23 +1047,38 @@ fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>, Instant)>, WireE
         }
     }
     let started = Instant::now();
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic));
+    parse_header(&head[..4])?;
+    r.read_exact(&mut head[4..])?;
+    let (kind, len) = parse_header(&head)?.expect("a full header");
+    let mut payload = vec![0u8; len];
+    r.read_exact(&mut payload)?;
+    Ok(Some((kind, payload, started)))
+}
+
+/// Checks the frame header at the front of `buf`, each field as soon
+/// as its bytes are present, so garbage fails fast: `Ok(None)` while
+/// the header is incomplete, then the frame's kind and payload length.
+fn parse_header(buf: &[u8]) -> Result<Option<(u8, usize)>, WireError> {
+    let have = buf.len().min(4);
+    if buf[..have] != MAGIC[..have] {
+        let mut m = [0u8; 4];
+        m[..have].copy_from_slice(&buf[..have]);
+        return Err(WireError::BadMagic(m));
     }
-    let mut head = [0u8; 7];
-    r.read_exact(&mut head)?;
-    let version = u16::from_le_bytes([head[0], head[1]]);
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion(version));
+    if buf.len() >= 6 {
+        let version = u16::from_le_bytes([buf[4], buf[5]]);
+        if version != WIRE_VERSION {
+            return Err(WireError::BadVersion(version));
+        }
     }
-    let kind = head[2];
-    let len = u32::from_le_bytes([head[3], head[4], head[5], head[6]]);
+    if buf.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes([buf[7], buf[8], buf[9], buf[10]]);
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversized(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some((kind, payload, started)))
+    Ok(Some((buf[6], len as usize)))
 }
 
 /// Reads one request frame. `Ok(None)` on clean connection close.
@@ -1276,19 +1110,19 @@ pub fn read_request_timed(r: &mut impl Read) -> Result<Option<(Request, Instant,
 
 /// Decodes a request structure from an already-extracted payload.
 fn decode_request_payload(kind: u8, payload: &[u8]) -> Result<Request, WireError> {
-    let mut c = Cursor { rest: payload };
+    let mut c = Dec::new(payload);
     let req = match kind {
-        REQ_ATTEST => Request::Attest { nonce: c.digest()? },
+        REQ_ATTEST => Request::Attest { nonce: c.array()? },
         REQ_DEPLOY => Request::Deploy {
             level: c.level()?,
-            module: c.bytes()?,
+            module: c.bytes()?.to_vec(),
             trace_id: c.u64()?,
         },
         REQ_INVOKE => Request::Invoke {
             deploy_id: c.u64()?,
             func: c.string()?,
-            args: c.values()?,
-            input: c.bytes()?,
+            args: c.list(5, get_value)?,
+            input: c.bytes()?.to_vec(),
             tenant: c.string()?,
             trace_id: c.u64()?,
         },
@@ -1297,7 +1131,7 @@ fn decode_request_payload(kind: u8, payload: &[u8]) -> Result<Request, WireError
         },
         REQ_SHUTDOWN => Request::Shutdown,
         REQ_STATS => Request::Stats {
-            prometheus: c.boolean()?,
+            prometheus: c.bool()?,
         },
         REQ_HEALTH => Request::Health,
         REQ_RECENT => Request::Recent { limit: c.u32()? },
@@ -1316,7 +1150,7 @@ fn decode_request_payload(kind: u8, payload: &[u8]) -> Result<Request, WireError
             worker_id: c.u64()?,
             unit_id: c.u64()?,
             session_id: c.u64()?,
-            submission: c.fleet_submission()?,
+            submission: get_fleet_submission(&mut c)?,
         },
         REQ_FLEET_STATUS => Request::FleetStatus,
         other => return Err(WireError::UnknownKind(other)),
@@ -1341,27 +1175,10 @@ pub fn decode_request_frame(buf: &[u8]) -> Result<Option<(Request, usize)>, Wire
     // Validate the prefix we do have: a desynchronised or hostile peer
     // should be rejected without waiting for more bytes that will
     // never make the frame valid.
-    let have = buf.len().min(4);
-    if buf[..have] != MAGIC[..have] {
-        let mut m = [0u8; 4];
-        m[..have].copy_from_slice(&buf[..have]);
-        return Err(WireError::BadMagic(m));
-    }
-    if buf.len() >= 6 {
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
-        if version != WIRE_VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-    }
-    if buf.len() < HEADER_LEN {
+    let Some((kind, len)) = parse_header(buf)? else {
         return Ok(None);
-    }
-    let kind = buf[6];
-    let len = u32::from_le_bytes([buf[7], buf[8], buf[9], buf[10]]);
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversized(len));
-    }
-    let total = HEADER_LEN + len as usize;
+    };
+    let total = HEADER_LEN + len;
     if buf.len() < total {
         return Ok(None);
     }
@@ -1382,18 +1199,18 @@ pub fn read_response(r: &mut impl Read) -> Result<Response, WireError> {
             "connection closed awaiting response".into(),
         ));
     };
-    let mut c = Cursor { rest: &payload };
+    let mut c = Dec::new(&payload);
     let resp = match kind {
         RESP_ATTEST_OK => Response::AttestOk { quote: c.quote()? },
         RESP_DEPLOY_OK => Response::DeployOk {
             deploy_id: c.u64()?,
-            module: c.bytes()?,
-            evidence: c.evidence()?,
+            module: c.bytes()?.to_vec(),
+            evidence: get_evidence(&mut c)?,
         },
         RESP_INVOKE_OK => Response::InvokeOk {
             session_id: c.u64()?,
-            results: c.values()?,
-            output: c.bytes()?,
+            results: c.list(5, get_value)?,
+            output: c.bytes()?.to_vec(),
             log: c.signed_log()?,
             invoice_total: c.u128()?,
         },
@@ -1406,38 +1223,30 @@ pub fn read_response(r: &mut impl Read) -> Result<Response, WireError> {
             message: c.string()?,
         },
         RESP_STATS_OK => Response::StatsOk {
-            snapshot: c.snapshot()?,
+            snapshot: get_snapshot(&mut c)?,
         },
         RESP_STATS_TEXT_OK => Response::StatsTextOk { text: c.string()? },
         RESP_HEALTH_OK => Response::HealthOk {
-            report: c.health()?,
+            report: get_health(&mut c)?,
         },
-        RESP_RECENT_OK => {
-            let n = c.count(47)?; // record: 8 + 3×4 + 8 + 1 + 4 + 2×8 + 4 floor
-            let mut records = Vec::with_capacity(n);
-            for _ in 0..n {
-                records.push(c.record()?);
-            }
-            Response::RecentOk { records }
-        }
-        RESP_FLEET_CHALLENGE => Response::FleetChallenge { nonce: c.digest()? },
+        RESP_RECENT_OK => Response::RecentOk {
+            // record: 8 + 3×4 + 8 + 1 + 4 + 2×8 + 4 floor
+            records: c.list(47, get_record)?,
+        },
+        RESP_FLEET_CHALLENGE => Response::FleetChallenge { nonce: c.array()? },
         RESP_FLEET_WELCOME => Response::FleetWelcome {
             worker_id: c.u64()?,
         },
-        RESP_FLEET_ASSIGN => {
-            let n = c.count(89)?; // unit: 3×u64 + 2×length + evidence floor
-            let mut units = Vec::with_capacity(n);
-            for _ in 0..n {
-                units.push(c.fleet_unit()?);
-            }
-            let done = c.boolean()?;
-            Response::FleetAssign { units, done }
-        }
+        RESP_FLEET_ASSIGN => Response::FleetAssign {
+            // unit: 3×u64 + 2×length + evidence floor
+            units: c.list(89, get_fleet_unit)?,
+            done: c.bool()?,
+        },
         RESP_FLEET_ACK => Response::FleetAckOk {
-            ack: c.fleet_ack()?,
+            ack: get_fleet_ack(&mut c)?,
         },
         RESP_FLEET_STATUS_OK => Response::FleetStatusOk {
-            fleet: c.fleet_report()?,
+            fleet: get_fleet_report(&mut c)?,
         },
         other => return Err(WireError::UnknownKind(other)),
     };
@@ -1448,6 +1257,8 @@ pub fn read_response(r: &mut impl Read) -> Result<Response, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acctee::ResourceUsageLog;
+    use acctee_sgx::Measurement;
 
     fn quote() -> Quote {
         Quote {

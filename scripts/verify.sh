@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (deny warnings)"
+echo "==> cargo clippy (deny warnings; every crate, every target)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> tier-1: cargo build --release"
@@ -15,6 +15,10 @@ cargo build --offline --release
 
 echo "==> tier-1: cargo test"
 cargo test --offline -q
+
+echo "==> end-to-end benchmark builds and its unit tests pass (perfbench/)"
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> engine differential suite (tree vs bytecode vs regs, three-way)"
 cargo test --offline -q -p acctee-integration --test engine_diff
@@ -117,9 +121,6 @@ LATS="$(sed -n 's/^acctee_net_request_latency_seconds_count{kind="invoke"} //p' 
 wait "$SERVE_PID"
 rm -f "$SERVE_LOG" "$PROM"
 
-echo "==> durable crate clippy gate (deny warnings)"
-cargo clippy --offline -q -p acctee-durable --all-targets -- -D warnings
-
 echo "==> durable kill-and-restart smoke (--state-dir, kill -9, fetch-log, settle)"
 STATE_DIR="$(mktemp -d)"
 SERVE_LOG="$(mktemp)"
@@ -200,9 +201,6 @@ if [ "${CORES:-1}" -ge 4 ]; then
 else
     echo "    (host_cores=$CORES in committed run: 4w>=2x1w scaling gate skipped)"
 fi
-
-echo "==> fleet crate clippy gate (deny warnings)"
-cargo clippy --offline -q -p acctee-fleet --all-targets -- -D warnings
 
 echo "==> fleet loopback smoke (3 workers, 1 injected cheater, must detect)"
 FLEET_DIR="$(mktemp -d)"
