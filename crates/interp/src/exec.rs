@@ -280,7 +280,8 @@ impl<'m> Instance<'m> {
 
         let memory = module
             .memory()
-            .map(|mt| Memory::new(mt.limits.min, mt.limits.max));
+            .map(|mt| Memory::new(mt.limits.min, mt.limits.max))
+            .transpose()?;
         let mut table: Vec<Option<u32>> = module
             .table()
             .map(|tt| vec![None; tt.limits.min as usize])

@@ -49,7 +49,8 @@ use acctee_wasm::types::FuncType;
 use crate::numslot::enc;
 use crate::regs::{
     bin_handlers, bin_try_handler, ctl, load_handlers, store_handlers, un_handlers, un_try_handler,
-    Handler, RegAccess, RegBound, RegBrTable, RegFunc, RegGuard, RegModule, RegOp, SegPrefix,
+    Handler, OpKind, RegAccess, RegBound, RegBrTable, RegFunc, RegGuard, RegModule, RegOp,
+    SegPrefix,
 };
 use crate::trap::Trap;
 
@@ -214,6 +215,10 @@ struct FnRegCompiler<'m> {
 }
 
 fn mk(handler: Handler) -> RegOp {
+    mk_kind(handler, OpKind::Other)
+}
+
+fn mk_kind(handler: Handler, kind: OpKind) -> RegOp {
     RegOp {
         handler,
         imm: 0,
@@ -221,6 +226,7 @@ fn mk(handler: Handler) -> RegOp {
         a: 0,
         b: 0,
         c: 0,
+        kind,
     }
 }
 
@@ -549,13 +555,13 @@ impl<'m> FnRegCompiler<'m> {
         self.pending += 8;
         let mut o = match bound {
             Src::Reg(n) => {
-                let mut o = mk(ctl::for_tail_r);
+                let mut o = mk_kind(ctl::for_tail_r, OpKind::ForTailReg);
                 o.b = n;
                 o.imm = u64::from(step as u32);
                 o
             }
             Src::Const(c) => {
-                let mut o = mk(ctl::for_tail_i);
+                let mut o = mk_kind(ctl::for_tail_i, OpKind::ForTailConst);
                 o.imm = u64::from(step as u32) | (c << 32);
                 o
             }
@@ -756,6 +762,7 @@ impl<'m> FnRegCompiler<'m> {
                                         self.stack.truncate(pa);
                                         let o = &mut self.code[c.at];
                                         o.handler = ctl::madd;
+                                        o.kind = OpKind::Madd;
                                         o.b = other;
                                         o.c = dst;
                                         self.cost[c.at] += self.take_pending();
@@ -884,6 +891,10 @@ impl<'m> FnRegCompiler<'m> {
                             } else {
                                 h.checked_shl
                             };
+                            o.kind = OpKind::Load {
+                                proven,
+                                scaled: true,
+                            };
                             o.imm2 = memarg.offset;
                             o.c = dst;
                             self.cost[c.at] += self.take_pending();
@@ -895,7 +906,13 @@ impl<'m> FnRegCompiler<'m> {
                     }
                     let ra = self.val_reg(pa);
                     self.stack.truncate(pa);
-                    let mut o = mk(if proven { h.unchecked } else { h.checked });
+                    let mut o = mk_kind(
+                        if proven { h.unchecked } else { h.checked },
+                        OpKind::Load {
+                            proven,
+                            scaled: false,
+                        },
+                    );
                     o.a = ra;
                     o.imm2 = memarg.offset;
                     o.c = dst;
@@ -1359,15 +1376,11 @@ mod tests {
     use acctee_wasm::op::{LoadOp, StoreOp};
     use acctee_wasm::types::ValType;
 
-    fn is(h: Handler, want: Handler) -> bool {
-        std::ptr::fn_addr_eq(h, want)
-    }
-
-    fn count_ops(rm: &RegModule, want: Handler) -> usize {
+    fn count_ops(rm: &RegModule, want: OpKind) -> usize {
         rm.funcs
             .iter()
             .flat_map(|f| &f.code)
-            .filter(|o| is(o.handler, want))
+            .filter(|o| o.kind == want)
             .count()
     }
 
@@ -1412,14 +1425,14 @@ mod tests {
 
     #[test]
     fn canonical_loop_tail_fuses_to_one_dispatch() {
-        for (bound, handler) in [
-            (Bound::Local(0), ctl::for_tail_r as Handler),
-            (Bound::Const(100), ctl::for_tail_i as Handler),
+        for (bound, kind) in [
+            (Bound::Local(0), OpKind::ForTailReg),
+            (Bound::Const(100), OpKind::ForTailConst),
         ] {
             let m = sum_loop_module(bound);
             let rm = compile_regs(&m).expect("compiles");
             assert_eq!(
-                count_ops(&rm, handler),
+                count_ops(&rm, kind),
                 1,
                 "increment + compare + backedge should be one op"
             );
@@ -1446,11 +1459,11 @@ mod tests {
         b.export_func("f", f);
         let m = b.build();
         let rm = compile_regs(&m).expect("compiles");
-        assert_eq!(count_ops(&rm, ctl::madd), 1, "mul+add should fuse");
-        let has_shl_load = rm.funcs[0].code.iter().any(|o| {
-            let h = load_handlers(LoadOp::I64Load);
-            is(o.handler, h.checked_shl) || is(o.handler, h.unchecked_shl)
-        });
+        assert_eq!(count_ops(&rm, OpKind::Madd), 1, "mul+add should fuse");
+        let has_shl_load = rm.funcs[0]
+            .code
+            .iter()
+            .any(|o| matches!(o.kind, OpKind::Load { scaled: true, .. }));
         assert!(has_shl_load, "shl should fold into the load's address mode");
         // Zero-initialised memory: any in-bounds index loads 0.
         let out = agree(&m, &[Value::I32(3), Value::I32(4)]).unwrap();
@@ -1491,13 +1504,16 @@ mod tests {
         let m = b.build();
         let rm = compile_regs(&m).expect("compiles");
         assert_eq!(rm.funcs[0].guards.len(), 1, "loop should be guarded");
-        let lh = load_handlers(LoadOp::I64Load);
+        let load = |proven| OpKind::Load {
+            proven,
+            scaled: true,
+        };
         assert!(
-            count_ops(&rm, lh.unchecked_shl) >= 1,
+            count_ops(&rm, load(true)) >= 1,
             "guarded copy should use the proven-in-bounds load"
         );
         assert!(
-            count_ops(&rm, lh.checked_shl) >= 1,
+            count_ops(&rm, load(false)) >= 1,
             "checked copy must survive for the guard-fail path"
         );
         // In bounds (8192 * 8 == 65536, the last byte in range).

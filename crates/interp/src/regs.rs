@@ -85,6 +85,35 @@ pub(crate) struct RegOp {
     pub b: u16,
     /// Destination register.
     pub c: u16,
+    /// What the lowering made this op, recorded next to the handler.
+    /// Never read on the dispatch path: it identifies ops for
+    /// white-box tests, because a handler's address is not a stable
+    /// identity (Rust does not promise one address per function
+    /// across codegen units). It rides in the struct's padding.
+    pub kind: OpKind,
+}
+
+const _: () = assert!(std::mem::size_of::<RegOp>() == 32);
+
+/// The shape of a lowered [`RegOp`] (see [`RegOp::kind`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpKind {
+    /// Any op not singled out below.
+    Other,
+    /// Fused counted-loop tail with a register bound ([`ctl::for_tail_r`]).
+    ForTailReg,
+    /// Fused counted-loop tail with a constant bound ([`ctl::for_tail_i`]).
+    ForTailConst,
+    /// Fused multiply-add ([`ctl::madd`]).
+    Madd,
+    /// A load. `proven`: the guard-proven (unchecked) copy;
+    /// `scaled`: an `i32.shl`-by-const folded into the address.
+    Load {
+        /// Guard-proven, skips the bounds check.
+        proven: bool,
+        /// Scaled address mode.
+        scaled: bool,
+    },
 }
 
 /// A suspended caller frame.
@@ -570,18 +599,19 @@ pub(crate) fn h_mem_grow(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
 /// guard-side overflow is possible; any failure (no memory, negative
 /// induction, potential wrap, any access past the end) falls through
 /// to the checked copy — the guard is an optimisation gate, never a
-/// soundness gate.
+/// soundness gate. A pass commits memory through the largest end
+/// address it proved: the unchecked body indexes the committed prefix
+/// directly ([`crate::memory::Memory::read_in_bounds`]).
 pub(crate) fn h_guard(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
     let rf = vm.rf;
     let g = &rf.guards[op.imm2 as usize];
-    let pass = 'guard: {
+    let proven_end = 'guard: {
         let Some(mem) = vm.inst.memory.as_ref() else {
-            break 'guard false;
+            break 'guard None;
         };
-        let size = mem.size_bytes() as u128;
         let i0 = dec::as_i32(vm.regs[vm.base + g.induction as usize]);
         if i0 < 0 {
-            break 'guard false;
+            break 'guard None;
         }
         let bound = match g.bound {
             RegBound::Reg(r) => i64::from(dec::as_i32(vm.regs[vm.base + r as usize])),
@@ -592,29 +622,32 @@ pub(crate) fn h_guard(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
         // the increment itself.
         let imax = i64::from(i0).max(bound - 1);
         if imax + i64::from(g.step) > i64::from(i32::MAX) {
-            break 'guard false;
+            break 'guard None;
         }
         let imax = imax as u128;
-        let mut ok = true;
+        let mut end = 0u128;
         for a in &g.accesses {
             let mut addr = u128::from(a.coeff) * imax + u128::from(a.konst);
             for (l, s) in &a.terms {
                 addr += u128::from(*s) * u128::from(vm.regs[vm.base + *l as usize] as u32);
             }
-            if addr + u128::from(a.bytes) > size {
-                ok = false;
-                break;
-            }
+            end = end.max(addr + u128::from(a.bytes));
         }
-        ok
+        (end <= mem.size_bytes() as u128).then_some(end as u64)
     };
-    if pass {
-        let target = vm.rf.guards[op.imm2 as usize].unchecked_pc;
-        flush(vm, pc);
-        vm.seg_start = target;
-        target
-    } else {
-        pc + 1
+    match proven_end {
+        Some(end) => {
+            vm.inst
+                .memory
+                .as_mut()
+                .expect("guard saw it")
+                .commit_to(end);
+            let target = g.unchecked_pc;
+            flush(vm, pc);
+            vm.seg_start = target;
+            target
+        }
+        None => pc + 1,
     }
 }
 

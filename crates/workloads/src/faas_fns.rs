@@ -77,8 +77,6 @@ pub fn resize_module() -> Module {
     );
     // Up to 1024x1024x3 input + output + header: 4 MiB of memory.
     b.memory(64, None);
-    let out_off: i32 = 64; // 64*64*3 = 12288 bytes fits before INPUT_OFF? No: place after input region.
-    let _ = out_off;
     let f = b.func("main", &[], &[ValType::I32], |f| {
         use Bound::Const as C;
         let n = f.local(ValType::I32);
@@ -390,11 +388,15 @@ mod tests {
     use super::*;
     use acctee_interp::{Imports, Instance};
     use acctee_script::Value as JsValue;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    fn run_wasm(module: &Module, input: &[u8]) -> Vec<u8> {
-        // Minimal host I/O (mirrors acctee::io without the dependency).
-        use std::cell::RefCell;
-        use std::rc::Rc;
+    /// Instantiates `module` with minimal host I/O (mirrors acctee::io
+    /// without the dependency); returns the instance and its output.
+    fn instantiate_io<'m>(
+        module: &'m Module,
+        input: &[u8],
+    ) -> (Instance<'m>, Rc<RefCell<Vec<u8>>>) {
         let inp = Rc::new(input.to_vec());
         let out = Rc::new(RefCell::new(Vec::new()));
         let i1 = inp.clone();
@@ -421,7 +423,11 @@ mod tests {
                     Ok(vec![acctee_interp::Value::I32(len as i32)])
                 }
             });
-        let mut inst = Instance::new(module, imports).unwrap();
+        (Instance::new(module, imports).unwrap(), out)
+    }
+
+    fn run_wasm(module: &Module, input: &[u8]) -> Vec<u8> {
+        let (mut inst, out) = instantiate_io(module, input);
         inst.invoke("main", &[]).unwrap();
         let result = out.borrow().clone();
         result
@@ -432,6 +438,24 @@ mod tests {
         let m = echo_module();
         acctee_wasm::validate::validate_module(&m).unwrap();
         assert_eq!(run_wasm(&m, b"payload-123"), b"payload-123");
+    }
+
+    #[test]
+    fn echo_commits_what_it_touches_not_what_it_declares() {
+        let m = echo_module();
+        let (mut inst, out) = instantiate_io(&m, b"payload-123");
+        let mem = inst.memory().unwrap();
+        assert_eq!(mem.size_pages(), 64);
+        assert_eq!(mem.committed_bytes(), 0);
+        inst.invoke("main", &[]).unwrap();
+        assert_eq!(*out.borrow(), b"payload-123");
+        let committed = inst.memory().unwrap().committed_bytes();
+        assert!(
+            committed <= 2 * acctee_wasm::PAGE_SIZE,
+            "echo committed {committed} bytes"
+        );
+        // The logical size, which accounting sees, is unchanged.
+        assert_eq!(inst.stats().peak_memory_bytes, 64 * acctee_wasm::PAGE_SIZE);
     }
 
     #[test]

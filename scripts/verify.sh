@@ -16,6 +16,12 @@ cargo build --offline --release
 echo "==> tier-1: cargo test"
 cargo test --offline -q
 
+# The guard/commit logic of linear memory is most exposed in optimised
+# builds, and release codegen is where white-box tests that rely on
+# build-specific details break.
+echo "==> interpreter unit tests, release profile"
+cargo test --offline --release -q -p acctee-interp
+
 echo "==> end-to-end benchmark builds and its unit tests pass (perfbench/)"
 cargo build --offline --release --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml

@@ -792,6 +792,12 @@ fn single_func(params: &[ValType], body: impl FnOnce(&mut FuncBuilder)) -> Modul
 fn guarded_loop_module() -> Module {
     let mut b = ModuleBuilder::new();
     b.memory(1, Some(1)); // 65536 bytes, cannot grow
+    guarded_loop_in(b)
+}
+
+/// [`guarded_loop_module`]'s export `f`, added to a builder that
+/// already declares the memory.
+fn guarded_loop_in(mut b: ModuleBuilder) -> Module {
     let f = b.func("f", &[ValType::I32, ValType::I32], &[ValType::I64], |f| {
         let n = 0;
         let base = 1;
@@ -829,6 +835,43 @@ fn guarded_loop_module() -> Module {
     });
     b.export_func("f", f);
     b.build()
+}
+
+/// Memory is committed lazily, so the register tier's guard must
+/// commit the extent it proved before the unchecked body indexes it.
+/// Here a fresh instance has committed only the data segment's page
+/// when the guarded loop's first store lands pages above it.
+#[test]
+fn guarded_loop_commits_untouched_pages() {
+    const PAGE: i32 = acctee_wasm::PAGE_SIZE as i32;
+    let mut b = ModuleBuilder::new();
+    b.memory(16, None);
+    b.data(0, b"seed");
+    let m = guarded_loop_in(b);
+    for (n, base, committed_pages) in [
+        (8192, 3 * PAGE + 8, 5),    // pages 3..=4, last store ends at 4P+8
+        (100, 16 * PAGE - 800, 16), // last access ends exactly at the top
+    ] {
+        let args = [Value::I32(n), Value::I32(base)];
+        let out = assert_engines_agree(&m, &no_imports, "f", &args, None);
+        assert!(out.result.is_ok(), "n={n} base={base}");
+        for engine in [Engine::Tree, Engine::Bytecode, Engine::Regs] {
+            let cfg = Config {
+                engine,
+                ..Config::default()
+            };
+            let mut inst = Instance::with_config(&m, no_imports(), cfg).expect("instantiate");
+            let mem = inst.memory().expect("memory");
+            assert_eq!(mem.committed_bytes(), PAGE as usize, "only the data page");
+            inst.invoke("f", &args).expect("in bounds");
+            let mem = inst.memory().expect("memory");
+            assert_eq!(
+                mem.committed_bytes(),
+                committed_pages * PAGE as usize,
+                "{engine:?} n={n} base={base}"
+            );
+        }
+    }
 }
 
 /// In-bounds guarded loops: the register tier's unchecked body copy
