@@ -6,7 +6,10 @@
 //! check it against quotes.
 
 use acctee_instrument::{instrument, Level, WeightTable};
-use acctee_interp::{Config, Imports, Instance, Observer, Value};
+use acctee_interp::{
+    Accounting, CompiledModule, Config, Imports, Instance, InstrWeights, Observer, Value,
+    WeightsKey,
+};
 use acctee_sgx::crypto::{sha256, Digest};
 use acctee_sgx::enclave::report_data;
 use acctee_sgx::{Enclave, Measurement, Platform, QuotingEnclave};
@@ -151,11 +154,14 @@ pub struct LoadedWorkload {
     module: Module,
     module_hash: Digest,
     counter_global: u32,
-    /// Compile-once/serve-many bytecode artifact, built lazily on the
-    /// first bytecode-engine execution and shared by every later one
+    /// The loading enclave's weights, lowered into the artifact so the
+    /// memory integral runs batched on the register tier.
+    weights: InstrWeights,
+    /// Compile-once/serve-many artifact, built lazily on the first
+    /// compiled-engine execution and shared by every later one
     /// (`None` inside = compilation failed; executions fall back to
     /// the per-instance compile, which reports the error).
-    artifact: std::sync::OnceLock<Option<std::sync::Arc<acctee_interp::CompiledModule>>>,
+    artifact: std::sync::OnceLock<Option<std::sync::Arc<CompiledModule>>>,
 }
 
 impl LoadedWorkload {
@@ -164,15 +170,16 @@ impl LoadedWorkload {
         &self.module
     }
 
-    /// The shared bytecode artifact, compiling it on first use.
-    fn artifact(&self) -> Option<std::sync::Arc<acctee_interp::CompiledModule>> {
+    /// The shared artifact, built with this workload's weights on
+    /// first use.
+    fn artifact(&self) -> Option<std::sync::Arc<CompiledModule>> {
         self.artifact
             .get_or_init(|| {
                 acctee_telemetry::global()
                     .metrics()
                     .counter("acctee_artifact_compiles_total")
                     .inc();
-                acctee_interp::CompiledModule::compile(&self.module).ok()
+                CompiledModule::compile_weighted(&self.module, self.weights.clone()).ok()
             })
             .clone()
     }
@@ -191,9 +198,16 @@ pub struct ExecutionOutcome {
 
 /// Observer computing the memory integral ∫ mem d(wic) alongside the
 /// execution (the [`crate::log::MemoryPolicy::Integral`] policy).
+///
+/// Weighted delivery: on the register tier with an artifact lowered
+/// under the same weights, each straight-line segment arrives as one
+/// weighted sum, and `memory.grow` closes its segment before
+/// reporting the new size — so `Σ segment × mem` equals the
+/// per-instruction `Σ weight × mem` every other path computes, bit
+/// for bit.
 struct MemoryIntegral<'w> {
     weights: &'w WeightTable,
-    wic: u64,
+    key: WeightsKey,
     cur_mem: u64,
     integral: u128,
 }
@@ -201,12 +215,19 @@ struct MemoryIntegral<'w> {
 impl Observer for MemoryIntegral<'_> {
     fn on_instr(&mut self, instr: &Instr) {
         let w = self.weights.weight(instr);
-        self.wic += w;
         self.integral += u128::from(w) * u128::from(self.cur_mem);
+    }
+
+    fn on_weighted_block(&mut self, _instrs: u64, weighted: u64) {
+        self.integral += u128::from(weighted) * u128::from(self.cur_mem);
     }
 
     fn on_mem_grow(&mut self, new_size_bytes: usize) {
         self.cur_mem = new_size_bytes as u64;
+    }
+
+    fn accounting(&self) -> Accounting {
+        Accounting::Weighted(self.key)
     }
 }
 
@@ -216,6 +237,11 @@ pub struct AccountingEnclave {
     enclave: Enclave,
     qe: QuotingEnclave,
     weights: WeightTable,
+    /// Hash of `weights`, checked against every evidence at `load`.
+    weight_hash: Digest,
+    /// `weights` as the interpreter's lowering consumes them, keyed by
+    /// `weight_hash`.
+    instr_weights: InstrWeights,
     expected_ie: Measurement,
     /// Interpreter limits applied to workloads.
     pub exec_config: Config,
@@ -237,10 +263,15 @@ impl AccountingEnclave {
         expected_ie: Measurement,
     ) -> Self {
         let enclave = platform.create_enclave(&ae_code(&weights));
+        let weight_hash = sha256(&weights.to_bytes());
+        let table = weights.clone();
+        let instr_weights = InstrWeights::new(WeightsKey(weight_hash), move |i| table.weight(i));
         AccountingEnclave {
             enclave,
             qe,
             weights,
+            weight_hash,
+            instr_weights,
             expected_ie,
             exec_config: Config::default(),
         }
@@ -332,7 +363,7 @@ impl AccountingEnclave {
                 "module bytes do not match evidence".into(),
             ));
         }
-        if sha256(&self.weights.to_bytes()) != evidence.weight_hash {
+        if self.weight_hash != evidence.weight_hash {
             return Err(AccTeeError::EvidenceMismatch(
                 "weight table differs from attested environment".into(),
             ));
@@ -343,6 +374,7 @@ impl AccountingEnclave {
             module,
             module_hash,
             counter_global: evidence.counter_global,
+            weights: self.instr_weights.clone(),
             artifact: std::sync::OnceLock::new(),
         })
     }
@@ -369,11 +401,11 @@ impl AccountingEnclave {
             .with_arg("engine", self.exec_config.engine.name());
         let meter = IoMeter::with_input(input);
         let imports = meter.register(Imports::new());
-        // Under the compiled engines (bytecode and the register tier,
-        // which hangs its code off the same artifact), repeated
-        // executions of one loaded workload share a single compiled
-        // artifact (§3.3 compile-once/serve-many) instead of
-        // recompiling per call.
+        // Under the compiled engines, repeated executions of one loaded
+        // workload share a single artifact (§3.3 compile-once/
+        // serve-many) instead of recompiling per call. It carries the
+        // workload's weights, so on the register tier the memory
+        // integral arrives as one weighted sum per segment.
         let shared = if self.exec_config.engine != acctee_interp::Engine::Tree {
             workload.artifact()
         } else {
@@ -387,7 +419,7 @@ impl AccountingEnclave {
         };
         let mut integral = MemoryIntegral {
             weights: &self.weights,
-            wic: 0,
+            key: WeightsKey(self.weight_hash),
             cur_mem: instance.memory().map_or(0, |m| m.size_bytes() as u64),
             integral: 0,
         };
@@ -539,7 +571,11 @@ mod tests {
         let original = decode_module(&workload_bytes()).unwrap();
         let weights = WeightTable::uniform();
         let mut oracle = acctee_interp::CountingObserver::with_weight(|i| weights.weight(i));
-        let mut inst = Instance::new(&original, Imports::new()).unwrap();
+        let tree = Config {
+            engine: acctee_interp::Engine::Tree,
+            ..Config::default()
+        };
+        let mut inst = Instance::with_config(&original, Imports::new(), tree).unwrap();
         inst.invoke_observed("main", &[Value::I32(25)], &mut oracle)
             .unwrap();
         assert_eq!(out.log.log.weighted_instructions, oracle.count);

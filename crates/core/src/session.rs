@@ -403,6 +403,7 @@ mod tests {
         // The AE's shared bytecode artifact must not change any
         // accounting result vs the tree-walker or vs a fresh compile.
         let mut tree = Deployment::new(7);
+        tree.set_engine(Engine::Tree);
         let mut flat = Deployment::new(7);
         flat.set_engine(Engine::Bytecode);
         let (bytes, evidence) = tree.instrument(&wasm(), Level::LoopBased).unwrap();

@@ -227,8 +227,8 @@ impl FaasPlatform {
     }
 
     /// Selects the interpreter engine for wasm requests (the serving
-    /// paths default to the tree-walker; production-style setups want
-    /// [`Engine::Bytecode`] or [`Engine::Regs`]). Resets any compiled artifact: the next
+    /// paths default to [`Engine::Regs`]; [`Engine::Tree`] is the
+    /// auditable oracle). Resets any compiled artifact: the next
     /// request (or [`FaasPlatform::warm`]) rebuilds it for the new
     /// engine.
     #[must_use]
@@ -558,7 +558,7 @@ mod tests {
         let (resp, _) = p.handle(b"shared").unwrap();
         assert_eq!(resp, b"shared");
         // The tree engine and a disabled cache never build one.
-        let tree = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm);
+        let tree = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm).with_engine(Engine::Tree);
         assert!(!tree.warm());
         let off = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm)
             .with_engine(Engine::Bytecode)
@@ -586,7 +586,7 @@ mod tests {
     fn bytecode_engine_serves_identically() {
         let img = test_image(16, 16);
         for setup in [Setup::Wasm, Setup::WasmSgxHwInstr] {
-            let tree = FaasPlatform::deploy(FunctionKind::Resize, setup);
+            let tree = FaasPlatform::deploy(FunctionKind::Resize, setup).with_engine(Engine::Tree);
             let flat =
                 FaasPlatform::deploy(FunctionKind::Resize, setup).with_engine(Engine::Bytecode);
             let (a, sa) = tree.handle(&img).unwrap();

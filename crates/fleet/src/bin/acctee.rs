@@ -343,7 +343,7 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
             println!("          serve, deploy, invoke, fetch-log, settle, replay,");
             println!("          stats, top, recent, shutdown, fleet");
             println!("run/account flags: --invoke F --arg V --input STR --fuel N --level L");
-            println!("                   --engine tree|bytecode|regs (default tree)");
+            println!("                   --engine tree|bytecode|regs (default regs)");
             println!("                   --cache-capacity N (bound the instrumentation cache)");
             println!("                   --trace-out FILE --metrics-out FILE");
             println!("serve flags:       --listen ADDR --workers N --queue N");

@@ -156,6 +156,10 @@ struct State {
     /// Work-steal duplications (kept out of `redispatched`, which
     /// counts deadline/straggler re-queues only).
     steals: u64,
+    /// Since when at most one node has been active (set on the first
+    /// pull that finds the fleet single-node, cleared by one that does
+    /// not).
+    sole_since: Option<Instant>,
 }
 
 impl State {
@@ -499,6 +503,7 @@ impl Coordinator {
             redispatched: 0,
             rejected: 0,
             steals: 0,
+            sole_since: None,
         };
         // A crash between the last submission and its unit-done event
         // leaves a completable unit; completing it here (before any
@@ -851,6 +856,17 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
     let fair = st.pending.len().div_ceil(active).max(1);
     let want = (capacity.max(1) as usize).min(fair);
     let sole = active <= 1;
+    if sole {
+        st.sole_since.get_or_insert_with(Instant::now);
+    } else {
+        st.sole_since = None;
+    }
+    // A lone node may run both copies of a spot-checked unit only once
+    // the fleet has stayed single-node for the straggler grace; until
+    // then the second copy waits for a second node, so nodes that join
+    // together always cross-check each other.
+    let grace = Duration::from_millis(st.config.straggler_grace_ms);
+    let waive = st.sole_since.is_some_and(|t| t.elapsed() >= grace);
     let mut granted: Vec<FleetUnit> = Vec::new();
     let mut skipped: Vec<u64> = Vec::new();
     while granted.len() < want {
@@ -872,9 +888,10 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
             .any(|s| s.worker == name)
             || st.units[idx].live.iter().any(|a| a.worker == name);
         // Redundant executions must come from distinct nodes — unless
-        // this is a single-node fleet, where cross-checking is
-        // structurally impossible and blocking would deadlock.
-        if involved && !sole {
+        // the fleet has been single-node past the grace, where
+        // cross-checking is structurally impossible and blocking would
+        // deadlock.
+        if involved && !waive {
             skipped.push(unit_id);
             continue;
         }

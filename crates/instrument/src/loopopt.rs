@@ -209,11 +209,21 @@ mod tests {
     use super::*;
     use crate::segment::{instrument, Level, COUNTER_EXPORT};
     use crate::weights::WeightTable;
-    use acctee_interp::{CountingObserver, Imports, Instance, Value};
+    use acctee_interp::{Config, CountingObserver, Engine, Imports, Instance, Value};
     use acctee_wasm::builder::{Bound, ModuleBuilder};
     use acctee_wasm::instr::BlockType;
     use acctee_wasm::validate::validate_module;
     use acctee_wasm::Module;
+
+    /// The accounting oracle: always the tree-walker, whatever the
+    /// default engine is.
+    fn oracle_instance(m: &Module) -> Instance<'_> {
+        let cfg = Config {
+            engine: Engine::Tree,
+            ..Config::default()
+        };
+        Instance::with_config(m, Imports::new(), cfg).expect("instantiate oracle")
+    }
 
     fn counted_loop_module() -> Module {
         let mut b = ModuleBuilder::new();
@@ -242,7 +252,7 @@ mod tests {
 
         for n in [1, 2, 50] {
             let mut oracle = CountingObserver::unit();
-            let mut orig = Instance::new(&m, Imports::new()).unwrap();
+            let mut orig = oracle_instance(&m);
             orig.invoke_observed("f", &[Value::I32(n)], &mut oracle)
                 .unwrap();
             let mut run = Instance::new(&inst.module, Imports::new()).unwrap();
@@ -301,7 +311,7 @@ mod tests {
         assert_eq!(inst.stats.loops_hoisted, 0);
         // And the accounting is still exact.
         let mut oracle = CountingObserver::unit();
-        let mut orig = Instance::new(&m, Imports::new()).unwrap();
+        let mut orig = oracle_instance(&m);
         orig.invoke_observed("f", &[Value::I32(10)], &mut oracle)
             .unwrap();
         let mut run = Instance::new(&inst.module, Imports::new()).unwrap();
@@ -353,7 +363,7 @@ mod tests {
         // Exactness still holds.
         for n in [0, 1, 5] {
             let mut oracle = CountingObserver::unit();
-            let mut orig = Instance::new(&m, Imports::new()).unwrap();
+            let mut orig = oracle_instance(&m);
             orig.invoke_observed("f", &[Value::I32(n)], &mut oracle)
                 .unwrap();
             let mut run = Instance::new(&inst.module, Imports::new()).unwrap();

@@ -527,8 +527,18 @@ pub fn instrument(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acctee_interp::{CountingObserver, Imports, Instance, Value};
+    use acctee_interp::{Config, CountingObserver, Engine, Imports, Instance, Value};
     use acctee_wasm::builder::{Bound, ModuleBuilder};
+
+    /// The accounting oracle: always the tree-walker, whatever the
+    /// default engine is.
+    fn oracle_instance(m: &Module) -> Instance<'_> {
+        let cfg = Config {
+            engine: Engine::Tree,
+            ..Config::default()
+        };
+        Instance::with_config(m, Imports::new(), cfg).expect("instantiate oracle")
+    }
 
     /// Runs `m` both raw (with a weighted oracle observer) and
     /// instrumented at `level`, asserting the counter matches the
@@ -536,7 +546,7 @@ mod tests {
     fn assert_counter_matches_oracle(m: &Module, level: Level, func: &str, args: &[Value]) -> u64 {
         let weights = WeightTable::uniform();
         let mut oracle = CountingObserver::unit();
-        let mut inst = Instance::new(m, Imports::new()).expect("instantiate original");
+        let mut inst = oracle_instance(m);
         inst.invoke_observed(func, args, &mut oracle)
             .expect("run original");
 
@@ -666,7 +676,7 @@ mod tests {
         let m = sum_module();
         let weights = WeightTable::calibrated();
         let mut oracle = CountingObserver::with_weight(|i| weights.weight(i));
-        let mut inst = Instance::new(&m, Imports::new()).unwrap();
+        let mut inst = oracle_instance(&m);
         inst.invoke_observed("f", &[Value::I32(50)], &mut oracle)
             .unwrap();
         let instrumented = instrument(&m, Level::LoopBased, &weights).unwrap();

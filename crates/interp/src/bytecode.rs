@@ -217,50 +217,76 @@ pub(crate) struct CompiledFunc {
     pub n_local_slots: u32,
 }
 
-/// A whole module lowered to flat bytecode: the compile-once/serve-many
-/// **artifact** of the bytecode engine.
+/// The compile-once/serve-many **artifact** of the compiled engines.
 ///
-/// A `CompiledModule` owns everything the dispatch loop needs — it
+/// A `CompiledModule` owns everything the dispatch loops need — it
 /// holds no borrows into the source [`Module`] — so it can be wrapped
 /// in an [`Arc`], cached, and shared across threads and instances.
-/// Compile once with [`CompiledModule::compile`], then hand the same
-/// artifact to any number of [`Instance`]s via
-/// [`Instance::with_artifact`]; the serving path never re-runs the
-/// compiler.
+/// Build one with [`CompiledModule::compile`] (or
+/// [`CompiledModule::compile_weighted`]), then hand the same artifact
+/// to any number of [`Instance`]s via [`Instance::with_artifact`]; the
+/// serving path never re-runs a compiler.
+///
+/// Building the artifact resolves only call metadata. Each engine's
+/// code — the flat streams and the register code — is lowered on the
+/// first invoke that needs it and cached here, so a deployment served
+/// by one tier never holds the other's code.
 ///
 /// Execution through a shared artifact is bit-identical to the lazy
 /// per-instance compile (the differential and artifact-cache suites
 /// pin this down): the artifact *is* the output of the same one-pass
-/// compiler, merely reused.
+/// compilers, merely reused.
 #[derive(Debug)]
 pub struct CompiledModule {
-    /// Local functions, indexed by `combined_idx - n_imported`.
-    pub(crate) funcs: Vec<CompiledFunc>,
+    /// The flat engine's code: local functions, indexed by
+    /// `combined_idx - n_imported`, lowered on the first flat-engine
+    /// invoke.
+    pub(crate) funcs: std::sync::OnceLock<Result<Vec<CompiledFunc>, Trap>>,
     /// Parameter types per combined function index (imports included):
     /// the arity for call sites, the types for host-call decoding.
     pub(crate) params_ty: Vec<Box<[ValType]>>,
+    /// Result types per local function (the structural guard of
+    /// [`CompiledModule::matches`]).
+    pub(crate) results_ty: Vec<Box<[ValType]>>,
     /// Canonical (structurally deduplicated) type id per combined
     /// function index, for `call_indirect` checks by integer compare.
     pub(crate) canon_of_func: Vec<u32>,
     /// Number of imported (host) functions.
     pub(crate) n_imported: u32,
+    /// The weights the register lowering folds into its segment
+    /// prefix sums ([`crate::observer::Accounting::Weighted`]), if
+    /// any.
+    pub(crate) weights: Option<crate::observer::InstrWeights>,
     /// The register-tier code, built lazily on the first `regs`-engine
-    /// invoke and shared by every instance holding this artifact
-    /// (compile-once/serve-many extends to the register tier for
-    /// free). `Err` records a decline: those modules run on the flat
-    /// engine.
+    /// invoke and shared by every instance holding this artifact. `Err`
+    /// records a decline: those modules run on the flat engine.
     pub(crate) regs: std::sync::OnceLock<Result<crate::regs::RegModule, Trap>>,
 }
 
 impl CompiledModule {
-    /// Compiles `module` into a shareable artifact.
+    /// Builds a shareable artifact for `module`. Engine code is
+    /// lowered lazily, on the first invoke that needs it.
     ///
     /// # Errors
     ///
-    /// [`Trap::Host`] if the module is not valid (the compiler assumes
-    /// validated input, as the lazy path does).
+    /// [`Trap::Host`] if the module's function types do not resolve
+    /// (the compilers assume validated input, as the lazy path does).
     pub fn compile(module: &Module) -> Result<Arc<CompiledModule>, Trap> {
-        crate::compile::compile_module(module).map(Arc::new)
+        crate::compile::compile_module(module, None).map(Arc::new)
+    }
+
+    /// As [`CompiledModule::compile`], additionally carrying `weights`
+    /// into the register lowering, so an [`Accounting::Weighted`]
+    /// observer with the same key runs batched on the register tier.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompiledModule::compile`].
+    pub fn compile_weighted(
+        module: &Module,
+        weights: crate::observer::InstrWeights,
+    ) -> Result<Arc<CompiledModule>, Trap> {
+        crate::compile::compile_module(module, Some(weights)).map(Arc::new)
     }
 
     /// Whether this artifact plausibly belongs to `module`: the
@@ -271,8 +297,8 @@ impl CompiledModule {
     /// module identity.
     pub fn matches(&self, module: &Module) -> bool {
         if self.n_imported != module.num_imported_funcs()
-            || self.funcs.len() != module.funcs.len()
-            || self.params_ty.len() != self.funcs.len() + self.n_imported as usize
+            || self.results_ty.len() != module.funcs.len()
+            || self.params_ty.len() != self.results_ty.len() + self.n_imported as usize
         {
             return false;
         }
@@ -283,16 +309,24 @@ impl CompiledModule {
             if ty.params != **params {
                 return false;
             }
-            if let Some(cf) = (i as u32)
+            if let Some(results) = (i as u32)
                 .checked_sub(self.n_imported)
-                .and_then(|l| self.funcs.get(l as usize))
+                .and_then(|l| self.results_ty.get(l as usize))
             {
-                if ty.results != *cf.results_ty {
+                if ty.results != **results {
                     return false;
                 }
             }
         }
         true
+    }
+
+    /// The flat engine's code, lowering `module` on first use.
+    fn flat_funcs(&self, module: &Module) -> Result<&[CompiledFunc], Trap> {
+        self.funcs
+            .get_or_init(|| crate::compile::compile_flat_funcs(module))
+            .as_deref()
+            .map_err(Clone::clone)
     }
 }
 
@@ -384,6 +418,7 @@ impl<'m> Instance<'m> {
             ref mut locals,
             ref mut frames,
         } = *bufs;
+        let funcs = compiled.flat_funcs(self.module)?;
         let n_imported = compiled.n_imported;
         if self.config.max_call_depth == 0 {
             return Err(Trap::CallStackExhausted);
@@ -393,7 +428,7 @@ impl<'m> Instance<'m> {
         }
         self.stats.calls += 1;
         let mut cur_func = entry;
-        let mut cf = &compiled.funcs[(entry - n_imported) as usize];
+        let mut cf = &funcs[(entry - n_imported) as usize];
         locals.extend(args.iter().map(|v| value_to_slot(*v)));
         let zeroed = locals.len() + cf.n_local_slots as usize;
         locals.resize(zeroed, 0);
@@ -537,7 +572,7 @@ impl<'m> Instance<'m> {
                     seg_start = pc;
                     continue;
                 }
-                let callee = &compiled.funcs[(f - n_imported) as usize];
+                let callee = &funcs[(f - n_imported) as usize];
                 let at = stack.len() - callee.n_params as usize;
                 frames.push(Frame {
                     func: cur_func,
@@ -627,7 +662,7 @@ impl<'m> Instance<'m> {
                     match frames.pop() {
                         Some(fr) => {
                             cur_func = fr.func;
-                            cf = &compiled.funcs[(fr.func - n_imported) as usize];
+                            cf = &funcs[(fr.func - n_imported) as usize];
                             pc = fr.ret_pc as usize;
                             seg_start = pc;
                             stack_base = fr.stack_base as usize;
@@ -691,6 +726,11 @@ impl<'m> Instance<'m> {
                     stack.push(u64::from(mem.size_pages()));
                 }
                 Op::MemoryGrow => {
+                    // Close the segment through the grow itself before
+                    // reporting the new size (the `on_mem_grow`
+                    // ordering contract).
+                    flush_seg!();
+                    seg_start = pc + 1;
                     let delta = stack.pop().expect("validated") as u32 as i32;
                     let mem = self.memory.as_mut().expect("validated");
                     let r = if delta < 0 {

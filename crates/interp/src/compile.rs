@@ -25,6 +25,7 @@ use acctee_wasm::types::FuncType;
 
 use crate::bytecode::{BrTableEntry, BranchTarget, CompiledFunc, CompiledModule, Op};
 use crate::numslot::value_to_slot;
+use crate::observer::InstrWeights;
 use crate::trap::Trap;
 use crate::value::Value;
 
@@ -58,19 +59,26 @@ fn owned_src(i: &Instr) -> Instr {
     }
 }
 
-/// Compiles every local function of `module` to flat bytecode.
-pub(crate) fn compile_module(module: &Module) -> Result<CompiledModule, Trap> {
-    // Canonical type ids: structurally equal types compare equal by
-    // id, so `call_indirect` checks are one integer compare.
+/// Canonical type ids: structurally equal types compare equal by id,
+/// so `call_indirect` checks are one integer compare.
+pub(crate) fn type_canon(module: &Module) -> Vec<u32> {
     let mut type_canon = Vec::with_capacity(module.types.len());
     for (i, t) in module.types.iter().enumerate() {
         let c = module.types[..i].iter().position(|u| u == t).unwrap_or(i);
         type_canon.push(c as u32);
     }
+    type_canon
+}
 
-    // Per-function call metadata over the combined index space
-    // (imports first), pre-resolved so call sites never consult the
-    // type section at run time.
+/// Builds the artifact shell: per-function call metadata over the
+/// combined index space (imports first), pre-resolved so call sites
+/// never consult the type section at run time. Engine code is lowered
+/// later, on first need.
+pub(crate) fn compile_module(
+    module: &Module,
+    weights: Option<InstrWeights>,
+) -> Result<CompiledModule, Trap> {
+    let type_canon = type_canon(module);
     let mut func_ty_idx: Vec<u32> = Vec::new();
     for imp in &module.imports {
         if let ImportKind::Func(t) = imp.kind {
@@ -82,15 +90,33 @@ pub(crate) fn compile_module(module: &Module) -> Result<CompiledModule, Trap> {
     }
     let mut params_ty = Vec::with_capacity(func_ty_idx.len());
     let mut canon_of_func = Vec::with_capacity(func_ty_idx.len());
-    for &t in &func_ty_idx {
+    let mut results_ty = Vec::with_capacity(module.funcs.len());
+    let n_imported = module.num_imported_funcs();
+    for (i, &t) in func_ty_idx.iter().enumerate() {
         let ty = module
             .types
             .get(t as usize)
             .ok_or_else(|| bad("func type"))?;
         params_ty.push(ty.params.clone().into_boxed_slice());
         canon_of_func.push(type_canon[t as usize]);
+        if i as u32 >= n_imported {
+            results_ty.push(ty.results.clone().into_boxed_slice());
+        }
     }
+    Ok(CompiledModule {
+        funcs: std::sync::OnceLock::new(),
+        params_ty,
+        results_ty,
+        canon_of_func,
+        n_imported,
+        weights,
+        regs: std::sync::OnceLock::new(),
+    })
+}
 
+/// Compiles every local function of `module` to flat bytecode.
+pub(crate) fn compile_flat_funcs(module: &Module) -> Result<Vec<CompiledFunc>, Trap> {
+    let type_canon = type_canon(module);
     let mut funcs = Vec::with_capacity(module.funcs.len());
     for f in &module.funcs {
         let ty = module
@@ -101,14 +127,7 @@ pub(crate) fn compile_module(module: &Module) -> Result<CompiledModule, Trap> {
         c.body(&f.body)?;
         funcs.push(c.finish(ty, &f.locals));
     }
-
-    Ok(CompiledModule {
-        funcs,
-        params_ty,
-        canon_of_func,
-        n_imported: module.num_imported_funcs(),
-        regs: std::sync::OnceLock::new(),
-    })
+    Ok(funcs)
 }
 
 /// Whether executing `op` can trap (divide/remainder by zero or

@@ -30,20 +30,22 @@ use crate::value::Value;
 pub enum Engine {
     /// The structured tree-walking interpreter: simple, observable,
     /// and the semantic oracle the other engines are validated
-    /// against.
-    #[default]
+    /// against. Name it explicitly wherever an execution *is* the
+    /// oracle, and for audits (`--engine tree`).
     Tree,
     /// The flat-bytecode engine (`crate::bytecode`): pre-compiled
     /// linear dispatch with a branch side-table, an explicit frame
-    /// stack and batched accounting. Substantially faster; use for
-    /// serving paths.
+    /// stack and batched accounting. It also serves the register
+    /// tier's deopts (fuel, per-instruction observers).
     Bytecode,
     /// The register-bytecode engine (`crate::regs`): three-address
     /// ops over virtual registers with direct-threaded dispatch,
     /// proven bounds-check elimination and inline caches for
-    /// `call_indirect`. The fastest tier; fueled or
+    /// `call_indirect`. The fastest tier and the default; batched and
+    /// weighted observers run on it directly, while fueled or
     /// per-instruction-observed invokes transparently run on the flat
     /// engine (identical semantics, exact per-op bookkeeping).
+    #[default]
     Regs,
 }
 
@@ -120,7 +122,7 @@ impl Default for Config {
             max_call_depth: 200,
             fuel: None,
             time_budget: None,
-            engine: Engine::Tree,
+            engine: Engine::default(),
         }
     }
 }
@@ -156,9 +158,9 @@ pub struct Instance<'m> {
     /// Branch/call ticks since the deadline clock was last sampled.
     pub(crate) deadline_ticks: u32,
     pub(crate) stats: ExecStats,
-    /// The flat-bytecode artifact: either handed in pre-built via
+    /// The compiled engines' artifact: either handed in pre-built via
     /// [`Instance::with_artifact`] (the compile-once/serve-many
-    /// path), or compiled lazily on the first bytecode-engine invoke.
+    /// path), or built on the first compiled-engine invoke.
     pub(crate) compiled: Option<std::sync::Arc<CompiledModule>>,
     /// Reusable bytecode-engine execution buffers.
     pub(crate) flat: FlatBuffers,
@@ -196,10 +198,11 @@ impl<'m> Instance<'m> {
         Instance::with_config(module, imports, Config::default())
     }
 
-    /// Instantiates with explicit limits and a pre-built bytecode
-    /// artifact, so this instance never runs the flat compiler: the
-    /// serving path compiles a module once ([`CompiledModule::compile`])
-    /// and hands every per-request instance the shared `Arc`.
+    /// Instantiates with explicit limits and a pre-built artifact, so
+    /// this instance reuses whatever engine code the artifact already
+    /// holds: the serving path builds a module's artifact once
+    /// ([`CompiledModule::compile`]) and hands every per-request
+    /// instance the shared `Arc`.
     ///
     /// The artifact must have been compiled from `module`; callers
     /// that cache artifacts must key the cache by module identity.
@@ -1191,6 +1194,19 @@ mod tests {
     use acctee_wasm::instr::BlockType;
     use acctee_wasm::types::ValType;
 
+    /// These are the tree-walker's own unit tests: pin the engine so
+    /// the default (the register tier) does not take them over.
+    fn tree_config() -> Config {
+        Config {
+            engine: Engine::Tree,
+            ..Config::default()
+        }
+    }
+
+    fn tree(m: &Module, imports: Imports) -> Result<Instance<'_>, Trap> {
+        Instance::with_config(m, imports, tree_config())
+    }
+
     fn run1(
         build: impl FnOnce(&mut ModuleBuilder) -> u32,
         args: &[Value],
@@ -1200,7 +1216,7 @@ mod tests {
         b.export_func("f", f);
         let m = b.build();
         acctee_wasm::validate::validate_module(&m).expect("valid module");
-        let mut inst = Instance::new(&m, Imports::new())?;
+        let mut inst = tree(&m, Imports::new())?;
         inst.invoke("f", args)
     }
 
@@ -1319,7 +1335,7 @@ mod tests {
         });
         b.export_func("f", f);
         let m = b.build();
-        let mut inst = Instance::new(&m, Imports::new()).unwrap();
+        let mut inst = tree(&m, Imports::new()).unwrap();
         assert_eq!(
             inst.invoke("f", &[Value::I32(64)]).unwrap(),
             vec![Value::I32(12345)]
@@ -1342,7 +1358,7 @@ mod tests {
         });
         b.export_func("f", f);
         let m = b.build();
-        let mut inst = Instance::new(&m, Imports::new()).unwrap();
+        let mut inst = tree(&m, Imports::new()).unwrap();
         assert_eq!(inst.invoke("f", &[]).unwrap(), vec![Value::I32(2)]);
         assert_eq!(inst.stats().peak_memory_bytes, 2 * acctee_wasm::PAGE_SIZE);
     }
@@ -1361,7 +1377,7 @@ mod tests {
         let imports = Imports::new().func("env", "double", |_ctx, args| {
             Ok(vec![Value::I32(args[0].as_i32() * 2)])
         });
-        let mut inst = Instance::new(&m, imports).unwrap();
+        let mut inst = tree(&m, imports).unwrap();
         assert_eq!(
             inst.invoke("f", &[Value::I32(21)]).unwrap(),
             vec![Value::I32(42)]
@@ -1373,10 +1389,7 @@ mod tests {
         let mut b = ModuleBuilder::new();
         b.import_func("env", "missing", &[], &[]);
         let m = b.build();
-        assert!(matches!(
-            Instance::new(&m, Imports::new()),
-            Err(Trap::Host(_))
-        ));
+        assert!(matches!(tree(&m, Imports::new()), Err(Trap::Host(_))));
     }
 
     #[test]
@@ -1397,7 +1410,7 @@ mod tests {
         b.export_func("f", main);
         let m = b.build();
         acctee_wasm::validate::validate_module(&m).unwrap();
-        let mut inst = Instance::new(&m, Imports::new()).unwrap();
+        let mut inst = tree(&m, Imports::new()).unwrap();
         assert_eq!(
             inst.invoke("f", &[Value::I32(0)]).unwrap(),
             vec![Value::I32(10)]
@@ -1427,7 +1440,7 @@ mod tests {
             Imports::new(),
             Config {
                 fuel: Some(10_000),
-                ..Config::default()
+                ..tree_config()
             },
         )
         .unwrap();
@@ -1508,7 +1521,7 @@ mod tests {
         });
         b.export_func("f", f);
         let m = b.build();
-        let mut inst = Instance::new(&m, Imports::new()).unwrap();
+        let mut inst = tree(&m, Imports::new()).unwrap();
         assert_eq!(inst.invoke("f", &[]).unwrap_err(), Trap::CallStackExhausted);
     }
 
@@ -1536,7 +1549,7 @@ mod tests {
         b.export_func("f", f);
         let m = b.build();
         acctee_wasm::validate::validate_module(&m).unwrap();
-        let mut inst = Instance::new(&m, Imports::new()).unwrap();
+        let mut inst = tree(&m, Imports::new()).unwrap();
         assert_eq!(
             inst.invoke("f", &[Value::I32(0)]).unwrap(),
             vec![Value::I32(100)]
@@ -1562,7 +1575,7 @@ mod tests {
         });
         b.export_func("f", f);
         let m = b.build();
-        let mut inst = Instance::new(&m, Imports::new()).unwrap();
+        let mut inst = tree(&m, Imports::new()).unwrap();
         let mut obs = CountingObserver::unit();
         inst.invoke_observed("f", &[], &mut obs).unwrap();
         assert_eq!(obs.count, 3);
@@ -1584,7 +1597,7 @@ mod tests {
         b.export_func("f", f);
         b.export_global("c", g);
         let m = b.build();
-        let mut inst = Instance::new(&m, Imports::new()).unwrap();
+        let mut inst = tree(&m, Imports::new()).unwrap();
         assert_eq!(inst.invoke("f", &[]).unwrap(), vec![Value::I64(15)]);
         assert_eq!(inst.global("c"), Some(Value::I64(15)));
         assert_eq!(inst.global_by_index(g), Some(Value::I64(15)));

@@ -52,7 +52,9 @@ pub use bytecode::CompiledModule;
 pub use exec::{Config, Engine, Instance, DEADLINE_CHECK_INTERVAL};
 pub use host::{HostCtx, HostFunc, Imports};
 pub use memory::Memory;
-pub use observer::{Accounting, BatchedCounter, CountingObserver, NullObserver, Observer};
+pub use observer::{
+    Accounting, BatchedCounter, CountingObserver, InstrWeights, NullObserver, Observer, WeightsKey,
+};
 pub use profile::{FuncProfile, OpClass, ProfileReport, ProfilingObserver};
 pub use stats::ExecStats;
 pub use trap::Trap;

@@ -5,13 +5,60 @@
 //! counter is validated, and the event stream that drives the
 //! cycle-cost model in `acctee-cachesim`.
 
+use std::sync::Arc;
+
 use acctee_wasm::instr::Instr;
+
+/// Identifies a weight function: two [`InstrWeights`] with equal keys
+/// must weigh every instruction identically (callers derive the key
+/// from a digest of the weight table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WeightsKey(pub [u8; 32]);
+
+/// A per-instruction weight function, tagged with its [`WeightsKey`].
+///
+/// Handed to [`crate::CompiledModule::compile_weighted`], it lets the
+/// register lowering prefix-sum each segment's weighted cost next to
+/// its instruction count, so an [`Accounting::Weighted`] observer
+/// receives one weighted sum per segment instead of one
+/// [`Observer::on_instr`] per instruction.
+#[derive(Clone)]
+pub struct InstrWeights {
+    key: WeightsKey,
+    weigh: Arc<dyn Fn(&Instr) -> u64 + Send + Sync>,
+}
+
+impl InstrWeights {
+    /// Wraps `weigh`, identified by `key`.
+    pub fn new(key: WeightsKey, weigh: impl Fn(&Instr) -> u64 + Send + Sync + 'static) -> Self {
+        InstrWeights {
+            key,
+            weigh: Arc::new(weigh),
+        }
+    }
+
+    /// The key this weight function was registered under.
+    pub fn key(&self) -> WeightsKey {
+        self.key
+    }
+
+    /// The weight of one instruction.
+    pub fn weight(&self, i: &Instr) -> u64 {
+        (self.weigh)(i)
+    }
+}
+
+impl std::fmt::Debug for InstrWeights {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("InstrWeights").field(&self.key).finish()
+    }
+}
 
 /// How an observer wants instruction events delivered.
 ///
-/// The flat-bytecode engine asks the attached observer once per
-/// invocation and picks a dispatch loop accordingly; the tree-walker
-/// always delivers the exact per-instruction stream.
+/// The compiled engines ask the attached observer once per invocation
+/// and pick a dispatch loop accordingly; the tree-walker always
+/// delivers the exact per-instruction stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Accounting {
     /// One [`Observer::on_instr`] per executed instruction, plus the
@@ -26,6 +73,16 @@ pub enum Accounting {
     /// instruction count, including partially executed blocks on a
     /// trap.
     Batched,
+    /// Fused *weighted* counting: like [`Accounting::Batched`], but
+    /// each straight-line run arrives as one
+    /// [`Observer::on_weighted_block`] carrying its instruction count
+    /// and its weighted sum under the weights with this key. Only the
+    /// register tier running an artifact built with those weights
+    /// ([`crate::CompiledModule::compile_weighted`]) delivers it; every
+    /// other engine or artifact delivers the exact
+    /// [`Accounting::PerInstr`] stream instead, so the observer must
+    /// handle both and obtain the same result from either.
+    Weighted(WeightsKey),
 }
 
 /// A hook invoked by the interpreter during execution.
@@ -45,7 +102,18 @@ pub trait Observer {
     /// Called for each linear-memory access with the effective address.
     fn on_mem_access(&mut self, _addr: u64, _len: u32, _is_store: bool) {}
 
-    /// Called when memory is grown, with the new size in bytes.
+    /// Called when `memory.grow` executes, with the memory size in
+    /// bytes afterwards (unchanged when the grow fails and returns
+    /// −1).
+    ///
+    /// Ordering, on every engine and in every delivery mode: every
+    /// instruction up to *and including* the `memory.grow` has been
+    /// delivered before this call — through [`Observer::on_instr`],
+    /// or through the [`Observer::on_block`] /
+    /// [`Observer::on_weighted_block`] that closes the grow's segment
+    /// — and no later instruction has. An observer that weighs
+    /// instructions by the current memory size therefore charges the
+    /// grow itself at the old size in every mode.
     fn on_mem_grow(&mut self, _new_size_bytes: usize) {}
 
     /// Called on function entry (after arguments are bound).
@@ -59,8 +127,9 @@ pub trait Observer {
     fn on_return(&mut self, _func_idx: u32) {}
 
     /// The delivery mode this observer needs. Defaults to the exact
-    /// per-instruction stream; override to [`Accounting::Batched`] to
-    /// let the bytecode engine fuse counter updates per basic block.
+    /// per-instruction stream; override to [`Accounting::Batched`] or
+    /// [`Accounting::Weighted`] to let the compiled engines fuse
+    /// counter updates per basic block.
     fn accounting(&self) -> Accounting {
         Accounting::PerInstr
     }
@@ -69,6 +138,13 @@ pub trait Observer {
     /// only when [`Observer::accounting`] returned
     /// [`Accounting::Batched`].
     fn on_block(&mut self, _instrs: u64) {}
+
+    /// Called with a fused instruction count and its weighted sum for
+    /// a straight-line run, only when [`Observer::accounting`]
+    /// returned [`Accounting::Weighted`] and the executing artifact
+    /// carries the matching weights (otherwise the run arrives as
+    /// [`Observer::on_instr`] events).
+    fn on_weighted_block(&mut self, _instrs: u64, _weighted: u64) {}
 
     /// Whether this observer ignores every event ([`NullObserver`]).
     ///

@@ -47,6 +47,7 @@ use acctee_wasm::rangeproof::{prove_loop, LoopBound};
 use acctee_wasm::types::FuncType;
 
 use crate::numslot::enc;
+use crate::observer::InstrWeights;
 use crate::regs::{
     bin_handlers, bin_try_handler, ctl, load_handlers, store_handlers, un_handlers, un_try_handler,
     Handler, OpKind, RegAccess, RegBound, RegBrTable, RegFunc, RegGuard, RegModule, RegOp,
@@ -60,17 +61,21 @@ fn bad(what: &str) -> Trap {
 
 /// Lowers every local function of `module` to register bytecode.
 ///
+/// With `weights`, each op also carries the summed weight of the
+/// source instructions it accounts for, prefix-summed into
+/// [`SegPrefix::weighted`]; the module then serves
+/// [`crate::Accounting::Weighted`] observers with that key. A function
+/// whose weighted total does not fit in a `u64` leaves the module
+/// unweighted (those observers take the exact per-instruction path).
+///
 /// An `Err` is a *decline*, not a failure: the engine falls back to
 /// the flat tier for the whole module (e.g. a function needing more
 /// than 65536 registers).
-pub(crate) fn compile_regs(module: &Module) -> Result<RegModule, Trap> {
-    // Canonical type ids, recomputed to keep this pass independent of
-    // the flat artifact's internals.
-    let mut type_canon = Vec::with_capacity(module.types.len());
-    for (i, t) in module.types.iter().enumerate() {
-        let c = module.types[..i].iter().position(|u| u == t).unwrap_or(i);
-        type_canon.push(c as u32);
-    }
+pub(crate) fn compile_regs(
+    module: &Module,
+    weights: Option<&InstrWeights>,
+) -> Result<RegModule, Trap> {
+    let type_canon = crate::compile::type_canon(module);
     let mut func_ty_idx: Vec<u32> = Vec::new();
     for imp in &module.imports {
         if let ImportKind::Func(t) = imp.kind {
@@ -87,6 +92,7 @@ pub(crate) fn compile_regs(module: &Module) -> Result<RegModule, Trap> {
             .any(|i| matches!(i.kind, ImportKind::Memory(_)));
 
     let mut next_ic: u32 = 0;
+    let mut weighted_fits = true;
     let mut funcs = Vec::with_capacity(module.funcs.len());
     for f in &module.funcs {
         let ty = module
@@ -101,14 +107,44 @@ pub(crate) fn compile_regs(module: &Module) -> Result<RegModule, Trap> {
             f,
             has_memory,
             next_ic,
+            weights,
         );
         c.body(&f.body, None)?;
-        funcs.push(c.finish(ty, &mut next_ic)?);
+        let (rf, fits) = c.finish(ty, &mut next_ic)?;
+        weighted_fits &= fits;
+        funcs.push(rf);
     }
+    let weights = weights.filter(|_| weighted_fits).map(InstrWeights::key);
     Ok(RegModule {
         funcs,
         n_ic: next_ic,
+        weights,
     })
+}
+
+/// The accounting an op carries: how many source instructions it
+/// retires and their summed weight. The weight rides in lockstep with
+/// the count through every pending-cost move, so a segment's weighted
+/// sum covers exactly the instructions its count does. `u128` so no
+/// sum can wrap during lowering; `finish` narrows the prefix to `u64`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cost {
+    instrs: u32,
+    weighted: u128,
+}
+
+impl Cost {
+    const ZERO: Cost = Cost {
+        instrs: 0,
+        weighted: 0,
+    };
+}
+
+impl std::ops::AddAssign for Cost {
+    fn add_assign(&mut self, o: Cost) {
+        self.instrs += o.instrs;
+        self.weighted += o.weighted;
+    }
 }
 
 /// Where a stack position's value lives at compile time.
@@ -187,7 +223,7 @@ struct FnRegCompiler<'m> {
     func_ty_idx: &'m [u32],
     code: Vec<RegOp>,
     /// Per-op source-instruction cost (prefix-summed in `finish`).
-    cost: Vec<u32>,
+    cost: Vec<Cost>,
     /// Per-op (loads, stores) — 1 on memory-access ops, 0 elsewhere —
     /// folded into the same prefix so the VM never touches a stat
     /// counter on the access path.
@@ -207,7 +243,9 @@ struct FnRegCompiler<'m> {
     /// dead and skipped.
     unreachable: bool,
     /// Source instructions awaiting an op to carry their cost.
-    pending: u32,
+    pending: Cost,
+    /// The weights folded into [`Cost::weighted`], if any.
+    weights: Option<&'m InstrWeights>,
     cand: Option<Cand>,
     has_memory: bool,
     /// Next module-wide inline-cache slot (seeded per function).
@@ -231,6 +269,7 @@ fn mk_kind(handler: Handler, kind: OpKind) -> RegOp {
 }
 
 impl<'m> FnRegCompiler<'m> {
+    #[allow(clippy::too_many_arguments)] // module-level context, read-only per function
     fn new(
         module: &'m Module,
         type_canon: &'m [u32],
@@ -239,6 +278,7 @@ impl<'m> FnRegCompiler<'m> {
         f: &acctee_wasm::module::Func,
         has_memory: bool,
         ic_base: u32,
+        weights: Option<&'m InstrWeights>,
     ) -> FnRegCompiler<'m> {
         FnRegCompiler {
             module,
@@ -256,7 +296,8 @@ impl<'m> FnRegCompiler<'m> {
             n_results: ty.results.len() as u16,
             max_height: 0,
             unreachable: false,
-            pending: 0,
+            pending: Cost::ZERO,
+            weights,
             cand: None,
             has_memory,
             next_ic: ic_base,
@@ -287,7 +328,7 @@ impl<'m> FnRegCompiler<'m> {
         Ok(())
     }
 
-    fn emit(&mut self, op: RegOp, cost: u32) -> usize {
+    fn emit(&mut self, op: RegOp, cost: Cost) -> usize {
         self.code.push(op);
         self.cost.push(cost);
         self.mem.push((0, 0));
@@ -295,14 +336,29 @@ impl<'m> FnRegCompiler<'m> {
         self.code.len() - 1
     }
 
-    fn take_pending(&mut self) -> u32 {
+    /// Adds one executed source instruction to the pending cost.
+    fn count(&mut self, instr: &Instr) {
+        self.pending.instrs += 1;
+        if let Some(w) = self.weights {
+            self.pending.weighted += u128::from(w.weight(instr));
+        }
+    }
+
+    fn take_pending(&mut self) -> Cost {
         std::mem::take(&mut self.pending)
+    }
+
+    /// Moves the pending cost onto the already-emitted op `at` (a
+    /// peephole that rewrote `at` to cover the pending instructions).
+    fn absorb_pending(&mut self, at: usize) {
+        let cost = self.take_pending();
+        self.cost[at] += cost;
     }
 
     /// Emits a zero-width accounting op if source instructions are
     /// still pending (needed wherever the next PC is a branch target).
     fn flush_pending(&mut self) {
-        if self.pending > 0 {
+        if self.pending.instrs > 0 {
             let cost = self.take_pending();
             self.emit(mk(ctl::tick), cost);
         }
@@ -317,13 +373,13 @@ impl<'m> FnRegCompiler<'m> {
                 let mut o = mk(ctl::mv_rr);
                 o.a = r;
                 o.c = dst;
-                self.emit(o, 0);
+                self.emit(o, Cost::ZERO);
             }
             Src::Const(k) => {
                 let mut o = mk(ctl::mv_ci);
                 o.imm = k;
                 o.c = dst;
-                self.emit(o, 0);
+                self.emit(o, Cost::ZERO);
             }
         }
     }
@@ -552,7 +608,9 @@ impl<'m> FnRegCompiler<'m> {
         // the operand stack are materialised first, exactly as the
         // `local.set` would have done.
         self.flush_local_aliases(i, false);
-        self.pending += 8;
+        for instr in &w[..8] {
+            self.count(instr);
+        }
         let mut o = match bound {
             Src::Reg(n) => {
                 let mut o = mk_kind(ctl::for_tail_r, OpKind::ForTailReg);
@@ -588,18 +646,18 @@ impl<'m> FnRegCompiler<'m> {
                 continue;
             }
             match instr {
-                Instr::Nop => self.pending += 1,
+                Instr::Nop => self.count(instr),
                 Instr::Drop => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.check_pop(1)?;
                     self.stack.pop();
                 }
                 Instr::LocalGet(x) => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.push_src(Src::Reg(*x as u16));
                 }
                 Instr::LocalSet(x) => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.check_pop(1)?;
                     let v = self.stack.pop().expect("checked");
                     let x = *x as u16;
@@ -609,7 +667,7 @@ impl<'m> FnRegCompiler<'m> {
                             // Retarget peephole: the producing op
                             // writes the local directly.
                             self.code[c.at].c = x;
-                            self.cost[c.at] += self.take_pending();
+                            self.absorb_pending(c.at);
                             self.cand = None;
                             continue;
                         }
@@ -634,7 +692,7 @@ impl<'m> FnRegCompiler<'m> {
                     }
                 }
                 Instr::LocalTee(x) => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.check_pop(1)?;
                     let v = *self.stack.last().expect("checked");
                     let x = *x as u16;
@@ -642,7 +700,7 @@ impl<'m> FnRegCompiler<'m> {
                     if let Some(c) = self.cand {
                         if v == Src::Reg(c.dst) {
                             self.code[c.at].c = x;
-                            self.cost[c.at] += self.take_pending();
+                            self.absorb_pending(c.at);
                             self.cand = None;
                             *self.stack.last_mut().expect("checked") = Src::Reg(x);
                             continue;
@@ -669,7 +727,7 @@ impl<'m> FnRegCompiler<'m> {
                     *self.stack.last_mut().expect("checked") = Src::Reg(x);
                 }
                 Instr::GlobalGet(g) => {
-                    self.pending += 1;
+                    self.count(instr);
                     let dst = self.canon(self.stack.len());
                     let mut o = mk(ctl::global_get);
                     o.imm2 = *g;
@@ -685,7 +743,7 @@ impl<'m> FnRegCompiler<'m> {
                     });
                 }
                 Instr::GlobalSet(g) => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.check_pop(1)?;
                     let ra = self.val_reg(self.stack.len() - 1);
                     self.stack.pop();
@@ -696,23 +754,23 @@ impl<'m> FnRegCompiler<'m> {
                     self.emit(o, cost);
                 }
                 Instr::I32Const(v) => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.push_src(Src::Const(enc::I32(*v)));
                 }
                 Instr::I64Const(v) => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.push_src(Src::Const(enc::I64(*v)));
                 }
                 Instr::F32Const(v) => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.push_src(Src::Const(enc::F32(*v)));
                 }
                 Instr::F64Const(v) => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.push_src(Src::Const(enc::F64(*v)));
                 }
                 Instr::Num(op) => {
-                    self.pending += 1;
+                    self.count(instr);
                     if let Some(h) = bin_handlers(*op) {
                         self.check_pop(2)?;
                         let pb = self.stack.len() - 1;
@@ -765,7 +823,7 @@ impl<'m> FnRegCompiler<'m> {
                                         o.kind = OpKind::Madd;
                                         o.b = other;
                                         o.c = dst;
-                                        self.cost[c.at] += self.take_pending();
+                                        self.absorb_pending(c.at);
                                         self.push_src(Src::Reg(dst));
                                         self.cand = Some(Cand {
                                             at: c.at,
@@ -846,7 +904,7 @@ impl<'m> FnRegCompiler<'m> {
                     }
                 }
                 Instr::Select => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.check_pop(3)?;
                     let pc_ = self.stack.len() - 1;
                     let rc = self.val_reg(pc_);
@@ -870,7 +928,7 @@ impl<'m> FnRegCompiler<'m> {
                     });
                 }
                 Instr::Load(op, memarg) => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.check_pop(1)?;
                     let pa = self.stack.len() - 1;
                     let h = load_handlers(*op);
@@ -897,7 +955,7 @@ impl<'m> FnRegCompiler<'m> {
                             };
                             o.imm2 = memarg.offset;
                             o.c = dst;
-                            self.cost[c.at] += self.take_pending();
+                            self.absorb_pending(c.at);
                             self.mem[c.at].0 = 1;
                             self.push_src(Src::Reg(dst));
                             self.cand = None;
@@ -922,7 +980,7 @@ impl<'m> FnRegCompiler<'m> {
                     self.push_src(Src::Reg(dst));
                 }
                 Instr::Store(op, memarg) => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.check_pop(2)?;
                     let pv = self.stack.len() - 1;
                     let h = store_handlers(*op);
@@ -951,7 +1009,7 @@ impl<'m> FnRegCompiler<'m> {
                     }
                 }
                 Instr::MemorySize => {
-                    self.pending += 1;
+                    self.count(instr);
                     let dst = self.canon(self.stack.len());
                     let mut o = mk(ctl::mem_size);
                     o.c = dst;
@@ -966,7 +1024,7 @@ impl<'m> FnRegCompiler<'m> {
                     });
                 }
                 Instr::MemoryGrow => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.check_pop(1)?;
                     let pa = self.stack.len() - 1;
                     let ra = self.val_reg(pa);
@@ -980,13 +1038,13 @@ impl<'m> FnRegCompiler<'m> {
                     self.push_src(Src::Reg(dst));
                 }
                 Instr::Unreachable => {
-                    self.pending += 1;
+                    self.count(instr);
                     let cost = self.take_pending();
                     self.emit(mk(ctl::unreachable), cost);
                     self.unreachable = true;
                 }
                 Instr::Block { ty, body } => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.materialize_all();
                     let arity = ty.results().len() as u16;
                     self.labels.push(RLabel {
@@ -1002,12 +1060,12 @@ impl<'m> FnRegCompiler<'m> {
                     self.close_label();
                 }
                 Instr::Loop { ty, body } => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.materialize_all();
                     self.compile_loop(*ty, body)?;
                 }
                 Instr::If { ty, then, els } => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.check_pop(1)?;
                     let arity = ty.results().len() as u16;
                     // Materialise everything below the condition.
@@ -1022,7 +1080,7 @@ impl<'m> FnRegCompiler<'m> {
                             let (_, brifnot) = c.fused.expect("checked");
                             self.code[c.at].handler = brifnot;
                             self.code[c.at].imm2 = u32::MAX;
-                            self.cost[c.at] += self.take_pending();
+                            self.absorb_pending(c.at);
                             self.cand = None;
                             self.stack.pop();
                             c.at
@@ -1053,7 +1111,7 @@ impl<'m> FnRegCompiler<'m> {
                     } else {
                         if !self.unreachable {
                             // Skip the else-arm; lands on the join.
-                            let j = self.emit(mk(ctl::jump), 0);
+                            let j = self.emit(mk(ctl::jump), Cost::ZERO);
                             let lbl = self.labels.last_mut().expect("open");
                             lbl.patches.push(RPatch::Imm2(j));
                         }
@@ -1068,7 +1126,7 @@ impl<'m> FnRegCompiler<'m> {
                     }
                 }
                 Instr::Br(l) => {
-                    self.pending += 1;
+                    self.count(instr);
                     let (h_t, arity) = self.label_info(*l)?;
                     self.emit_branch_values(h_t, arity as usize)?;
                     let j = self.code.len();
@@ -1080,7 +1138,7 @@ impl<'m> FnRegCompiler<'m> {
                     self.unreachable = true;
                 }
                 Instr::BrIf(l) => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.check_pop(1)?;
                     let (h_t, arity) = self.label_info(*l)?;
                     if arity == 0 {
@@ -1091,7 +1149,7 @@ impl<'m> FnRegCompiler<'m> {
                                 let target = self.branch_target(*l, RPatch::Imm2(c.at))?;
                                 self.code[c.at].handler = brif;
                                 self.code[c.at].imm2 = target;
-                                self.cost[c.at] += self.take_pending();
+                                self.absorb_pending(c.at);
                                 self.cand = None;
                                 self.stack.pop();
                             }
@@ -1122,12 +1180,12 @@ impl<'m> FnRegCompiler<'m> {
                         let target = self.branch_target(*l, RPatch::Imm2(j))?;
                         let mut o = mk(ctl::jump);
                         o.imm2 = target;
-                        self.emit(o, 0);
+                        self.emit(o, Cost::ZERO);
                         self.code[skip_at].imm2 = self.code.len() as u32;
                     }
                 }
                 Instr::BrTable { targets, default } => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.check_pop(1)?;
                     let ri = self.val_reg(self.stack.len() - 1);
                     self.stack.pop();
@@ -1161,7 +1219,7 @@ impl<'m> FnRegCompiler<'m> {
                             let t = self.branch_target(*l, RPatch::Imm2(j))?;
                             let mut o = mk(ctl::jump);
                             o.imm2 = t;
-                            self.emit(o, 0);
+                            self.emit(o, Cost::ZERO);
                         }
                         self.br_tables[ti].default = self.code.len() as u32;
                         let (h_t, _) = self.label_info(*default)?;
@@ -1170,12 +1228,12 @@ impl<'m> FnRegCompiler<'m> {
                         let t = self.branch_target(*default, RPatch::Imm2(j))?;
                         let mut o = mk(ctl::jump);
                         o.imm2 = t;
-                        self.emit(o, 0);
+                        self.emit(o, Cost::ZERO);
                     }
                     self.unreachable = true;
                 }
                 Instr::Return => {
-                    self.pending += 1;
+                    self.count(instr);
                     let n = self.n_results as usize;
                     if self.stack.len() < n {
                         return Err(bad("return values"));
@@ -1188,7 +1246,7 @@ impl<'m> FnRegCompiler<'m> {
                     self.unreachable = true;
                 }
                 Instr::Call(f) => {
-                    self.pending += 1;
+                    self.count(instr);
                     let (n_args, n_res) = self.func_arity(*f)?;
                     if self.stack.len() < n_args {
                         return Err(bad("call args"));
@@ -1202,7 +1260,7 @@ impl<'m> FnRegCompiler<'m> {
                     self.finish_call(n_args, n_res);
                 }
                 Instr::CallIndirect(t) => {
-                    self.pending += 1;
+                    self.count(instr);
                     self.check_pop(1)?;
                     let ri = self.val_reg(self.stack.len() - 1);
                     self.stack.pop();
@@ -1301,7 +1359,7 @@ impl<'m> FnRegCompiler<'m> {
         self.body(body, None)?;
         self.seal_arm(0)?;
         self.close_label();
-        let skip = self.emit(mk(ctl::jump), 0);
+        let skip = self.emit(mk(ctl::jump), Cost::ZERO);
         // Unchecked copy: compiled from the identical entry state
         // (everything canonical, pending 0), so per-iteration costs
         // match the checked copy op for op.
@@ -1322,7 +1380,9 @@ impl<'m> FnRegCompiler<'m> {
         Ok(())
     }
 
-    fn finish(mut self, ty: &FuncType, next_ic: &mut u32) -> Result<RegFunc, Trap> {
+    /// Seals the function; the flag says whether its weighted prefix
+    /// fits in `u64` (see [`compile_regs`]).
+    fn finish(mut self, ty: &FuncType, next_ic: &mut u32) -> Result<(RegFunc, bool), Trap> {
         let n = self.n_results as usize;
         if !self.unreachable {
             // Fall-through results land in canonical positions
@@ -1341,21 +1401,27 @@ impl<'m> FnRegCompiler<'m> {
         }
         let mut o = mk(ctl::ret);
         o.a = self.n_fixed as u16;
-        self.emit(o, 0);
+        self.emit(o, Cost::ZERO);
         if self.n_fixed as usize + self.max_height > usize::from(u16::MAX) {
             return Err(bad("frame too wide for u16 registers"));
         }
         *next_ic = self.next_ic;
         let mut cost_prefix = Vec::with_capacity(self.code.len() + 1);
         let mut acc = SegPrefix::default();
+        let mut weighted: u128 = 0;
         cost_prefix.push(acc);
         for (c, (l, st)) in self.cost.iter().zip(&self.mem) {
-            acc.cost += c;
+            acc.cost += c.instrs;
             acc.loads += l;
             acc.stores += st;
+            weighted += c.weighted;
+            acc.weighted = weighted as u64;
             cost_prefix.push(acc);
         }
-        Ok(RegFunc {
+        // The code lives as long as the artifact (a served deployment):
+        // drop the push-growth slack.
+        self.code.shrink_to_fit();
+        let rf = RegFunc {
             code: self.code,
             cost_prefix,
             br_tables: self.br_tables,
@@ -1364,7 +1430,8 @@ impl<'m> FnRegCompiler<'m> {
             n_results: self.n_results,
             results_ty: ty.results.clone().into_boxed_slice(),
             n_regs: (self.n_fixed as usize + self.max_height) as u32,
-        })
+        };
+        Ok((rf, u64::try_from(weighted).is_ok()))
     }
 }
 
@@ -1430,7 +1497,7 @@ mod tests {
             (Bound::Const(100), OpKind::ForTailConst),
         ] {
             let m = sum_loop_module(bound);
-            let rm = compile_regs(&m).expect("compiles");
+            let rm = compile_regs(&m, None).expect("compiles");
             assert_eq!(
                 count_ops(&rm, kind),
                 1,
@@ -1458,7 +1525,7 @@ mod tests {
         });
         b.export_func("f", f);
         let m = b.build();
-        let rm = compile_regs(&m).expect("compiles");
+        let rm = compile_regs(&m, None).expect("compiles");
         assert_eq!(count_ops(&rm, OpKind::Madd), 1, "mul+add should fuse");
         let has_shl_load = rm.funcs[0]
             .code
@@ -1502,7 +1569,7 @@ mod tests {
         });
         b.export_func("f", f);
         let m = b.build();
-        let rm = compile_regs(&m).expect("compiles");
+        let rm = compile_regs(&m, None).expect("compiles");
         assert_eq!(rm.funcs[0].guards.len(), 1, "loop should be guarded");
         let load = |proven| OpKind::Load {
             proven,

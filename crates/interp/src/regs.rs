@@ -36,7 +36,13 @@
 //! Accounting is batched per straight-line segment exactly like the
 //! flat engine: costs live in a per-function prefix sum
 //! ([`RegFunc::cost_prefix`]) and each segment exit delivers one
-//! [`Observer::on_block`]. The totals — results, traps,
+//! [`Observer::on_block`] — or, for an [`Accounting::Weighted`]
+//! observer on an artifact lowered with its weights, one
+//! [`Observer::on_weighted_block`] carrying the segment's weighted sum
+//! from the same prefix. `memory.grow` closes its segment before
+//! reporting the new size, so a weighted observer that multiplies by
+//! the memory size (the accounting enclave's memory integral) matches
+//! per-instruction delivery exactly. The totals — results, traps,
 //! [`crate::ExecStats`], signed counters — are bit-identical to the
 //! tree-walker oracle for any module (the three-way differential
 //! suite in `tests/engine_diff.rs` pins this down). The tier never
@@ -52,7 +58,7 @@ use acctee_wasm::types::ValType;
 use crate::bytecode::CompiledModule;
 use crate::exec::Instance;
 use crate::numslot::{dec, enc, for_each_slot_op, slot_to_value, value_to_slot};
-use crate::observer::{Accounting, Observer};
+use crate::observer::{Accounting, Observer, WeightsKey};
 use crate::trap::Trap;
 use crate::value::Value;
 
@@ -215,11 +221,15 @@ pub(crate) struct RegGuard {
     pub unchecked_pc: u32,
 }
 
-/// Prefix-summed per-pc accounting: instruction cost plus the static
-/// load/store counts, so a segment settles all three stats with two
-/// array reads instead of a read-modify-write per memory access.
+/// Prefix-summed per-pc accounting: instruction cost, its weighted
+/// sum and the static load/store counts, so a segment settles every
+/// stat — and a weighted observer's sum — with two array reads instead
+/// of a read-modify-write per instruction or memory access.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SegPrefix {
+    /// Weighted source instructions under [`RegModule::weights`]
+    /// (0 throughout when the module was lowered without weights).
+    pub weighted: u64,
     /// Source instructions.
     pub cost: u32,
     /// Loads executed (1 on every load op, fused or not).
@@ -261,6 +271,21 @@ pub(crate) struct RegModule {
     pub funcs: Vec<RegFunc>,
     /// Total `call_indirect` sites (inline-cache array length).
     pub n_ic: u32,
+    /// The weights [`SegPrefix::weighted`] sums, if the lowering had
+    /// any (and every function's total fits in `u64`).
+    pub weights: Option<WeightsKey>,
+}
+
+/// What a segment exit delivers to the observer, fixed per invoke.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Delivery {
+    /// Nothing: the observer ignores every event (the count still
+    /// lands in the stats).
+    Null,
+    /// [`Observer::on_block`] with the segment's count.
+    Count,
+    /// [`Observer::on_weighted_block`] with count and weighted sum.
+    Weighted,
 }
 
 /// The register VM: everything a handler touches, in one place. The
@@ -295,10 +320,10 @@ pub(crate) struct RegVm<'a, 'm> {
     pub loads: u64,
     /// Stores executed this invoke (as above).
     pub stores: u64,
-    /// Hoisted observer null-check: when true, `on_block` is skipped
-    /// entirely (the count still lands in `instrs`).
-    pub obs_null: bool,
-    /// The attached (batched) observer.
+    /// What each segment exit delivers (the observer null-check and
+    /// delivery mode, hoisted out of the loop).
+    pub delivery: Delivery,
+    /// The attached (batched or weighted) observer.
     pub observer: &'a mut dyn Observer,
     /// The trap recorded by a handler that returned [`TRAPPED`].
     pub trap: Option<Trap>,
@@ -318,8 +343,12 @@ fn flush(vm: &mut RegVm<'_, '_>, pc: u32) {
         vm.instrs += u64::from(c);
         vm.loads += u64::from(hi.loads - lo.loads);
         vm.stores += u64::from(hi.stores - lo.stores);
-        if !vm.obs_null {
-            vm.observer.on_block(u64::from(c));
+        match vm.delivery {
+            Delivery::Null => {}
+            Delivery::Count => vm.observer.on_block(u64::from(c)),
+            Delivery::Weighted => vm
+                .observer
+                .on_weighted_block(u64::from(c), hi.weighted - lo.weighted),
         }
     }
 }
@@ -579,7 +608,13 @@ pub(crate) fn h_mem_size(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
     pc + 1
 }
 
+/// Cuts the segment through the grow itself before the observer
+/// sees the new size (the `on_mem_grow` ordering contract): a
+/// weighted observer multiplying each segment by the current memory
+/// size then charges exactly what per-instruction delivery charges.
 pub(crate) fn h_mem_grow(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
+    flush(vm, pc);
+    vm.seg_start = pc + 1;
     let delta = dec::as_i32(vm.regs[vm.base + op.a as usize]);
     let mem = vm.inst.memory.as_mut().expect("validated");
     let r = if delta < 0 {
@@ -1052,7 +1087,7 @@ impl CompiledModule {
     /// shared by every instance holding the artifact.
     pub(crate) fn reg_module(&self, module: &Module) -> &Result<RegModule, Trap> {
         self.regs
-            .get_or_init(|| crate::regalloc::compile_regs(module))
+            .get_or_init(|| crate::regalloc::compile_regs(module, self.weights.as_ref()))
     }
 }
 
@@ -1063,14 +1098,17 @@ impl<'m> Instance<'m> {
     /// need exact per-op bookkeeping, which this tier deliberately
     /// does not carry — those invokes run on the flat engine instead
     /// (identical semantics, enforced by the differential suite). A
-    /// module the register compiler declines also falls back.
+    /// weighted observer whose weights this artifact was not lowered
+    /// with is per-instruction for that purpose, and a module the
+    /// register compiler declines also falls back.
     pub(crate) fn invoke_regs(
         &mut self,
         idx: u32,
         args: &[Value],
         observer: &mut dyn Observer,
     ) -> Result<Vec<Value>, Trap> {
-        if self.fuel.is_some() || observer.accounting() == Accounting::PerInstr {
+        let accounting = observer.accounting();
+        if self.fuel.is_some() || accounting == Accounting::PerInstr {
             return self.invoke_flat(idx, args, observer);
         }
         if idx < self.module.num_imported_funcs() {
@@ -1091,6 +1129,12 @@ impl<'m> Instance<'m> {
             Ok(rm) => rm,
             Err(_) => return self.invoke_flat(idx, args, observer),
         };
+        let delivery = match accounting {
+            _ if observer.is_null() => Delivery::Null,
+            Accounting::Weighted(key) if rm.weights == Some(key) => Delivery::Weighted,
+            Accounting::Weighted(_) => return self.invoke_flat(idx, args, observer),
+            _ => Delivery::Count,
+        };
         if self.config.max_call_depth == 0 {
             return Err(Trap::CallStackExhausted);
         }
@@ -1105,7 +1149,6 @@ impl<'m> Instance<'m> {
         bufs.frames.clear();
         bufs.regs.extend(args.iter().map(|v| value_to_slot(*v)));
         bufs.regs.resize(rf.n_regs as usize, 0);
-        let obs_null = observer.is_null();
         let mut vm = RegVm {
             inst: self,
             compiled: &compiled,
@@ -1120,7 +1163,7 @@ impl<'m> Instance<'m> {
             instrs: 0,
             loads: 0,
             stores: 0,
-            obs_null,
+            delivery,
             observer,
             trap: None,
             ret_at: 0,

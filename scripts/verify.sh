@@ -51,6 +51,22 @@ cargo run --offline --release -q -p acctee-bench --bin faas -- 16 2 --out /tmp/B
 
 ACCTEE_BIN="$(pwd)/target/release/acctee"
 
+# The bill is engine-independent: the signed usage log (counter, peak
+# memory, memory integral, I/O, invoice) printed by `account` must be
+# byte-identical on the tree-walker oracle and on the default engine.
+echo "==> bills match across engines (account: --engine tree vs default)"
+for CALL in "fib --arg 30" "grow --arg 20"; do
+    # shellcheck disable=SC2086
+    TREE_BILL="$("$ACCTEE_BIN" account examples/demo.wat --engine tree --invoke $CALL \
+        | sed -n '/^signed resource usage log/,$p')"
+    # shellcheck disable=SC2086
+    DEFAULT_BILL="$("$ACCTEE_BIN" account examples/demo.wat --invoke $CALL \
+        | sed -n '/^signed resource usage log/,$p')"
+    [ -n "$TREE_BILL" ] || { echo "account printed no signed log ($CALL)"; exit 1; }
+    diff <(printf '%s\n' "$TREE_BILL") <(printf '%s\n' "$DEFAULT_BILL") \
+        || { echo "signed log differs between tree and default engine ($CALL)"; exit 1; }
+done
+
 # serve / attested invoke / pipelined invoke / shutdown, in one I/O
 # mode. The pipelined invoke exercises keep-alive multi-frame batches
 # end to end (client write coalescing through server frame pump).

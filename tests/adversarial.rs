@@ -78,7 +78,11 @@ fn loop_variable_manipulation_stays_exact() {
     for level in [Level::Naive, Level::FlowBased, Level::LoopBased] {
         let r = instrument(&m, level, &WeightTable::uniform()).expect("instruments");
         let mut oracle = acctee_interp::CountingObserver::unit();
-        let mut orig = Instance::new(&m, Imports::new()).expect("instantiate");
+        let tree = acctee_interp::Config {
+            engine: acctee_interp::Engine::Tree,
+            ..acctee_interp::Config::default()
+        };
+        let mut orig = Instance::with_config(&m, Imports::new(), tree).expect("instantiate");
         orig.invoke_observed("run", &[Value::I32(10)], &mut oracle)
             .expect("run");
         let mut inst = Instance::new(&r.module, Imports::new()).expect("instantiate");

@@ -3,8 +3,18 @@
 
 use acctee::{Deployment, Level, PricingModel, WeightTable};
 use acctee_instrument::COUNTER_EXPORT;
-use acctee_interp::{CountingObserver, Imports, Instance, Value};
+use acctee_interp::{Config, CountingObserver, Engine, Imports, Instance, Value};
 use acctee_wasm::encode::encode_module;
+
+/// The accounting oracle: always the tree-walker, whatever the
+/// default engine is.
+fn oracle_instance(m: &acctee_wasm::Module) -> Instance<'_> {
+    let cfg = Config {
+        engine: Engine::Tree,
+        ..Config::default()
+    };
+    Instance::with_config(m, Imports::new(), cfg).expect("instantiate oracle")
+}
 
 /// The full pipeline on a PolyBench kernel: instrument through the IE,
 /// execute in the AE, verify log, and check that the counter equals
@@ -32,7 +42,7 @@ fn polybench_kernel_through_full_protocol() {
 
     // The attested counter equals the weighted oracle.
     let mut oracle = CountingObserver::with_weight(|i| weights.weight(i));
-    let mut inst = Instance::new(&module, Imports::new()).expect("instantiate");
+    let mut inst = oracle_instance(&module);
     inst.invoke_observed("run", &[], &mut oracle).expect("run");
     assert_eq!(outcome.log.log.weighted_instructions, oracle.count);
 
@@ -68,7 +78,7 @@ fn all_levels_exact_on_use_case_programs() {
     ];
     for (name, module, args) in programs {
         let mut oracle = CountingObserver::unit();
-        let mut inst = Instance::new(&module, Imports::new()).expect("instantiate");
+        let mut inst = oracle_instance(&module);
         let expected = inst
             .invoke_observed("run", &args, &mut oracle)
             .expect("run");

@@ -14,12 +14,14 @@
 //! traps), from the PolyBench workload suite, and from directed trap
 //! cases.
 
+use acctee::Deployment;
 use acctee_instrument::{instrument, Level, WeightTable, COUNTER_EXPORT};
 use acctee_integration::prop::{check, Rng};
 use acctee_interp::{
-    BatchedCounter, Config, CountingObserver, Engine, ExecStats, Imports, Instance, Trap, Value,
+    Accounting, BatchedCounter, CompiledModule, Config, CountingObserver, Engine, ExecStats,
+    Imports, Instance, InstrWeights, Observer, Trap, Value, WeightsKey,
 };
-use acctee_wasm::builder::{FuncBuilder, ModuleBuilder};
+use acctee_wasm::builder::{Bound, FuncBuilder, ModuleBuilder};
 use acctee_wasm::instr::{BlockType, Instr};
 use acctee_wasm::op::{LoadOp, NumOp, StoreOp};
 use acctee_wasm::types::ValType;
@@ -1129,6 +1131,418 @@ fn numeric_ops_agree_exhaustively() {
                 }
             }
             _ => unreachable!("numeric ops are unary or binary"),
+        }
+    }
+}
+
+// ------------------------------ accounting delivery and signed logs
+
+/// Grow-heavy modules, each exporting `f(i32) -> i32`.
+fn grow_modules() -> Vec<(&'static str, Module, Vec<i32>)> {
+    // A grow inside a counted loop, with arithmetic on both sides of
+    // it: grows 1 page per iteration until the 16-page maximum, after
+    // which every grow fails and returns -1.
+    let grow_loop = {
+        let mut b = ModuleBuilder::new();
+        b.memory(1, Some(16));
+        let f = b.func("f", &[ValType::I32], &[ValType::I32], |f| {
+            let i = f.local(ValType::I32);
+            let acc = f.local(ValType::I32);
+            f.for_loop(i, Bound::Const(0), Bound::Local(0), |f| {
+                f.local_get(acc);
+                f.local_get(i);
+                f.i32_const(3);
+                f.i32_mul();
+                f.i32_add();
+                f.i32_const(1);
+                f.emit(Instr::MemoryGrow);
+                f.i32_add();
+                f.local_set(acc);
+            });
+            f.local_get(acc);
+            f.emit(Instr::MemorySize);
+            f.i32_add();
+        });
+        b.export_func("f", f);
+        b.build()
+    };
+    // A grow of the argument's page count against a 1-page maximum:
+    // every non-zero delta fails with -1 (a negative one too).
+    let failed_grow = {
+        let mut b = ModuleBuilder::new();
+        b.memory(1, Some(1));
+        let f = b.func("f", &[ValType::I32], &[ValType::I32], |f| {
+            f.local_get(0);
+            f.emit(Instr::MemoryGrow);
+            f.i32_const(7);
+            f.i32_add();
+        });
+        b.export_func("f", f);
+        b.build()
+    };
+    // A successful grow, then a load at the argument's address: past
+    // the grown memory it traps after the grow was accounted.
+    let grow_then_trap = {
+        let mut b = ModuleBuilder::new();
+        b.memory(1, Some(4));
+        let f = b.func("f", &[ValType::I32], &[ValType::I32], |f| {
+            f.i32_const(1);
+            f.emit(Instr::MemoryGrow);
+            f.drop_();
+            f.local_get(0);
+            f.load(LoadOp::I32Load, 0);
+        });
+        b.export_func("f", f);
+        b.build()
+    };
+    vec![
+        ("grow_loop", grow_loop, vec![1, 3, 40]),
+        ("failed_grow", failed_grow, vec![0, 1, -1]),
+        ("grow_then_trap", grow_then_trap, vec![4, 200_000]),
+    ]
+}
+
+/// Records how many instructions had been delivered at each
+/// `on_mem_grow`, and the size it reported.
+#[derive(Debug, Default)]
+struct GrowRecorder {
+    delivered: u64,
+    grows: Vec<(u64, usize)>,
+}
+
+impl Observer for GrowRecorder {
+    fn on_instr(&mut self, _: &Instr) {
+        self.delivered += 1;
+    }
+
+    fn on_block(&mut self, instrs: u64) {
+        self.delivered += instrs;
+    }
+
+    fn on_mem_grow(&mut self, new_size_bytes: usize) {
+        self.grows.push((self.delivered, new_size_bytes));
+    }
+
+    fn accounting(&self) -> Accounting {
+        Accounting::Batched
+    }
+}
+
+/// The `on_mem_grow` ordering contract: on every engine and dispatch
+/// mode, every instruction up to and including the grow has been
+/// delivered before the new size is reported, and no later one.
+#[test]
+fn memory_grow_is_reported_after_its_segment() {
+    for (name, m, args) in grow_modules() {
+        for a in args {
+            let mut seen = Vec::new();
+            for (engine, fuel) in [
+                (Engine::Tree, None),
+                (Engine::Bytecode, None),
+                (Engine::Bytecode, Some(1 << 40)),
+                (Engine::Regs, None),
+            ] {
+                let cfg = Config {
+                    engine,
+                    fuel,
+                    ..Config::default()
+                };
+                let mut inst = Instance::with_config(&m, Imports::new(), cfg).expect("inst");
+                let mut rec = GrowRecorder::default();
+                let r = inst.invoke_observed("f", &[Value::I32(a)], &mut rec);
+                assert!(!rec.grows.is_empty(), "{name}({a}) never grew");
+                seen.push((engine, fuel, r, rec.grows, rec.delivered));
+            }
+            let (_, _, r0, g0, d0) = &seen[0];
+            for (engine, fuel, r, g, d) in &seen[1..] {
+                assert_eq!(r, r0, "{name}({a}) {engine:?} fuel={fuel:?}: result");
+                assert_eq!(g, g0, "{name}({a}) {engine:?} fuel={fuel:?}: grow ordering");
+                assert_eq!(d, d0, "{name}({a}) {engine:?} fuel={fuel:?}: total");
+            }
+        }
+    }
+}
+
+/// A weighted observer shaped like the accounting enclave's memory
+/// integral: Σ weight × current memory size.
+struct WeightedIntegral<'w> {
+    weights: &'w WeightTable,
+    key: WeightsKey,
+    cur_mem: u64,
+    integral: u128,
+    instr_events: u64,
+    block_events: u64,
+}
+
+impl<'w> WeightedIntegral<'w> {
+    fn new(weights: &'w WeightTable, key: WeightsKey, inst: &Instance<'_>) -> Self {
+        WeightedIntegral {
+            weights,
+            key,
+            cur_mem: inst.memory().map_or(0, |m| m.size_bytes() as u64),
+            integral: 0,
+            instr_events: 0,
+            block_events: 0,
+        }
+    }
+}
+
+impl Observer for WeightedIntegral<'_> {
+    fn on_instr(&mut self, i: &Instr) {
+        self.instr_events += 1;
+        self.integral += u128::from(self.weights.weight(i)) * u128::from(self.cur_mem);
+    }
+
+    fn on_weighted_block(&mut self, _instrs: u64, weighted: u64) {
+        self.block_events += 1;
+        self.integral += u128::from(weighted) * u128::from(self.cur_mem);
+    }
+
+    fn on_mem_grow(&mut self, new_size_bytes: usize) {
+        self.cur_mem = new_size_bytes as u64;
+    }
+
+    fn accounting(&self) -> Accounting {
+        Accounting::Weighted(self.key)
+    }
+}
+
+const KEY: WeightsKey = WeightsKey([0x5a; 32]);
+
+/// How a weighted run was delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Delivered {
+    PerInstr,
+    Weighted,
+}
+
+/// Runs `func` with a [`WeightedIntegral`] on `engine`, through an
+/// artifact lowered with `artifact_weights` (none: plain compile).
+/// Returns the result, the integral, stats and the delivery mode.
+fn weighted_run(
+    m: &Module,
+    engine: Engine,
+    table: &WeightTable,
+    artifact_weights: Option<(WeightsKey, WeightTable)>,
+    func: &str,
+    args: &[Value],
+) -> (Result<Vec<Value>, Trap>, u128, ExecStats, Delivered) {
+    let cfg = Config {
+        engine,
+        ..Config::default()
+    };
+    let mut inst = match (engine, artifact_weights) {
+        (Engine::Tree, _) => Instance::with_config(m, Imports::new(), cfg),
+        (_, Some((key, t))) => {
+            let w = InstrWeights::new(key, move |i| t.weight(i));
+            let art = CompiledModule::compile_weighted(m, w).expect("artifact");
+            Instance::with_artifact(m, Imports::new(), cfg, art)
+        }
+        (_, None) => {
+            let art = CompiledModule::compile(m).expect("artifact");
+            Instance::with_artifact(m, Imports::new(), cfg, art)
+        }
+    }
+    .expect("instantiate");
+    let mut obs = WeightedIntegral::new(table, KEY, &inst);
+    let r = inst.invoke_observed(func, args, &mut obs);
+    let mode = if obs.instr_events == 0 && obs.block_events > 0 {
+        Delivered::Weighted
+    } else {
+        assert_eq!(obs.block_events, 0, "mixed delivery");
+        Delivered::PerInstr
+    };
+    (r, obs.integral, inst.stats(), mode)
+}
+
+/// Weighted segment sums reproduce the per-instruction weighted
+/// memory integral bit for bit: on the register tier with matching
+/// weights (batched), and on every fallback — tree, flat, an
+/// unweighted artifact, a mismatched key (all per-instruction).
+fn assert_weighted_agrees(m: &Module, func: &str, args: &[Value], what: &str) {
+    let table = WeightTable::calibrated();
+    let matching = Some((KEY, table.clone()));
+    let tree = weighted_run(m, Engine::Tree, &table, None, func, args);
+    assert_eq!(tree.3, Delivered::PerInstr);
+    let runs = [
+        (Engine::Regs, matching.clone(), Delivered::Weighted),
+        (Engine::Bytecode, matching, Delivered::PerInstr),
+        (Engine::Regs, None, Delivered::PerInstr),
+        (
+            Engine::Regs,
+            Some((WeightsKey([0xa5; 32]), table.clone())),
+            Delivered::PerInstr,
+        ),
+    ];
+    for (engine, art, want) in runs {
+        let keyed = art.is_some();
+        let got = weighted_run(m, engine, &table, art, func, args);
+        let tag = format!("{what}: {engine:?} keyed={keyed}");
+        assert_eq!(got.0, tree.0, "{tag}: result");
+        assert_eq!(got.1, tree.1, "{tag}: weighted integral");
+        assert_eq!(got.2, tree.2, "{tag}: stats");
+        assert_eq!(got.3, want, "{tag}: delivery");
+    }
+}
+
+#[test]
+fn weighted_blocks_match_per_instruction_weights() {
+    for (name, m, args) in grow_modules() {
+        for a in args {
+            assert_weighted_agrees(&m, "f", &[Value::I32(a)], &format!("{name}({a})"));
+        }
+    }
+    for k in acctee_workloads::polybench::all() {
+        assert_weighted_agrees(&(k.build)(6), "run", &[], k.name);
+    }
+    check("weighted_blocks_match_per_instruction_weights", 24, |rng| {
+        let m = build_module(&gen_program(rng, 3));
+        let seed = rng.i64();
+        assert_weighted_agrees(&m, "run", &[Value::I64(seed)], "generated");
+    });
+}
+
+/// A long straight-line function: `1 + 3 + 3 + ...` over `n` adds.
+fn straight_line_module(n: usize) -> Module {
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    let f = b.func("f", &[], &[ValType::I64], |f| {
+        f.i64_const(1);
+        for _ in 0..n {
+            f.i64_const(3);
+            f.num(NumOp::I64Add);
+        }
+    });
+    b.export_func("f", f);
+    b.build()
+}
+
+/// The weighted prefix cannot overflow: with the calibrated table's
+/// largest weight on every instruction of a long straight-line
+/// function the segment sums stay batched and exact; a table whose
+/// totals would not fit in `u64` is declined at lowering and runs the
+/// exact per-instruction path instead.
+#[test]
+fn weighted_prefix_cannot_overflow() {
+    let m = straight_line_module(60_000);
+    let calibrated = WeightTable::calibrated();
+    let largest = Instr::MemoryGrow;
+    let max_w = calibrated.weight(&largest);
+    for i in [
+        Instr::Nop,
+        Instr::Num(NumOp::I64DivS),
+        Instr::Num(NumOp::F64Sqrt),
+        Instr::CallIndirect(0),
+    ] {
+        assert!(
+            calibrated.weight(&i) <= max_w,
+            "{i:?} outweighs memory.grow"
+        );
+    }
+    for (w, want) in [
+        (max_w, Delivered::Weighted),
+        (u64::MAX, Delivered::PerInstr),
+    ] {
+        let mut table = WeightTable::uniform();
+        table.set(&Instr::I64Const(0), w);
+        table.set(&Instr::Num(NumOp::I64Add), w);
+        let tree = weighted_run(&m, Engine::Tree, &table, None, "f", &[]);
+        let regs = weighted_run(
+            &m,
+            Engine::Regs,
+            &table,
+            Some((KEY, table.clone())),
+            "f",
+            &[],
+        );
+        assert_eq!(regs.0, tree.0);
+        assert_eq!(regs.1, tree.1, "weight {w}: integral");
+        assert_eq!(regs.3, want, "weight {w}: delivery");
+        // 120_001 instructions of weight w, all at one page.
+        assert_eq!(
+            tree.1,
+            120_001 * u128::from(w) * acctee_wasm::PAGE_SIZE as u128
+        );
+    }
+}
+
+/// Executes `func` through the accounting enclave on `engine` and
+/// returns the canonical bytes of the signed usage log (or the error).
+fn signed_log_bytes(
+    dep: &mut Deployment,
+    engine: Engine,
+    loaded: &acctee::enclave::LoadedWorkload,
+    func: &str,
+    args: &[Value],
+    input: &[u8],
+) -> Result<Vec<u8>, String> {
+    dep.set_engine(engine);
+    let out = dep
+        .infrastructure()
+        .execute_billed(loaded, func, args, input, 42)
+        .map_err(|e| e.to_string())?;
+    let mut enc = acctee::codec::Enc::default();
+    enc.signed_log(&out.0.log);
+    Ok(enc.0)
+}
+
+/// Every signed byte is engine-independent: the accounting enclave's
+/// `ResourceUsageLog` — weighted instructions, peak memory, the
+/// memory integral, I/O bytes — and its quote are byte-identical on
+/// the tree-walker and the register tier (whose memory integral
+/// arrives as weighted segment sums), and on the flat engine.
+fn assert_signed_logs_agree(
+    dep: &mut Deployment,
+    what: &str,
+    module: &Module,
+    func: &str,
+    args: &[Value],
+    input: &[u8],
+) {
+    let bytes = acctee_wasm::encode::encode_module(module);
+    for level in [Level::Naive, Level::FlowBased, Level::LoopBased] {
+        let (ib, ev) = dep.instrument(&bytes, level).expect("instrument");
+        let loaded = dep.infrastructure().load(&ib, &ev).expect("load");
+        let tree = signed_log_bytes(dep, Engine::Tree, &loaded, func, args, input);
+        for engine in [Engine::Regs, Engine::Bytecode] {
+            let got = signed_log_bytes(dep, engine, &loaded, func, args, input);
+            assert_eq!(got, tree, "{what} {level} {engine:?}: signed log differs");
+        }
+    }
+}
+
+#[test]
+fn signed_logs_agree_across_engines_on_polybench() {
+    let mut dep = Deployment::new(19);
+    for k in acctee_workloads::polybench::all() {
+        let m = (k.build)(k.default_n);
+        assert_signed_logs_agree(&mut dep, k.name, &m, "run", &[], b"");
+    }
+}
+
+#[test]
+fn signed_logs_agree_across_engines_on_use_cases() {
+    use acctee_workloads::{darknet, faas_fns, msieve, subsetsum};
+    let mut dep = Deployment::new(19);
+    let image = faas_fns::test_image(32, 24);
+    let d = darknet::darknet_module(12);
+    assert_signed_logs_agree(
+        &mut dep,
+        "resize",
+        &faas_fns::resize_module(),
+        "main",
+        &[],
+        &image,
+    );
+    assert_signed_logs_agree(&mut dep, "darknet", &d, "run", &[Value::I32(2)], b"");
+    let ms = msieve::msieve_module(3, 5);
+    assert_signed_logs_agree(&mut dep, "msieve", &ms, "run", &[], b"");
+    let ss = subsetsum::subsetsum_module(10, 2);
+    assert_signed_logs_agree(&mut dep, "subsetsum", &ss, "run", &[], b"");
+    for (name, m, args) in grow_modules() {
+        for a in args {
+            let what = format!("{name}({a})");
+            assert_signed_logs_agree(&mut dep, &what, &m, "f", &[Value::I32(a)], b"");
         }
     }
 }

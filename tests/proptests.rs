@@ -13,7 +13,7 @@
 
 use acctee_instrument::{instrument, Level, WeightTable, COUNTER_EXPORT};
 use acctee_integration::prop::{check, Rng};
-use acctee_interp::{CountingObserver, Imports, Instance, Value};
+use acctee_interp::{Config, CountingObserver, Engine, Imports, Instance, Value};
 use acctee_wasm::builder::{Bound, FuncBuilder, ModuleBuilder};
 use acctee_wasm::decode::decode_module;
 use acctee_wasm::encode::encode_module;
@@ -157,7 +157,14 @@ fn counter_equals_oracle() {
         acctee_wasm::validate::validate_module(&module).expect("generated module valid");
         let weights = WeightTable::calibrated();
         let mut oracle = CountingObserver::with_weight(|i| weights.weight(i));
-        let mut inst = Instance::new(&module, Imports::new()).expect("instantiate");
+        // The oracle is the tree-walker, named explicitly so a change
+        // of the default engine cannot move it onto a compiled tier.
+        let oracle_cfg = Config {
+            engine: Engine::Tree,
+            ..Config::default()
+        };
+        let mut inst =
+            Instance::with_config(&module, Imports::new(), oracle_cfg).expect("instantiate");
         let expected = inst
             .invoke_observed("run", &[Value::I64(seed)], &mut oracle)
             .expect("run");

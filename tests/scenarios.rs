@@ -8,18 +8,41 @@ use acctee_workloads::faas_fns::{resize_native, test_image};
 /// Fig 9 sanity: every setup serves correct responses, throughput is
 /// finite and ordered WASM > SGX setups, and the JS baseline is the
 /// slowest for the compute-heavy function.
+///
+/// Each setup's service time is the median of [`ROUNDS`] samples,
+/// taken in interleaved rounds (every round serves every setup once),
+/// so a descheduled request or a burst of machine load moves one
+/// sample of every setup, not one setup's only sample. Tolerance: the
+/// orderings rest on modelled overhead margins — WASM vs SGX HW
+/// ≥ 2.0 ms (LKL + enclave transitions), SGX SIM vs HW ≥ 0.6 ms plus
+/// the HW execution factor, JS ≥ 400 ms — which hold unless more than
+/// half of a setup's samples are each disturbed by at least that much.
 #[test]
 fn faas_throughput_ordering() {
+    const ROUNDS: usize = 7;
     let payload = test_image(64, 64);
     let sim = ClosedLoopSim::default();
+    let platforms: Vec<_> = Setup::ALL
+        .iter()
+        .map(|s| (*s, FaasPlatform::deploy(FunctionKind::Resize, *s)))
+        .collect();
+    let mut samples: std::collections::HashMap<Setup, Vec<u64>> = Default::default();
+    for _ in 0..ROUNDS {
+        for (setup, p) in &platforms {
+            let (resp, stats) = p.handle(&payload).expect("served");
+            assert_eq!(resp, resize_native(64, 64, &payload[8..]), "{setup}");
+            samples
+                .entry(*setup)
+                .or_default()
+                .push(stats.service_ns().max(1));
+        }
+    }
     let mut tp = std::collections::HashMap::new();
-    for setup in Setup::ALL {
-        let p = FaasPlatform::deploy(FunctionKind::Resize, *setup);
-        // fixed, measured-once service time
-        let (resp, stats) = p.handle(&payload).expect("served");
-        assert_eq!(resp, resize_native(64, 64, &payload[8..]), "{setup}");
-        let report = sim.run(100, |_| stats.service_ns().max(1));
-        tp.insert(*setup, report.throughput());
+    for (setup, mut ns) in samples {
+        ns.sort_unstable();
+        let median = ns[ns.len() / 2];
+        let report = sim.run(100, |_| median);
+        tp.insert(setup, report.throughput());
     }
     assert!(tp[&Setup::Wasm] > tp[&Setup::WasmSgxHw], "{tp:?}");
     assert!(tp[&Setup::WasmSgxSim] >= tp[&Setup::WasmSgxHw], "{tp:?}");
