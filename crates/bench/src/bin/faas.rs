@@ -1,5 +1,5 @@
 //! FaaS serving-throughput benchmark: compile-once/serve-many (§3.3)
-//! vs per-request recompilation, under the bytecode engine, emitted as
+//! vs per-request recompilation, under the register tier, emitted as
 //! `BENCH_faas.json` so the serving-path trajectory is tracked
 //! PR-over-PR.
 //!
@@ -10,7 +10,7 @@
 //! request" shape the artifact cache exists for (a real FaaS image or
 //! ML function ships megabytes of library code per invocation). Each
 //! is served warm (shared `CompiledModule` artifact) and cold
-//! (`with_artifact_cache(false)`, every request re-runs the flat
+//! (`with_artifact_cache(false)`, every request re-runs the register
 //! compiler inside its own instance — the pre-cache behaviour).
 //!
 //! Usage: `faas [requests] [workers] [--out FILE]` (default
@@ -114,7 +114,7 @@ fn measure(
 fn json_for(rows: &[Row], requests: usize, workers: usize) -> String {
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"suite\": \"faas_serving\",");
-    let _ = writeln!(s, "  \"engine\": \"bytecode\",");
+    let _ = writeln!(s, "  \"engine\": \"regs\",");
     let _ = writeln!(s, "  \"requests\": {requests},");
     let _ = writeln!(s, "  \"workers\": {workers},");
     let _ = writeln!(s, "  \"reps\": {REPS},");
@@ -165,16 +165,13 @@ fn main() {
     let rows = vec![
         measure(
             "echo",
-            || FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm).with_engine(Engine::Bytecode),
+            || FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm).with_engine(Engine::Regs),
             &echo_payloads,
             workers,
         ),
         measure(
             "resize",
-            || {
-                FaasPlatform::deploy(FunctionKind::Resize, Setup::Wasm)
-                    .with_engine(Engine::Bytecode)
-            },
+            || FaasPlatform::deploy(FunctionKind::Resize, Setup::Wasm).with_engine(Engine::Regs),
             &resize_payloads,
             workers,
         ),
@@ -183,7 +180,7 @@ fn main() {
             || {
                 FaasPlatform::deploy_module((jacobi.build)(4), "run", Setup::Wasm)
                     .expect("jacobi-1d deploys")
-                    .with_engine(Engine::Bytecode)
+                    .with_engine(Engine::Regs)
             },
             &tiny_payloads,
             workers,
@@ -193,7 +190,7 @@ fn main() {
             || {
                 FaasPlatform::deploy_module(app_large_module(256), "run", Setup::Wasm)
                     .expect("app_large deploys")
-                    .with_engine(Engine::Bytecode)
+                    .with_engine(Engine::Regs)
             },
             &tiny_payloads,
             workers,

@@ -27,7 +27,7 @@ impl EngineRow {
 
 /// One timed execution: wall nanoseconds and instructions retired.
 /// An untimed warm-up invoke precedes the measurement so one-time
-/// costs (the bytecode engine's lazy compile, allocator and cache
+/// costs (the register tier's lazy compile, allocator and cache
 /// warm-up) stay out of the throughput number — this measures
 /// steady-state execution, the paper's methodology. The kernels
 /// re-initialise their arrays on entry, so repeated invokes are
@@ -122,21 +122,7 @@ fn json_for(rows: &[EngineRow], n: usize, reps: usize) -> String {
         let comma = if ei + 1 == rows.len() { "" } else { "," };
         let _ = writeln!(s, "    }}{comma}");
     }
-    let _ = writeln!(s, "  }},");
-    // Historical alias (bytecode over tree), kept so the PR-over-PR
-    // trajectory in the committed file stays one unbroken series.
-    let bytecode = rows.iter().find(|r| r.name == "bytecode").unwrap_or(tree);
-    let _ = writeln!(
-        s,
-        "  \"speedup_geomean\": {:.3},",
-        speedup_geomean(bytecode, tree)
-    );
-    let regs = rows.iter().find(|r| r.name == "regs").unwrap_or(bytecode);
-    let _ = writeln!(
-        s,
-        "  \"regs_speedup_geomean_vs_bytecode\": {:.3}",
-        speedup_geomean(regs, bytecode)
-    );
+    let _ = writeln!(s, "  }}");
     s.push_str("}\n");
     s
 }

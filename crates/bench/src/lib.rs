@@ -54,7 +54,7 @@ pub fn run_wall_ns(module: &Module, func: &str, args: &[Value]) -> u64 {
 }
 
 /// [`run_wall_ns`] on a chosen execution engine. For
-/// [`Engine::Bytecode`] the timing includes the one-time lazy compile
+/// [`Engine::Regs`] the timing includes the one-time lazy compile
 /// of the module's code (amortised away by callers that take a
 /// best-of or median over repetitions on a fresh instance each time —
 /// the compile is linear and tiny next to kernel runtimes).

@@ -400,22 +400,22 @@ mod tests {
 
     #[test]
     fn bytecode_engine_accounts_identically_across_repeat_executions() {
-        // The AE's shared bytecode artifact must not change any
+        // The AE's shared register-tier artifact must not change any
         // accounting result vs the tree-walker or vs a fresh compile.
         let mut tree = Deployment::new(7);
         tree.set_engine(Engine::Tree);
-        let mut flat = Deployment::new(7);
-        flat.set_engine(Engine::Bytecode);
+        let mut regs = Deployment::new(7);
+        regs.set_engine(Engine::Regs);
         let (bytes, evidence) = tree.instrument(&wasm(), Level::LoopBased).unwrap();
-        let (bytes_f, evidence_f) = flat.instrument(&wasm(), Level::LoopBased).unwrap();
-        assert_eq!(bytes, bytes_f);
+        let (bytes_r, evidence_r) = regs.instrument(&wasm(), Level::LoopBased).unwrap();
+        assert_eq!(bytes, bytes_r);
         let a = tree
             .execute(&bytes, &evidence, "main", &[Value::I32(21)], b"")
             .unwrap();
         // Two executions on one loaded workload share the artifact.
-        let loaded = flat.infrastructure().load(&bytes_f, &evidence_f).unwrap();
+        let loaded = regs.infrastructure().load(&bytes_r, &evidence_r).unwrap();
         for _ in 0..2 {
-            let (out, _) = flat
+            let (out, _) = regs
                 .infrastructure()
                 .execute_billed(&loaded, "main", &[Value::I32(21)], b"", 1)
                 .unwrap();

@@ -123,7 +123,7 @@ impl FaasPlatform {
         let io_in = hub.metrics().counter("acctee_faas_io_in_bytes_total");
         let io_out = hub.metrics().counter("acctee_faas_io_out_bytes_total");
 
-        // Compile the bytecode artifact once, before any worker
+        // Compile the shared artifact once, before any worker
         // spawns, so the whole pool shares one compilation instead of
         // racing to be first (OnceLock would still deduplicate, but
         // warming keeps the compile out of the first request's
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn batch_compiles_the_bytecode_artifact_once() {
         let platform =
-            FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm).with_engine(Engine::Bytecode);
+            FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm).with_engine(Engine::Regs);
         let payloads: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 32]).collect();
         let report = platform.serve_parallel(&payloads, 4);
         assert_eq!(report.stats.len(), 8);

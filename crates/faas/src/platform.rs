@@ -3,9 +3,8 @@
 //! modelling the layers we do not execute.
 //!
 //! Per-request *instantiation* does not mean per-request
-//! *compilation*: under the compiled engines (flat bytecode and the
-//! register tier, whose code hangs off the same artifact) the
-//! platform compiles the deployed module into a shared
+//! *compilation*: under the register tier (whose code hangs off the
+//! artifact) the platform compiles the deployed module into a shared
 //! [`CompiledModule`] artifact exactly once (AccTEE §3.3's
 //! compile-once/serve-many argument) and hands every request
 //! instance the same `Arc`. Disable with
@@ -83,7 +82,7 @@ pub struct FaasPlatform {
     hw_exec_factor: f64,
     /// Interpreter engine serving wasm requests.
     engine: Engine,
-    /// The compile-once/serve-many bytecode artifact, built at most
+    /// The compile-once/serve-many compiled artifact, built at most
     /// once per deployment (`None` inside = compile failed; requests
     /// fall back to the per-instance path, which reports the error).
     artifact: OnceLock<Option<Arc<CompiledModule>>>,
@@ -239,7 +238,7 @@ impl FaasPlatform {
     }
 
     /// Enables or disables the compile-once/serve-many artifact cache
-    /// (on by default). With it off, every request re-runs the flat
+    /// (on by default). With it off, every request re-runs the register
     /// compiler inside its own instance — the pre-cache behaviour,
     /// kept as the measurable baseline for `BENCH_faas`.
     #[must_use]
@@ -262,7 +261,7 @@ impl FaasPlatform {
         self
     }
 
-    /// Pre-compiles the bytecode artifact so the first request pays no
+    /// Pre-compiles the compiled artifact so the first request pays no
     /// compile cost. Returns `true` iff this call built the artifact
     /// (false when it was already built, is disabled, or does not
     /// apply — tree engine / JS setup). Thread-safe: concurrent
@@ -552,7 +551,7 @@ mod tests {
 
     #[test]
     fn warm_compiles_exactly_once_and_requests_share_it() {
-        let p = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm).with_engine(Engine::Bytecode);
+        let p = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm).with_engine(Engine::Regs);
         assert!(p.warm(), "first warm builds the artifact");
         assert!(!p.warm(), "second warm reuses it");
         let (resp, _) = p.handle(b"shared").unwrap();
@@ -561,7 +560,7 @@ mod tests {
         let tree = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm).with_engine(Engine::Tree);
         assert!(!tree.warm());
         let off = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm)
-            .with_engine(Engine::Bytecode)
+            .with_engine(Engine::Regs)
             .with_artifact_cache(false);
         assert!(!off.warm());
         let (resp, _) = off.handle(b"uncached").unwrap();
@@ -572,9 +571,9 @@ mod tests {
     fn shared_artifact_and_per_request_compile_agree() {
         let img = test_image(16, 16);
         let cached =
-            FaasPlatform::deploy(FunctionKind::Resize, Setup::Wasm).with_engine(Engine::Bytecode);
+            FaasPlatform::deploy(FunctionKind::Resize, Setup::Wasm).with_engine(Engine::Regs);
         let uncached = FaasPlatform::deploy(FunctionKind::Resize, Setup::Wasm)
-            .with_engine(Engine::Bytecode)
+            .with_engine(Engine::Regs)
             .with_artifact_cache(false);
         let (a, _) = cached.handle(&img).unwrap();
         let (b, _) = uncached.handle(&img).unwrap();
@@ -587,10 +586,9 @@ mod tests {
         let img = test_image(16, 16);
         for setup in [Setup::Wasm, Setup::WasmSgxHwInstr] {
             let tree = FaasPlatform::deploy(FunctionKind::Resize, setup).with_engine(Engine::Tree);
-            let flat =
-                FaasPlatform::deploy(FunctionKind::Resize, setup).with_engine(Engine::Bytecode);
+            let regs = FaasPlatform::deploy(FunctionKind::Resize, setup).with_engine(Engine::Regs);
             let (a, sa) = tree.handle(&img).unwrap();
-            let (b, sb) = flat.handle(&img).unwrap();
+            let (b, sb) = regs.handle(&img).unwrap();
             assert_eq!(a, b, "{setup}");
             assert_eq!(
                 (sa.io_bytes_in, sa.io_bytes_out),

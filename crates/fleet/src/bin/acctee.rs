@@ -343,7 +343,7 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
             println!("          serve, deploy, invoke, fetch-log, settle, replay,");
             println!("          stats, top, recent, shutdown, fleet");
             println!("run/account flags: --invoke F --arg V --input STR --fuel N --level L");
-            println!("                   --engine tree|bytecode|regs (default regs)");
+            println!("                   --engine tree|regs (default regs)");
             println!("                   --cache-capacity N (bound the instrumentation cache)");
             println!("                   --trace-out FILE --metrics-out FILE");
             println!("serve flags:       --listen ADDR --workers N --queue N");
@@ -1154,5 +1154,24 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn engine_flag(name: &str) -> Result<Engine, String> {
+        parse_opts(&["--engine".to_string(), name.to_string()]).map(|o| o.engine)
+    }
+
+    #[test]
+    fn engine_flag_accepts_exactly_tree_and_regs() {
+        assert_eq!(engine_flag("tree"), Ok(Engine::Tree));
+        assert_eq!(engine_flag("regs"), Ok(Engine::Regs));
+        assert_eq!(
+            engine_flag("bytecode"),
+            Err("unknown engine \"bytecode\" (tree|regs)".to_string())
+        );
     }
 }

@@ -12,52 +12,48 @@ use acctee_wasm::instr::{Instr, MemArg};
 use acctee_wasm::module::{ExportKind, ImportKind, Module};
 use acctee_wasm::op::{LoadOp, NumOp, StoreOp};
 
-use crate::bytecode::{CompiledModule, FlatBuffers};
 use crate::host::{HostCtx, HostFunc, Imports};
 use crate::memory::Memory;
 use crate::observer::{NullObserver, Observer};
+use crate::regs::CompiledModule;
 use crate::stats::ExecStats;
 use crate::trap::Trap;
 use crate::value::Value;
 
 /// Which execution backend runs function bodies.
 ///
-/// All engines implement identical semantics — results, traps,
+/// Both engines implement identical semantics — results, traps,
 /// [`ExecStats`] and observer-visible counts are bit-equal for any
 /// module (enforced by the differential suite); they differ only in
 /// speed and mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The structured tree-walking interpreter: simple, observable,
-    /// and the semantic oracle the other engines are validated
+    /// and the semantic oracle the register tier is validated
     /// against. Name it explicitly wherever an execution *is* the
-    /// oracle, and for audits (`--engine tree`).
+    /// oracle, and for audits (`--engine tree`). It also serves the
+    /// register tier's deopts (fuel, per-instruction observers,
+    /// declined modules).
     Tree,
-    /// The flat-bytecode engine (`crate::bytecode`): pre-compiled
-    /// linear dispatch with a branch side-table, an explicit frame
-    /// stack and batched accounting. It also serves the register
-    /// tier's deopts (fuel, per-instruction observers).
-    Bytecode,
     /// The register-bytecode engine (`crate::regs`): three-address
     /// ops over virtual registers with direct-threaded dispatch,
     /// proven bounds-check elimination and inline caches for
-    /// `call_indirect`. The fastest tier and the default; batched and
-    /// weighted observers run on it directly, while fueled or
-    /// per-instruction-observed invokes transparently run on the flat
-    /// engine (identical semantics, exact per-op bookkeeping).
+    /// `call_indirect`. The default; batched and weighted observers
+    /// run on it directly, while fueled or per-instruction-observed
+    /// invokes transparently run on the tree-walker (identical
+    /// semantics, exact per-instruction bookkeeping).
     #[default]
     Regs,
 }
 
 impl Engine {
     /// All engines, for comparison sweeps.
-    pub const ALL: [Engine; 3] = [Engine::Tree, Engine::Bytecode, Engine::Regs];
+    pub const ALL: [Engine; 2] = [Engine::Tree, Engine::Regs];
 
-    /// The CLI-facing name (`tree` / `bytecode` / `regs`).
+    /// The CLI-facing name (`tree` / `regs`).
     pub fn name(self) -> &'static str {
         match self {
             Engine::Tree => "tree",
-            Engine::Bytecode => "bytecode",
             Engine::Regs => "regs",
         }
     }
@@ -66,7 +62,6 @@ impl Engine {
     pub fn from_name(s: &str) -> Option<Engine> {
         match s {
             "tree" => Some(Engine::Tree),
-            "bytecode" => Some(Engine::Bytecode),
             "regs" => Some(Engine::Regs),
             _ => None,
         }
@@ -83,7 +78,7 @@ impl std::str::FromStr for Engine {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Engine, String> {
-        Engine::from_name(s).ok_or_else(|| format!("unknown engine {s:?} (tree|bytecode|regs)"))
+        Engine::from_name(s).ok_or_else(|| format!("unknown engine {s:?} (tree|regs)"))
     }
 }
 
@@ -96,7 +91,7 @@ pub struct Config {
     /// default of 200 keeps the deepest chain comfortably inside a
     /// 2 MiB native stack even in debug builds. Raise it only together
     /// with a larger native stack (e.g. a dedicated thread). The
-    /// bytecode engine uses an explicit frame stack but honours the
+    /// register tier uses an explicit frame stack but honours the
     /// same limit so both engines trap identically.
     pub max_call_depth: usize,
     /// Optional instruction budget; `None` is unlimited.
@@ -158,12 +153,10 @@ pub struct Instance<'m> {
     /// Branch/call ticks since the deadline clock was last sampled.
     pub(crate) deadline_ticks: u32,
     pub(crate) stats: ExecStats,
-    /// The compiled engines' artifact: either handed in pre-built via
+    /// The register tier's artifact: either handed in pre-built via
     /// [`Instance::with_artifact`] (the compile-once/serve-many
-    /// path), or built on the first compiled-engine invoke.
+    /// path), or built on the first register-tier invoke.
     pub(crate) compiled: Option<std::sync::Arc<CompiledModule>>,
-    /// Reusable bytecode-engine execution buffers.
-    pub(crate) flat: FlatBuffers,
     /// Reusable register-tier execution buffers.
     pub(crate) reg_bufs: crate::regs::RegBuffers,
     /// Per-instance inline caches for `call_indirect` sites (register
@@ -219,7 +212,7 @@ impl<'m> Instance<'m> {
     ) -> Result<Instance<'m>, Trap> {
         if !artifact.matches(module) {
             return Err(Trap::Host(
-                "bytecode artifact does not match this module".into(),
+                "compiled artifact does not match this module".into(),
             ));
         }
         let mut inst = Instance::with_config(module, imports, config)?;
@@ -302,7 +295,6 @@ impl<'m> Instance<'m> {
             deadline_ticks: 0,
             stats: ExecStats::default(),
             compiled: None,
-            flat: FlatBuffers::default(),
             reg_bufs: crate::regs::RegBuffers::default(),
             reg_ics: Vec::new(),
             scratch: Vec::new(),
@@ -397,13 +389,11 @@ impl<'m> Instance<'m> {
             let mut null = NullObserver;
             return match self.config.engine {
                 Engine::Tree => self.call_function(idx, args, 0, &mut null),
-                Engine::Bytecode => self.invoke_flat(idx, args, &mut null),
                 Engine::Regs => self.invoke_regs(idx, args, &mut null),
             };
         }
         match self.config.engine {
             Engine::Tree => self.call_function(idx, args, 0, observer),
-            Engine::Bytecode => self.invoke_flat(idx, args, observer),
             Engine::Regs => self.invoke_regs(idx, args, observer),
         }
     }
@@ -499,7 +489,7 @@ impl<'m> Instance<'m> {
         Ok(values)
     }
 
-    fn call_function<O: Observer + ?Sized>(
+    pub(crate) fn call_function<O: Observer + ?Sized>(
         &mut self,
         idx: u32,
         args: &[Value],
@@ -810,8 +800,8 @@ pub(crate) fn store_value(mem: &mut Memory, op: StoreOp, addr: u64, v: Value) ->
 /// Canonicalises a NaN result to the single quiet-NaN bit pattern.
 ///
 /// The wasm spec leaves arithmetic NaN payloads nondeterministic, but
-/// AccTEE's differential contract demands that all three engines —
-/// tree, flat bytecode, register tier — produce bit-identical results.
+/// AccTEE's differential contract demands that both engines — the
+/// tree-walker and the register tier — produce bit-identical results.
 /// Relying on "same Rust expression, same payload" is fragile: LLVM
 /// may legally commute `a + b` at one inlining site and not another,
 /// and hardware quieting then picks the *other* operand's payload.

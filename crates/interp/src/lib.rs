@@ -34,7 +34,6 @@
 //! assert_eq!(out, vec![Value::I32(42)]);
 //! ```
 
-mod bytecode;
 mod compile;
 mod exec;
 mod host;
@@ -48,7 +47,6 @@ mod stats;
 mod trap;
 mod value;
 
-pub use bytecode::CompiledModule;
 pub use exec::{Config, Engine, Instance, DEADLINE_CHECK_INTERVAL};
 pub use host::{HostCtx, HostFunc, Imports};
 pub use memory::Memory;
@@ -56,6 +54,7 @@ pub use observer::{
     Accounting, BatchedCounter, CountingObserver, InstrWeights, NullObserver, Observer, WeightsKey,
 };
 pub use profile::{FuncProfile, OpClass, ProfileReport, ProfilingObserver};
+pub use regs::CompiledModule;
 pub use stats::ExecStats;
 pub use trap::Trap;
 pub use value::Value;

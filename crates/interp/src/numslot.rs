@@ -1,31 +1,28 @@
-//! Numeric execution over untyped 64-bit stack slots.
+//! Numeric execution over untyped 64-bit slots.
 //!
-//! The flat-bytecode engine keeps its operand stack as raw `u64` slots
-//! (see [`crate::bytecode`]): validation has already proven every
-//! operand's type, so the enum tag a [`crate::Value`] carries is pure
-//! overhead on the hot path. This module is [`crate::exec::exec_num`]
+//! The register tier keeps its operands as raw `u64` slots (see
+//! [`crate::regs`]): validation has already proven every operand's
+//! type, so the enum tag a [`crate::Value`] carries is pure overhead
+//! on the hot path. This module is [`crate::exec::exec_num`]
 //! transliterated onto that representation — the arm bodies are kept
 //! identical (same expressions, same trap conditions, same helper
 //! functions) so the two evaluators cannot drift semantically; only
 //! the decode/encode layer differs.
 //!
 //! The arm table itself lives in the [`for_each_slot_op!`] macro so it
-//! exists exactly **once**: [`exec_num_slot`] (the stack evaluator the
-//! flat engine uses) and the register tier's three-address handlers in
-//! [`crate::regs`] are both generated from it. The differential suite
-//! in `tests/engine_diff.rs` additionally sweeps every [`NumOp`]
-//! across all engines on adversarial operands (NaNs, boundary
-//! integers).
+//! exists exactly **once**: the register tier's three-address handlers
+//! in [`crate::regs`] are generated from it. The differential suite in
+//! `tests/engine_diff.rs` additionally sweeps every
+//! [`acctee_wasm::op::NumOp`] across both engines on adversarial
+//! operands (NaNs, boundary integers).
 //!
 //! Slot encoding: `i32` zero-extended from its `u32` bits, `i64` as
 //! its `u64` bits, floats as their IEEE bit patterns (`f32` in the low
 //! 32 bits). All-zero bits encode the zero value of every type, which
 //! is what lets locals be zero-initialised with `resize(.., 0)`.
 
-use acctee_wasm::op::NumOp;
 use acctee_wasm::types::ValType;
 
-use crate::trap::Trap;
 use crate::value::Value;
 
 /// Slot decoders, named after the [`Value`] accessors so consumers of
@@ -296,47 +293,48 @@ macro_rules! for_each_slot_op {
 }
 pub(crate) use for_each_slot_op;
 
-macro_rules! gen_exec_num_slot {
-    (
-        un { $($uv:ident: $uas:ident -> $uenc:ident, |$ua:ident| $ue:expr;)* }
-        bin { $($bv:ident: $bas:ident -> $benc:ident, |$ba:ident, $bb:ident| $be:expr;)* }
-        un_try { $($tv:ident: $tas:ident -> $tenc:ident, |$ta:ident| $te:expr;)* }
-        bin_try { $($cv:ident: $cas:ident -> $cenc:ident, |$ca:ident, $cb:ident| $ce:expr;)* }
-    ) => {
-        /// [`crate::exec::exec_num`] on slot operands, generated from
-        /// [`for_each_slot_op!`].
-        #[inline(always)]
-        pub(crate) fn exec_num_slot(op: NumOp, stack: &mut Vec<u64>) -> Result<(), Trap> {
-            match op {
-                $(NumOp::$uv => {
-                    let $ua = dec::$uas(stack.pop().expect("validated"));
-                    stack.push(enc::$uenc($ue));
-                })*
-                $(NumOp::$bv => {
-                    let $bb = dec::$bas(stack.pop().expect("validated"));
-                    let $ba = dec::$bas(stack.pop().expect("validated"));
-                    stack.push(enc::$benc($be));
-                })*
-                $(NumOp::$tv => {
-                    let $ta = dec::$tas(stack.pop().expect("validated"));
-                    stack.push(enc::$tenc($te?));
-                })*
-                $(NumOp::$cv => {
-                    let $cb = dec::$cas(stack.pop().expect("validated"));
-                    let $ca = dec::$cas(stack.pop().expect("validated"));
-                    stack.push(enc::$cenc($ce?));
-                })*
-            }
-            Ok(())
-        }
-    };
-}
-
-for_each_slot_op!(gen_exec_num_slot);
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trap::Trap;
+    use acctee_wasm::op::NumOp;
+
+    macro_rules! gen_eval_slot {
+        (
+            un { $($uv:ident: $uas:ident -> $uenc:ident, |$ua:ident| $ue:expr;)* }
+            bin { $($bv:ident: $bas:ident -> $benc:ident, |$ba:ident, $bb:ident| $be:expr;)* }
+            un_try { $($tv:ident: $tas:ident -> $tenc:ident, |$ta:ident| $te:expr;)* }
+            bin_try { $($cv:ident: $cas:ident -> $cenc:ident, |$ca:ident, $cb:ident| $ce:expr;)* }
+        ) => {
+            /// [`crate::exec::exec_num`] on a slot stack, generated from
+            /// [`for_each_slot_op!`] so the table's arms run directly.
+            fn eval_slot(op: NumOp, stack: &mut Vec<u64>) -> Result<(), Trap> {
+                match op {
+                    $(NumOp::$uv => {
+                        let $ua = dec::$uas(stack.pop().expect("validated"));
+                        stack.push(enc::$uenc($ue));
+                    })*
+                    $(NumOp::$bv => {
+                        let $bb = dec::$bas(stack.pop().expect("validated"));
+                        let $ba = dec::$bas(stack.pop().expect("validated"));
+                        stack.push(enc::$benc($be));
+                    })*
+                    $(NumOp::$tv => {
+                        let $ta = dec::$tas(stack.pop().expect("validated"));
+                        stack.push(enc::$tenc($te?));
+                    })*
+                    $(NumOp::$cv => {
+                        let $cb = dec::$cas(stack.pop().expect("validated"));
+                        let $ca = dec::$cas(stack.pop().expect("validated"));
+                        stack.push(enc::$cenc($ce?));
+                    })*
+                }
+                Ok(())
+            }
+        };
+    }
+
+    for_each_slot_op!(gen_eval_slot);
 
     #[test]
     fn slot_roundtrip_preserves_bits() {
@@ -369,7 +367,6 @@ mod tests {
         // Arithmetic NaN payloads must not depend on which operand
         // the optimiser happens to quiet: every engine must emit the
         // single canonical pattern regardless of build profile.
-        use acctee_wasm::op::NumOp;
         let snan32 = u64::from(0xff80_0001u32);
         let snan64 = 0xfff0_0000_0000_0001u64;
         let qnan32 = u64::from(0x7fc0_0000u32);
@@ -384,7 +381,7 @@ mod tests {
             (NumOp::F64Mul, snan64, snan64, qnan64),
         ] {
             let mut s = vec![a, b];
-            exec_num_slot(op, &mut s).unwrap();
+            eval_slot(op, &mut s).unwrap();
             assert_eq!(s[0], want, "{op:?}");
         }
         for (op, a, want) in [
@@ -395,19 +392,18 @@ mod tests {
             (NumOp::F64PromoteF32, snan32, qnan64),
         ] {
             let mut s = vec![a];
-            exec_num_slot(op, &mut s).unwrap();
+            eval_slot(op, &mut s).unwrap();
             assert_eq!(s[0], want, "{op:?}");
         }
     }
 
     #[test]
     fn table_covers_every_numop() {
-        use acctee_wasm::op::NumOp;
         // Every op executes without panicking on zero operands that
         // are legal for it (divisions by zero trap, which is fine).
         for op in NumOp::ALL {
             let mut stack = vec![1u64, 1u64];
-            let _ = exec_num_slot(*op, &mut stack);
+            let _ = eval_slot(*op, &mut stack);
         }
     }
 }

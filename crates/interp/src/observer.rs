@@ -56,8 +56,8 @@ impl std::fmt::Debug for InstrWeights {
 
 /// How an observer wants instruction events delivered.
 ///
-/// The compiled engines ask the attached observer once per invocation
-/// and pick a dispatch loop accordingly; the tree-walker always
+/// The register tier asks the attached observer once per invocation
+/// and picks a delivery mode accordingly; the tree-walker always
 /// delivers the exact per-instruction stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Accounting {
@@ -128,7 +128,7 @@ pub trait Observer {
 
     /// The delivery mode this observer needs. Defaults to the exact
     /// per-instruction stream; override to [`Accounting::Batched`] or
-    /// [`Accounting::Weighted`] to let the compiled engines fuse
+    /// [`Accounting::Weighted`] to let the register tier fuse
     /// counter updates per basic block.
     fn accounting(&self) -> Accounting {
         Accounting::PerInstr
@@ -175,7 +175,7 @@ impl Observer for NullObserver {
 
 /// A unit-weight instruction counter that opts in to batched delivery.
 ///
-/// Under the bytecode engine this receives one [`Observer::on_block`]
+/// Under the register tier this receives one [`Observer::on_block`]
 /// per straight-line segment instead of one [`Observer::on_instr`] per
 /// instruction; under the tree-walker it counts per instruction. The
 /// final count is identical either way (the differential suite pins

@@ -69,7 +69,7 @@ fn bad(what: &str) -> Trap {
 /// unweighted (those observers take the exact per-instruction path).
 ///
 /// An `Err` is a *decline*, not a failure: the engine falls back to
-/// the flat tier for the whole module (e.g. a function needing more
+/// the tree-walker for the whole module (e.g. a function needing more
 /// than 65536 registers).
 pub(crate) fn compile_regs(
     module: &Module,

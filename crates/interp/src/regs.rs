@@ -1,4 +1,4 @@
-//! The register-bytecode execution backend (the third tier).
+//! The register-bytecode execution backend: the serving engine.
 //!
 //! [`crate::regalloc`] lowers each validated function into
 //! three-address [`RegOp`]s over *virtual registers*: locals occupy
@@ -26,28 +26,28 @@
 //!   loop entry; when the guard passes, control enters an *unchecked*
 //!   copy of the body whose loads/stores skip the bounds check
 //!   ([`crate::memory::Memory::read_in_bounds`]). When it fails, the
-//!   *checked* copy runs and traps exactly like the other engines.
+//!   *checked* copy runs and traps exactly like the tree-walker.
 //!   Both copies have identical per-iteration accounting.
 //! * **Inline caches for `call_indirect`**: each indirect call site
 //!   owns an [`IcEntry`] keyed by table index; a hit skips the table,
 //!   null and type checks (tables are immutable after instantiation,
 //!   so a cached translation can never go stale).
 //!
-//! Accounting is batched per straight-line segment exactly like the
-//! flat engine: costs live in a per-function prefix sum
-//! ([`RegFunc::cost_prefix`]) and each segment exit delivers one
-//! [`Observer::on_block`] — or, for an [`Accounting::Weighted`]
-//! observer on an artifact lowered with its weights, one
-//! [`Observer::on_weighted_block`] carrying the segment's weighted sum
-//! from the same prefix. `memory.grow` closes its segment before
-//! reporting the new size, so a weighted observer that multiplies by
-//! the memory size (the accounting enclave's memory integral) matches
-//! per-instruction delivery exactly. The totals — results, traps,
-//! [`crate::ExecStats`], signed counters — are bit-identical to the
-//! tree-walker oracle for any module (the three-way differential
-//! suite in `tests/engine_diff.rs` pins this down). The tier never
-//! runs fueled or per-instruction-observed executions: those deopt to
-//! the flat engine, which owns exact per-op bookkeeping.
+//! Accounting is batched per straight-line segment: costs live in a
+//! per-function prefix sum ([`RegFunc::cost_prefix`]) and each segment
+//! exit delivers one [`Observer::on_block`] — or, for an
+//! [`Accounting::Weighted`] observer on an artifact lowered with its
+//! weights, one [`Observer::on_weighted_block`] carrying the segment's
+//! weighted sum from the same prefix. `memory.grow` closes its segment
+//! before reporting the new size, so a weighted observer that
+//! multiplies by the memory size (the accounting enclave's memory
+//! integral) matches per-instruction delivery exactly. The totals —
+//! results, traps, [`crate::ExecStats`], signed counters — are
+//! bit-identical to the tree-walker oracle for any module (the
+//! differential suite in `tests/engine_diff.rs` pins this down). The
+//! tier never runs fueled or per-instruction-observed executions:
+//! those run on the tree-walker, which owns exact per-instruction
+//! bookkeeping.
 
 use std::sync::Arc;
 
@@ -55,10 +55,9 @@ use acctee_wasm::module::Module;
 use acctee_wasm::op::{LoadOp, NumOp, StoreOp};
 use acctee_wasm::types::ValType;
 
-use crate::bytecode::CompiledModule;
 use crate::exec::Instance;
 use crate::numslot::{dec, enc, for_each_slot_op, slot_to_value, value_to_slot};
-use crate::observer::{Accounting, Observer, WeightsKey};
+use crate::observer::{Accounting, InstrWeights, NullObserver, Observer, WeightsKey};
 use crate::trap::Trap;
 use crate::value::Value;
 
@@ -294,7 +293,7 @@ pub(crate) enum Delivery {
 pub(crate) struct RegVm<'a, 'm> {
     /// The instance (memory, globals, table, stats, deadline).
     pub inst: &'a mut Instance<'m>,
-    /// The flat artifact (call metadata: `params_ty`, `canon_of_func`).
+    /// The artifact (call metadata: `params_ty`, `canon_of_func`).
     pub compiled: &'a CompiledModule,
     /// The register-code artifact.
     pub rm: &'a RegModule,
@@ -499,7 +498,7 @@ pub(crate) fn h_call_indirect(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32
         cached.func
     } else {
         // Slow path: full table + null + type check, then cache. The
-        // trap order matches the other engines exactly.
+        // trap order matches the tree-walker exactly.
         let entry = match vm.inst.table.get(i as usize) {
             Some(e) => *e,
             None => return trap(vm, pc, Trap::TableOutOfBounds),
@@ -1080,10 +1079,74 @@ pub(crate) mod ctl {
     };
 }
 
+/// The compile-once/serve-many **artifact** of the register tier.
+///
+/// A `CompiledModule` owns everything the dispatch loop needs — it
+/// holds no borrows into the source [`Module`] — so it can be wrapped
+/// in an [`Arc`], cached, and shared across threads and instances.
+/// Build one with [`CompiledModule::compile`] (or
+/// [`CompiledModule::compile_weighted`]), then hand the same artifact
+/// to any number of [`Instance`]s via [`Instance::with_artifact`]; the
+/// serving path never re-runs a compiler.
+///
+/// Building the artifact resolves only call metadata. The register
+/// code is lowered on the first invoke that needs it and cached here.
+///
+/// Execution through a shared artifact is bit-identical to the lazy
+/// per-instance compile (the differential and artifact-cache suites
+/// pin this down): the artifact *is* the output of the same one-pass
+/// compiler, merely reused.
+#[derive(Debug)]
+pub struct CompiledModule {
+    /// Parameter types per combined function index (imports included):
+    /// the arity for call sites, the types for host-call decoding.
+    pub(crate) params_ty: Vec<Box<[ValType]>>,
+    /// Result types per local function (the structural guard of
+    /// [`CompiledModule::matches`]).
+    pub(crate) results_ty: Vec<Box<[ValType]>>,
+    /// Canonical (structurally deduplicated) type id per combined
+    /// function index, for `call_indirect` checks by integer compare.
+    pub(crate) canon_of_func: Vec<u32>,
+    /// Number of imported (host) functions.
+    pub(crate) n_imported: u32,
+    /// The weights the register lowering folds into its segment
+    /// prefix sums ([`Accounting::Weighted`]), if any.
+    pub(crate) weights: Option<InstrWeights>,
+    /// The register-tier code, built lazily on the first `regs`-engine
+    /// invoke and shared by every instance holding this artifact. `Err`
+    /// records a decline: those modules run on the tree-walker.
+    pub(crate) regs: std::sync::OnceLock<Result<RegModule, Trap>>,
+}
+
 impl CompiledModule {
+    /// Builds a shareable artifact for `module`. Register code is
+    /// lowered lazily, on the first invoke that needs it.
+    ///
+    /// # Errors
+    ///
+    /// [`Trap::Host`] if the module's function types do not resolve
+    /// (the compiler assumes validated input, as the lazy path does).
+    pub fn compile(module: &Module) -> Result<Arc<CompiledModule>, Trap> {
+        crate::compile::compile_module(module, None).map(Arc::new)
+    }
+
+    /// As [`CompiledModule::compile`], additionally carrying `weights`
+    /// into the register lowering, so an [`Accounting::Weighted`]
+    /// observer with the same key runs batched on the register tier.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompiledModule::compile`].
+    pub fn compile_weighted(
+        module: &Module,
+        weights: InstrWeights,
+    ) -> Result<Arc<CompiledModule>, Trap> {
+        crate::compile::compile_module(module, Some(weights)).map(Arc::new)
+    }
+
     /// The lazily-built register-tier code for this artifact. `Err`
     /// means the register compiler declined the module (the engine
-    /// falls back to the flat loop); the verdict is computed once and
+    /// falls back to the tree-walker); the verdict is computed once and
     /// shared by every instance holding the artifact.
     pub(crate) fn reg_module(&self, module: &Module) -> &Result<RegModule, Trap> {
         self.regs
@@ -1095,12 +1158,13 @@ impl<'m> Instance<'m> {
     /// Invokes `idx` on the register tier.
     ///
     /// Deopt rules: fueled executions and per-instruction observers
-    /// need exact per-op bookkeeping, which this tier deliberately
-    /// does not carry — those invokes run on the flat engine instead
-    /// (identical semantics, enforced by the differential suite). A
-    /// weighted observer whose weights this artifact was not lowered
-    /// with is per-instruction for that purpose, and a module the
-    /// register compiler declines also falls back.
+    /// need exact per-instruction bookkeeping, which this tier
+    /// deliberately does not carry — those invokes run on the
+    /// tree-walker instead, the oracle every engine is checked
+    /// against. A weighted observer whose weights this artifact was
+    /// not lowered with is per-instruction for that purpose, and a
+    /// module the register compiler declines also falls back, as does
+    /// an exported host import (it has no register code).
     pub(crate) fn invoke_regs(
         &mut self,
         idx: u32,
@@ -1108,18 +1172,11 @@ impl<'m> Instance<'m> {
         observer: &mut dyn Observer,
     ) -> Result<Vec<Value>, Trap> {
         let accounting = observer.accounting();
-        if self.fuel.is_some() || accounting == Accounting::PerInstr {
-            return self.invoke_flat(idx, args, observer);
-        }
-        if idx < self.module.num_imported_funcs() {
-            if self.config.max_call_depth == 0 {
-                return Err(Trap::CallStackExhausted);
-            }
-            observer.on_call(idx);
-            self.stats.calls += 1;
-            let values = self.call_host_checked(idx, args)?;
-            observer.on_return(idx);
-            return Ok(values);
+        if self.fuel.is_some()
+            || accounting == Accounting::PerInstr
+            || idx < self.module.num_imported_funcs()
+        {
+            return self.invoke_tree(idx, args, observer);
         }
         if self.compiled.is_none() {
             self.compiled = Some(CompiledModule::compile(self.module)?);
@@ -1127,12 +1184,12 @@ impl<'m> Instance<'m> {
         let compiled = Arc::clone(self.compiled.as_ref().expect("compiled above"));
         let rm = match compiled.reg_module(self.module) {
             Ok(rm) => rm,
-            Err(_) => return self.invoke_flat(idx, args, observer),
+            Err(_) => return self.invoke_tree(idx, args, observer),
         };
         let delivery = match accounting {
             _ if observer.is_null() => Delivery::Null,
             Accounting::Weighted(key) if rm.weights == Some(key) => Delivery::Weighted,
-            Accounting::Weighted(_) => return self.invoke_flat(idx, args, observer),
+            Accounting::Weighted(_) => return self.invoke_tree(idx, args, observer),
             _ => Delivery::Count,
         };
         if self.config.max_call_depth == 0 {
@@ -1202,5 +1259,21 @@ impl<'m> Instance<'m> {
             .enumerate()
             .map(|(k, t)| slot_to_value(self.reg_bufs.regs[at + k], *t))
             .collect())
+    }
+
+    /// A deopt: runs the invoke on the tree-walker. An observer that
+    /// ignores every event runs the monomorphised null loop, as
+    /// [`Instance::invoke_observed`] does for a tree-engine invoke.
+    fn invoke_tree(
+        &mut self,
+        idx: u32,
+        args: &[Value],
+        observer: &mut dyn Observer,
+    ) -> Result<Vec<Value>, Trap> {
+        if observer.is_null() {
+            self.call_function(idx, args, 0, &mut NullObserver)
+        } else {
+            self.call_function(idx, args, 0, observer)
+        }
     }
 }

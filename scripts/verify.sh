@@ -26,22 +26,21 @@ echo "==> end-to-end benchmark builds and its unit tests pass (perfbench/)"
 cargo build --offline --release --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> engine differential suite (tree vs bytecode vs regs, three-way)"
+echo "==> engine differential suite (tree vs regs, two-way)"
 cargo test --offline -q -p acctee-integration --test engine_diff
 
 echo "==> interpreter throughput smoke (BENCH_interp.json)"
 cargo run --offline --release -q -p acctee-bench --bin interp -- 8 2 --out /tmp/BENCH_interp.json
-# The register tier must be present and must beat the flat engine on
-# the per-kernel geomean (its whole reason to exist); the committed
-# trajectory file must carry the regs block too.
+# The register tier serves every unfueled execution, so it must stay
+# well ahead of the tree-walker oracle on the per-kernel geomean, in
+# this run and in the committed trajectory file alike.
 for f in /tmp/BENCH_interp.json BENCH_interp.json; do
-    grep -q '"regs"' "$f" || { echo "$f missing regs engine block"; exit 1; }
-    grep -q '"regs_speedup_geomean_vs_bytecode"' "$f" \
-        || { echo "$f missing regs_speedup_geomean_vs_bytecode"; exit 1; }
+    REGS_X="$(awk '/"regs": \{/ { r = 1 } r && /"speedup_geomean_vs_tree"/ {
+        gsub(/[^0-9.]/, "", $2); print $2; exit }' "$f")"
+    [ -n "$REGS_X" ] || { echo "$f missing the regs speedup_geomean_vs_tree"; exit 1; }
+    awk -v x="$REGS_X" 'BEGIN { exit !(x >= 3.0) }' \
+        || { echo "$f: register tier only ${REGS_X}x tree (geomean; gate 3.0x)"; exit 1; }
 done
-REGS_X="$(sed -n 's/.*"regs_speedup_geomean_vs_bytecode": \([0-9.]*\).*/\1/p' /tmp/BENCH_interp.json)"
-awk -v x="${REGS_X:-0}" 'BEGIN { exit !(x > 1.0) }' \
-    || { echo "register tier is not faster than bytecode (geomean ${REGS_X:-?}x)"; exit 1; }
 
 echo "==> artifact-cache concurrency suite"
 cargo test --offline -q --release -p acctee-integration --test artifact_cache

@@ -1,7 +1,7 @@
 //! Concurrency and identity tests for the compile-once/serve-many
 //! artifact caches (§3.3): the shared [`InstrumentationCache`]
 //! (single-flight, LRU-bounded) and the `Arc`-shared
-//! [`CompiledModule`] bytecode artifact.
+//! [`CompiledModule`] register-tier artifact.
 //!
 //! The trust argument these tests pin down: a cached artifact must be
 //! indistinguishable from a fresh one — same bytes, same evidence,
@@ -110,8 +110,8 @@ fn capacity_bound_holds_under_concurrent_churn() {
 
 #[test]
 fn arc_shared_artifact_counts_bit_identically_to_fresh_compiles() {
-    // One instrumented PolyBench kernel, executed under the bytecode
-    // engine three ways: fresh per-instance compile, Arc-shared
+    // One instrumented PolyBench kernel, executed on the register
+    // tier three ways: fresh per-instance compile, Arc-shared
     // artifact, and Arc-shared artifact from four concurrent threads.
     // Results and the injected counter must agree exactly.
     let kernel = acctee_workloads::polybench::by_name("gemm").expect("gemm exists");
@@ -120,7 +120,7 @@ fn arc_shared_artifact_counts_bit_identically_to_fresh_compiles() {
     let m = instrumented.module;
     let counter_global = instrumented.counter_global;
     let cfg = Config {
-        engine: Engine::Bytecode,
+        engine: Engine::Regs,
         ..Config::default()
     };
 
@@ -167,7 +167,7 @@ fn artifact_rejects_mismatched_module() {
     };
     let artifact = CompiledModule::compile(&a).unwrap();
     let cfg = Config {
-        engine: Engine::Bytecode,
+        engine: Engine::Regs,
         ..Config::default()
     };
     assert!(Instance::with_artifact(&b_mod, Imports::new(), cfg, artifact).is_err());
@@ -176,16 +176,18 @@ fn artifact_rejects_mismatched_module() {
 #[test]
 fn deployment_cache_and_bytecode_artifact_account_identically() {
     // End to end: the Deployment's instrumentation cache plus the
-    // AE's shared bytecode artifact, vs a cold tree-walker pipeline.
+    // AE's shared register-tier artifact, vs a cold tree-walker
+    // pipeline.
     let kernel = acctee_workloads::polybench::by_name("atax").expect("atax exists");
     let bytes = encode_module(&(kernel.build)(8));
 
     let mut cold = Deployment::new(3);
+    cold.set_engine(Engine::Tree);
     let (ib, ev) = cold.instrument(&bytes, Level::LoopBased).unwrap();
     let want = cold.execute(&ib, &ev, "run", &[], b"").unwrap();
 
     let mut warm = Deployment::new(3).with_cache_capacity(8);
-    warm.set_engine(Engine::Bytecode);
+    warm.set_engine(Engine::Regs);
     for i in 0..3 {
         let (ib_w, ev_w) = warm.instrument(&bytes, Level::LoopBased).unwrap();
         assert_eq!(ib_w, ib, "cache round {i} must return identical bytes");
@@ -204,12 +206,12 @@ fn deployment_cache_and_bytecode_artifact_account_identically() {
 #[test]
 fn faas_serves_custom_kernel_in_parallel_with_shared_artifact() {
     // A bring-your-own-function deployment of a PolyBench kernel,
-    // served by a worker pool under the bytecode engine: the batch
+    // served by a worker pool on the register tier: the batch
     // shares one compiled artifact and every request succeeds.
     let kernel = acctee_workloads::polybench::by_name("gemm").unwrap();
     let platform = FaasPlatform::deploy_module((kernel.build)(6), "run", Setup::Wasm)
         .unwrap()
-        .with_engine(Engine::Bytecode);
+        .with_engine(Engine::Regs);
     assert!(platform.warm(), "first warm compiles");
     let payloads: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8]).collect();
     let report = platform.serve_parallel(&payloads, 4);

@@ -1,13 +1,14 @@
-//! Differential testing of the three execution engines.
+//! Differential testing of the two execution engines.
 //!
-//! The tree-walker is the semantic oracle; the flat-bytecode engine
-//! and the register tier must each be indistinguishable from it for
-//! *any* module: bit-identical results, identical traps (kind and
-//! position, as witnessed by `ExecStats` and remaining fuel),
-//! identical `ExecStats`, and identical observer counts — across all
-//! dispatch modes (fast/batched, metered, observed; the register
-//! tier deopts to flat bytecode for the latter two, which this suite
-//! exercises as well).
+//! The tree-walker is the semantic oracle; the register tier must be
+//! indistinguishable from it for *any* module: bit-identical results,
+//! identical traps (kind and position, as witnessed by `ExecStats` and
+//! remaining fuel), identical `ExecStats`, and identical observer
+//! counts — across all delivery modes (null, batched, weighted). Every
+//! route by which the register tier hands an invoke to the tree-walker
+//! (fuel, a per-instruction observer, a weights-key mismatch, an
+//! unweighted artifact, a module the register compiler declines) is
+//! asserted here on `Engine::Regs` as well.
 //!
 //! Programs come from a control-flow-heavy generator (blocks, loops,
 //! ifs, br_table, direct/indirect calls, memory traffic, occasional
@@ -92,7 +93,7 @@ fn run(
     }
 }
 
-/// The flagship assertion: all three engines agree on results, traps,
+/// The flagship assertion: both engines agree on results, traps,
 /// stats, fuel and counts, in every dispatch mode. Returns the oracle
 /// outcome for further checks.
 fn assert_engines_agree(
@@ -123,33 +124,44 @@ fn assert_engines_agree(
         args,
     );
     assert_eq!(t.stats, tn.stats, "observer choice changed tree stats");
-    for engine in [Engine::Bytecode, Engine::Regs] {
-        // Observed mode: exact per-instruction stream on both sides
-        // (the register tier deopts to flat bytecode here).
-        let b = run(
-            module,
-            mk_imports(),
-            engine,
-            fuel,
-            Obs::Counting,
-            func,
-            args,
-        );
-        assert_eq!(t, b, "{engine:?}: observed (per-instruction) mode diverged");
-        // Null observer: the fastest dispatch mode of each engine.
-        let bn = run(module, mk_imports(), engine, fuel, Obs::Null, func, args);
-        assert_eq!(tn, bn, "{engine:?}: null-observer (batched) mode diverged");
-        // A batched counter must still see the exact total, including
-        // partially executed blocks on traps.
-        let bb = run(module, mk_imports(), engine, fuel, Obs::Batched, func, args);
-        assert_eq!(
-            bb.count, t.count,
-            "{engine:?}: fused block counts diverged from oracle"
-        );
-        assert_eq!(bb.result, t.result, "{engine:?}");
-        assert_eq!(bb.stats, t.stats, "{engine:?}");
-        assert_eq!(bb.fuel_left, t.fuel_left, "{engine:?}");
-    }
+    // Observed mode: the exact per-instruction stream (the register
+    // tier hands per-instruction observers to the tree-walker).
+    let r = run(
+        module,
+        mk_imports(),
+        Engine::Regs,
+        fuel,
+        Obs::Counting,
+        func,
+        args,
+    );
+    assert_eq!(t, r, "observed (per-instruction) mode diverged");
+    // Null observer: the register tier's fastest dispatch mode.
+    let rn = run(
+        module,
+        mk_imports(),
+        Engine::Regs,
+        fuel,
+        Obs::Null,
+        func,
+        args,
+    );
+    assert_eq!(tn, rn, "null-observer mode diverged");
+    // A batched counter must still see the exact total, including
+    // partially executed blocks on traps.
+    let rb = run(
+        module,
+        mk_imports(),
+        Engine::Regs,
+        fuel,
+        Obs::Batched,
+        func,
+        args,
+    );
+    assert_eq!(rb.count, t.count, "fused block counts diverged from oracle");
+    assert_eq!(rb.result, t.result);
+    assert_eq!(rb.stats, t.stats);
+    assert_eq!(rb.fuel_left, t.fuel_left);
     t
 }
 
@@ -638,17 +650,17 @@ fn call_depth_agrees() {
                 let r = inst.invoke("f", &[Value::I32(n)]);
                 (r, inst.stats())
             };
-            let b2 = {
+            let r = {
                 let cfg = Config {
                     max_call_depth: depth_limit,
-                    engine: Engine::Bytecode,
+                    engine: Engine::Regs,
                     ..Config::default()
                 };
                 let mut inst = Instance::with_config(&m, Imports::new(), cfg).expect("inst");
                 let r = inst.invoke("f", &[Value::I32(n)]);
                 (r, inst.stats())
             };
-            assert_eq!(t, b2, "depth_limit={depth_limit} n={n}");
+            assert_eq!(t, r, "depth_limit={depth_limit} n={n}");
         }
     }
     // Default limit: deep recursion exhausts, shallow succeeds.
@@ -680,6 +692,7 @@ fn host_imports_agree() {
         });
     });
     b.export_func("f", f);
+    b.export_func("double", dbl);
     let m = b.build();
     let mk = || {
         Imports::new()
@@ -701,6 +714,10 @@ fn host_imports_agree() {
     assert_eq!(out.result, Ok(vec![(ValType::I32, 42)]));
     let out = assert_engines_agree(&m, &mk, "f", &[Value::I32(400)], None);
     assert_eq!(out.result, Err(Trap::Host("host says no".into())));
+    // An exported import invoked directly: the host runs with nothing
+    // staged.
+    let out = assert_engines_agree(&m, &mk, "double", &[Value::I32(5)], None);
+    assert_eq!(out.result, Ok(vec![(ValType::I32, 5)]));
 }
 
 /// The injected weighted counter (the paper's accounting mechanism)
@@ -738,8 +755,9 @@ fn instrumented_counter_agrees() {
     });
 }
 
-/// Repeated invokes on one instance: the bytecode engine reuses its
-/// stacks and compiled code; accumulated stats still match the tree.
+/// Repeated invokes on one instance: the register tier reuses its
+/// register arena and compiled code; accumulated stats still match
+/// the tree.
 #[test]
 fn repeated_invokes_accumulate_identically() {
     let mut b = ModuleBuilder::new();
@@ -857,7 +875,7 @@ fn guarded_loop_commits_untouched_pages() {
         let args = [Value::I32(n), Value::I32(base)];
         let out = assert_engines_agree(&m, &no_imports, "f", &args, None);
         assert!(out.result.is_ok(), "n={n} base={base}");
-        for engine in [Engine::Tree, Engine::Bytecode, Engine::Regs] {
+        for engine in Engine::ALL {
             let cfg = Config {
                 engine,
                 ..Config::default()
@@ -1057,8 +1075,8 @@ fn emit_const(f: &mut FuncBuilder, v: Value) {
 
 /// Builds `f(params...) -> result` applying `op` once; each operand
 /// comes from a param (`None`) or an embedded constant (`Some`). The
-/// shapes lower to different superinstructions in the flat engine
-/// (`local.get; op`, `const; op`, `local.get; const; op`, ...).
+/// shapes lower to different register ops (register or constant
+/// operands: `local.get; op`, `const; op`, `local.get; const; op`, ...).
 fn num_module(op: NumOp, consts: &[Option<Value>]) -> Module {
     let (operands, result) = op.sig();
     let params: Vec<ValType> = operands
@@ -1087,10 +1105,11 @@ fn num_module(op: NumOp, consts: &[Option<Value>]) -> Module {
 
 /// Exhaustive per-opcode differential sweep: every numeric opcode
 /// runs over the adversarial operand matrix in every lowered shape —
-/// operands from params, from constants, and mixed — pinning the flat
-/// engine's duplicated slot evaluator and its const-fusion paths to
-/// the tree-walker bit for bit (including NaN payloads and trap
-/// agreement for division and truncation).
+/// operands from params, from constants, and mixed — pinning the
+/// register tier's handlers generated from the shared slot op table,
+/// and its constant-operand lowering, to the tree-walker bit for bit
+/// (including NaN payloads and trap agreement for division and
+/// truncation).
 #[test]
 fn numeric_ops_agree_exhaustively() {
     for op in NumOp::ALL.iter().copied() {
@@ -1230,7 +1249,8 @@ impl Observer for GrowRecorder {
 
 /// The `on_mem_grow` ordering contract: on every engine and dispatch
 /// mode, every instruction up to and including the grow has been
-/// delivered before the new size is reported, and no later one.
+/// delivered before the new size is reported, and no later one. The
+/// fueled register-tier row runs on the tree-walker.
 #[test]
 fn memory_grow_is_reported_after_its_segment() {
     for (name, m, args) in grow_modules() {
@@ -1238,8 +1258,7 @@ fn memory_grow_is_reported_after_its_segment() {
             let mut seen = Vec::new();
             for (engine, fuel) in [
                 (Engine::Tree, None),
-                (Engine::Bytecode, None),
-                (Engine::Bytecode, Some(1 << 40)),
+                (Engine::Regs, Some(1 << 40)),
                 (Engine::Regs, None),
             ] {
                 let cfg = Config {
@@ -1317,8 +1336,9 @@ enum Delivered {
 }
 
 /// Runs `func` with a [`WeightedIntegral`] on `engine`, through an
-/// artifact lowered with `artifact_weights` (none: plain compile).
-/// Returns the result, the integral, stats and the delivery mode.
+/// artifact lowered with `artifact_weights` (none: plain compile),
+/// with the metered I/O imports serving `input`. Returns the result,
+/// the integral, stats and the delivery mode.
 fn weighted_run(
     m: &Module,
     engine: Engine,
@@ -1326,21 +1346,23 @@ fn weighted_run(
     artifact_weights: Option<(WeightsKey, WeightTable)>,
     func: &str,
     args: &[Value],
+    input: &[u8],
 ) -> (Result<Vec<Value>, Trap>, u128, ExecStats, Delivered) {
     let cfg = Config {
         engine,
         ..Config::default()
     };
+    let imports = acctee::IoMeter::with_input(input).register(Imports::new());
     let mut inst = match (engine, artifact_weights) {
-        (Engine::Tree, _) => Instance::with_config(m, Imports::new(), cfg),
+        (Engine::Tree, _) => Instance::with_config(m, imports, cfg),
         (_, Some((key, t))) => {
             let w = InstrWeights::new(key, move |i| t.weight(i));
             let art = CompiledModule::compile_weighted(m, w).expect("artifact");
-            Instance::with_artifact(m, Imports::new(), cfg, art)
+            Instance::with_artifact(m, imports, cfg, art)
         }
         (_, None) => {
             let art = CompiledModule::compile(m).expect("artifact");
-            Instance::with_artifact(m, Imports::new(), cfg, art)
+            Instance::with_artifact(m, imports, cfg, art)
         }
     }
     .expect("instantiate");
@@ -1357,16 +1379,20 @@ fn weighted_run(
 
 /// Weighted segment sums reproduce the per-instruction weighted
 /// memory integral bit for bit: on the register tier with matching
-/// weights (batched), and on every fallback — tree, flat, an
-/// unweighted artifact, a mismatched key (all per-instruction).
-fn assert_weighted_agrees(m: &Module, func: &str, args: &[Value], what: &str) {
+/// weights (batched), and on its tree-walker fallbacks — an
+/// unweighted artifact, a mismatched key (both per-instruction). The
+/// matching row must be served batched: a module the register
+/// compiler declines fails it.
+fn assert_weighted_agrees(m: &Module, func: &str, args: &[Value], input: &[u8], what: &str) {
     let table = WeightTable::calibrated();
-    let matching = Some((KEY, table.clone()));
-    let tree = weighted_run(m, Engine::Tree, &table, None, func, args);
+    let tree = weighted_run(m, Engine::Tree, &table, None, func, args, input);
     assert_eq!(tree.3, Delivered::PerInstr);
     let runs = [
-        (Engine::Regs, matching.clone(), Delivered::Weighted),
-        (Engine::Bytecode, matching, Delivered::PerInstr),
+        (
+            Engine::Regs,
+            Some((KEY, table.clone())),
+            Delivered::Weighted,
+        ),
         (Engine::Regs, None, Delivered::PerInstr),
         (
             Engine::Regs,
@@ -1376,7 +1402,7 @@ fn assert_weighted_agrees(m: &Module, func: &str, args: &[Value], what: &str) {
     ];
     for (engine, art, want) in runs {
         let keyed = art.is_some();
-        let got = weighted_run(m, engine, &table, art, func, args);
+        let got = weighted_run(m, engine, &table, art, func, args, input);
         let tag = format!("{what}: {engine:?} keyed={keyed}");
         assert_eq!(got.0, tree.0, "{tag}: result");
         assert_eq!(got.1, tree.1, "{tag}: weighted integral");
@@ -1385,20 +1411,80 @@ fn assert_weighted_agrees(m: &Module, func: &str, args: &[Value], what: &str) {
     }
 }
 
+/// A use-case module the end-to-end benchmark serves, with a call.
+struct UseCase {
+    name: &'static str,
+    module: Module,
+    func: &'static str,
+    args: Vec<Value>,
+    input: Vec<u8>,
+}
+
+fn use_cases() -> Vec<UseCase> {
+    use acctee_workloads::{darknet, faas_fns, msieve, subsetsum};
+    let case = |name, module, func, args, input| UseCase {
+        name,
+        module,
+        func,
+        args,
+        input,
+    };
+    vec![
+        case(
+            "echo",
+            faas_fns::echo_module(),
+            "main",
+            vec![],
+            b"echo me".to_vec(),
+        ),
+        case(
+            "resize",
+            faas_fns::resize_module(),
+            "main",
+            vec![],
+            faas_fns::test_image(32, 24),
+        ),
+        case(
+            "darknet",
+            darknet::darknet_module(12),
+            "run",
+            vec![Value::I32(2)],
+            vec![],
+        ),
+        case("msieve", msieve::msieve_module(3, 5), "run", vec![], vec![]),
+        case(
+            "subsetsum",
+            subsetsum::subsetsum_module(10, 2),
+            "run",
+            vec![],
+            vec![],
+        ),
+    ]
+}
+
 #[test]
 fn weighted_blocks_match_per_instruction_weights() {
     for (name, m, args) in grow_modules() {
         for a in args {
-            assert_weighted_agrees(&m, "f", &[Value::I32(a)], &format!("{name}({a})"));
+            assert_weighted_agrees(&m, "f", &[Value::I32(a)], b"", &format!("{name}({a})"));
         }
     }
     for k in acctee_workloads::polybench::all() {
-        assert_weighted_agrees(&(k.build)(6), "run", &[], k.name);
+        assert_weighted_agrees(&(k.build)(6), "run", &[], b"", k.name);
+    }
+    // Served as uploaded and as instrumented: a decline of either
+    // would drop that deployment to tree-walker speed.
+    let weights = WeightTable::calibrated();
+    for c in use_cases() {
+        assert_weighted_agrees(&c.module, c.func, &c.args, &c.input, c.name);
+        let inst = instrument(&c.module, Level::LoopBased, &weights).expect("instrument");
+        let what = format!("{} (instrumented)", c.name);
+        assert_weighted_agrees(&inst.module, c.func, &c.args, &c.input, &what);
     }
     check("weighted_blocks_match_per_instruction_weights", 24, |rng| {
         let m = build_module(&gen_program(rng, 3));
         let seed = rng.i64();
-        assert_weighted_agrees(&m, "run", &[Value::I64(seed)], "generated");
+        assert_weighted_agrees(&m, "run", &[Value::I64(seed)], b"", "generated");
     });
 }
 
@@ -1446,7 +1532,7 @@ fn weighted_prefix_cannot_overflow() {
         let mut table = WeightTable::uniform();
         table.set(&Instr::I64Const(0), w);
         table.set(&Instr::Num(NumOp::I64Add), w);
-        let tree = weighted_run(&m, Engine::Tree, &table, None, "f", &[]);
+        let tree = weighted_run(&m, Engine::Tree, &table, None, "f", &[], b"");
         let regs = weighted_run(
             &m,
             Engine::Regs,
@@ -1454,6 +1540,7 @@ fn weighted_prefix_cannot_overflow() {
             Some((KEY, table.clone())),
             "f",
             &[],
+            b"",
         );
         assert_eq!(regs.0, tree.0);
         assert_eq!(regs.1, tree.1, "weight {w}: integral");
@@ -1490,7 +1577,7 @@ fn signed_log_bytes(
 /// `ResourceUsageLog` — weighted instructions, peak memory, the
 /// memory integral, I/O bytes — and its quote are byte-identical on
 /// the tree-walker and the register tier (whose memory integral
-/// arrives as weighted segment sums), and on the flat engine.
+/// arrives as weighted segment sums).
 fn assert_signed_logs_agree(
     dep: &mut Deployment,
     what: &str,
@@ -1504,10 +1591,8 @@ fn assert_signed_logs_agree(
         let (ib, ev) = dep.instrument(&bytes, level).expect("instrument");
         let loaded = dep.infrastructure().load(&ib, &ev).expect("load");
         let tree = signed_log_bytes(dep, Engine::Tree, &loaded, func, args, input);
-        for engine in [Engine::Regs, Engine::Bytecode] {
-            let got = signed_log_bytes(dep, engine, &loaded, func, args, input);
-            assert_eq!(got, tree, "{what} {level} {engine:?}: signed log differs");
-        }
+        let regs = signed_log_bytes(dep, Engine::Regs, &loaded, func, args, input);
+        assert_eq!(regs, tree, "{what} {level}: signed log differs");
     }
 }
 
@@ -1522,27 +1607,118 @@ fn signed_logs_agree_across_engines_on_polybench() {
 
 #[test]
 fn signed_logs_agree_across_engines_on_use_cases() {
-    use acctee_workloads::{darknet, faas_fns, msieve, subsetsum};
     let mut dep = Deployment::new(19);
-    let image = faas_fns::test_image(32, 24);
-    let d = darknet::darknet_module(12);
-    assert_signed_logs_agree(
-        &mut dep,
-        "resize",
-        &faas_fns::resize_module(),
-        "main",
-        &[],
-        &image,
-    );
-    assert_signed_logs_agree(&mut dep, "darknet", &d, "run", &[Value::I32(2)], b"");
-    let ms = msieve::msieve_module(3, 5);
-    assert_signed_logs_agree(&mut dep, "msieve", &ms, "run", &[], b"");
-    let ss = subsetsum::subsetsum_module(10, 2);
-    assert_signed_logs_agree(&mut dep, "subsetsum", &ss, "run", &[], b"");
+    for c in use_cases() {
+        assert_signed_logs_agree(&mut dep, c.name, &c.module, c.func, &c.args, &c.input);
+    }
     for (name, m, args) in grow_modules() {
         for a in args {
             let what = format!("{name}({a})");
             assert_signed_logs_agree(&mut dep, &what, &m, "f", &[Value::I32(a)], b"");
         }
     }
+}
+
+// ------------------------------------------------ declined modules
+
+/// `f(n) -> i64` over `extra_locals` unused i64 locals: a counted
+/// loop accumulating into the last local with memory traffic, a
+/// `memory.grow`, then a load at `n << 12` — in bounds for small `n`,
+/// out of bounds (after the grow was accounted) from `n = 32`.
+fn wide_frame_module(extra_locals: usize) -> Module {
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(4));
+    let f = b.func("f", &[ValType::I32], &[ValType::I64], |f| {
+        for _ in 0..extra_locals {
+            f.local(ValType::I64);
+        }
+        let acc = f.local(ValType::I64);
+        let i = f.local(ValType::I32);
+        f.for_loop(i, Bound::Const(0), Bound::Local(0), |f| {
+            f.local_get(acc);
+            f.local_get(i);
+            f.num(NumOp::I64ExtendI32U);
+            f.num(NumOp::I64Add);
+            f.local_set(acc);
+            f.local_get(i);
+            f.i32_const(7);
+            f.i32_and();
+            f.i32_const(3);
+            f.i32_shl();
+            f.local_get(acc);
+            f.store(StoreOp::I64Store, 0);
+        });
+        f.i32_const(1);
+        f.emit(Instr::MemoryGrow);
+        f.drop_();
+        f.local_get(acc);
+        f.local_get(0);
+        f.i32_const(12);
+        f.i32_shl();
+        f.load(LoadOp::I64Load, 0);
+        f.num(NumOp::I64Add);
+    });
+    b.export_func("f", f);
+    b.build()
+}
+
+/// A module the register compiler declines — one function with 70 000
+/// locals, a frame too wide for `u16` registers — runs on the
+/// tree-walker under `Engine::Regs`, bit-identical to `Engine::Tree`:
+/// results, traps, `ExecStats`, fuel, observer counts, the injected
+/// counter and the signed usage log.
+#[test]
+fn declined_module_falls_back_to_the_tree_walker() {
+    let wide = wide_frame_module(70_000);
+    acctee_wasm::validate::validate_module(&wide).expect("valid");
+    // The witness of the decline: matching weights are delivered
+    // batched on the narrow twin, per instruction on the wide module.
+    let table = WeightTable::calibrated();
+    let args = [Value::I32(5)];
+    for (m, want) in [
+        (wide_frame_module(0), Delivered::Weighted),
+        (wide.clone(), Delivered::PerInstr),
+    ] {
+        let keyed = Some((KEY, table.clone()));
+        let tree = weighted_run(&m, Engine::Tree, &table, None, "f", &args, b"");
+        let regs = weighted_run(&m, Engine::Regs, &table, keyed, "f", &args, b"");
+        assert_eq!(regs.0, tree.0, "result");
+        assert_eq!(regs.1, tree.1, "weighted integral");
+        assert_eq!(regs.2, tree.2, "stats");
+        assert_eq!(regs.3, want, "delivery");
+    }
+    for n in [0, 5, 31, 32] {
+        let args = [Value::I32(n)];
+        let free = assert_engines_agree(&wide, &no_imports, "f", &args, None);
+        assert_eq!(
+            matches!(free.result, Err(Trap::MemoryOutOfBounds { .. })),
+            n >= 32,
+            "n={n}: {:?}",
+            free.result
+        );
+        let used = free.count.expect("counted");
+        for fuel in [0, used / 2, used - 1, used] {
+            assert_engines_agree(&wide, &no_imports, "f", &args, Some(fuel));
+        }
+    }
+    for level in [Level::Naive, Level::FlowBased, Level::LoopBased] {
+        let r = instrument(&wide, level, &table).expect("instrument");
+        let mut seen = Vec::new();
+        for engine in Engine::ALL {
+            let cfg = Config {
+                engine,
+                ..Config::default()
+            };
+            let mut inst = Instance::with_config(&r.module, Imports::new(), cfg).expect("inst");
+            let out = inst.invoke("f", &[Value::I32(9)]);
+            seen.push((
+                out.map(|vs| vs.iter().map(value_bits).collect::<Vec<_>>()),
+                inst.stats(),
+                inst.global(COUNTER_EXPORT).map(|v| v.as_i64()),
+            ));
+        }
+        assert_eq!(seen[0], seen[1], "{level}: instrumented run diverged");
+    }
+    let mut dep = Deployment::new(19);
+    assert_signed_logs_agree(&mut dep, "wide frame", &wide, "f", &[Value::I32(9)], b"");
 }

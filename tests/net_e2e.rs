@@ -241,9 +241,17 @@ fn tenant_limit_sheds_busy_and_deadline_frees_the_worker(io: IoMode) {
     });
 
     // While A spins, the same tenant on a second connection is shed
-    // with an explicit Busy — not queued, not hung.
-    std::thread::sleep(Duration::from_millis(120));
+    // with an explicit Busy — not queued, not hung. B goes ahead only
+    // once the stats plane reports A's request in flight (A's connect
+    // and deploy take an unpredictable time before its invoke).
     let mut b = connect(addr);
+    poll_until(|| {
+        let snap = b.stats().expect("stats");
+        snap.tenants
+            .iter()
+            .any(|t| t.tenant == "t" && t.inflight == 1)
+            .then_some(())
+    });
     let dep_b = b.deploy(&module, Level::Naive).expect("deploy b");
     match b.invoke(&dep_b, "fast", &[Value::I32(1)], b"", "t") {
         Err(NetError::Busy) => {}
