@@ -13,8 +13,8 @@ use std::path::{Path, PathBuf};
 
 use acctee::{Deployment, InstrumentationEvidence, Level, ResourceUsageLog, SignedLog};
 use acctee_durable::{
-    encode_record, DeployRecord, FsyncPolicy, RegistryState, SnapshotStore, TenantRollup,
-    UsageRecord, Wal,
+    encode_record, DeployRecord, Durable, DurableOptions, FsyncPolicy, RegistryState,
+    SnapshotStore, TenantRollup, UsageRecord, Wal,
 };
 use acctee_fleet::journal::JournalSubmission;
 use acctee_fleet::{Journal, UnitSpec, WorkloadKind};
@@ -263,5 +263,62 @@ fn committed_state_dir_replays_unchanged() {
     assert_eq!(replay.torn_bytes_discarded, 0);
     assert_eq!(replay.duplicate_submissions_dropped, 0);
     assert_eq!(replay.duplicate_done_dropped, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn golden_deploy(deploy_id: u64) -> DeployRecord {
+    let (level, module): (Level, &[u8]) = match deploy_id {
+        1 => (Level::Naive, b"\0asm golden one"),
+        2 => (Level::FlowBased, b"\0asm golden two"),
+        _ => (Level::LoopBased, b"\0asm golden three"),
+    };
+    DeployRecord {
+        deploy_id,
+        level,
+        module: module.to_vec(),
+    }
+}
+
+/// `tests/golden/state_registry_v1/` is a state directory written
+/// under seed `0x901d` by the registry that sealed every deployment
+/// into each snapshot: deploys 1 and 2 (`golden_deploy`), usage
+/// records 1 and 2 on the WAL, then a checkpoint. It must keep
+/// opening with both deployments byte for byte, and a later deploy
+/// plus a checkpoint must lose none of them.
+#[test]
+fn registry_v1_state_dir_rehydrates_its_deployments() {
+    let dir = tmpdir("registry-v1");
+    for entry in std::fs::read_dir(golden_dir().join("state_registry_v1")).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let dep = Deployment::new(0x901d);
+    let infra = dep.infrastructure();
+    let ae = infra.accounting_enclave();
+    let open = || Durable::open(&dir, DurableOptions::default(), ae, infra.pricing).unwrap();
+
+    let (durable, rec) = open();
+    assert!(rec.snapshot_restored);
+    assert_eq!(rec.deployments, vec![golden_deploy(1), golden_deploy(2)]);
+    assert_eq!(rec.next_deploy, 3);
+    assert_eq!(rec.records_replayed, 2);
+    assert_eq!(
+        durable.read_all_records().unwrap(),
+        vec![record(1), record(2)]
+    );
+    let deploy = golden_deploy(3);
+    durable
+        .record_deploy(deploy.deploy_id, deploy.level, deploy.module, ae)
+        .unwrap();
+    durable.checkpoint(ae).unwrap();
+    drop(durable);
+
+    let (_, rec) = open();
+    assert_eq!(
+        rec.deployments,
+        (1..=3).map(golden_deploy).collect::<Vec<_>>()
+    );
+    assert_eq!(rec.next_deploy, 4);
+    assert_eq!(rec.records_replayed, 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }
