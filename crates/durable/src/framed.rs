@@ -156,10 +156,20 @@ pub(crate) fn sync_dir(dir: &Path) {
 }
 
 /// A framed file open for appending.
+///
+/// A failed write or fsync **poisons** the log: every later
+/// [`FramedLog::append`] and [`FramedLog::sync`] is refused until the
+/// file is reopened. A partial `write_all` leaves the file cursor past
+/// bytes no frame accounts for, so a later frame would land behind
+/// garbage and replay would cut it as torn tail, acknowledged or not;
+/// and a retried fsync may report success for pages the kernel already
+/// dropped. Reopening replays the file and cuts whatever the failure
+/// left behind.
 #[derive(Debug)]
 pub struct FramedLog {
     file: File,
     len: u64,
+    poisoned: bool,
 }
 
 impl FramedLog {
@@ -179,6 +189,7 @@ impl FramedLog {
         Ok(FramedLog {
             file,
             len: HEADER_LEN as u64,
+            poisoned: false,
         })
     }
 
@@ -202,6 +213,23 @@ impl FramedLog {
             return Ok((FramedLog::create(path, header)?, 0));
         }
         let (len, end) = replay(path, header, visit)?;
+        Ok(FramedLog::resume(path, header, len, end)?)
+    }
+
+    /// Opens the existing `path` for appending after [`replay`] found
+    /// its intact frames ending at `end` of `len` bytes: the torn tail
+    /// is cut off (a torn header rewritten) and fsynced. Returns the
+    /// bytes cut.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors.
+    pub(crate) fn resume(
+        path: &Path,
+        header: [u8; HEADER_LEN],
+        len: usize,
+        end: usize,
+    ) -> std::io::Result<(FramedLog, u64)> {
         let mut file = OpenOptions::new().write(true).open(path)?;
         if end < len || end == 0 {
             file.set_len(end as u64)?;
@@ -214,6 +242,7 @@ impl FramedLog {
         let log = FramedLog {
             file,
             len: end.max(HEADER_LEN) as u64,
+            poisoned: false,
         };
         Ok((log, (len - end) as u64))
     }
@@ -223,9 +252,12 @@ impl FramedLog {
     ///
     /// # Errors
     ///
-    /// I/O errors.
+    /// I/O errors, which poison the log; a poisoned log refuses.
     pub fn append(&mut self, frame: &[u8]) -> std::io::Result<u64> {
-        self.file.write_all(frame)?;
+        self.check_poison()?;
+        let written = self.file.write_all(frame);
+        self.poisoned = written.is_err();
+        written?;
         let offset = self.len;
         self.len += frame.len() as u64;
         Ok(offset)
@@ -235,9 +267,22 @@ impl FramedLog {
     ///
     /// # Errors
     ///
-    /// I/O errors from fsync.
+    /// I/O errors from fsync, which poison the log; a poisoned log
+    /// refuses.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        self.file.sync_data()
+        self.check_poison()?;
+        let synced = self.file.sync_data();
+        self.poisoned = synced.is_err();
+        synced
+    }
+
+    fn check_poison(&self) -> std::io::Result<()> {
+        if self.poisoned {
+            return Err(std::io::Error::other(
+                "log poisoned by an earlier failed write or fsync; reopen it to recover",
+            ));
+        }
+        Ok(())
     }
 
     /// The file's length: header plus every frame.
@@ -310,6 +355,36 @@ mod tests {
             FramedLog::open::<DurableError>(&path, TEST, |_, _| Ok(())),
             Err(DurableError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn a_failed_append_poisons_the_log() {
+        let path = tmpfile("poison");
+        let (mut log, _) = FramedLog::open::<DurableError>(&path, TEST, |_, _| Ok(())).unwrap();
+        log.append(&frame(|e| e.raw(b"acknowledged"))).unwrap();
+        log.sync().unwrap();
+        let len = log.len();
+        drop(log);
+        // A handle that cannot write: the first append fails in the
+        // kernel, and every later append and sync is refused before
+        // touching the file.
+        let mut log = FramedLog {
+            file: File::open(&path).unwrap(),
+            len,
+            poisoned: false,
+        };
+        let failed = log.append(&frame(|e| e.raw(b"lost"))).unwrap_err();
+        assert!(!failed.to_string().contains("poisoned"), "{failed}");
+        for _ in 0..2 {
+            let refused = log.append(&frame(|e| e.raw(b"later"))).unwrap_err();
+            assert!(refused.to_string().contains("poisoned"), "{refused}");
+            let refused = log.sync().unwrap_err();
+            assert!(refused.to_string().contains("poisoned"), "{refused}");
+        }
+        assert_eq!(log.len(), len);
+        drop(log);
+        let (seen, torn) = payloads(&path);
+        assert_eq!((seen, torn), (vec![b"acknowledged".to_vec()], 0));
     }
 
     #[test]

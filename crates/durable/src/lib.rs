@@ -5,11 +5,14 @@
 //! * [`wal`] — a write-ahead log of canonical-encoded signed usage
 //!   records (append + configurable fsync, segment rotation and
 //!   compaction) on [`framed`], the CRC-framed, torn-tail-tolerant file
-//!   format it shares with the fleet coordinator's journal;
-//! * [`registry`] — a sealed snapshot of the deployment registry and
-//!   tenant state, sealed with the accounting enclave's key under a
-//!   monotonic nonce schedule, so a restart rehydrates deployments and
-//!   resumes id allocation past every pre-crash high-water mark;
+//!   format it shares with the deploy log and the fleet coordinator's
+//!   journal;
+//! * [`registry`] — the deployment registry and tenant state, sealed
+//!   with the accounting enclave's key: an append-only deploy log of one
+//!   sealed frame per deployment, and a snapshot checkpointing the
+//!   counters and rollups under a monotonic nonce schedule, so a restart
+//!   rehydrates deployments and resumes id allocation past every
+//!   pre-crash high-water mark;
 //! * [`billing`] — an aggregator folding verified logs into per-tenant
 //!   metering rollups and signed settlement statements, carrying the
 //!   sub-MiB integral remainders exactly.
@@ -17,12 +20,14 @@
 //! [`Durable`] ties them together behind one lock with a simple
 //! contract: a usage record is appended (and, under
 //! [`FsyncPolicy::Always`], fsynced) *before* the response leaves the
-//! server, so every acknowledged request is recoverable; session ids
-//! are covered by a sealed lease extended ahead of use, so no
-//! pre-crash id is ever re-issued; and on open the aggregator is
-//! rebuilt from a full WAL replay — exactly-once per session id — then
-//! cross-checked against the sealed rollups, so a log that lost
-//! acknowledged records is refused rather than silently under-billed.
+//! server, so every acknowledged request is recoverable; a deployment
+//! is appended and fsynced to the deploy log before its id is
+//! acknowledged, under every policy; session ids are covered by a
+//! sealed lease extended ahead of use, so no pre-crash id is ever
+//! re-issued; and on open the aggregator is rebuilt from a full WAL
+//! replay — exactly-once per session id — then cross-checked against
+//! the sealed rollups, so a log that lost acknowledged records is
+//! refused rather than silently under-billed.
 
 pub mod billing;
 pub mod framed;
@@ -30,7 +35,7 @@ pub mod record;
 pub mod registry;
 pub mod wal;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -39,10 +44,11 @@ use acctee::{AccountingEnclave, Invoice, PricingModel, SignedLog};
 use acctee_instrument::Level;
 
 use framed::Damaged;
+use registry::DeployLog;
 
 pub use billing::{Aggregator, SettlementStatement, SignedSettlement, TenantRollup};
 pub use record::{decode_record, encode_record, UsageRecord};
-pub use registry::{DeployRecord, RegistryState, SnapshotStore};
+pub use registry::{DeployRecord, RegistryState, SnapshotStore, DEPLOY_LOG_FILE};
 pub use wal::{FsyncPolicy, Wal, WalReplay};
 
 /// Errors from the durable control plane.
@@ -61,6 +67,8 @@ pub enum DurableError {
     ForeignSnapshot(String),
     /// A usage record for this session id is already in the log.
     DuplicateSession(u64),
+    /// A deployment with this id is already in the deploy log.
+    DuplicateDeploy(u64),
     /// Quoting or quote verification failed.
     Attestation(String),
 }
@@ -75,6 +83,7 @@ impl std::fmt::Display for DurableError {
             DurableError::DuplicateSession(id) => {
                 write!(f, "usage record for session {id} already logged")
             }
+            DurableError::DuplicateDeploy(id) => write!(f, "deployment {id} already logged"),
             DurableError::Attestation(e) => write!(f, "attestation error: {e}"),
         }
     }
@@ -102,8 +111,8 @@ impl From<Damaged> for DurableError {
 
 /// Rotate WAL segments past this size.
 const SEGMENT_BYTES: u64 = 4 << 20;
-/// Seal a registry snapshot every this many appended records (deploys
-/// and lease extensions snapshot immediately regardless).
+/// Seal a registry snapshot every this many appended records (lease
+/// extensions snapshot immediately regardless).
 const CHECKPOINT_EVERY: u32 = 256;
 /// How far past the last sealed lease new session ids may run; the
 /// lease is re-sealed before allocation crosses it.
@@ -125,7 +134,10 @@ pub struct Recovery {
     pub duplicates_dropped: usize,
     /// Bytes of torn tail discarded from the final segment.
     pub torn_bytes_discarded: u64,
-    /// Deployments rehydrated from the sealed snapshot.
+    /// Bytes of torn tail discarded from the deploy log.
+    pub deploy_torn_bytes_discarded: u64,
+    /// Deployments rehydrated from the deploy log and the sealed
+    /// snapshot, by deploy id.
     pub deployments: Vec<DeployRecord>,
     /// First deploy id safe to hand out.
     pub next_deploy: u64,
@@ -140,7 +152,7 @@ struct Inner {
     wal: Wal,
     snapshots: SnapshotStore,
     agg: Aggregator,
-    deployments: Vec<DeployRecord>,
+    deploys: DeployLog,
     next_deploy: u64,
     session_lease: u64,
     appends_since_checkpoint: u32,
@@ -164,7 +176,11 @@ impl Durable {
     /// Opens (or initialises) the state directory: loads the newest
     /// sealed snapshot, replays the WAL, rebuilds the billing
     /// aggregator from the replayed records — exactly-once per session
-    /// id — and cross-checks it against the sealed rollups.
+    /// id — cross-checks it against the sealed rollups, and reads the
+    /// deployments back from the deploy log (plus, in a directory that
+    /// predates the log, the snapshot, whose deployments it moves onto
+    /// the log). A torn deploy-log tail costs one extra checkpoint,
+    /// sealed before the tail is cut (see [`registry`]).
     ///
     /// The aggregator is always rebuilt from the *full* WAL rather
     /// than folded forward from the snapshot: concurrent workers
@@ -189,29 +205,70 @@ impl Durable {
         pricing: PricingModel,
     ) -> Result<(Durable, Recovery), DurableError> {
         std::fs::create_dir_all(dir)?;
-        let snapshots = SnapshotStore::open(dir)?;
+        let mut snapshots = SnapshotStore::open(dir)?;
         let snapshot = snapshots.load(ae)?;
-        let (wal, replay) = Wal::open(dir, opts.fsync, SEGMENT_BYTES)?;
+        let (mut wal, replay) = Wal::open(dir, opts.fsync, SEGMENT_BYTES)?;
 
         let mut agg = Aggregator::new(pricing);
         for rec in &replay.records {
             agg.fold(&rec.tenant, &rec.signed.log);
         }
 
-        let (deployments, next_deploy, session_lease, snapshot_restored) = match &snapshot {
+        let (sealed, mut next_deploy, session_lease, snapshot_restored) = match snapshot {
             Some(s) => {
                 check_rollups(&s.rollups, agg.rollups())?;
-                (s.deployments.clone(), s.next_deploy, s.session_lease, true)
+                (s.deployments, s.next_deploy, s.session_lease, true)
             }
             None => (Vec::new(), 1, 0, false),
         };
         let next_session = session_lease.max(wal.max_session() + 1);
 
+        let scan = DeployLog::scan(dir, ae)?;
+        let logged: HashSet<u64> = scan.records.iter().map(|d| d.deploy_id).collect();
+        if let Some(max) = logged.iter().max() {
+            next_deploy = next_deploy.max(max + 1);
+        }
+        // Deployments only a snapshot holds: the directory predates the
+        // deploy log, or a previous open died migrating them.
+        let unlogged: Vec<DeployRecord> = sealed
+            .into_iter()
+            .filter(|d| !logged.contains(&d.deploy_id))
+            .collect();
+        let deploy_torn_bytes_discarded = scan.torn_bytes();
+        if deploy_torn_bytes_discarded > 0 {
+            // The torn frame's nonce reached the disk, and its id will be
+            // handed out again: seal a checkpoint *before* cutting it, so
+            // every later frame is sealed under a fresh epoch even if
+            // this open dies mid-way. It keeps the unlogged deployments.
+            seal_checkpoint(
+                &mut wal,
+                &mut snapshots,
+                ae,
+                RegistryState {
+                    next_deploy,
+                    session_lease: next_session,
+                    wal_watermark: agg.max_folded(),
+                    deployments: unlogged.clone(),
+                    rollups: agg.rollups().clone(),
+                },
+            )?;
+        }
+        let mut deploys = DeployLog::resume(dir, &scan)?;
+        // Migrate before any checkpoint (all of which seal no
+        // deployments) can drop them.
+        for d in &unlogged {
+            deploys.append(ae, snapshots.last_seq(), d)?;
+        }
+        let mut deployments = scan.records;
+        deployments.extend(unlogged);
+        deployments.sort_by_key(|d| d.deploy_id);
+
         let recovery = Recovery {
             records_replayed: replay.records.len(),
             duplicates_dropped: replay.duplicates_dropped,
             torn_bytes_discarded: replay.torn_bytes_discarded,
-            deployments: deployments.clone(),
+            deploy_torn_bytes_discarded,
+            deployments,
             next_deploy,
             next_session,
             snapshot_restored,
@@ -222,7 +279,7 @@ impl Durable {
                 wal,
                 snapshots,
                 agg,
-                deployments,
+                deploys,
                 next_deploy,
                 // The lease must cover everything we are about to hand
                 // out; it is re-sealed lazily by ensure_lease.
@@ -300,11 +357,14 @@ impl Durable {
     }
 
     /// Persists a deployment (and advances the deploy high-water mark)
-    /// with an immediate snapshot, so it is rehydrated on restart.
+    /// as one sealed frame on the deploy log, fsynced under every
+    /// [`FsyncPolicy`], so it is rehydrated on restart. Costs one seal
+    /// of this module, however many are deployed.
     ///
     /// # Errors
     ///
-    /// I/O errors from sealing.
+    /// [`DurableError::DuplicateDeploy`] if the id is already logged;
+    /// I/O errors.
     pub fn record_deploy(
         &self,
         deploy_id: u64,
@@ -313,14 +373,15 @@ impl Durable {
         ae: &AccountingEnclave,
     ) -> Result<(), DurableError> {
         let mut inner = self.lock();
-        inner.deployments.retain(|d| d.deploy_id != deploy_id);
-        inner.deployments.push(DeployRecord {
+        let epoch = inner.snapshots.last_seq();
+        let rec = DeployRecord {
             deploy_id,
             level,
             module,
-        });
+        };
+        inner.deploys.append(ae, epoch, &rec)?;
         inner.next_deploy = inner.next_deploy.max(deploy_id + 1);
-        self.checkpoint_locked(&mut inner, ae)
+        Ok(())
     }
 
     /// Fetches a signed log back from the WAL by session id.
@@ -334,7 +395,8 @@ impl Durable {
     }
 
     /// Forces a checkpoint: fsyncs the WAL, then seals a registry
-    /// snapshot covering it.
+    /// snapshot covering it (counters and rollups; deployments live in
+    /// the deploy log).
     ///
     /// # Errors
     ///
@@ -349,19 +411,14 @@ impl Durable {
         inner: &mut Inner,
         ae: &AccountingEnclave,
     ) -> Result<(), DurableError> {
-        // Order matters: the WAL must be durable *before* rollups
-        // covering it are sealed, so the sealed state never claims a
-        // record the disk does not hold (the restore cross-check
-        // depends on exactly this).
-        inner.wal.sync()?;
         let state = RegistryState {
             next_deploy: inner.next_deploy,
             session_lease: inner.session_lease,
             wal_watermark: inner.agg.max_folded(),
-            deployments: inner.deployments.clone(),
+            deployments: Vec::new(),
             rollups: inner.agg.rollups().clone(),
         };
-        inner.snapshots.save(ae, &state)?;
+        seal_checkpoint(&mut inner.wal, &mut inner.snapshots, ae, state)?;
         inner.appends_since_checkpoint = 0;
         Ok(())
     }
@@ -409,6 +466,20 @@ impl Durable {
     pub fn read_all_records(&self) -> Result<Vec<UsageRecord>, DurableError> {
         self.lock().wal.read_all()
     }
+}
+
+/// Seals `state` as the next snapshot once the WAL it covers is durable.
+fn seal_checkpoint(
+    wal: &mut Wal,
+    snapshots: &mut SnapshotStore,
+    ae: &AccountingEnclave,
+    state: RegistryState,
+) -> Result<(), DurableError> {
+    // Order matters: the WAL must be durable *before* rollups covering
+    // it are sealed, so the sealed state never claims a record the disk
+    // does not hold (the restore cross-check depends on exactly this).
+    wal.sync()?;
+    snapshots.save(ae, &state)
 }
 
 /// Restore-time integrity check: the rollups rebuilt from WAL replay
@@ -579,6 +650,167 @@ mod tests {
             s.verify(&dep.authority, ae.measurement())
                 .expect("settlement verifies");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn module(deploy_id: u64, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (deploy_id as usize * 31 + i) as u8)
+            .collect()
+    }
+
+    fn deploy(deploy_id: u64, len: usize) -> DeployRecord {
+        DeployRecord {
+            deploy_id,
+            level: Level::FlowBased,
+            module: module(deploy_id, len),
+        }
+    }
+
+    /// The frame a deployment of a `len`-byte module adds to the log:
+    /// frame header, nonce, `(id, level, module)`, tag.
+    fn deploy_frame_len(len: usize) -> usize {
+        framed::FRAME_HEADER + registry::NONCE_LEN + 8 + 1 + 4 + len + registry::TAG_LEN
+    }
+
+    /// The nonce of every intact frame in `dir`'s deploy log.
+    fn logged_nonces(dir: &Path) -> Vec<Vec<u8>> {
+        let mut nonces = Vec::new();
+        framed::replay::<DurableError>(&dir.join(DEPLOY_LOG_FILE), registry::DEPLOY_LOG, |_, p| {
+            nonces.push(p[..registry::NONCE_LEN].to_vec());
+            Ok(())
+        })
+        .unwrap();
+        nonces
+    }
+
+    fn copy_dir(src: &Path, dst: &Path) {
+        let _ = std::fs::remove_dir_all(dst);
+        std::fs::create_dir_all(dst).unwrap();
+        for entry in std::fs::read_dir(src).unwrap().filter_map(|e| e.ok()) {
+            std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+        }
+    }
+
+    /// A state directory whose deploy log holds deploys 1..=3 after a
+    /// checkpoint, plus the full log bytes and where frame 3 starts.
+    fn three_deploys(
+        tag: &str,
+        ae: &AccountingEnclave,
+        pricing: PricingModel,
+    ) -> (PathBuf, Vec<u8>, usize) {
+        let dir = tmpdir(tag);
+        let (d, _) = Durable::open(&dir, DurableOptions::default(), ae, pricing).unwrap();
+        d.record_deploy(1, Level::Naive, module(1, 10), ae).unwrap();
+        d.checkpoint(ae).unwrap();
+        for id in 2..=3 {
+            let rec = deploy(id, 20);
+            d.record_deploy(id, rec.level, rec.module, ae).unwrap();
+        }
+        drop(d);
+        let full = std::fs::read(dir.join(DEPLOY_LOG_FILE)).unwrap();
+        let last = full.len() - deploy_frame_len(20);
+        (dir, full, last)
+    }
+
+    #[test]
+    fn a_torn_deploy_frame_is_cut_at_every_offset() {
+        let dep = Deployment::new(0xd5);
+        let ae = dep.infrastructure().accounting_enclave();
+        let pricing = dep.infrastructure().pricing;
+        let (pristine, full, last) = three_deploys("torn-deploy", ae, pricing);
+        let dir = tmpdir("torn-deploy-cut");
+        let acked = vec![
+            DeployRecord {
+                deploy_id: 1,
+                level: Level::Naive,
+                module: module(1, 10),
+            },
+            deploy(2, 20),
+        ];
+        for cut in last..full.len() {
+            copy_dir(&pristine, &dir);
+            std::fs::write(dir.join(DEPLOY_LOG_FILE), &full[..cut]).unwrap();
+            let (_, rec) = Durable::open(&dir, DurableOptions::default(), ae, pricing).unwrap();
+            assert_eq!(rec.deployments, acked, "cut at {cut}");
+            assert_eq!(rec.next_deploy, 3, "cut at {cut}");
+            assert_eq!(rec.deploy_torn_bytes_discarded, (cut - last) as u64);
+            assert_eq!(
+                std::fs::read(dir.join(DEPLOY_LOG_FILE)).unwrap(),
+                full[..last],
+                "cut at {cut}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&pristine).unwrap();
+    }
+
+    #[test]
+    fn a_reissued_deploy_id_never_reuses_a_torn_frames_nonce() {
+        let dep = Deployment::new(0xd6);
+        let ae = dep.infrastructure().accounting_enclave();
+        let pricing = dep.infrastructure().pricing;
+        let (pristine, full, last) = three_deploys("nonce", ae, pricing);
+        let torn_nonce = full[last + framed::FRAME_HEADER..][..registry::NONCE_LEN].to_vec();
+        let dir = tmpdir("nonce-cut");
+        for cut in last + 1..full.len() {
+            copy_dir(&pristine, &dir);
+            std::fs::write(dir.join(DEPLOY_LOG_FILE), &full[..cut]).unwrap();
+            let (d, rec) = Durable::open(&dir, DurableOptions::default(), ae, pricing).unwrap();
+            assert_eq!(rec.next_deploy, 3);
+            // Id 3 is handed out again, with other bytes.
+            d.record_deploy(3, Level::LoopBased, module(9, 20), ae)
+                .unwrap();
+            drop(d);
+            let mut nonces = logged_nonces(&dir);
+            assert_eq!(nonces.len(), 3);
+            nonces.push(torn_nonce.clone());
+            let distinct: HashSet<&Vec<u8>> = nonces.iter().collect();
+            assert_eq!(distinct.len(), nonces.len(), "cut at {cut}");
+            let (_, rec) = Durable::open(&dir, DurableOptions::default(), ae, pricing).unwrap();
+            assert_eq!(rec.deployments[2].module, module(9, 20));
+            assert_eq!(rec.deploy_torn_bytes_discarded, 0);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&pristine).unwrap();
+    }
+
+    #[test]
+    fn a_deploy_appends_one_frame_and_seals_no_snapshot() {
+        let dir = tmpdir("flat");
+        let dep = Deployment::new(0xd7);
+        let ae = dep.infrastructure().accounting_enclave();
+        let pricing = dep.infrastructure().pricing;
+        let (d, _) = Durable::open(&dir, DurableOptions::default(), ae, pricing).unwrap();
+        d.checkpoint(ae).unwrap();
+        let snapshots = || -> BTreeMap<String, Vec<u8>> {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .filter(|e| e.file_name().to_string_lossy().starts_with("registry-"))
+                .map(|e| {
+                    let name = e.file_name().to_string_lossy().into_owned();
+                    (name, std::fs::read(e.path()).unwrap())
+                })
+                .collect()
+        };
+        let log_len = || std::fs::metadata(dir.join(DEPLOY_LOG_FILE)).unwrap().len() as usize;
+        let sealed = snapshots();
+        assert_eq!(sealed.len(), 1);
+        // Grow the registry; every deploy of a same-sized module adds
+        // the same bytes, and no deploy touches a snapshot.
+        for id in 1..=24 {
+            let len = if id % 2 == 0 { 700 } else { 90 };
+            let before = log_len();
+            d.record_deploy(id, Level::LoopBased, module(id, len), ae)
+                .unwrap();
+            assert_eq!(log_len() - before, deploy_frame_len(len), "deploy {id}");
+            assert_eq!(snapshots(), sealed, "deploy {id}");
+        }
+        assert!(matches!(
+            d.record_deploy(5, Level::LoopBased, module(5, 90), ae),
+            Err(DurableError::DuplicateDeploy(5))
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,31 +1,46 @@
 //! Sealed deployment registry: the control-plane state that must
-//! survive a crash, snapshotted with the accounting enclave's sealing
-//! key.
+//! survive a crash, sealed with the accounting enclave's key. It lives
+//! in two files of different shape.
 //!
-//! The snapshot holds everything replaying the WAL cannot recover on
-//! its own: deployed module bytes (so workloads come back without a
-//! re-deploy), the deploy-id high-water mark, the **session lease**
-//! (an upper bound on every session id ever handed out, so restart
-//! never re-issues one — even ids burned by requests that failed
-//! before logging), and the billing rollups as an integrity
-//! cross-check against the replayed log.
+//! **The deploy log** (`deploys.log`, a [`crate::framed`] log with
+//! magic `ADPL`) holds deployed module bytes, so workloads come back
+//! without a re-deploy. Each deployment is one frame whose payload is
+//! nonce ‖ ciphertext ‖ tag, the ciphertext sealing the canonical
+//! `(deploy_id, level, module)` encoding. A deploy appends and fsyncs
+//! one frame, under every fsync policy, before it is acknowledged, so
+//! its cost is one seal of its own module however many are deployed.
 //!
-//! Snapshots are sealed with `acctee-sgx` sealing under a stream
-//! cipher, so **nonce reuse is catastrophic**. Each snapshot file
-//! carries a monotonic sequence number and its nonce is derived from
-//! that sequence alone; the store burns a sequence number the moment a
-//! temp file exists on disk (a crashed save still consumed its nonce),
-//! so `seal` is never called twice with the same nonce for one
-//! enclave.
+//! **The snapshot** (`registry-NNNNNNNN.seal`, one sealed blob) is a
+//! checkpoint of what replaying the WAL cannot recover on its own: the
+//! deploy-id high-water mark, the **session lease** (an upper bound on
+//! every session id ever handed out, so restart never re-issues one —
+//! even ids burned by requests that failed before logging), and the
+//! billing rollups as an integrity cross-check against the replayed
+//! log. Checkpoints seal no deployments; only a snapshot written before
+//! the deploy log existed carries them, and opening such a directory
+//! moves them onto the log.
+//!
+//! Sealing is a stream cipher, so **nonce reuse is catastrophic**. Each
+//! snapshot file carries a monotonic sequence number and its nonce is
+//! derived from that sequence alone; the store burns a sequence number
+//! the moment a temp file exists on disk (a crashed save still consumed
+//! its nonce). A deploy frame's nonce is derived from its deploy id and
+//! the **epoch**, the snapshot sequence high-water mark when it was
+//! appended. Ids are unique among intact frames, and the one frame that
+//! can reach the disk without surviving replay is a torn tail, whose id
+//! is handed out again; so a reopen that finds a torn tail seals a
+//! checkpoint *before* cutting it, and every later frame is sealed
+//! under a fresh epoch. The two nonce schedules hash distinct domain
+//! strings, so a snapshot and a frame never share a nonce either.
 //!
 //! Saves are atomic: write `registry-NNNNNNNN.seal.tmp`, fsync,
 //! rename into place, fsync the directory. The previous snapshot is
-//! kept as a fallback until the next save. A snapshot that fails to
-//! unseal was sealed by a *different* enclave (wrong seed / foreign
-//! state directory) and is refused with a clean
+//! kept as a fallback until the next save. A snapshot or deploy frame
+//! that fails to unseal was sealed by a *different* enclave (wrong seed
+//! / foreign state directory) and is refused with a clean
 //! [`DurableError::ForeignSnapshot`], never a panic.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -34,9 +49,10 @@ use acctee::codec::{CodecError, Dec, Enc};
 use acctee::AccountingEnclave;
 use acctee_instrument::Level;
 use acctee_sgx::crypto::sha256;
+use acctee_sgx::seal::Sealed;
 
 use crate::billing::TenantRollup;
-use crate::framed::{self, sync_dir, HEADER_LEN};
+use crate::framed::{self, sync_dir, FramedLog, HEADER_LEN};
 use crate::record::MAX_FIELD;
 use crate::DurableError;
 
@@ -48,6 +64,13 @@ const SNAPSHOT_HEADER: [u8; HEADER_LEN] = framed::header(*b"ASNP", SNAPSHOT_VERS
 /// Upper bound on a deployed module (matches the wire protocol's
 /// tolerance for module uploads).
 const MAX_MODULE: u32 = 64 << 20;
+/// The deploy log's file name in a state directory.
+pub const DEPLOY_LOG_FILE: &str = "deploys.log";
+/// Header opening the deploy log.
+pub(crate) const DEPLOY_LOG: [u8; HEADER_LEN] = framed::header(*b"ADPL", 1);
+/// Bytes of nonce and of tag around a deploy frame's ciphertext.
+pub(crate) const NONCE_LEN: usize = 16;
+pub(crate) const TAG_LEN: usize = 32;
 
 /// One deployment as persisted: enough to re-instrument and reload
 /// the workload on startup.
@@ -59,6 +82,30 @@ pub struct DeployRecord {
     pub level: Level,
     /// Original (uninstrumented) module bytes.
     pub module: Vec<u8>,
+}
+
+impl DeployRecord {
+    /// The canonical encoding: an element of the snapshot's deployment
+    /// list, and the plaintext of a deploy-log frame.
+    fn put(&self, e: &mut Enc) {
+        e.u64(self.deploy_id);
+        e.u8(self.level.tag());
+        e.bytes(&self.module);
+    }
+
+    fn take(d: &mut Dec) -> Result<DeployRecord, CodecError> {
+        let (deploy_id, level, len) = (d.u64()?, d.level()?, d.u32()?);
+        // Module bytes exceed the generic field bound.
+        if len > MAX_MODULE {
+            return Err(CodecError::FieldTooLong(len));
+        }
+        let module = d.take(len as usize)?.to_vec();
+        Ok(DeployRecord {
+            deploy_id,
+            level,
+            module,
+        })
+    }
 }
 
 /// The control-plane state inside a snapshot.
@@ -89,11 +136,7 @@ impl RegistryState {
         e.u64(self.next_deploy);
         e.u64(self.session_lease);
         e.u64(self.wal_watermark);
-        e.list(&self.deployments, |e, d| {
-            e.u64(d.deploy_id);
-            e.u8(d.level.tag());
-            e.bytes(&d.module);
-        });
+        e.list(&self.deployments, |e, d| d.put(e));
         e.u32(self.rollups.len() as u32);
         for (tenant, rollup) in &self.rollups {
             e.bytes(tenant.as_bytes());
@@ -114,19 +157,7 @@ impl RegistryState {
         let session_lease = d.u64()?;
         let wal_watermark = d.u64()?;
         // id + level + module length
-        let deployments = d.list(13, |d| {
-            let (deploy_id, level, len) = (d.u64()?, d.level()?, d.u32()?);
-            // Module bytes exceed the generic field bound.
-            if len > MAX_MODULE {
-                return Err(CodecError::FieldTooLong(len));
-            }
-            let module = d.take(len as usize)?.to_vec();
-            Ok(DeployRecord {
-                deploy_id,
-                level,
-                module,
-            })
-        })?;
+        let deployments = d.list(13, DeployRecord::take)?;
         // tenant name length + a rollup's 2 u64s and 7 u128s
         let rollups = d.list(4 + 128, |d| Ok((d.string()?, TenantRollup::decode(d)?)))?;
         // Canonical order: the encoder writes each tenant once, ascending.
@@ -315,6 +346,157 @@ impl SnapshotStore {
     /// Highest sequence number observed or written.
     pub fn last_seq(&self) -> u64 {
         self.last_seq
+    }
+}
+
+/// Derives the sealing nonce of the deploy-log frame for `deploy_id`
+/// appended in `epoch` (the snapshot sequence high-water mark at the
+/// time). Unique per frame: ids are unique within an epoch, and a
+/// reopen that cuts a torn frame first burns a fresh epoch, so the
+/// torn frame's id, handed out again, is sealed under a new nonce.
+fn deploy_nonce(epoch: u64, deploy_id: u64) -> [u8; NONCE_LEN] {
+    let mut payload = Vec::with_capacity(38);
+    payload.extend_from_slice(b"acctee-deploy-nonce-v1");
+    payload.extend_from_slice(&epoch.to_le_bytes());
+    payload.extend_from_slice(&deploy_id.to_le_bytes());
+    let digest = sha256(&payload);
+    let mut nonce = [0u8; NONCE_LEN];
+    nonce.copy_from_slice(&digest[..NONCE_LEN]);
+    nonce
+}
+
+/// Unseals one deploy-log frame payload: nonce ‖ ciphertext ‖ tag.
+fn open_deploy_frame(
+    ae: &AccountingEnclave,
+    path: &Path,
+    payload: &[u8],
+) -> Result<DeployRecord, DurableError> {
+    if payload.len() < NONCE_LEN + TAG_LEN {
+        return Err(DurableError::Corrupt(format!(
+            "{}: deploy frame shorter than its seal",
+            path.display()
+        )));
+    }
+    let (nonce, rest) = payload.split_at(NONCE_LEN);
+    let (ciphertext, tag) = rest.split_at(rest.len() - TAG_LEN);
+    let sealed = Sealed {
+        nonce: nonce.try_into().expect("nonce length"),
+        ciphertext: ciphertext.to_vec(),
+        tag: tag.try_into().expect("tag length"),
+    };
+    let Some(plain) = ae.unseal_state(&sealed) else {
+        return Err(DurableError::ForeignSnapshot(format!(
+            "{}: deployment sealed by a different enclave — this state \
+             directory belongs to another deployment seed",
+            path.display()
+        )));
+    };
+    let mut d = Dec::with_field_limit(&plain, MAX_FIELD);
+    let rec = DeployRecord::take(&mut d)?;
+    d.finish()?;
+    Ok(rec)
+}
+
+/// What [`DeployLog::scan`] found, before anything is cut.
+pub(crate) struct DeployScan {
+    /// Intact deployments in log order, the first frame of each id.
+    pub(crate) records: Vec<DeployRecord>,
+    /// File length and where its intact frames end; `None` when the
+    /// file does not exist yet.
+    extent: Option<(usize, usize)>,
+}
+
+impl DeployScan {
+    /// Bytes past the intact frames: the torn tail a resume cuts.
+    pub(crate) fn torn_bytes(&self) -> u64 {
+        self.extent.map_or(0, |(len, end)| (len - end) as u64)
+    }
+}
+
+/// The deploy log: one sealed frame per deployment, appended and
+/// fsynced before the deploy is acknowledged.
+pub(crate) struct DeployLog {
+    log: FramedLog,
+    /// Every deploy id with a frame in the file.
+    ids: HashSet<u64>,
+}
+
+impl DeployLog {
+    /// Reads and unseals every intact frame of `dir`'s deploy log
+    /// without writing anything.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError::ForeignSnapshot`] for a frame sealed by another
+    /// enclave; [`DurableError::Corrupt`] for a foreign header or a
+    /// frame that cannot be a seal; I/O errors.
+    pub(crate) fn scan(dir: &Path, ae: &AccountingEnclave) -> Result<DeployScan, DurableError> {
+        let path = dir.join(DEPLOY_LOG_FILE);
+        if !path.exists() {
+            return Ok(DeployScan {
+                records: Vec::new(),
+                extent: None,
+            });
+        }
+        let mut records = Vec::new();
+        let mut ids = HashSet::new();
+        let extent = framed::replay(&path, DEPLOY_LOG, |_, payload| {
+            let rec = open_deploy_frame(ae, &path, payload)?;
+            if ids.insert(rec.deploy_id) {
+                records.push(rec);
+            }
+            Ok::<_, DurableError>(())
+        })?;
+        Ok(DeployScan {
+            records,
+            extent: Some(extent),
+        })
+    }
+
+    /// Opens the log `scan` read for appending, creating it when
+    /// absent and cutting its torn tail otherwise.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors.
+    pub(crate) fn resume(dir: &Path, scan: &DeployScan) -> Result<DeployLog, DurableError> {
+        let path = dir.join(DEPLOY_LOG_FILE);
+        let log = match scan.extent {
+            Some((len, end)) => FramedLog::resume(&path, DEPLOY_LOG, len, end)?.0,
+            None => FramedLog::create(&path, DEPLOY_LOG)?,
+        };
+        let ids = scan.records.iter().map(|d| d.deploy_id).collect();
+        Ok(DeployLog { log, ids })
+    }
+
+    /// Seals `rec` under `epoch` — the snapshot sequence high-water
+    /// mark — appends it as one frame and fsyncs it.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError::DuplicateDeploy`] for an id already logged (its
+    /// nonce is spent); I/O errors, after which the log refuses every
+    /// append until it is reopened.
+    pub(crate) fn append(
+        &mut self,
+        ae: &AccountingEnclave,
+        epoch: u64,
+        rec: &DeployRecord,
+    ) -> Result<(), DurableError> {
+        if self.ids.contains(&rec.deploy_id) {
+            return Err(DurableError::DuplicateDeploy(rec.deploy_id));
+        }
+        let mut plain = Enc::default();
+        rec.put(&mut plain);
+        let sealed = ae.seal_state(deploy_nonce(epoch, rec.deploy_id), &plain.0);
+        self.log.append(&framed::frame(|e| {
+            e.raw(&sealed.nonce);
+            e.raw(&sealed.ciphertext);
+            e.raw(&sealed.tag);
+        }))?;
+        self.log.sync()?;
+        self.ids.insert(rec.deploy_id);
+        Ok(())
     }
 }
 

@@ -12,7 +12,7 @@
 //!                                          print the signed log
 //! acctee serve --listen ADDR               attested network server
 //!              [--log-level L]             structured stderr logging
-//!              [--state-dir DIR]           durable WAL + sealed registry
+//!              [--state-dir DIR]           durable WAL, deploy log, sealed checkpoints
 //!              [--fsync always|every=N|never]
 //! acctee deploy <in> --connect ADDR        deploy over the network
 //! acctee invoke <in> --connect ADDR [--invoke F] [--arg V]*
@@ -351,7 +351,7 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
             println!("                   --tenant-inflight N --seed S --engine E");
             println!("                   --request-deadline-ms N --io-timeout-ms N");
             println!("                   --log-level off|error|warn|info|debug|trace");
-            println!("                   --state-dir DIR (durable WAL + sealed registry)");
+            println!("                   --state-dir DIR (WAL, deploy log, sealed checkpoints)");
             println!("                   --fsync always|every=N|never (default always)");
             println!("deploy/invoke:     --connect ADDR --seed S --level L [--out FILE]");
             println!("                   invoke also: --invoke F --arg V --input STR --tenant T");
@@ -745,10 +745,14 @@ fn open_durable_offline(opts: &Opts) -> Result<(Deployment, Durable), String> {
         "replayed {} usage records ({} duplicate frames dropped, {} torn bytes discarded)",
         recovery.records_replayed, recovery.duplicates_dropped, recovery.torn_bytes_discarded
     );
+    println!(
+        "deploy log: {} deployments ({} torn bytes discarded)",
+        recovery.deployments.len(),
+        recovery.deploy_torn_bytes_discarded
+    );
     if recovery.snapshot_restored {
         println!(
-            "sealed registry restored: {} deployments, next session {}",
-            recovery.deployments.len(),
+            "sealed registry restored: next session {}",
             recovery.next_session
         );
     }

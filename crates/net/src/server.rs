@@ -369,7 +369,7 @@ impl Server {
                 let (durable, recovery) =
                     Durable::open(dir, opts, infra.accounting_enclave(), infra.pricing)
                         .map_err(std::io::Error::other)?;
-                // Rehydrate sealed deployments: re-instrument and
+                // Rehydrate logged deployments: re-instrument and
                 // reload each module so pre-crash deploy ids keep
                 // serving invokes. Determinism makes this exact — the
                 // same module and level reproduce the same workload.
@@ -396,6 +396,10 @@ impl Server {
                         ("duplicates", recovery.duplicates_dropped.to_string()),
                         ("torn_bytes", recovery.torn_bytes_discarded.to_string()),
                         ("deployments", recovery.deployments.len().to_string()),
+                        (
+                            "deploy_torn_bytes",
+                            recovery.deploy_torn_bytes_discarded.to_string(),
+                        ),
                         ("next_session", next_session.to_string()),
                         ("fsync", config.fsync.name()),
                     ],

@@ -166,7 +166,7 @@ kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 : >"$SERVE_LOG"
 "$ACCTEE_BIN" serve --listen 127.0.0.1:0 --state-dir "$STATE_DIR" --fsync always \
-    >"$SERVE_LOG" 2>&1 &
+    --log-level info >"$SERVE_LOG" 2>&1 &
 SERVE_PID=$!
 ADDR=""
 for _ in $(seq 1 50); do
@@ -175,6 +175,9 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 [ -n "$ADDR" ] || { echo "restarted server never reported its address"; kill "$SERVE_PID"; exit 1; }
+# The one pre-crash deployment came back from the deploy log.
+grep 'msg="durable state recovered"' "$SERVE_LOG" | grep -q ' deployments=1 ' \
+    || { echo "restarted server did not recover exactly 1 deployment"; kill "$SERVE_PID"; exit 1; }
 # The pre-crash record must come back over the wire, signature intact,
 OUT="$("$ACCTEE_BIN" fetch-log --connect "$ADDR" --session "$SESSION")" \
     && grep -q "verified" <<<"$OUT" \

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use acctee::{Deployment, InstrumentationEvidence, Level, ResourceUsageLog, SignedLog};
 use acctee_durable::{
     encode_record, DeployRecord, Durable, DurableOptions, FsyncPolicy, RegistryState,
-    SnapshotStore, TenantRollup, UsageRecord, Wal,
+    SnapshotStore, TenantRollup, UsageRecord, Wal, DEPLOY_LOG_FILE,
 };
 use acctee_fleet::journal::JournalSubmission;
 use acctee_fleet::{Journal, UnitSpec, WorkloadKind};
@@ -209,6 +209,33 @@ fn sealed_registry_state_bytes_are_pinned() {
     .unwrap();
     let back = SnapshotStore::open(&reload).unwrap().load(ae).unwrap();
     assert_eq!(back, Some(registry_state()));
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&reload).unwrap();
+}
+
+#[test]
+fn deploy_log_frame_bytes_are_pinned() {
+    // One checkpoint makes the epoch 1; deploy id 7 is sealed under it.
+    let dir = tmpdir("deploy-log");
+    let dep = Deployment::new(0x901d);
+    let infra = dep.infrastructure();
+    let ae = infra.accounting_enclave();
+    let open = |dir: &Path| Durable::open(dir, DurableOptions::default(), ae, infra.pricing);
+    let (durable, _) = open(&dir).unwrap();
+    durable.checkpoint(ae).unwrap();
+    let deploy = golden_deploy(7);
+    durable
+        .record_deploy(deploy.deploy_id, deploy.level, deploy.module.clone(), ae)
+        .unwrap();
+    drop(durable);
+    let log = std::fs::read(dir.join(DEPLOY_LOG_FILE)).unwrap();
+    assert_eq!(log, golden("deploys.log"));
+    // The pinned frame also still opens to the deployment it sealed.
+    let reload = tmpdir("deploy-log-reload");
+    std::fs::write(reload.join(DEPLOY_LOG_FILE), golden("deploys.log")).unwrap();
+    let (_, rec) = open(&reload).unwrap();
+    assert_eq!(rec.deployments, vec![deploy]);
+    assert_eq!(rec.next_deploy, 8);
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&reload).unwrap();
 }

@@ -18,7 +18,9 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use acctee::{Deployment, Level, ResourceUsageLog, SignedLog};
-use acctee_durable::{Durable, DurableError, DurableOptions, FsyncPolicy, UsageRecord};
+use acctee_durable::{
+    Durable, DurableError, DurableOptions, FsyncPolicy, SnapshotStore, UsageRecord,
+};
 use acctee_interp::Value;
 use acctee_net::{Client, Server, ServerConfig, TrustAnchor};
 use acctee_sgx::crypto::sha256;
@@ -155,11 +157,29 @@ fn kill9_image_recovers_every_acknowledged_request_exactly_once() {
         ));
     }
 
+    // Deploys after the last checkpoint (the first invoke's lease
+    // extension) exist only in the deploy log.
+    let late: Vec<_> = (0..3)
+        .map(|_| {
+            client
+                .deploy(&work_module(), Level::LoopBased)
+                .expect("late deploy")
+        })
+        .collect();
+
     // The kill-9 moment: image the state directory while the server is
     // still up. Under `always` every acknowledged record is already on
     // disk, and no drain-time checkpoint has run.
     copy_dir(&live, &image);
     shutdown(addr, handle);
+    let dep = Deployment::new(SEED);
+    let sealed = SnapshotStore::open(&image)
+        .unwrap()
+        .load(dep.infrastructure().accounting_enclave())
+        .unwrap()
+        .expect("the lease extension sealed a checkpoint");
+    assert!(sealed.deployments.is_empty());
+    assert!(sealed.next_deploy <= late[0].deploy_id);
 
     // Restart on the image.
     let (addr2, handle2) = Server::bind("127.0.0.1:0", durable_cfg(&image))
@@ -192,12 +212,17 @@ fn kill9_image_recovers_every_acknowledged_request_exactly_once() {
         "session id {} re-entered pre-crash range (max {max_pre_crash})",
         outcome.session_id
     );
+    // So did every deploy the checkpoint never saw.
+    for handle in &late {
+        client2
+            .invoke(handle, "run", &[Value::I32(7)], b"", "bob")
+            .expect("deploy-log-only deployment serves");
+    }
     shutdown(addr2, handle2);
 
     // Offline audit of the image: exactly the acknowledged records,
     // each exactly once, and settlement equals the sum of individually
     // verified invoices with no truncation drift.
-    let dep = Deployment::new(SEED);
     let infra = dep.infrastructure();
     let (durable, recovery) = Durable::open(
         &image,
@@ -207,8 +232,9 @@ fn kill9_image_recovers_every_acknowledged_request_exactly_once() {
     )
     .expect("offline open of the image");
     // (The image was audited after server 2 also ran, so it includes
-    // server 2's post-crash invoke too.)
-    assert_eq!(recovery.records_replayed, pre_crash.len() + 1);
+    // server 2's post-crash invokes too.)
+    assert_eq!(recovery.records_replayed, pre_crash.len() + 1 + late.len());
+    assert_eq!(recovery.deployments.len(), 1 + late.len());
     assert_eq!(recovery.duplicates_dropped, 0);
 
     let records = durable.read_all_records().expect("read back");
