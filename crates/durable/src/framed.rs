@@ -1,10 +1,11 @@
-//! The framed log file under both the usage WAL ([`crate::wal`]) and
-//! the fleet coordinator's journal: a 6-byte [`header`], then frames
-//! of `u32 len | u32 crc32(payload) | payload`. Replay stops at the
-//! first short, oversized or CRC-failing frame; in the file being
-//! appended to, that is a torn tail (or, short of a full header, a torn
-//! create) and is cut off. A foreign header is [`Damaged`]. DESIGN.md
-//! §15 gives the whole rule.
+//! The framed log file under the usage WAL ([`crate::wal`]), the deploy
+//! log ([`crate::registry`]) and the fleet coordinator's journal: a
+//! 6-byte [`header`], then frames of `u32 len | u32 crc32(payload) |
+//! payload`. Replay stops at the first short, oversized or CRC-failing
+//! frame; in the file being appended to, that is a torn tail (or, short
+//! of a full header, a torn create) and is cut off. A foreign header is
+//! [`Damaged`]. A failed write or fsync poisons the open log (see
+//! [`FramedLog`]). DESIGN.md §15 gives the whole rule.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};

@@ -175,16 +175,22 @@ impl RegistryState {
     }
 }
 
+/// `sha256(domain ‖ each word, little-endian)[..16]`: a sealing nonce.
+fn derive_nonce(domain: &[u8], words: &[u64]) -> [u8; NONCE_LEN] {
+    let mut payload = domain.to_vec();
+    for w in words {
+        payload.extend_from_slice(&w.to_le_bytes());
+    }
+    let digest = sha256(&payload);
+    let mut nonce = [0u8; NONCE_LEN];
+    nonce.copy_from_slice(&digest[..NONCE_LEN]);
+    nonce
+}
+
 /// Derives the sealing nonce for snapshot sequence `seq`: unique per
 /// sequence, and sequences are never reused (see [`SnapshotStore`]).
-fn snapshot_nonce(seq: u64) -> [u8; 16] {
-    let mut payload = Vec::with_capacity(32);
-    payload.extend_from_slice(b"acctee-registry-nonce-v1");
-    payload.extend_from_slice(&seq.to_le_bytes());
-    let digest = sha256(&payload);
-    let mut nonce = [0u8; 16];
-    nonce.copy_from_slice(&digest[..16]);
-    nonce
+fn snapshot_nonce(seq: u64) -> [u8; NONCE_LEN] {
+    derive_nonce(b"acctee-registry-nonce-v1", &[seq])
 }
 
 fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
@@ -355,14 +361,7 @@ impl SnapshotStore {
 /// reopen that cuts a torn frame first burns a fresh epoch, so the
 /// torn frame's id, handed out again, is sealed under a new nonce.
 fn deploy_nonce(epoch: u64, deploy_id: u64) -> [u8; NONCE_LEN] {
-    let mut payload = Vec::with_capacity(38);
-    payload.extend_from_slice(b"acctee-deploy-nonce-v1");
-    payload.extend_from_slice(&epoch.to_le_bytes());
-    payload.extend_from_slice(&deploy_id.to_le_bytes());
-    let digest = sha256(&payload);
-    let mut nonce = [0u8; NONCE_LEN];
-    nonce.copy_from_slice(&digest[..NONCE_LEN]);
-    nonce
+    derive_nonce(b"acctee-deploy-nonce-v1", &[epoch, deploy_id])
 }
 
 /// Unseals one deploy-log frame payload: nonce ‖ ciphertext ‖ tag.
