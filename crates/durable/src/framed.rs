@@ -4,7 +4,8 @@
 //! payload`. Replay stops at the first short, oversized or CRC-failing
 //! frame; in the file being appended to, that is a torn tail (or, short
 //! of a full header, a torn create) and is cut off. A foreign header is
-//! [`Damaged`]. A failed write or fsync poisons the open log (see
+//! [`Damaged`]. A failed write or fsync poisons the open log, and a
+//! sync with nothing new since the last one is free (see
 //! [`FramedLog`]). DESIGN.md §15 gives the whole rule.
 
 use std::fs::{File, OpenOptions};
@@ -166,10 +167,18 @@ pub(crate) fn sync_dir(dir: &Path) {
 /// and a retried fsync may report success for pages the kernel already
 /// dropped. Reopening replays the file and cuts whatever the failure
 /// left behind.
+///
+/// The log remembers how far it has synced: a [`FramedLog::sync`] with
+/// no frame appended since the last one returns without an fsync. That
+/// is what lets several callers that each need their frames durable
+/// share one fsync (group commit, DESIGN.md §15).
 #[derive(Debug)]
 pub struct FramedLog {
     file: File,
     len: u64,
+    /// Length this handle has fsynced (0 when unknown, after a reopen
+    /// that cut nothing).
+    synced: u64,
     poisoned: bool,
 }
 
@@ -190,6 +199,7 @@ impl FramedLog {
         Ok(FramedLog {
             file,
             len: HEADER_LEN as u64,
+            synced: HEADER_LEN as u64,
             poisoned: false,
         })
     }
@@ -232,17 +242,22 @@ impl FramedLog {
         end: usize,
     ) -> std::io::Result<(FramedLog, u64)> {
         let mut file = OpenOptions::new().write(true).open(path)?;
+        let len_after = end.max(HEADER_LEN) as u64;
+        // An uncut file may hold frames a crashed writer never synced.
+        let mut synced = 0;
         if end < len || end == 0 {
             file.set_len(end as u64)?;
             if end == 0 {
                 file.write_all(&header)?;
             }
             file.sync_all()?;
+            synced = len_after;
         }
         file.seek(SeekFrom::End(0))?;
         let log = FramedLog {
             file,
-            len: end.max(HEADER_LEN) as u64,
+            len: len_after,
+            synced,
             poisoned: false,
         };
         Ok((log, (len - end) as u64))
@@ -264,7 +279,8 @@ impl FramedLog {
         Ok(offset)
     }
 
-    /// Forces everything appended so far to disk.
+    /// Forces everything appended so far to disk; free when nothing
+    /// was appended since the last sync.
     ///
     /// # Errors
     ///
@@ -272,9 +288,14 @@ impl FramedLog {
     /// refuses.
     pub fn sync(&mut self) -> std::io::Result<()> {
         self.check_poison()?;
+        if self.synced == self.len {
+            return Ok(());
+        }
         let synced = self.file.sync_data();
         self.poisoned = synced.is_err();
-        synced
+        synced?;
+        self.synced = self.len;
+        Ok(())
     }
 
     fn check_poison(&self) -> std::io::Result<()> {
@@ -372,6 +393,7 @@ mod tests {
         let mut log = FramedLog {
             file: File::open(&path).unwrap(),
             len,
+            synced: len,
             poisoned: false,
         };
         let failed = log.append(&frame(|e| e.raw(b"lost"))).unwrap_err();
@@ -386,6 +408,26 @@ mod tests {
         drop(log);
         let (seen, torn) = payloads(&path);
         assert_eq!((seen, torn), (vec![b"acknowledged".to_vec()], 0));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_sync_with_nothing_new_is_free() {
+        use std::os::fd::OwnedFd;
+        use std::os::unix::net::UnixStream;
+        // A socket takes writes but refuses fsync (EINVAL), so a sync
+        // that succeeds on it never reached the kernel.
+        let (socket, _peer) = UnixStream::pair().unwrap();
+        let mut log = FramedLog {
+            file: File::from(OwnedFd::from(socket)),
+            len: HEADER_LEN as u64,
+            synced: HEADER_LEN as u64,
+            poisoned: false,
+        };
+        log.sync().expect("a clean log does not fsync");
+        log.sync().expect("nor does it the second time");
+        log.append(&frame(|e| e.raw(b"pending"))).unwrap();
+        assert!(log.sync().is_err(), "a pending frame does fsync");
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! [`Durable`] ties them together behind one lock with a simple
 //! contract: a usage record is appended (and, under
 //! [`FsyncPolicy::Always`], fsynced) *before* the response leaves the
-//! server, so every acknowledged request is recoverable; a deployment
+//! server, so every acknowledged request is recoverable — a server
+//! answering a batch of requests stages each record
+//! ([`Durable::stage_usage`]) and commits them with one fsync
+//! ([`Durable::commit`]) before the batch's responses leave; a deployment
 //! is appended and fsynced to the deploy log before its id is
 //! acknowledged, under every policy; session ids are covered by a
 //! sealed lease extended ahead of use, so no pre-crash id is ever
@@ -49,7 +52,7 @@ use registry::DeployLog;
 pub use billing::{Aggregator, SettlementStatement, SignedSettlement, TenantRollup};
 pub use record::{decode_record, encode_record, UsageRecord};
 pub use registry::{DeployRecord, RegistryState, SnapshotStore, DEPLOY_LOG_FILE};
-pub use wal::{FsyncPolicy, Wal, WalReplay};
+pub use wal::{FsyncPolicy, Wal, WalCommits, WalReplay};
 
 /// Errors from the durable control plane.
 #[derive(Debug)]
@@ -329,9 +332,10 @@ impl Durable {
     }
 
     /// Appends one accounted request to the WAL (fsyncing per policy)
-    /// and folds it into the billing rollups. Call *before* responding
-    /// to the client: when this returns under [`FsyncPolicy::Always`],
-    /// the record survives `kill -9`.
+    /// and folds it into the billing rollups: [`Durable::stage_usage`]
+    /// then [`Durable::commit`]. Call *before* responding to the
+    /// client: when this returns under [`FsyncPolicy::Always`], the
+    /// record survives `kill -9`.
     ///
     /// # Errors
     ///
@@ -344,6 +348,49 @@ impl Durable {
         ae: &AccountingEnclave,
     ) -> Result<Invoice, DurableError> {
         let mut inner = self.lock();
+        let invoice = self.stage_locked(&mut inner, tenant, signed, ae)?;
+        inner.wal.commit()?;
+        Ok(invoice)
+    }
+
+    /// Appends one accounted request to the WAL and folds it into the
+    /// billing rollups, without the [`FsyncPolicy::Always`] fsync: the
+    /// record is durable once a later [`Durable::commit`] returns, and
+    /// the response must not leave before that.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError::DuplicateSession`] if the session was already
+    /// logged; I/O errors.
+    pub fn stage_usage(
+        &self,
+        tenant: &str,
+        signed: &SignedLog,
+        ae: &AccountingEnclave,
+    ) -> Result<Invoice, DurableError> {
+        let mut inner = self.lock();
+        self.stage_locked(&mut inner, tenant, signed, ae)
+    }
+
+    /// Under [`FsyncPolicy::Always`], makes every staged record durable
+    /// with one fsync — none when another commit or a checkpoint already
+    /// covered them. The other policies leave the tail to their own
+    /// schedule.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from fsync.
+    pub fn commit(&self) -> Result<(), DurableError> {
+        self.lock().wal.commit()
+    }
+
+    fn stage_locked(
+        &self,
+        inner: &mut Inner,
+        tenant: &str,
+        signed: &SignedLog,
+        ae: &AccountingEnclave,
+    ) -> Result<Invoice, DurableError> {
         inner.wal.append(&UsageRecord {
             tenant: tenant.to_string(),
             signed: signed.clone(),
@@ -351,9 +398,15 @@ impl Durable {
         let invoice = inner.agg.fold(tenant, &signed.log);
         inner.appends_since_checkpoint += 1;
         if inner.appends_since_checkpoint >= CHECKPOINT_EVERY {
-            self.checkpoint_locked(&mut inner, ae)?;
+            self.checkpoint_locked(inner, ae)?;
         }
         Ok(invoice)
+    }
+
+    /// The WAL fsyncs that made usage records durable since open, and
+    /// the records they covered.
+    pub fn wal_commits(&self) -> WalCommits {
+        self.lock().wal.commits()
     }
 
     /// Persists a deployment (and advances the deploy high-water mark)
@@ -384,13 +437,16 @@ impl Durable {
         Ok(())
     }
 
-    /// Fetches a signed log back from the WAL by session id.
+    /// Fetches a signed log back from the WAL by session id. Commits
+    /// first, so a record staged by a batch still being served is never
+    /// handed out before it is durable.
     ///
     /// # Errors
     ///
     /// I/O or corruption errors reading the stored frame.
     pub fn lookup(&self, session_id: u64) -> Result<Option<SignedLog>, DurableError> {
-        let inner = self.lock();
+        let mut inner = self.lock();
+        inner.wal.commit()?;
         Ok(inner.wal.get(session_id)?.map(|r| r.signed))
     }
 
@@ -651,6 +707,70 @@ mod tests {
                 .expect("settlement verifies");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_usage_is_durable_when_it_returns() {
+        let dir = tmpdir("append-durable");
+        let dep = Deployment::new(0xd4);
+        let ae = dep.infrastructure().accounting_enclave();
+        let pricing = dep.infrastructure().pricing;
+        let (d, _) = Durable::open(&dir, DurableOptions::default(), ae, pricing).unwrap();
+        for s in 1..=3 {
+            d.append_usage("acme", &signed(s), ae).unwrap();
+            let covered = WalCommits {
+                commits: s,
+                records: s,
+            };
+            assert_eq!(d.wal_commits(), covered, "record {s} fsynced on return");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lookup_never_hands_out_an_uncommitted_record() {
+        let dir = tmpdir("lookup-commits");
+        let dep = Deployment::new(0xd5);
+        let ae = dep.infrastructure().accounting_enclave();
+        let pricing = dep.infrastructure().pricing;
+        let (d, _) = Durable::open(&dir, DurableOptions::default(), ae, pricing).unwrap();
+        d.stage_usage("acme", &signed(1), ae).unwrap();
+        assert_eq!(d.lookup(1).unwrap(), Some(signed(1)));
+        let committed = WalCommits {
+            commits: 1,
+            records: 1,
+        };
+        assert_eq!(d.wal_commits(), committed, "the lookup committed first");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_syncs_staged_records_before_sealing() {
+        let dir = tmpdir("staged-checkpoint");
+        let image = tmpdir("staged-checkpoint-image");
+        let dep = Deployment::new(0xd6);
+        let ae = dep.infrastructure().accounting_enclave();
+        let pricing = dep.infrastructure().pricing;
+        let (d, _) = Durable::open(&dir, DurableOptions::default(), ae, pricing).unwrap();
+        for s in 1..=3 {
+            d.stage_usage("acme", &signed(s), ae).unwrap();
+        }
+        d.checkpoint(ae).unwrap();
+        let synced = WalCommits {
+            commits: 1,
+            records: 3,
+        };
+        assert_eq!(d.wal_commits(), synced, "the seal waited for the WAL");
+        d.commit().unwrap();
+        assert_eq!(d.wal_commits(), synced, "nothing left to commit");
+        copy_dir(&dir, &image);
+        let (d2, rec) = Durable::open(&image, DurableOptions::default(), ae, pricing).unwrap();
+        assert!(rec.snapshot_restored);
+        assert_eq!(rec.records_replayed, 3);
+        assert_eq!(d2.rollups()["acme"].requests, 3);
+        drop(d);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&image).unwrap();
     }
 
     fn module(deploy_id: u64, len: usize) -> Vec<u8> {

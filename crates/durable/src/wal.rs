@@ -20,11 +20,14 @@
 //! a unique record, so a full replay after compaction recovers exactly
 //! the same accounting state.
 //!
-//! Durability is governed by [`FsyncPolicy`]. `Always` fsyncs each
-//! append before it returns (an acknowledged request survives
-//! `kill -9`); `EveryN` and `Never` trade tail-loss windows for
-//! throughput — a checkpoint still fsyncs before sealing, so sealed
-//! rollups never claim a record the disk does not hold.
+//! Durability is governed by [`FsyncPolicy`]. Under `Always` an append
+//! is durable once [`Wal::commit`] returns, and the caller commits
+//! before acknowledging (an acknowledged request survives `kill -9`);
+//! one commit covers every record appended before it, so a batch of
+//! appends shares one fsync (group commit). `EveryN` and `Never` trade
+//! tail-loss windows for throughput and ignore `commit` — a checkpoint
+//! still fsyncs before sealing, so sealed rollups never claim a record
+//! the disk does not hold.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -42,8 +45,9 @@ const SEGMENT_HEADER: u64 = HEADER_LEN as u64;
 /// When to fsync appended records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// fsync every append before acknowledging (no acknowledged record
-    /// is ever lost to a crash).
+    /// fsync every append before acknowledging it (no acknowledged
+    /// record is ever lost to a crash); appends acknowledged together
+    /// share one fsync ([`Wal::commit`]).
     #[default]
     Always,
     /// fsync every N appends (bounded tail-loss window).
@@ -110,6 +114,16 @@ pub struct WalReplay {
     pub torn_bytes_discarded: u64,
 }
 
+/// The WAL fsyncs that made usage records durable, and how many
+/// records they covered: under group commit, fewer fsyncs than records.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalCommits {
+    /// fsyncs that covered at least one record.
+    pub commits: u64,
+    /// Records those fsyncs covered.
+    pub records: u64,
+}
+
 /// The append side of the write-ahead log plus its in-memory index.
 pub struct Wal {
     dir: PathBuf,
@@ -120,7 +134,9 @@ pub struct Wal {
     /// Sequence numbers of every segment, the active one last.
     segments: Vec<u64>,
     index: HashMap<u64, RecordLoc>,
-    appends_since_sync: u32,
+    /// Records appended since the last sync.
+    unsynced: u64,
+    commits: WalCommits,
     max_session: u64,
 }
 
@@ -191,13 +207,16 @@ impl Wal {
             active_seq,
             segments: seqs,
             index,
-            appends_since_sync: 0,
+            unsynced: 0,
+            commits: WalCommits::default(),
             max_session,
         };
         Ok((wal, replay))
     }
 
-    /// Appends one record, rotating and fsyncing per policy.
+    /// Appends one record, rotating per size and, under `EveryN`,
+    /// fsyncing per count. Under `Always` the record is durable once
+    /// [`Wal::commit`] returns.
     ///
     /// # Errors
     ///
@@ -223,22 +242,32 @@ impl Wal {
             },
         );
         self.max_session = self.max_session.max(session);
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                self.appends_since_sync += 1;
-                if self.appends_since_sync >= n {
-                    self.sync()?;
-                }
+        self.unsynced += 1;
+        if let FsyncPolicy::EveryN(n) = self.policy {
+            if self.unsynced >= u64::from(n) {
+                self.sync()?;
             }
-            FsyncPolicy::Never => {}
+        }
+        Ok(())
+    }
+
+    /// Makes every record appended so far durable under `Always` (one
+    /// fsync, or none when nothing is pending); the other policies
+    /// leave the tail to their own schedule.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from fsync.
+    pub fn commit(&mut self) -> Result<(), DurableError> {
+        if self.policy == FsyncPolicy::Always {
+            self.sync()?;
         }
         Ok(())
     }
 
     /// Seals the active segment and starts the next one.
     fn rotate(&mut self) -> Result<(), DurableError> {
-        self.active.sync()?;
+        self.sync()?;
         let seq = self.active_seq + 1;
         self.active = FramedLog::create(&segment_path(&self.dir, seq), SEGMENT)?;
         self.active_seq = seq;
@@ -253,8 +282,18 @@ impl Wal {
     /// I/O errors from fsync.
     pub fn sync(&mut self) -> Result<(), DurableError> {
         self.active.sync()?;
-        self.appends_since_sync = 0;
+        if self.unsynced > 0 {
+            self.commits.commits += 1;
+            self.commits.records += self.unsynced;
+            self.unsynced = 0;
+        }
         Ok(())
+    }
+
+    /// The fsyncs that made records durable since open, and the records
+    /// they covered.
+    pub fn commits(&self) -> WalCommits {
+        self.commits
     }
 
     /// The highest session id in the log (0 when empty).
@@ -571,7 +610,46 @@ mod tests {
             wal.append(&rec(s)).unwrap();
         }
         // 7 appends with N=3: syncs after 3 and 6, one pending.
-        assert_eq!(wal.appends_since_sync, 1);
+        assert_eq!(wal.unsynced, 1);
+        assert_eq!(
+            wal.commits(),
+            WalCommits {
+                commits: 2,
+                records: 6
+            }
+        );
+        // `commit` leaves the EveryN schedule alone.
+        wal.commit().unwrap();
+        assert_eq!(wal.unsynced, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn always_appends_share_one_commit() {
+        let dir = tmpdir("group");
+        let (mut wal, _) = Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap();
+        for s in 1..=8 {
+            wal.append(&rec(s)).unwrap();
+        }
+        assert_eq!(
+            wal.commits(),
+            WalCommits::default(),
+            "appends alone never fsync"
+        );
+        wal.commit().unwrap();
+        wal.commit().unwrap();
+        let one = WalCommits {
+            commits: 1,
+            records: 8,
+        };
+        assert_eq!(
+            wal.commits(),
+            one,
+            "a second commit with nothing new is free"
+        );
+        drop(wal);
+        let (_, replay) = Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap();
+        assert_eq!(replay.records.len(), 8);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

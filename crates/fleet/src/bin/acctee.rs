@@ -883,6 +883,10 @@ fn print_snapshot(s: &acctee_net::StatsSnapshot) {
         s.timeouts_total
     );
     println!(
+        "wal: {} commits covering {} usage records",
+        s.wal_commits_total, s.wal_committed_records_total
+    );
+    println!(
         "instr cache: {} hits / {} misses, {} evictions, {} singleflight waits",
         s.instr_cache.hits,
         s.instr_cache.misses,

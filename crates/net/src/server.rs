@@ -64,7 +64,7 @@ use std::os::unix::net::UnixStream;
 
 use acctee::enclave::LoadedWorkload;
 use acctee::{Deployment, SignedLog};
-use acctee_durable::{Durable, DurableOptions, FsyncPolicy};
+use acctee_durable::{Durable, DurableOptions, FsyncPolicy, WalCommits};
 use acctee_interp::Engine;
 use acctee_telemetry::logging;
 
@@ -297,6 +297,12 @@ impl Shared {
             evictions: cache.evictions(),
             singleflight_waits: cache.singleflight_waits(),
         }
+    }
+
+    fn wal_commits(&self) -> WalCommits {
+        self.durable
+            .as_ref()
+            .map_or_else(WalCommits::default, Durable::wal_commits)
     }
 
     fn log_shard(&self, session_id: u64) -> &Mutex<LogStore> {
@@ -671,13 +677,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         let shutdown_after = matches!(req, Request::Shutdown);
         let mut trace = ReqTrace::new(&req, parse_ns);
         let resp = handle_request(shared, req, &mut trace);
-        let respond_started = Instant::now();
-        let write_ok = write_response(reader.get_mut(), &resp).is_ok();
-        trace.stages.push((
-            "respond".into(),
-            respond_started.elapsed().as_nanos() as u64,
-        ));
-        finish_request(shared, trace, &resp, started);
+        let mut tx = Vec::new();
+        finish_batch(shared, vec![(trace, resp)], &mut tx, started);
+        let write_ok = std::io::Write::write_all(reader.get_mut(), &tx).is_ok();
         if !write_ok || shutdown_after || shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -1056,7 +1058,9 @@ fn drain_and_close_all(shared: &Shared, inbox: &Inbox, conns: HashMap<u64, Conn<
 /// Consumed bytes are drained from `rx`; a trailing partial frame is
 /// left for the next read. Returns `true` when the connection must
 /// close once `tx` is flushed (bad frame, `Shutdown`, or the server
-/// is draining).
+/// is draining). The served frames are one batch for
+/// [`finish_batch`]: their usage records share one WAL commit. A bad
+/// frame's error is answered after them.
 ///
 /// Pure buffer-in/buffer-out so tests can drive it without sockets or
 /// a poller.
@@ -1064,6 +1068,8 @@ fn pump_frames(shared: &Shared, rx: &mut Vec<u8>, tx: &mut Vec<u8>, batch_start:
     let mut consumed = 0usize;
     let mut close_after = false;
     let mut busy: Option<BusyGuard<'_>> = None;
+    let mut batch = Vec::new();
+    let mut bad_frame = None;
     loop {
         let parse_started = Instant::now();
         match decode_request_frame(&rx[consumed..]) {
@@ -1078,15 +1084,7 @@ fn pump_frames(shared: &Shared, rx: &mut Vec<u8>, tx: &mut Vec<u8>, batch_start:
                 let shutdown_after = matches!(req, Request::Shutdown);
                 let mut trace = ReqTrace::new(&req, parse_ns);
                 let resp = handle_request(shared, req, &mut trace);
-                let respond_started = Instant::now();
-                encode_response_into(tx, &resp);
-                // In event mode "respond" is the encode; the coalesced
-                // socket write is shared by the whole batch.
-                trace.stages.push((
-                    "respond".into(),
-                    respond_started.elapsed().as_nanos() as u64,
-                ));
-                finish_request(shared, trace, &resp, batch_start);
+                batch.push((trace, resp));
                 if shutdown_after || shared.shutdown.load(Ordering::SeqCst) {
                     close_after = true;
                     break;
@@ -1095,20 +1093,106 @@ fn pump_frames(shared: &Shared, rx: &mut Vec<u8>, tx: &mut Vec<u8>, batch_start:
             Ok(None) => break,
             Err(e) => {
                 logging::warn(LOG, "bad frame", &[("error", e.to_string())]);
-                encode_response_into(
-                    tx,
-                    &Response::Error {
-                        message: format!("bad frame: {e}"),
-                    },
-                );
+                bad_frame = Some(e);
                 close_after = true;
                 break;
             }
         }
     }
+    finish_batch(shared, batch, tx, batch_start);
+    if let Some(e) = bad_frame {
+        encode_response_into(
+            tx,
+            &Response::Error {
+                message: format!("bad frame: {e}"),
+            },
+        );
+    }
     drop(busy);
     rx.drain(..consumed);
     close_after
+}
+
+/// Finishes a batch of served requests — a whole pump in event mode,
+/// one request in thread mode — before any of its responses leaves:
+/// one WAL commit covers every usage record the batch staged (its
+/// `InvokeOk`s, when the server is durable) and is charged to each of
+/// them, since each waited for it; then [`deliver`] settles the
+/// responses against it. `started` is when the batch's first byte
+/// arrived.
+fn finish_batch(
+    shared: &Shared,
+    mut batch: Vec<(ReqTrace, Response)>,
+    tx: &mut Vec<u8>,
+    started: Instant,
+) {
+    let staged = |resp: &Response| matches!(resp, Response::InvokeOk { .. });
+    let mut commit = Ok(());
+    if let Some(durable) = &shared.durable {
+        if batch.iter().any(|(_, resp)| staged(resp)) {
+            let commit_started = Instant::now();
+            commit = durable.commit().map_err(|e| {
+                logging::error(LOG, "usage not persisted", &[("error", e.to_string())]);
+                e.to_string()
+            });
+            let commit_ns = commit_started.elapsed().as_nanos() as u64;
+            for (trace, _) in batch.iter_mut().filter(|(_, resp)| staged(resp)) {
+                trace.stages.push(("commit".into(), commit_ns));
+            }
+        }
+    }
+    deliver(shared, batch, &commit, tx, started);
+}
+
+/// Settles each response of a batch against its commit
+/// ([`fail_closed`]), publishes the `InvokeOk`s that survive to the
+/// log ring and the tenant's served totals — so nothing is served from
+/// memory before it is durable — then encodes them into `tx` in
+/// request order and counts them.
+fn deliver(
+    shared: &Shared,
+    batch: Vec<(ReqTrace, Response)>,
+    commit: &Result<(), String>,
+    tx: &mut Vec<u8>,
+    started: Instant,
+) {
+    for (mut trace, resp) in batch {
+        let resp = fail_closed(resp, commit);
+        if let Response::InvokeOk {
+            log, invoice_total, ..
+        } = &resp
+        {
+            shared.stats.tenant_served(
+                &trace.tenant,
+                log.log.weighted_instructions,
+                *invoice_total,
+            );
+            lock_or_recover(shared.log_shard(log.log.session_id))
+                .insert(log.clone(), shared.log_retention_per_shard);
+        }
+        let respond_started = Instant::now();
+        encode_response_into(tx, &resp);
+        // "respond" is the encode; one socket write carries the whole
+        // batch.
+        trace.stages.push((
+            "respond".into(),
+            respond_started.elapsed().as_nanos() as u64,
+        ));
+        finish_request(shared, trace, &resp, started);
+    }
+}
+
+/// A response as its batch's WAL commit leaves it: when the commit
+/// failed, an `InvokeOk` becomes the error it would have been without
+/// group commit — billing for usage the log may forget is what the
+/// durable plane exists to prevent. Every other response stands.
+fn fail_closed(resp: Response, commit: &Result<(), String>) -> Response {
+    match (resp, commit) {
+        (Response::InvokeOk { .. }, Err(e)) => Response::Error {
+            message: format!("usage record not persisted: {e}"),
+        },
+        (resp, _) => resp,
+    }
 }
 
 // ------------------------------------------------------- request path
@@ -1278,13 +1362,14 @@ fn handle_request(shared: &Shared, req: Request, trace: &mut ReqTrace) -> Respon
         Request::Stats { prometheus } => {
             let inflight = shared.inflight.fold();
             let cache = shared.cache_stats();
+            let wal = shared.wal_commits();
             if prometheus {
                 Response::StatsTextOk {
-                    text: shared.stats.render_prometheus(&inflight, cache),
+                    text: shared.stats.render_prometheus(&inflight, cache, wal),
                 }
             } else {
                 Response::StatsOk {
-                    snapshot: shared.stats.snapshot(&inflight, cache),
+                    snapshot: shared.stats.snapshot(&inflight, cache, wal),
                 }
             }
         }
@@ -1453,28 +1538,28 @@ fn handle_invoke(
         Ok((outcome, invoice)) => {
             trace.session_id = session_id;
             // Durability before acknowledgment: the signed log is
-            // appended to the WAL (and fsynced, under `always`) before
-            // the response leaves the server. If the record cannot be
+            // staged on the WAL here, and the batch's one commit
+            // (fsync, under `always`) runs in `finish_batch` before the
+            // response leaves the server. If the record cannot be
             // persisted the invoke fails closed — billing for usage
             // the log would forget is exactly what this plane exists
             // to prevent.
             if let Some(durable) = &shared.durable {
-                if let Err(e) = durable.append_usage(
+                let append_started = Instant::now();
+                let staged = durable.stage_usage(
                     tenant,
                     &outcome.log,
                     shared.dep.infrastructure().accounting_enclave(),
-                ) {
+                );
+                trace.stages.push((
+                    "wal_append".into(),
+                    append_started.elapsed().as_nanos() as u64,
+                ));
+                if let Err(e) = staged {
                     logging::error(LOG, "usage not persisted", &[("error", e.to_string())]);
                     return error_resp(format!("usage record not persisted: {e}"));
                 }
             }
-            shared.stats.tenant_served(
-                tenant,
-                outcome.log.log.weighted_instructions,
-                invoice.total(),
-            );
-            lock_or_recover(shared.log_shard(session_id))
-                .insert(outcome.log.clone(), shared.log_retention_per_shard);
             Response::InvokeOk {
                 session_id,
                 results: outcome.results,
@@ -1565,9 +1650,11 @@ mod tests {
         ));
         let len = cursor.get_ref().len() as u64;
         assert_eq!(cursor.position(), len, "no trailing bytes");
-        let snap = shared
-            .stats
-            .snapshot(&shared.inflight.fold(), shared.cache_stats());
+        let snap = shared.stats.snapshot(
+            &shared.inflight.fold(),
+            shared.cache_stats(),
+            shared.wal_commits(),
+        );
         assert_eq!(snap.requests_of("health"), 2);
         assert_eq!(snap.requests_of("stats"), 1);
     }
@@ -1603,6 +1690,252 @@ mod tests {
             read_response(&mut cursor).unwrap(),
             Response::Error { .. }
         ));
+    }
+
+    fn tmpdir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "acctee-server-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn durable_server(dir: &std::path::Path) -> Server {
+        let cfg = ServerConfig {
+            state_dir: Some(dir.to_path_buf()),
+            fsync: FsyncPolicy::Always,
+            ..ServerConfig::default()
+        };
+        Server::bind("127.0.0.1:0", cfg).expect("bind")
+    }
+
+    /// `run(x) = x + 1`.
+    fn inc_module() -> Vec<u8> {
+        use acctee_wasm::builder::ModuleBuilder;
+        use acctee_wasm::types::ValType;
+        let mut b = ModuleBuilder::new();
+        let f = b.func("run", &[ValType::I32], &[ValType::I32], |f| {
+            f.local_get(0);
+            f.i32_const(1);
+            f.i32_add();
+        });
+        b.export_func("run", f);
+        acctee_wasm::encode::encode_module(&b.build())
+    }
+
+    fn deploy(shared: &Shared) -> u64 {
+        let req = Request::Deploy {
+            level: acctee::Level::FlowBased,
+            module: inc_module(),
+            trace_id: 0,
+        };
+        match handle_request(shared, req.clone(), &mut ReqTrace::new(&req, 0)) {
+            Response::DeployOk { deploy_id, .. } => deploy_id,
+            other => panic!("deploy failed: {other:?}"),
+        }
+    }
+
+    fn invoke_req(deploy_id: u64, arg: i32) -> Request {
+        Request::Invoke {
+            deploy_id,
+            func: "run".into(),
+            args: vec![acctee_interp::Value::I32(arg)],
+            input: Vec::new(),
+            tenant: format!("tenant-{}", arg % 2),
+            trace_id: arg as u64,
+        }
+    }
+
+    /// Every response in `tx`, in order.
+    fn responses(tx: Vec<u8>) -> Vec<Response> {
+        let len = tx.len() as u64;
+        let mut cursor = std::io::Cursor::new(tx);
+        let mut out = Vec::new();
+        while cursor.position() < len {
+            out.push(read_response(&mut cursor).unwrap());
+        }
+        out
+    }
+
+    /// The session id of an `InvokeOk` returning `arg + 1`.
+    fn invoked(resp: &Response, arg: i32) -> u64 {
+        match resp {
+            Response::InvokeOk {
+                session_id,
+                results,
+                ..
+            } => {
+                assert_eq!(results, &[acctee_interp::Value::I32(arg + 1)]);
+                *session_id
+            }
+            other => panic!("expected InvokeOk for {arg}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pump_frames_commits_a_pipelined_window_once() {
+        let dir = tmpdir("window");
+        let server = durable_server(&dir);
+        let shared = &server.shared;
+        let deploy_id = deploy(shared);
+        let before = shared.wal_commits();
+        let mut rx = Vec::new();
+        for arg in 0..8 {
+            rx.extend_from_slice(&encode_request(&invoke_req(deploy_id, arg)));
+        }
+        let mut tx = Vec::new();
+        assert!(!pump_frames(shared, &mut rx, &mut tx, Instant::now()));
+        let resps = responses(tx);
+        assert_eq!(resps.len(), 8);
+        let sessions: Vec<u64> = (0..8).map(|arg| invoked(&resps[arg], arg as i32)).collect();
+        assert!(sessions.windows(2).all(|w| w[0] < w[1]), "{sessions:?}");
+        let after = shared.wal_commits();
+        assert_eq!(
+            after.commits,
+            before.commits + 1,
+            "one fsync for the window"
+        );
+        assert_eq!(after.records, before.records + 8);
+        let snap = shared.stats.snapshot(
+            &shared.inflight.fold(),
+            shared.cache_stats(),
+            shared.wal_commits(),
+        );
+        for stage in ["wal_append", "commit"] {
+            let (_, l) = snap.stages.iter().find(|(s, _)| s == stage).unwrap();
+            assert_eq!(l.count, 8, "{stage}: every invoke waited for it");
+        }
+        drop(server);
+        let reopened = durable_server(&dir);
+        let durable = reopened.shared.durable.as_ref().unwrap();
+        for (resp, session) in resps.iter().zip(&sessions) {
+            let Response::InvokeOk { log, .. } = resp else {
+                unreachable!()
+            };
+            assert_eq!(durable.lookup(*session).unwrap().as_ref(), Some(log));
+        }
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn invokes_before_a_bad_frame_are_committed_and_answered_first() {
+        let dir = tmpdir("bad-tail");
+        let server = durable_server(&dir);
+        let shared = &server.shared;
+        let deploy_id = deploy(shared);
+        let before = shared.wal_commits();
+        let mut rx = Vec::new();
+        for arg in 0..3 {
+            rx.extend_from_slice(&encode_request(&invoke_req(deploy_id, arg)));
+        }
+        rx.extend_from_slice(b"NOPE definitely not a frame");
+        let mut tx = Vec::new();
+        assert!(pump_frames(shared, &mut rx, &mut tx, Instant::now()));
+        let resps = responses(tx);
+        assert_eq!(resps.len(), 4);
+        for (arg, resp) in resps[..3].iter().enumerate() {
+            invoked(resp, arg as i32);
+        }
+        assert!(
+            matches!(&resps[3], Response::Error { message } if message.starts_with("bad frame")),
+            "{:?}",
+            resps[3]
+        );
+        let after = shared.wal_commits();
+        assert_eq!(
+            (after.commits, after.records),
+            (before.commits + 1, before.records + 3)
+        );
+        drop(server);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_commit_turns_only_invoke_ok_into_an_error() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let shared = &server.shared;
+        let deploy_id = deploy(shared);
+        let serve = |req: Request| {
+            let mut trace = ReqTrace::new(&req, 0);
+            let resp = handle_request(shared, req, &mut trace);
+            (trace, resp)
+        };
+        let (trace, ok) = serve(invoke_req(deploy_id, 4));
+        let session = invoked(&ok, 4);
+        let failed: Result<(), String> = Err("disk full".into());
+        assert_eq!(fail_closed(ok.clone(), &Ok(())), ok);
+        assert_eq!(
+            fail_closed(ok.clone(), &failed),
+            Response::Error {
+                message: "usage record not persisted: disk full".into()
+            }
+        );
+        for other in [
+            Response::Busy,
+            Response::ShutdownOk,
+            Response::Error {
+                message: "unknown deploy id 9".into(),
+            },
+        ] {
+            assert_eq!(fail_closed(other.clone(), &failed), other);
+        }
+
+        // Served from memory only once committed: a failed commit
+        // leaves neither the log ring nor the tenant's totals holding
+        // the session.
+        let ring_has = |id: u64| {
+            lock_or_recover(shared.log_shard(id))
+                .by_session
+                .contains_key(&id)
+        };
+        let served = |tenant: &str| {
+            let snap = shared.stats.snapshot(
+                &HashMap::new(),
+                CacheStats::default(),
+                WalCommits::default(),
+            );
+            snap.tenants
+                .iter()
+                .find(|t| t.tenant == tenant)
+                .map_or(0, |t| t.requests_total)
+        };
+        let health = serve(Request::Health);
+        let mut tx = Vec::new();
+        deliver(
+            shared,
+            vec![(trace, ok), health],
+            &failed,
+            &mut tx,
+            Instant::now(),
+        );
+        let resps = responses(tx);
+        assert!(
+            matches!(&resps[0], Response::Error { .. }),
+            "{:?}",
+            resps[0]
+        );
+        assert!(
+            matches!(&resps[1], Response::HealthOk { .. }),
+            "{:?}",
+            resps[1]
+        );
+        assert!(!ring_has(session));
+        assert_eq!(served("tenant-0"), 0);
+
+        let (trace, ok) = serve(invoke_req(deploy_id, 6));
+        let session = invoked(&ok, 6);
+        deliver(
+            shared,
+            vec![(trace, ok)],
+            &Ok(()),
+            &mut Vec::new(),
+            Instant::now(),
+        );
+        assert!(ring_has(session));
+        assert_eq!(served("tenant-0"), 1);
     }
 
     #[test]

@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use acctee_durable::WalCommits;
 use acctee_telemetry::{Counter, Histogram, Registry};
 
 use crate::server::lock_or_recover;
@@ -52,9 +53,20 @@ pub const REQUEST_KINDS: [&str; 8] = [
 /// histograms. `parse` covers frame read + decode (first byte to
 /// structured request), `admission` the tenant-slot acquisition,
 /// `instrument` deploy-time instrumentation + load, `execute` the
-/// accounted execution including log signing, `respond` the response
-/// write.
-pub const STAGES: [&str; 5] = ["parse", "admission", "instrument", "execute", "respond"];
+/// accounted execution including log signing, `wal_append` staging the
+/// usage record on the WAL, `commit` the WAL commit (fsync under
+/// `--fsync always`) that the invoke's batch waited for — each invoke
+/// in a batch records the batch's one commit — and `respond` the
+/// response encode.
+pub const STAGES: [&str; 7] = [
+    "parse",
+    "admission",
+    "instrument",
+    "execute",
+    "wal_append",
+    "commit",
+    "respond",
+];
 
 /// How a recorded request ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,6 +206,12 @@ pub struct StatsSnapshot {
     pub errors_total: u64,
     /// Executions killed by the wall-clock deadline.
     pub timeouts_total: u64,
+    /// WAL fsyncs that made usage records durable (0 without a state
+    /// directory).
+    pub wal_commits_total: u64,
+    /// Usage records those fsyncs covered: more than
+    /// `wal_commits_total` when pipelined invokes share a commit.
+    pub wal_committed_records_total: u64,
     /// Instrumentation-cache counters.
     pub instr_cache: CacheStats,
     /// Per-tenant stats, unordered.
@@ -579,8 +597,13 @@ impl ServerStats {
 
     /// Assembles a [`StatsSnapshot`]. `inflight` is the server's live
     /// per-tenant in-flight map; `cache` the instrumentation-cache
-    /// counters.
-    pub fn snapshot(&self, inflight: &HashMap<String, usize>, cache: CacheStats) -> StatsSnapshot {
+    /// counters; `wal` the durable plane's commit counters.
+    pub fn snapshot(
+        &self,
+        inflight: &HashMap<String, usize>,
+        cache: CacheStats,
+        wal: WalCommits,
+    ) -> StatsSnapshot {
         let requests_by_kind = REQUEST_KINDS
             .iter()
             .zip(&self.req_counters)
@@ -634,6 +657,8 @@ impl ServerStats {
             shed_tenant_total: self.shed_tenant_c.get(),
             errors_total: self.errors_c.get(),
             timeouts_total: self.timeouts_c.get(),
+            wal_commits_total: wal.commits,
+            wal_committed_records_total: wal.records,
             instr_cache: cache,
             tenants,
             latency,
@@ -642,13 +667,14 @@ impl ServerStats {
     }
 
     /// Renders the Prometheus text exposition for this server: the
-    /// registry's series plus gauges, cache counters and per-tenant
-    /// series. Strictly parseable by
+    /// registry's series plus gauges, cache and WAL commit counters and
+    /// per-tenant series. Strictly parseable by
     /// [`acctee_telemetry::parse_prometheus`].
     pub fn render_prometheus(
         &self,
         inflight: &HashMap<String, usize>,
         cache: CacheStats,
+        wal: WalCommits,
     ) -> String {
         use std::fmt::Write as _;
         // Live gauges are set at scrape time, then exported with
@@ -681,6 +707,8 @@ impl ServerStats {
                 "acctee_cache_singleflight_waits_total",
                 cache.singleflight_waits,
             ),
+            ("acctee_wal_commits_total", wal.commits),
+            ("acctee_wal_committed_records_total", wal.records),
         ] {
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {value}");
@@ -804,7 +832,15 @@ mod tests {
         s.tenant_served("alice", 1000, 77);
         let mut inflight = HashMap::new();
         inflight.insert("bob".to_string(), 2usize);
-        let snap = s.snapshot(&inflight, CacheStats::default());
+        let wal = WalCommits {
+            commits: 1,
+            records: 8,
+        };
+        let snap = s.snapshot(&inflight, CacheStats::default(), wal);
+        assert_eq!(
+            (snap.wal_commits_total, snap.wal_committed_records_total),
+            (1, 8)
+        );
         assert_eq!(snap.requests_of("invoke"), 2);
         assert_eq!(snap.requests_of("deploy"), 1);
         assert_eq!(snap.requests_total(), 3);
@@ -832,7 +868,11 @@ mod tests {
         for i in 0u64..32 {
             s.tenant_served(&format!("tenant-{i}"), i, u128::from(i));
         }
-        let snap = s.snapshot(&HashMap::new(), CacheStats::default());
+        let snap = s.snapshot(
+            &HashMap::new(),
+            CacheStats::default(),
+            WalCommits::default(),
+        );
         assert_eq!(snap.tenants.len(), 32);
         let t9 = snap
             .tenants
@@ -860,6 +900,10 @@ mod tests {
                 evictions: 0,
                 singleflight_waits: 0,
             },
+            WalCommits {
+                commits: 2,
+                records: 16,
+            },
         );
         let exp =
             acctee_telemetry::parse_prometheus(&text).unwrap_or_else(|e| panic!("{e}\n--\n{text}"));
@@ -868,6 +912,11 @@ mod tests {
             Some(1.0)
         );
         assert_eq!(exp.value("acctee_cache_hits_total", &[]), Some(3.0));
+        assert_eq!(exp.value("acctee_wal_commits_total", &[]), Some(2.0));
+        assert_eq!(
+            exp.value("acctee_wal_committed_records_total", &[]),
+            Some(16.0)
+        );
         assert_eq!(
             exp.value("acctee_net_tenant_inflight", &[("tenant", "a b\"c")]),
             Some(1.0)

@@ -504,6 +504,8 @@ fn put_snapshot(e: &mut Enc, s: &StatsSnapshot) {
     e.u64(s.shed_tenant_total);
     e.u64(s.errors_total);
     e.u64(s.timeouts_total);
+    e.u64(s.wal_commits_total);
+    e.u64(s.wal_committed_records_total);
     e.u64(s.instr_cache.hits);
     e.u64(s.instr_cache.misses);
     e.u64(s.instr_cache.evictions);
@@ -904,6 +906,8 @@ fn get_snapshot(c: &mut Dec) -> Result<StatsSnapshot, CodecError> {
     let shed_tenant_total = c.u64()?;
     let errors_total = c.u64()?;
     let timeouts_total = c.u64()?;
+    let wal_commits_total = c.u64()?;
+    let wal_committed_records_total = c.u64()?;
     let instr_cache = CacheStats {
         hits: c.u64()?,
         misses: c.u64()?,
@@ -936,6 +940,8 @@ fn get_snapshot(c: &mut Dec) -> Result<StatsSnapshot, CodecError> {
         shed_tenant_total,
         errors_total,
         timeouts_total,
+        wal_commits_total,
+        wal_committed_records_total,
         instr_cache,
         tenants,
         latency,
@@ -1309,6 +1315,8 @@ mod tests {
             shed_tenant_total: 11,
             errors_total: 1,
             timeouts_total: 2,
+            wal_commits_total: 12,
+            wal_committed_records_total: 96,
             instr_cache: CacheStats {
                 hits: 90,
                 misses: 10,

@@ -188,6 +188,17 @@ OUT="$("$ACCTEE_BIN" invoke examples/demo.wat --connect "$ADDR" --invoke fib --a
 SESSION2="$(sed -n 's/^  session id: *//p' <<<"$OUT")"
 [ "${SESSION2:-0}" -gt "$SESSION" ] \
     || { echo "session id $SESSION2 not above pre-crash $SESSION"; kill "$SERVE_PID"; exit 1; }
+# Group commit: a pipelined window's usage records share WAL fsyncs,
+# so the server reports fewer commits than committed records.
+"$ACCTEE_BIN" invoke examples/demo.wat --connect "$ADDR" --invoke fib --arg 10 --repeat 16 \
+    >/dev/null || { echo "pipelined durable invoke failed"; kill "$SERVE_PID"; exit 1; }
+PROM="$(mktemp)"
+"$ACCTEE_BIN" stats --prom --connect "$ADDR" >"$PROM"
+COMMITS="$(sed -n 's/^acctee_wal_commits_total //p' "$PROM")"
+RECORDS="$(sed -n 's/^acctee_wal_committed_records_total //p' "$PROM")"
+rm -f "$PROM"
+[ "${COMMITS:-0}" -gt 0 ] && [ "$COMMITS" -lt "${RECORDS:-0}" ] \
+    || { echo "no group commit: $COMMITS WAL commits for $RECORDS records"; kill "$SERVE_PID"; exit 1; }
 "$ACCTEE_BIN" shutdown --connect "$ADDR"
 wait "$SERVE_PID"
 # Offline settlement over the surviving state dir: every record

@@ -22,7 +22,7 @@ use acctee_durable::{
     Durable, DurableError, DurableOptions, FsyncPolicy, SnapshotStore, UsageRecord,
 };
 use acctee_interp::Value;
-use acctee_net::{Client, Server, ServerConfig, TrustAnchor};
+use acctee_net::{Client, InvokeSpec, Server, ServerConfig, TrustAnchor};
 use acctee_sgx::crypto::sha256;
 use acctee_sgx::{Measurement, Quote};
 use acctee_wasm::builder::ModuleBuilder;
@@ -120,7 +120,8 @@ fn last_wal_segment(dir: &Path) -> PathBuf {
 // ------------------------------------------------- kill -9 recovery
 
 /// The tentpole acceptance test. Server 1 serves deploy + invokes with
-/// `--fsync always`; its state directory is copied while it is still
+/// `--fsync always` — single calls and a pipelined window whose records
+/// share group commits; its state directory is copied while it is still
 /// running (the disk image a `kill -9` would leave); server 2 starts
 /// on the image and must recover everything it acknowledged.
 #[test]
@@ -153,6 +154,30 @@ fn kill9_image_recovers_every_acknowledged_request_exactly_once() {
             outcome.session_id,
             tenant.to_string(),
             outcome.log.clone(),
+            outcome.invoice_total,
+        ));
+    }
+
+    // A pipelined window: its records share WAL commits (one per
+    // server read), and each response still waits for the commit that
+    // covers its record.
+    let window: Vec<InvokeSpec> = (0..8)
+        .map(|i| InvokeSpec {
+            func: "run".into(),
+            args: vec![Value::I32(20 + i * 11)],
+            input: b"pipelined".to_vec(),
+            tenant: if i % 2 == 0 { "alice" } else { "bob" }.into(),
+        })
+        .collect();
+    let acked = client
+        .invoke_pipelined(&deployed, &window, 1)
+        .expect("pipelined window");
+    for (spec, outcome) in window.iter().zip(acked) {
+        let outcome = outcome.expect("attested pipelined invoke");
+        pre_crash.push((
+            outcome.session_id,
+            spec.tenant.clone(),
+            outcome.log,
             outcome.invoice_total,
         ));
     }
@@ -232,7 +257,9 @@ fn kill9_image_recovers_every_acknowledged_request_exactly_once() {
     )
     .expect("offline open of the image");
     // (The image was audited after server 2 also ran, so it includes
-    // server 2's post-crash invokes too.)
+    // server 2's post-crash invokes too.) The 6 single invokes and the
+    // 8 pipelined ones are all acknowledged pre-crash records.
+    assert_eq!(pre_crash.len(), 6 + 8);
     assert_eq!(recovery.records_replayed, pre_crash.len() + 1 + late.len());
     assert_eq!(recovery.deployments.len(), 1 + late.len());
     assert_eq!(recovery.duplicates_dropped, 0);
