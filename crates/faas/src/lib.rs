@@ -14,12 +14,10 @@
 //! component (the SGX-LKL syscall path and SGX hardware-mode factors
 //! from `acctee-cachesim`), as documented in DESIGN.md §2.
 
-pub mod parallel;
 pub mod platform;
 pub mod setup;
 pub mod sim;
 
-pub use parallel::BatchReport;
 pub use platform::{FaasPlatform, FunctionKind, RequestStats};
 pub use setup::Setup;
 pub use sim::{ClosedLoopSim, SimReport};

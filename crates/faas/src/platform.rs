@@ -7,9 +7,7 @@
 //! artifact) the platform compiles the deployed module into a shared
 //! [`CompiledModule`] artifact exactly once (AccTEE §3.3's
 //! compile-once/serve-many argument) and hands every request
-//! instance the same `Arc`. Disable with
-//! [`FaasPlatform::with_artifact_cache`] to measure the recompile
-//! baseline.
+//! instance the same `Arc`.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -86,17 +84,6 @@ pub struct FaasPlatform {
     /// once per deployment (`None` inside = compile failed; requests
     /// fall back to the per-instance path, which reports the error).
     artifact: OnceLock<Option<Arc<CompiledModule>>>,
-    /// Whether requests share the artifact (disable to measure the
-    /// per-request-recompile baseline).
-    share_artifact: bool,
-    /// Per-request wall-clock budget; a request exceeding it traps
-    /// with a deadline failure instead of occupying a worker forever.
-    request_deadline: Option<std::time::Duration>,
-    /// Test-only fault injection: a payload whose first byte equals
-    /// the marker panics inside `handle`, exercising the worker-pool
-    /// panic recovery.
-    #[cfg(test)]
-    pub(crate) panic_marker: Option<u8>,
 }
 
 // The serving plane shards deployments across event loops and worker
@@ -170,10 +157,6 @@ impl FaasPlatform {
             hw_exec_factor,
             engine: Engine::default(),
             artifact: OnceLock::new(),
-            share_artifact: true,
-            request_deadline: None,
-            #[cfg(test)]
-            panic_marker: None,
         }
     }
 
@@ -218,10 +201,6 @@ impl FaasPlatform {
             hw_exec_factor: 1.0,
             engine: Engine::default(),
             artifact: OnceLock::new(),
-            share_artifact: true,
-            request_deadline: None,
-            #[cfg(test)]
-            panic_marker: None,
         })
     }
 
@@ -237,34 +216,10 @@ impl FaasPlatform {
         self
     }
 
-    /// Enables or disables the compile-once/serve-many artifact cache
-    /// (on by default). With it off, every request re-runs the register
-    /// compiler inside its own instance — the pre-cache behaviour,
-    /// kept as the measurable baseline for `BENCH_faas`.
-    #[must_use]
-    pub fn with_artifact_cache(mut self, share: bool) -> FaasPlatform {
-        self.share_artifact = share;
-        self.artifact = OnceLock::new();
-        self
-    }
-
-    /// Bounds every wasm request's wall-clock execution time (`None` =
-    /// unlimited, the default). A request that exceeds the budget
-    /// traps with the interpreter's `DeadlineExceeded` and is reported
-    /// as a timeout failure (see [`crate::BatchReport::timeouts`]), so
-    /// even a deliberately non-terminating workload releases its
-    /// worker. The JS baseline setup is not covered (it exists only
-    /// for the Fig 9 comparison).
-    #[must_use]
-    pub fn with_request_deadline(mut self, budget: Option<std::time::Duration>) -> FaasPlatform {
-        self.request_deadline = budget;
-        self
-    }
-
     /// Pre-compiles the compiled artifact so the first request pays no
     /// compile cost. Returns `true` iff this call built the artifact
-    /// (false when it was already built, is disabled, or does not
-    /// apply — tree engine / JS setup). Thread-safe: concurrent
+    /// (false when it was already built or does not apply — tree
+    /// engine / JS setup). Thread-safe: concurrent
     /// callers deduplicate to exactly one compilation.
     pub fn warm(&self) -> bool {
         let mut fresh = false;
@@ -273,8 +228,8 @@ impl FaasPlatform {
     }
 
     /// The shared artifact for this deployment, compiling it on first
-    /// use. `None` when sharing is off, the engine is the tree-walker,
-    /// there is no wasm module, or compilation failed (requests then
+    /// use. `None` when the engine is the tree-walker, there is no
+    /// wasm module, or compilation failed (requests then
     /// fall back to the per-instance path and surface the error).
     fn shared_artifact(&self) -> Option<Arc<CompiledModule>> {
         let mut fresh = false;
@@ -282,7 +237,7 @@ impl FaasPlatform {
     }
 
     fn shared_artifact_inner(&self, fresh: &mut bool) -> Option<Arc<CompiledModule>> {
-        if !self.share_artifact || self.engine == Engine::Tree {
+        if self.engine == Engine::Tree {
             return None;
         }
         let module = self.module.as_ref()?;
@@ -319,10 +274,6 @@ impl FaasPlatform {
     ///
     /// Returns a message if the function traps or the script fails.
     pub fn handle(&self, payload: &[u8]) -> Result<(Vec<u8>, RequestStats), String> {
-        #[cfg(test)]
-        if let (Some(m), Some(first)) = (self.panic_marker, payload.first()) {
-            assert!(*first != m, "injected fault: payload starts with marker");
-        }
         let mut span = acctee_telemetry::span("faas.handle", "faas")
             .with_arg("function", self.kind.name())
             .with_arg("engine", self.engine.name())
@@ -398,7 +349,6 @@ impl FaasPlatform {
             });
         let cfg = Config {
             engine: self.engine,
-            time_budget: self.request_deadline,
             ..Config::default()
         };
         let mut inst = match self.shared_artifact() {
@@ -556,29 +506,23 @@ mod tests {
         assert!(!p.warm(), "second warm reuses it");
         let (resp, _) = p.handle(b"shared").unwrap();
         assert_eq!(resp, b"shared");
-        // The tree engine and a disabled cache never build one.
+        // The tree engine never builds one.
         let tree = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm).with_engine(Engine::Tree);
         assert!(!tree.warm());
-        let off = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm)
-            .with_engine(Engine::Regs)
-            .with_artifact_cache(false);
-        assert!(!off.warm());
-        let (resp, _) = off.handle(b"uncached").unwrap();
-        assert_eq!(resp, b"uncached");
+        let (resp, _) = tree.handle(b"tree").unwrap();
+        assert_eq!(resp, b"tree");
     }
 
     #[test]
-    fn shared_artifact_and_per_request_compile_agree() {
-        let img = test_image(16, 16);
-        let cached =
-            FaasPlatform::deploy(FunctionKind::Resize, Setup::Wasm).with_engine(Engine::Regs);
-        let uncached = FaasPlatform::deploy(FunctionKind::Resize, Setup::Wasm)
-            .with_engine(Engine::Regs)
-            .with_artifact_cache(false);
-        let (a, _) = cached.handle(&img).unwrap();
-        let (b, _) = uncached.handle(&img).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, resize_native(16, 16, &img[8..]));
+    fn io_accounting_setup_reports_request_bytes() {
+        let platform = FaasPlatform::deploy(FunctionKind::Echo, Setup::WasmSgxHwIo);
+        let (_, stats) = platform.handle(&[7u8; 128]).unwrap();
+        assert_eq!(stats.io_bytes_in, 128);
+        assert_eq!(stats.io_bytes_out, 128);
+        // Non-accounting setups keep the fields zero.
+        let plain = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm);
+        let (_, stats) = plain.handle(&[7u8; 128]).unwrap();
+        assert_eq!((stats.io_bytes_in, stats.io_bytes_out), (0, 0));
     }
 
     #[test]

@@ -14,7 +14,12 @@
 //! * **Thread** (fallback, any platform): the classic one-connection-
 //!   per-worker pool. Each worker owns a bounded queue and the
 //!   acceptor dispatches to the least-loaded one — no shared
-//!   `Mutex<Receiver>` hand-off serializing the pool.
+//!   `Mutex<Receiver>` hand-off serializing the pool. A worker reads
+//!   its connection with blocking reads.
+//!
+//! Both modes collect the bytes they read in a per-connection buffer
+//! and serve it through the one frame pump ([`pump_frames`]); the
+//! mode decides only who calls `read`.
 //!
 //! Either way, overload degrades into visible shed: when the number of
 //! accepted-but-unserved connections reaches `queue_depth`, the
@@ -55,7 +60,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-#[cfg(target_os = "linux")]
 use std::io::{Read, Write};
 #[cfg(target_os = "linux")]
 use std::os::fd::AsRawFd;
@@ -70,10 +74,11 @@ use acctee_telemetry::logging;
 
 #[cfg(target_os = "linux")]
 use crate::poll::{Epoll, Event, Interest, Poller};
-use crate::stats::{BusyGuard, CacheStats, RequestOutcome, RequestRecord, ServerStats};
+#[cfg(target_os = "linux")]
+use crate::stats::BusyGuard;
+use crate::stats::{CacheStats, RequestOutcome, RequestRecord, ServerStats};
 use crate::wire::{
-    decode_request_frame, encode_response_into, read_request_timed, write_response, Request,
-    Response, WireError, WIRE_VERSION,
+    decode_request_frame, encode_response_into, write_response, Request, Response, WIRE_VERSION,
 };
 
 /// How many signed logs the server retains for `FetchLog` (FIFO,
@@ -521,6 +526,40 @@ fn shed_at_accept(shared: &Shared, mut stream: TcpStream) {
     let _ = write_response(&mut stream, &Response::Busy);
 }
 
+/// Accepts connections until the shutdown flag is seen. Each one gets
+/// the socket deadlines and passes admission control: past
+/// `queue_depth` accepted-but-unserved connections it is shed with
+/// `Busy`, otherwise it enters the backlog and goes to `dispatch`,
+/// which hands it to a worker (thread mode) or an event loop.
+fn accept_loop(shared: &Shared, listener: &TcpListener, mut dispatch: impl FnMut(TcpStream)) {
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(_) => continue,
+        };
+        if shared.shutdown.load(Ordering::SeqCst) {
+            // The shutdown wake-up connection (or a late client).
+            break;
+        }
+        shared.stats.connection_opened();
+        let t = Some(shared.config.io_timeout);
+        let _ = stream.set_read_timeout(t);
+        let _ = stream.set_write_timeout(t);
+        if shared.backlog.load(Ordering::SeqCst) >= shared.config.queue_depth {
+            // Admission control: shed with an explicit Busy so the
+            // client can back off, instead of queueing unboundedly.
+            shed_at_accept(shared, stream);
+            continue;
+        }
+        shared.backlog.fetch_add(1, Ordering::SeqCst);
+        shared.stats.queue_entered();
+        dispatch(stream);
+    }
+}
+
+/// Read granularity for connection sockets.
+const READ_CHUNK: usize = 16 * 1024;
+
 // ------------------------------------------------------- thread mode
 
 /// One worker's bounded mailbox: the acceptor pushes to the least-
@@ -586,41 +625,17 @@ fn run_thread(shared: &Shared, listener: &TcpListener) {
                 .spawn_scoped(scope, move || worker_loop(shared, queue))
                 .expect("spawn worker");
         }
-        accept_loop_thread(shared, listener, &queues);
+        accept_loop(shared, listener, |stream| {
+            queues
+                .iter()
+                .min_by_key(|q| q.load.load(Ordering::SeqCst))
+                .expect("at least one worker")
+                .push(stream);
+        });
         for queue in &queues {
             queue.close();
         }
     });
-}
-
-fn accept_loop_thread(shared: &Shared, listener: &TcpListener, queues: &[WorkerQueue]) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(_) => continue,
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // The shutdown wake-up connection (or a late client).
-            break;
-        }
-        shared.stats.connection_opened();
-        let t = Some(shared.config.io_timeout);
-        let _ = stream.set_read_timeout(t);
-        let _ = stream.set_write_timeout(t);
-        if shared.backlog.load(Ordering::SeqCst) >= shared.config.queue_depth {
-            // Admission control: shed with an explicit Busy so the
-            // client can back off, instead of queueing unboundedly.
-            shed_at_accept(shared, stream);
-            continue;
-        }
-        shared.backlog.fetch_add(1, Ordering::SeqCst);
-        shared.stats.queue_entered();
-        let queue = queues
-            .iter()
-            .min_by_key(|q| q.load.load(Ordering::SeqCst))
-            .expect("at least one worker");
-        queue.push(stream);
-    }
 }
 
 fn worker_loop(shared: &Shared, queue: &WorkerQueue) {
@@ -634,6 +649,8 @@ fn worker_loop(shared: &Shared, queue: &WorkerQueue) {
             continue;
         }
         {
+            // The worker is occupied for the connection's whole life,
+            // idle keep-alive reads included.
             let _busy = shared.stats.worker_busy();
             handle_connection(shared, stream);
         }
@@ -641,48 +658,38 @@ fn worker_loop(shared: &Shared, queue: &WorkerQueue) {
     }
 }
 
-fn handle_connection(shared: &Shared, stream: TcpStream) {
+/// Serves one keep-alive connection on the calling worker: blocking
+/// reads into `rx`, the frame pump, one write per pump.
+fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let _active = shared.stats.connection_active();
     logging::debug(LOG, "connection start", &[]);
-    // Buffered reads make pipelined batches one syscall; responses are
-    // written straight to the stream (`get_mut`), never buffered.
-    let mut reader = std::io::BufReader::new(stream);
+    let mut rx = Vec::new();
+    let mut tx = Vec::new();
+    let mut chunk = [0u8; READ_CHUNK];
     loop {
-        let (req, started, parse_ns) = match read_request_timed(&mut reader) {
-            Ok(Some(triple)) => triple,
-            Ok(None) => {
+        let n = match stream.read(&mut chunk) {
+            Ok(0) => {
                 logging::debug(LOG, "connection closed", &[]);
-                return; // clean close
+                return; // peer closed (a trailing partial frame is dropped)
             }
-            Err(WireError::Io(kind, _))
-                if kind == std::io::ErrorKind::WouldBlock
-                    || kind == std::io::ErrorKind::TimedOut =>
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 logging::debug(LOG, "connection idle timeout", &[]);
                 return; // idle past the read deadline
             }
-            Err(e) => {
-                // Garbage on the wire: answer once, then hang up (the
-                // stream may be desynchronised).
-                logging::warn(LOG, "bad frame", &[("error", e.to_string())]);
-                let _ = write_response(
-                    reader.get_mut(),
-                    &Response::Error {
-                        message: format!("bad frame: {e}"),
-                    },
-                );
-                return;
-            }
+            Err(_) => return,
         };
-        let shutdown_after = matches!(req, Request::Shutdown);
-        let mut trace = ReqTrace::new(&req, parse_ns);
-        let resp = handle_request(shared, req, &mut trace);
-        let mut tx = Vec::new();
-        finish_batch(shared, vec![(trace, resp)], &mut tx, started);
-        let write_ok = std::io::Write::write_all(reader.get_mut(), &tx).is_ok();
-        if !write_ok || shutdown_after || shared.shutdown.load(Ordering::SeqCst) {
+        let batch_start = Instant::now();
+        rx.extend_from_slice(&chunk[..n]);
+        let close = pump_frames(shared, &mut rx, &mut tx, batch_start);
+        if stream.write_all(&tx).is_err() || close || shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        tx.clear();
     }
 }
 
@@ -691,10 +698,6 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 /// Token the per-loop wake pipe is registered under.
 #[cfg(target_os = "linux")]
 const WAKE_TOKEN: u64 = u64::MAX;
-
-/// Read granularity for non-blocking sockets.
-#[cfg(target_os = "linux")]
-const READ_CHUNK: usize = 16 * 1024;
 
 /// Per-round read bound per connection: level-triggered polling picks
 /// the rest up next round, so one firehose peer cannot starve the
@@ -788,41 +791,19 @@ fn run_event(shared: &Shared, listener: &TcpListener) {
                 .spawn_scoped(scope, move || event_loop(shared, inbox, wake_rx))
                 .expect("spawn event loop");
         }
-        accept_loop_event(shared, listener, &inboxes);
+        accept_loop(shared, listener, |stream| {
+            let inbox = inboxes
+                .iter()
+                .min_by_key(|i| i.load.load(Ordering::SeqCst))
+                .expect("at least one loop");
+            inbox.load.fetch_add(1, Ordering::SeqCst);
+            lock_or_recover(&inbox.queue).push_back(stream);
+            inbox.wake();
+        });
         // The acceptor saw the shutdown flag; make sure every loop
         // leaves its poll and sees it too.
         shared.wake_loops();
     });
-}
-
-#[cfg(target_os = "linux")]
-fn accept_loop_event(shared: &Shared, listener: &TcpListener, inboxes: &[Inbox]) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(_) => continue,
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        shared.stats.connection_opened();
-        let t = Some(shared.config.io_timeout);
-        let _ = stream.set_read_timeout(t);
-        let _ = stream.set_write_timeout(t);
-        if shared.backlog.load(Ordering::SeqCst) >= shared.config.queue_depth {
-            shed_at_accept(shared, stream);
-            continue;
-        }
-        shared.backlog.fetch_add(1, Ordering::SeqCst);
-        shared.stats.queue_entered();
-        let inbox = inboxes
-            .iter()
-            .min_by_key(|i| i.load.load(Ordering::SeqCst))
-            .expect("at least one loop");
-        inbox.load.fetch_add(1, Ordering::SeqCst);
-        lock_or_recover(&inbox.queue).push_back(stream);
-        inbox.wake();
-    }
 }
 
 #[cfg(target_os = "linux")]
@@ -968,8 +949,12 @@ fn step_conn(shared: &Shared, conn: &mut Conn<'_>, ev: Event, batch_start: Insta
                 }
             }
         }
-        if !conn.rx.is_empty() && pump_frames(shared, &mut conn.rx, &mut conn.tx, batch_start) {
-            conn.closing = true;
+        if !conn.rx.is_empty() {
+            // The loop counts as an occupied worker while it pumps.
+            let _busy = shared.stats.worker_busy();
+            if pump_frames(shared, &mut conn.rx, &mut conn.tx, batch_start) {
+                conn.closing = true;
+            }
         }
         if eof {
             conn.closing = true;
@@ -1067,7 +1052,6 @@ fn drain_and_close_all(shared: &Shared, inbox: &Inbox, conns: HashMap<u64, Conn<
 fn pump_frames(shared: &Shared, rx: &mut Vec<u8>, tx: &mut Vec<u8>, batch_start: Instant) -> bool {
     let mut consumed = 0usize;
     let mut close_after = false;
-    let mut busy: Option<BusyGuard<'_>> = None;
     let mut batch = Vec::new();
     let mut bad_frame = None;
     loop {
@@ -1076,11 +1060,6 @@ fn pump_frames(shared: &Shared, rx: &mut Vec<u8>, tx: &mut Vec<u8>, batch_start:
             Ok(Some((req, used))) => {
                 let parse_ns = parse_started.elapsed().as_nanos() as u64;
                 consumed += used;
-                if busy.is_none() {
-                    // The loop counts as an occupied worker while it
-                    // has frames to serve.
-                    busy = Some(shared.stats.worker_busy());
-                }
                 let shutdown_after = matches!(req, Request::Shutdown);
                 let mut trace = ReqTrace::new(&req, parse_ns);
                 let resp = handle_request(shared, req, &mut trace);
@@ -1108,18 +1087,17 @@ fn pump_frames(shared: &Shared, rx: &mut Vec<u8>, tx: &mut Vec<u8>, batch_start:
             },
         );
     }
-    drop(busy);
     rx.drain(..consumed);
     close_after
 }
 
-/// Finishes a batch of served requests — a whole pump in event mode,
-/// one request in thread mode — before any of its responses leaves:
+/// Finishes a batch of served requests — every frame one pump
+/// decoded, in either I/O mode — before any of its responses leaves:
 /// one WAL commit covers every usage record the batch staged (its
 /// `InvokeOk`s, when the server is durable) and is charged to each of
 /// them, since each waited for it; then [`deliver`] settles the
-/// responses against it. `started` is when the batch's first byte
-/// arrived.
+/// responses against it. `started` is when the read that completed
+/// the batch returned.
 fn finish_batch(
     shared: &Shared,
     mut batch: Vec<(ReqTrace, Response)>,
@@ -1236,8 +1214,7 @@ impl ReqTrace {
 }
 
 /// Folds a finished request into counters, histograms and the flight
-/// recorder. `started` is when its first byte arrived (event mode:
-/// when its batch became readable).
+/// recorder. `started` is when its batch's bytes were read.
 fn finish_request(shared: &Shared, mut trace: ReqTrace, resp: &Response, started: Instant) {
     // Handlers set Shed/Timeout themselves; any other error response
     // classifies here so attest/deploy/fetch_log failures count too.

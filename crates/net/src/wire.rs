@@ -30,7 +30,6 @@
 //! exactly (trailing bytes are an error).
 
 use std::io::{Read, Write};
-use std::time::Instant;
 
 use acctee::codec::{CodecError, Dec, Enc};
 use acctee::{InstrumentationEvidence, Level, SignedLog};
@@ -1034,12 +1033,8 @@ fn get_fleet_report(c: &mut Dec) -> Result<FleetReport, CodecError> {
 }
 
 /// Reads one frame header + payload. `Ok(None)` means the peer closed
-/// the connection cleanly before the first byte of a frame. The
-/// returned [`Instant`] is taken when the first byte of the frame
-/// arrives, so `started.elapsed()` after decoding measures the parse
-/// stage (frame read + structural decode) without counting the idle
-/// wait for the peer to speak.
-fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>, Instant)>, WireError> {
+/// the connection cleanly before the first byte of a frame.
+fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, WireError> {
     let mut head = [0u8; HEADER_LEN];
     // Distinguish clean close (no bytes at all) from mid-frame EOF.
     let mut got = 0;
@@ -1052,13 +1047,12 @@ fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>, Instant)>, WireE
             Err(e) => return Err(e.into()),
         }
     }
-    let started = Instant::now();
     parse_header(&head[..4])?;
     r.read_exact(&mut head[4..])?;
     let (kind, len) = parse_header(&head)?.expect("a full header");
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    Ok(Some((kind, payload, started)))
+    Ok(Some((kind, payload)))
 }
 
 /// Checks the frame header at the front of `buf`, each field as soon
@@ -1093,25 +1087,10 @@ fn parse_header(buf: &[u8]) -> Result<Option<(u8, usize)>, WireError> {
 ///
 /// Any [`WireError`]; response kinds are [`WireError::UnknownKind`].
 pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, WireError> {
-    Ok(read_request_timed(r)?.map(|(req, _, _)| req))
-}
-
-/// [`read_request`], plus timing for the stats plane: the [`Instant`]
-/// the frame's first byte arrived (the request's start on the server)
-/// and the nanoseconds spent reading + decoding it (the `parse`
-/// stage). The idle wait before the first byte — client think time on
-/// a keep-alive connection — is excluded from both.
-///
-/// # Errors
-///
-/// Any [`WireError`]; response kinds are [`WireError::UnknownKind`].
-pub fn read_request_timed(r: &mut impl Read) -> Result<Option<(Request, Instant, u64)>, WireError> {
-    let Some((kind, payload, started)) = read_frame(r)? else {
+    let Some((kind, payload)) = read_frame(r)? else {
         return Ok(None);
     };
-    let req = decode_request_payload(kind, &payload)?;
-    let parse_ns = started.elapsed().as_nanos() as u64;
-    Ok(Some((req, started, parse_ns)))
+    decode_request_payload(kind, &payload).map(Some)
 }
 
 /// Decodes a request structure from an already-extracted payload.
@@ -1199,7 +1178,7 @@ pub fn decode_request_frame(buf: &[u8]) -> Result<Option<(Request, usize)>, Wire
 ///
 /// Any [`WireError`]; request kinds are [`WireError::UnknownKind`].
 pub fn read_response(r: &mut impl Read) -> Result<Response, WireError> {
-    let Some((kind, payload, _)) = read_frame(r)? else {
+    let Some((kind, payload)) = read_frame(r)? else {
         return Err(WireError::Io(
             std::io::ErrorKind::UnexpectedEof,
             "connection closed awaiting response".into(),
@@ -1600,26 +1579,6 @@ mod tests {
         f.extend_from_slice(&4u32.to_le_bytes());
         f.extend_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(read_response(&mut f.as_slice()), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn timed_request_read_reports_parse_duration() {
-        let req = Request::Invoke {
-            deploy_id: 1,
-            func: "f".into(),
-            args: vec![Value::I32(1)],
-            input: vec![0; 4096],
-            tenant: "t".into(),
-            trace_id: 7,
-        };
-        let bytes = encode_request(&req);
-        let (got, _started, parse_ns) = read_request_timed(&mut bytes.as_slice())
-            .expect("decodes")
-            .expect("not eof");
-        assert_eq!(got, req);
-        // The clock starts at the first frame byte; decoding an
-        // in-memory frame is fast but never free.
-        assert!(parse_ns < 1_000_000_000, "{parse_ns}");
     }
 
     #[test]

@@ -10,11 +10,12 @@
 
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use acctee::{Deployment, InstrumentationCache, InstrumentationEnclave, Level};
-use acctee_faas::{FaasPlatform, Setup};
 use acctee_instrument::{instrument, WeightTable};
 use acctee_interp::{CompiledModule, Config, Engine, Imports, Instance, Value};
+use acctee_net::{Client, InvokeOutcome, Server, ServerConfig, TrustAnchor};
 use acctee_sgx::{AttestationAuthority, Platform};
 use acctee_wasm::builder::ModuleBuilder;
 use acctee_wasm::encode::encode_module;
@@ -206,16 +207,62 @@ fn deployment_cache_and_bytecode_artifact_account_identically() {
 #[test]
 fn faas_serves_custom_kernel_in_parallel_with_shared_artifact() {
     // A bring-your-own-function deployment of a PolyBench kernel,
-    // served by a worker pool on the register tier: the batch
-    // shares one compiled artifact and every request succeeds.
+    // deployed once on a networked server and invoked concurrently
+    // from several connections: every invoke succeeds, all of them
+    // account identically, and the module was instrumented once.
     let kernel = acctee_workloads::polybench::by_name("gemm").unwrap();
-    let platform = FaasPlatform::deploy_module((kernel.build)(6), "run", Setup::Wasm)
-        .unwrap()
-        .with_engine(Engine::Regs);
-    assert!(platform.warm(), "first warm compiles");
-    let payloads: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8]).collect();
-    let report = platform.serve_parallel(&payloads, 4);
-    assert_eq!(report.stats.len(), 8, "{:?}", report.failures);
-    assert!(report.failures.is_empty());
-    assert!(!platform.warm(), "batch must not have rebuilt the artifact");
+    let module = encode_module(&(kernel.build)(6));
+    let config = ServerConfig {
+        engine: Engine::Regs,
+        ..ServerConfig::default()
+    };
+    let anchor = || TrustAnchor::new(config.seed);
+    let timeout = Duration::from_secs(30);
+    let (addr, server) = Server::bind("127.0.0.1:0", config.clone())
+        .expect("bind")
+        .spawn();
+    let mut client = Client::connect(addr, anchor(), timeout).expect("connect");
+    let deployed = client.deploy(&module, Level::LoopBased).expect("deploy");
+    let outcomes: Vec<InvokeOutcome> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let deployed = &deployed;
+                scope.spawn(move || {
+                    let mut conn = Client::connect(addr, anchor(), timeout).expect("connect");
+                    (0..2)
+                        .map(|_| {
+                            conn.invoke(deployed, "run", &[], b"", "gemm")
+                                .expect("invoke")
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("invoking thread"))
+            .collect()
+    });
+    assert_eq!(outcomes.len(), 8);
+    let first = &outcomes[0];
+    assert!(first.log.log.weighted_instructions > 0);
+    for out in &outcomes {
+        assert_eq!(out.results, first.results);
+        assert_eq!(
+            out.log.log.weighted_instructions,
+            first.log.log.weighted_instructions
+        );
+        assert_eq!(
+            out.log.log.peak_memory_bytes,
+            first.log.log.peak_memory_bytes
+        );
+        assert_eq!(out.log.log.memory_integral, first.log.log.memory_integral);
+    }
+    let snap = client.stats().expect("stats");
+    assert_eq!(
+        snap.instr_cache.misses, 1,
+        "one instrumentation for 8 invokes"
+    );
+    client.shutdown().expect("shutdown");
+    server.join().expect("server drains");
 }

@@ -668,6 +668,55 @@ fn drain_completes_under_keep_alive(io: IoMode) {
     );
 }
 
+/// Admission control at the acceptor, deterministically: a 1-worker,
+/// 1-slot thread-mode server whose worker is held by a keep-alive
+/// session queues the next connection and sheds the one after it.
+#[test]
+fn full_admission_queue_sheds_at_accept() {
+    let (addr, handle) = spawn_server(ServerConfig {
+        seed: SEED,
+        workers: 1,
+        queue_depth: 1,
+        io_mode: IoMode::Thread,
+        ..ServerConfig::default()
+    });
+    // A's attestation was answered, so the only worker has taken A off
+    // the queue and serves it until A hangs up.
+    let mut a = connect(addr);
+    // B is accepted into the queue (backlog 1 = queue_depth). Its
+    // handshake completes before C's, so the acceptor sees B first.
+    let b = std::net::TcpStream::connect(addr).expect("raw connect b");
+    // C finds the queue full: its attestation is answered Busy.
+    match Client::connect(addr, TrustAnchor::new(SEED), TIMEOUT) {
+        Err(NetError::Busy) => {}
+        other => panic!(
+            "expected Busy from a full admission queue, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+
+    // The shed is recorded before Busy is written, so A reads it now.
+    let snap = a.stats().expect("stats");
+    assert_eq!(snap.shed_queue_total, 1);
+    assert_eq!(snap.queue_depth, 1, "B still waits for the worker");
+    assert_eq!(snap.workers_busy, 1, "one worker, counted once");
+    let records = a.recent(64).expect("recent");
+    assert_eq!(
+        records
+            .iter()
+            .filter(|r| r.kind == "accept" && r.outcome == RequestOutcome::Shed)
+            .count(),
+        1,
+        "one accept-shed record in the flight recorder"
+    );
+
+    // Shutdown through A: the worker leaves A, drops the never-served
+    // B and the server drains.
+    a.shutdown().expect("shutdown accepted");
+    handle.join().expect("server drains and exits");
+    drop(b);
+}
+
 #[test]
 fn wrong_seed_client_refuses_the_server() {
     let (addr, handle) = spawn_server(ServerConfig {

@@ -1,18 +1,20 @@
 //! Integration tests for the telemetry pipeline: spans emitted across
-//! the FaaS worker threads, metrics fed by `serve_parallel`, and the
-//! profiler agreeing with the instrumentation counter.
+//! the serving threads of a real server, and the profiler agreeing
+//! with the instrumentation counter.
 //!
 //! The telemetry hub is process-global, so every test that installs
 //! one serialises on [`telemetry_lock`] and resets the hub before
 //! releasing it.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
-use acctee_faas::{FaasPlatform, FunctionKind, Setup};
 use acctee_instrument::{instrument, Level, WeightTable, COUNTER_EXPORT};
 use acctee_interp::{Imports, Instance, ProfilingObserver, Value};
+use acctee_net::{Client, Server, ServerConfig, TrustAnchor};
 use acctee_telemetry::{parse_chrome_json, to_chrome_json, EventKind, Telemetry, TraceEvent};
 use acctee_wasm::builder::{Bound, ModuleBuilder};
+use acctee_wasm::encode::encode_module;
 use acctee_wasm::types::ValType;
 
 fn telemetry_lock() -> MutexGuard<'static, ()> {
@@ -22,6 +24,8 @@ fn telemetry_lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|p| p.into_inner())
 }
 
+const TIMEOUT: Duration = Duration::from_secs(10);
+
 fn window(e: &TraceEvent) -> (u64, u64) {
     match e.kind {
         EventKind::Complete { dur_ns } => (e.ts_ns, e.ts_ns + dur_ns),
@@ -30,34 +34,62 @@ fn window(e: &TraceEvent) -> (u64, u64) {
 }
 
 #[test]
-fn serve_parallel_spans_nest_across_worker_threads() {
+fn server_spans_nest_across_worker_threads() {
     let _guard = telemetry_lock();
     let (tel, sink) = Telemetry::collecting();
     acctee_telemetry::install(Arc::new(tel));
-    let platform = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm);
-    let payloads: Vec<Vec<u8>> = (0..16).map(|i| vec![i as u8; 64]).collect();
-    let report = platform.serve_parallel(&payloads, 4);
+    let anchor = || TrustAnchor::new(ServerConfig::default().seed);
+    let (addr, server) = Server::bind("127.0.0.1:0", ServerConfig::default())
+        .expect("bind")
+        .spawn();
+    let mut client = Client::connect(addr, anchor(), TIMEOUT).expect("connect");
+    let mut b = ModuleBuilder::new();
+    let f = b.func("inc", &[ValType::I32], &[ValType::I32], |f| {
+        f.local_get(0);
+        f.i32_const(1);
+        f.i32_add();
+    });
+    b.export_func("inc", f);
+    let deployed = client
+        .deploy(&encode_module(&b.build()), Level::Naive)
+        .expect("deploy");
+    // Four connections, four invokes each, all in flight together.
+    std::thread::scope(|scope| {
+        for c in 0..4 {
+            let deployed = &deployed;
+            scope.spawn(move || {
+                let mut conn = Client::connect(addr, anchor(), TIMEOUT).expect("connect");
+                for i in 0..4 {
+                    let out = conn
+                        .invoke(deployed, "inc", &[Value::I32(c * 4 + i)], b"", "obs")
+                        .expect("invoke");
+                    assert_eq!(out.results, vec![Value::I32(c * 4 + i + 1)]);
+                }
+            });
+        }
+    });
+    client.shutdown().expect("shutdown");
+    server.join().expect("server drains");
     acctee_telemetry::reset();
-    assert_eq!(report.stats.len(), 16, "failures: {:?}", report.failures);
 
     let events = sink.events();
-    let serve: Vec<&TraceEvent> = events
-        .iter()
-        .filter(|e| e.name == "faas.serve_parallel")
-        .collect();
+    let serve: Vec<&TraceEvent> = events.iter().filter(|e| e.name == "net.serve").collect();
     assert_eq!(serve.len(), 1);
     let (s0, s1) = window(serve[0]);
-    let handles: Vec<&TraceEvent> = events.iter().filter(|e| e.name == "faas.handle").collect();
-    assert_eq!(handles.len(), 16);
-    for h in &handles {
-        // Every request span nests inside the batch span and runs on a
-        // worker thread, not the coordinating thread.
-        let (h0, h1) = window(h);
+    let executes: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|e| e.name == "enclave.ae.execute")
+        .collect();
+    assert_eq!(executes.len(), 16);
+    for e in &executes {
+        // Every execution nests inside the server's span and runs on a
+        // serving thread, not the acceptor that holds `net.serve`.
+        let (e0, e1) = window(e);
         assert!(
-            s0 <= h0 && h1 <= s1,
-            "handle [{h0},{h1}] outside serve [{s0},{s1}]"
+            s0 <= e0 && e1 <= s1,
+            "execute [{e0},{e1}] outside serve [{s0},{s1}]"
         );
-        assert_ne!(h.tid, serve[0].tid);
+        assert_ne!(e.tid, serve[0].tid);
     }
 
     // The whole multi-thread trace survives a round trip through the
@@ -71,45 +103,6 @@ fn serve_parallel_spans_nest_across_worker_threads() {
         evs
     };
     assert_eq!(sorted(parsed), sorted(events));
-}
-
-#[test]
-fn serve_parallel_feeds_latency_and_io_metrics() {
-    let _guard = telemetry_lock();
-    let (tel, _sink) = Telemetry::collecting();
-    let tel = Arc::new(tel);
-    acctee_telemetry::install(tel.clone());
-    let platform = FaasPlatform::deploy(FunctionKind::Echo, Setup::WasmSgxHwIo);
-    let payloads: Vec<Vec<u8>> = (0..8).map(|_| vec![7u8; 32]).collect();
-    let report = platform.serve_parallel(&payloads, 2);
-    acctee_telemetry::reset();
-    assert!(
-        report.failures.is_empty(),
-        "failures: {:?}",
-        report.failures
-    );
-
-    let latency = tel.metrics().histogram_with(
-        "acctee_faas_request_latency_seconds",
-        &[("function", "echo")],
-        1e-9,
-    );
-    assert_eq!(latency.count(), 8);
-    // The histogram's bucketed p99 upper-bounds every exact sample the
-    // batch report computed from.
-    assert!(latency.quantile_raw(0.99) >= report.p99_ns());
-    // Echo with I/O accounting moves each 32-byte payload in and out.
-    let bytes_in = tel.metrics().counter("acctee_faas_io_in_bytes_total").get();
-    let bytes_out = tel
-        .metrics()
-        .counter("acctee_faas_io_out_bytes_total")
-        .get();
-    assert_eq!(bytes_in, 8 * 32);
-    assert_eq!(bytes_out, 8 * 32);
-
-    let text = tel.metrics().export_prometheus();
-    assert!(text.contains("acctee_faas_request_latency_seconds_p99{function=\"echo\"}"));
-    assert!(text.contains("acctee_faas_request_failures_total{function=\"echo\"} 0"));
 }
 
 #[test]
