@@ -86,19 +86,6 @@ pub struct FaasPlatform {
     artifact: OnceLock<Option<Arc<CompiledModule>>>,
 }
 
-// The serving plane shards deployments across event loops and worker
-// threads (acctee-net DESIGN.md §14), holding each platform behind an
-// `Arc` and calling `handle` from whichever thread owns the
-// connection. Pin that contract at compile time: a future field that
-// is not `Send + Sync` (an `Rc`, a `RefCell`, a raw pointer) must be
-// an explicit decision here, not a silent confinement of the serving
-// path to one thread.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<FaasPlatform>();
-    assert_send_sync::<RequestStats>();
-};
-
 impl std::fmt::Debug for FaasPlatform {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "FaasPlatform({} on {})", self.kind.name(), self.setup)
@@ -207,8 +194,7 @@ impl FaasPlatform {
     /// Selects the interpreter engine for wasm requests (the serving
     /// paths default to [`Engine::Regs`]; [`Engine::Tree`] is the
     /// auditable oracle). Resets any compiled artifact: the next
-    /// request (or [`FaasPlatform::warm`]) rebuilds it for the new
-    /// engine.
+    /// request rebuilds it for the new engine.
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> FaasPlatform {
         self.engine = engine;
@@ -216,34 +202,17 @@ impl FaasPlatform {
         self
     }
 
-    /// Pre-compiles the compiled artifact so the first request pays no
-    /// compile cost. Returns `true` iff this call built the artifact
-    /// (false when it was already built or does not apply — tree
-    /// engine / JS setup). Thread-safe: concurrent
-    /// callers deduplicate to exactly one compilation.
-    pub fn warm(&self) -> bool {
-        let mut fresh = false;
-        self.shared_artifact_inner(&mut fresh);
-        fresh
-    }
-
     /// The shared artifact for this deployment, compiling it on first
     /// use. `None` when the engine is the tree-walker, there is no
     /// wasm module, or compilation failed (requests then
     /// fall back to the per-instance path and surface the error).
     fn shared_artifact(&self) -> Option<Arc<CompiledModule>> {
-        let mut fresh = false;
-        self.shared_artifact_inner(&mut fresh)
-    }
-
-    fn shared_artifact_inner(&self, fresh: &mut bool) -> Option<Arc<CompiledModule>> {
         if self.engine == Engine::Tree {
             return None;
         }
         let module = self.module.as_ref()?;
         self.artifact
             .get_or_init(|| {
-                *fresh = true;
                 let span = acctee_telemetry::span("faas.compile_artifact", "faas")
                     .with_arg("function", self.kind.name());
                 let artifact = CompiledModule::compile(module).ok();
@@ -500,17 +469,22 @@ mod tests {
     }
 
     #[test]
-    fn warm_compiles_exactly_once_and_requests_share_it() {
+    fn first_handle_compiles_exactly_once_and_requests_share_it() {
         let p = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm).with_engine(Engine::Regs);
-        assert!(p.warm(), "first warm builds the artifact");
-        assert!(!p.warm(), "second warm reuses it");
+        assert!(p.artifact.get().is_none(), "nothing compiled at deploy");
         let (resp, _) = p.handle(b"shared").unwrap();
         assert_eq!(resp, b"shared");
+        let built = || p.artifact.get().cloned().flatten();
+        let first = built().expect("the first request builds the artifact");
+        let (resp, _) = p.handle(b"again").unwrap();
+        assert_eq!(resp, b"again");
+        let second = built().expect("still built");
+        assert!(Arc::ptr_eq(&first, &second), "later requests reuse it");
         // The tree engine never builds one.
         let tree = FaasPlatform::deploy(FunctionKind::Echo, Setup::Wasm).with_engine(Engine::Tree);
-        assert!(!tree.warm());
         let (resp, _) = tree.handle(b"tree").unwrap();
         assert_eq!(resp, b"tree");
+        assert!(tree.artifact.get().is_none());
     }
 
     #[test]

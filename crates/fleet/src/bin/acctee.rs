@@ -63,7 +63,7 @@ use acctee_fleet::{
 };
 use acctee_instrument::{instrument, WeightTable};
 use acctee_interp::{Config, Engine, Imports, Instance, ProfilingObserver, Value};
-use acctee_net::{wire, Client, InvokeSpec, IoMode, Server, ServerConfig, TrustAnchor};
+use acctee_net::{wire, Client, InvokeSpec, Server, ServerConfig, TrustAnchor};
 use acctee_sgx::{AttestationAuthority, Platform};
 use acctee_telemetry::{CollectingSink, Telemetry};
 use acctee_wasm::decode::decode_module;
@@ -138,8 +138,6 @@ struct Opts {
     tenant: String,
     request_deadline_ms: Option<u64>,
     io_timeout_ms: u64,
-    io_mode: IoMode,
-    shards: usize,
     state_dir: Option<String>,
     fsync: FsyncPolicy,
     session: Option<u64>,
@@ -183,8 +181,6 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
         tenant: "cli".into(),
         request_deadline_ms: None,
         io_timeout_ms: 5000,
-        io_mode: IoMode::default(),
-        shards: 8,
         state_dir: None,
         fsync: FsyncPolicy::Always,
         session: None,
@@ -241,11 +237,6 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
             "--io-timeout-ms" => {
                 o.io_timeout_ms = want(&mut it)?.parse().map_err(|e| format!("{e}"))?;
             }
-            "--io" => {
-                let v = want(&mut it)?;
-                o.io_mode = IoMode::parse(&v).ok_or_else(|| format!("--io: unknown mode `{v}`"))?;
-            }
-            "--shards" => o.shards = want(&mut it)?.parse().map_err(|e| format!("{e}"))?,
             "--state-dir" => o.state_dir = Some(want(&mut it)?),
             "--fsync" => {
                 let v = want(&mut it)?;
@@ -347,7 +338,6 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
             println!("                   --cache-capacity N (bound the instrumentation cache)");
             println!("                   --trace-out FILE --metrics-out FILE");
             println!("serve flags:       --listen ADDR --workers N --queue N");
-            println!("                   --io event|thread --shards N");
             println!("                   --tenant-inflight N --seed S --engine E");
             println!("                   --request-deadline-ms N --io-timeout-ms N");
             println!("                   --log-level off|error|warn|info|debug|trace");
@@ -602,10 +592,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
             .request_deadline_ms
             .map(std::time::Duration::from_millis),
         cache_capacity: opts.cache_capacity,
-        io_mode: opts.io_mode,
-        shards: opts.shards,
         state_dir: opts.state_dir.as_ref().map(std::path::PathBuf::from),
         fsync: opts.fsync,
+        ..ServerConfig::default()
     };
     let server = Server::bind(addr, config).map_err(|e| e.to_string())?;
     // Scripts scrape this line for the ephemeral port; flush so it is

@@ -8,7 +8,7 @@
 //!   everything the enclaves sign verifies byte-identically on the
 //!   client side;
 //! * [`server`] — an attested TCP front end over a [`acctee::Deployment`]:
-//!   bounded worker pool, admission control with explicit load shed,
+//!   epoll event loops, admission control with explicit load shed,
 //!   per-tenant in-flight limits, per-request wall-clock deadlines and
 //!   graceful drain;
 //! * [`client`] — the verifying counterpart: reconstructs the
@@ -26,6 +26,11 @@
 //! The `acctee` CLI (this crate's binary) exposes the whole thing as
 //! `acctee serve`, `acctee deploy`, `acctee invoke`, `acctee stats`,
 //! `acctee top` and `acctee recent`.
+
+// The server multiplexes connections over epoll (`poll`), the one I/O
+// path it has; other hosts have no implementation to fall back to.
+#[cfg(not(target_os = "linux"))]
+compile_error!("acctee-net serves over epoll and builds only for Linux");
 
 pub mod client;
 pub mod poll;

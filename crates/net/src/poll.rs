@@ -1,19 +1,11 @@
 //! Minimal readiness polling for the event-driven server (DESIGN.md
-//! §14): a [`Poller`] trait in front of a small self-built epoll
-//! wrapper, std-only — the four epoll syscalls are declared directly
-//! (std already links libc on Linux), so no external crate is needed.
-//!
-//! The trait exists so the event loop's frame pump can be driven
-//! deterministically in tests: anything that can say "these tokens are
-//! readable/writable now" can stand in for the kernel. The production
-//! implementation is [`Epoll`]; Linux-only, which is why
-//! `IoMode::Event` falls back to the thread pool elsewhere.
+//! §14): a small self-built epoll wrapper, std-only — the four epoll
+//! syscalls are declared directly (std already links libc on Linux),
+//! so no external crate is needed.
 
 use std::io;
-use std::time::Duration;
-
-#[cfg(unix)]
 use std::os::fd::RawFd;
+use std::time::Duration;
 
 /// What a registration wants to hear about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,43 +30,6 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// A readiness notifier the event loop can block on. Level-triggered
-/// semantics: a ready descriptor keeps reporting until drained.
-pub trait Poller {
-    /// Registers `fd` under `token` with the given interest.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying syscall error.
-    fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-
-    /// Changes the interest set of an already registered descriptor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying syscall error.
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-
-    /// Removes a registration (closing the fd also removes it; this is
-    /// for descriptors that outlive their registration).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying syscall error.
-    fn remove(&mut self, fd: RawFd) -> io::Result<()>;
-
-    /// Blocks until at least one registered descriptor is ready or
-    /// `timeout` elapses, filling `out` (cleared first). A spurious
-    /// empty wake-up is allowed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying syscall error (`EINTR` is retried
-    /// internally, never surfaced).
-    fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-#[cfg(target_os = "linux")]
 mod sys {
     //! The raw epoll surface. `epoll_event` is packed on x86-64 (the
     //! kernel ABI) and naturally aligned elsewhere.
@@ -113,15 +68,14 @@ mod sys {
     }
 }
 
-/// The production poller: a thin epoll(7) wrapper. Level-triggered,
-/// close-on-exec, owned fd closed on drop.
-#[cfg(target_os = "linux")]
+/// A thin epoll(7) wrapper. Level-triggered (a ready descriptor keeps
+/// reporting until drained), close-on-exec, owned fd closed on drop.
 pub struct Epoll {
     epfd: RawFd,
+    /// Event buffer for `wait`, allocated by its first call.
     buf: Vec<sys::EpollEvent>,
 }
 
-#[cfg(target_os = "linux")]
 impl Epoll {
     /// Creates a fresh epoll instance.
     ///
@@ -137,7 +91,7 @@ impl Epoll {
         }
         Ok(Epoll {
             epfd,
-            buf: vec![sys::EpollEvent { events: 0, data: 0 }; 256],
+            buf: Vec::new(),
         })
     }
 
@@ -156,38 +110,58 @@ impl Epoll {
         }
         Ok(())
     }
-}
 
-#[cfg(target_os = "linux")]
-impl Drop for Epoll {
-    fn drop(&mut self) {
-        // SAFETY: epfd is a fd this struct owns exclusively.
-        unsafe { sys::close(self.epfd) };
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Poller for Epoll {
-    fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    /// Registers `fd` under `token` with the given interest.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying syscall error.
+    pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
     }
 
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    /// Changes the interest set of an already registered descriptor.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying syscall error.
+    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    fn remove(&mut self, fd: RawFd) -> io::Result<()> {
+    /// Removes a registration (closing the fd also removes it; this is
+    /// for descriptors that outlive their registration).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying syscall error.
+    pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
         // EPOLL_CTL_DEL before Linux 2.6.9 required a non-null event;
         // pass one unconditionally for compatibility.
         self.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::Read)
     }
 
-    fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    /// Blocks until at least one registered descriptor is ready or
+    /// `timeout` elapses, filling `out` (cleared first). A spurious
+    /// empty wake-up is allowed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying syscall error (`EINTR` is never
+    /// surfaced: it returns as an empty wake-up).
+    pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         out.clear();
         let timeout_ms = match timeout {
             None => -1,
             Some(d) => i32::try_from(d.as_millis()).unwrap_or(i32::MAX).max(0),
         };
+        if self.buf.is_empty() {
+            // Allocated here, by the thread that waits, not in `new`:
+            // the server binds every loop's poller on one thread, and
+            // buffers allocated there raised `billing_small`'s peak RSS
+            // by ~0.4 MiB (glibc's per-thread malloc arenas).
+            self.buf = vec![sys::EpollEvent { events: 0, data: 0 }; 256];
+        }
         // SAFETY: `buf` is a live allocation of `buf.len()` events;
         // the kernel writes at most `maxevents` entries.
         let rc = unsafe {
@@ -223,7 +197,14 @@ impl Poller for Epoll {
     }
 }
 
-#[cfg(all(test, target_os = "linux"))]
+impl Drop for Epoll {
+    fn drop(&mut self) {
+        // SAFETY: epfd is a fd this struct owns exclusively.
+        unsafe { sys::close(self.epfd) };
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

@@ -1,50 +1,38 @@
 //! The attested serving front end: a TCP server speaking the
 //! [`crate::wire`] protocol in front of a [`Deployment`].
 //!
-//! Two I/O modes ([`IoMode`], DESIGN.md §14):
+//! One I/O path (DESIGN.md §14): a blocking acceptor plus a readiness
+//! loop per worker, each built on the small epoll wrapper in
+//! [`crate::poll`]. Connections are non-blocking and keep-alive; a loop
+//! buffers whole batches of pipelined frames
+//! ([`crate::wire::decode_request_frame`]), serves them through the
+//! frame pump ([`pump_frames`]) and coalesces the responses into one
+//! write. Requests run to completion on the loop thread, so a loop is
+//! both the poller and the worker for its connections.
 //!
-//! * **Event** (default, Linux): one blocking acceptor plus a
-//!   readiness loop per worker, each built on the small epoll wrapper
-//!   in [`crate::poll`]. Connections are non-blocking and keep-alive;
-//!   the wire layer buffers whole batches of pipelined frames
-//!   ([`crate::wire::decode_request_frame`]) and coalesces the
-//!   responses into one write. Requests run to completion on the loop
-//!   thread, so a loop is both the poller and the worker for its
-//!   connections.
-//! * **Thread** (fallback, any platform): the classic one-connection-
-//!   per-worker pool. Each worker owns a bounded queue and the
-//!   acceptor dispatches to the least-loaded one — no shared
-//!   `Mutex<Receiver>` hand-off serializing the pool. A worker reads
-//!   its connection with blocking reads.
-//!
-//! Both modes collect the bytes they read in a per-connection buffer
-//! and serve it through the one frame pump ([`pump_frames`]); the
-//! mode decides only who calls `read`.
-//!
-//! Either way, overload degrades into visible shed: when the number of
-//! accepted-but-unserved connections reaches `queue_depth`, the
+//! Overload degrades into visible shed: when the number of
+//! accepted-but-unadopted connections reaches `queue_depth`, the
 //! acceptor answers [`Response::Busy`] and closes. Per-tenant in-flight
-//! limits bound how many workers a single tenant can hold across
+//! limits bound how many loops a single tenant can hold across
 //! connections.
 //!
 //! Hot-path state is **sharded** ([`ShardMap`]): deployments, the
 //! per-tenant in-flight map and the signed-log store are each split
-//! across `shards` mutexes keyed by `hash(key) % shards`, so no lock
+//! across `SHARDS` mutexes keyed by `hash(key) % SHARDS`, so no lock
 //! is global on the request path. Sharding only re-homes the *lookup
 //! structures* — session ids still come from one server-wide monotonic
 //! counter and every execution still runs through the same accounting
 //! enclave, so the signed usage logs are byte-identical to the
 //! unsharded server's.
 //!
-//! Deadlines: blocking sockets carry read/write timeouts and event-
-//! mode connections are swept on an idle clock (`io_timeout` both
-//! ways); executions run under the deployment's wall-clock budget
-//! (`ServerConfig::request_deadline`), so no request can pin a worker
+//! Deadlines: connections are swept on an idle clock (`io_timeout`);
+//! executions run under the deployment's wall-clock budget
+//! (`ServerConfig::request_deadline`), so no request can pin a loop
 //! forever.
 //!
 //! Shutdown: a `Shutdown` request flips the flag, wakes the acceptor
 //! (loopback connect) and every event loop (wake byte). In-flight
-//! responses are flushed, queued-but-unserved connections are closed.
+//! responses are flushed, queued-but-unadopted connections are closed.
 //!
 //! Observability (DESIGN.md §12): every server owns a
 //! [`ServerStats`] — counters, per-stage latency histograms, per-tenant
@@ -57,13 +45,11 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use std::io::{Read, Write};
-#[cfg(target_os = "linux")]
 use std::os::fd::AsRawFd;
-#[cfg(target_os = "linux")]
 use std::os::unix::net::UnixStream;
 
 use acctee::enclave::LoadedWorkload;
@@ -72,11 +58,8 @@ use acctee_durable::{Durable, DurableOptions, FsyncPolicy, WalCommits};
 use acctee_interp::Engine;
 use acctee_telemetry::logging;
 
-#[cfg(target_os = "linux")]
-use crate::poll::{Epoll, Event, Interest, Poller};
-#[cfg(target_os = "linux")]
-use crate::stats::BusyGuard;
-use crate::stats::{CacheStats, RequestOutcome, RequestRecord, ServerStats};
+use crate::poll::{Epoll, Event, Interest};
+use crate::stats::{BusyGuard, CacheStats, RequestOutcome, RequestRecord, ServerStats};
 use crate::wire::{
     decode_request_frame, encode_response_into, write_response, Request, Response, WIRE_VERSION,
 };
@@ -88,6 +71,9 @@ const LOG_RETENTION: usize = 4096;
 /// Log target for server-side lines.
 const LOG: &str = "net.server";
 
+/// Lock shards for deployments / in-flight counts / retained logs.
+const SHARDS: usize = 8;
+
 /// Locks a mutex, recovering the data if a previous holder panicked.
 ///
 /// Every shared map in the server goes through this one helper: the
@@ -98,32 +84,22 @@ pub fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// How connection I/O is multiplexed; see the module docs.
+/// How connection I/O is multiplexed: epoll event loops, the one
+/// path (see the module docs). It exists only because perfbench stamps
+/// its name on every run, and goes, with [`ServerConfig::io_mode`], at
+/// the next change to perfbench.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoMode {
-    /// Readiness loop per worker over epoll (Linux; elsewhere this
-    /// falls back to `Thread`).
+    /// A readiness loop per worker over epoll.
     #[default]
     Event,
-    /// Blocking one-connection-per-worker pool.
-    Thread,
 }
 
 impl IoMode {
-    /// Parses a `--io` flag value.
-    pub fn parse(s: &str) -> Option<IoMode> {
-        match s {
-            "event" | "epoll" => Some(IoMode::Event),
-            "thread" | "threads" => Some(IoMode::Thread),
-            _ => None,
-        }
-    }
-
     /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
             IoMode::Event => "event",
-            IoMode::Thread => "thread",
         }
     }
 }
@@ -135,8 +111,7 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Interpreter engine for accounted executions.
     pub engine: Engine,
-    /// Worker count: event loops in `Event` mode, pool threads in
-    /// `Thread` mode.
+    /// Event loops; each runs its connections' requests to completion.
     pub workers: usize,
     /// Admission bound on accepted-but-unserved connections; beyond it
     /// the acceptor sheds with [`Response::Busy`].
@@ -149,10 +124,9 @@ pub struct ServerConfig {
     pub request_deadline: Option<Duration>,
     /// Bound on the instrumentation cache (`None` = unbounded).
     pub cache_capacity: Option<usize>,
-    /// Connection I/O multiplexing mode.
+    /// Connection I/O multiplexing mode; one value, kept only for
+    /// perfbench's run stamp (see [`IoMode`]).
     pub io_mode: IoMode,
-    /// Lock shards for deployments / in-flight counts / retained logs.
-    pub shards: usize,
     /// Durable state directory (`None` = in-memory only). When set,
     /// signed usage logs are write-ahead logged before responses leave
     /// the server, deployments and id high-water marks are sealed, and
@@ -174,7 +148,6 @@ impl Default for ServerConfig {
             request_deadline: Some(Duration::from_secs(10)),
             cache_capacity: None,
             io_mode: IoMode::default(),
-            shards: 8,
             state_dir: None,
             fsync: FsyncPolicy::Always,
         }
@@ -261,7 +234,7 @@ impl LogStore {
     }
 }
 
-/// State shared between the acceptor and the workers.
+/// State shared between the acceptor and the event loops.
 struct Shared {
     dep: Deployment,
     config: ServerConfig,
@@ -273,19 +246,17 @@ struct Shared {
     /// distinguishable. Deliberately *not* sharded — a fetch_add is
     /// already contention-free.
     next_session: AtomicU64,
-    /// Signed-log retention, sharded by `session_id % shards` with
-    /// `LOG_RETENTION / shards` entries each.
+    /// Signed-log retention, sharded by `session_id % SHARDS` with
+    /// `LOG_RETENTION / SHARDS` entries each.
     logs: Box<[Mutex<LogStore>]>,
     log_retention_per_shard: usize,
     inflight: ShardMap<String, usize>,
     shutdown: AtomicBool,
-    /// Accepted connections handed to a worker/loop but not yet picked
-    /// up — the admission gauge the acceptor sheds on.
+    /// Accepted connections handed to a loop but not yet adopted — the
+    /// admission gauge the acceptor sheds on.
     backlog: AtomicUsize,
-    /// Wake handles for the event loops (one byte wakes a loop out of
-    /// its poll so it notices new connections or the shutdown flag).
-    #[cfg(target_os = "linux")]
-    wakes: Mutex<Vec<UnixStream>>,
+    /// One mailbox per event loop, in loop order.
+    inboxes: Box<[Inbox]>,
     /// The telemetry plane behind `Stats`/`Health`/`Recent`.
     stats: ServerStats,
     /// The durable control plane (WAL + sealed registry + billing);
@@ -314,12 +285,10 @@ impl Shared {
         &self.logs[(session_id % self.logs.len() as u64) as usize]
     }
 
-    /// Writes one wake byte to every event loop (no-op in thread mode
-    /// and on platforms without the event backend).
+    /// Writes one wake byte to every event loop.
     fn wake_loops(&self) {
-        #[cfg(target_os = "linux")]
-        for wake in lock_or_recover(&self.wakes).iter() {
-            let _ = (&*wake).write(&[1u8]);
+        for inbox in self.inboxes.iter() {
+            inbox.wake();
         }
     }
 }
@@ -348,6 +317,7 @@ impl Drop for TenantSlot<'_> {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
+    loops: Vec<LoopIo>,
 }
 
 impl Server {
@@ -356,7 +326,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors.
+    /// Propagates socket, epoll and durable-state errors.
     pub fn bind(addr: &str, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -367,8 +337,7 @@ impl Server {
         dep.set_engine(config.engine);
         dep.set_time_budget(config.request_deadline);
         let stats = ServerStats::new(config.workers.max(1) as u32, config.queue_depth as u32);
-        let shards = config.shards.max(1);
-        let deployments = ShardMap::new(shards);
+        let deployments = ShardMap::new(SHARDS);
         let mut next_deploy = 1u64;
         let mut next_session = 1u64;
         let durable = match &config.state_dir {
@@ -419,23 +388,26 @@ impl Server {
             }
             None => None,
         };
+        let (inboxes, loops) = (0..config.workers.max(1))
+            .map(|_| new_loop())
+            .collect::<std::io::Result<(Vec<_>, Vec<_>)>>()?;
         Ok(Server {
             listener,
+            loops,
             shared: Arc::new(Shared {
                 dep,
                 local_addr,
                 deployments,
                 next_deploy: AtomicU64::new(next_deploy),
                 next_session: AtomicU64::new(next_session),
-                logs: (0..shards)
+                logs: (0..SHARDS)
                     .map(|_| Mutex::new(LogStore::default()))
                     .collect(),
-                log_retention_per_shard: (LOG_RETENTION / shards).max(1),
-                inflight: ShardMap::new(shards),
+                log_retention_per_shard: (LOG_RETENTION / SHARDS).max(1),
+                inflight: ShardMap::new(SHARDS),
                 shutdown: AtomicBool::new(false),
                 backlog: AtomicUsize::new(0),
-                #[cfg(target_os = "linux")]
-                wakes: Mutex::new(Vec::new()),
+                inboxes: inboxes.into(),
                 stats,
                 durable,
                 config,
@@ -453,7 +425,11 @@ impl Server {
     pub fn run(self) {
         let hub = acctee_telemetry::global();
         let _span = hub.span("net.serve", "net");
-        let Server { listener, shared } = self;
+        let Server {
+            listener,
+            shared,
+            loops,
+        } = self;
         logging::info(
             LOG,
             "serving",
@@ -461,20 +437,21 @@ impl Server {
                 ("addr", shared.local_addr.to_string()),
                 ("workers", shared.config.workers.to_string()),
                 ("queue_depth", shared.config.queue_depth.to_string()),
-                ("io", shared.config.io_mode.name().to_string()),
-                ("shards", shared.config.shards.to_string()),
             ],
         );
-        #[cfg(target_os = "linux")]
-        let evented = shared.config.io_mode == IoMode::Event;
-        #[cfg(not(target_os = "linux"))]
-        let evented = false;
-        if evented {
-            #[cfg(target_os = "linux")]
-            run_event(&shared, &listener);
-        } else {
-            run_thread(&shared, &listener);
-        }
+        let shared = &*shared;
+        std::thread::scope(|scope| {
+            for (i, (io, inbox)) in loops.into_iter().zip(shared.inboxes.iter()).enumerate() {
+                std::thread::Builder::new()
+                    .name(format!("acctee-net-loop-{i}"))
+                    .spawn_scoped(scope, move || event_loop(shared, inbox, io))
+                    .expect("spawn event loop");
+            }
+            accept_loop(shared, &listener);
+            // The acceptor saw the shutdown flag; make sure every loop
+            // leaves its poll and sees it too.
+            shared.wake_loops();
+        });
         // Final checkpoint on a clean drain: fsync the WAL and seal
         // the registry so the next open restores fully regardless of
         // the fsync policy in force while serving.
@@ -526,12 +503,11 @@ fn shed_at_accept(shared: &Shared, mut stream: TcpStream) {
     let _ = write_response(&mut stream, &Response::Busy);
 }
 
-/// Accepts connections until the shutdown flag is seen. Each one gets
-/// the socket deadlines and passes admission control: past
-/// `queue_depth` accepted-but-unserved connections it is shed with
-/// `Busy`, otherwise it enters the backlog and goes to `dispatch`,
-/// which hands it to a worker (thread mode) or an event loop.
-fn accept_loop(shared: &Shared, listener: &TcpListener, mut dispatch: impl FnMut(TcpStream)) {
+/// Accepts connections until the shutdown flag is seen. Each one
+/// passes admission control: past `queue_depth` accepted-but-unadopted
+/// connections it is shed with `Busy`, otherwise it enters the backlog
+/// and the least-loaded event loop's inbox.
+fn accept_loop(shared: &Shared, listener: &TcpListener) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _peer)) => stream,
@@ -542,9 +518,8 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, mut dispatch: impl FnMut
             break;
         }
         shared.stats.connection_opened();
-        let t = Some(shared.config.io_timeout);
-        let _ = stream.set_read_timeout(t);
-        let _ = stream.set_write_timeout(t);
+        // Bounds the blocking `Busy` write of a shed.
+        let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
         if shared.backlog.load(Ordering::SeqCst) >= shared.config.queue_depth {
             // Admission control: shed with an explicit Busy so the
             // client can back off, instead of queueing unboundedly.
@@ -553,160 +528,31 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, mut dispatch: impl FnMut
         }
         shared.backlog.fetch_add(1, Ordering::SeqCst);
         shared.stats.queue_entered();
-        dispatch(stream);
+        let inbox = shared
+            .inboxes
+            .iter()
+            .min_by_key(|i| i.load.load(Ordering::SeqCst))
+            .expect("at least one loop");
+        inbox.load.fetch_add(1, Ordering::SeqCst);
+        lock_or_recover(&inbox.queue).push_back(stream);
+        inbox.wake();
     }
 }
+
+// ------------------------------------------------------- event loops
+
+/// Token the per-loop wake pipe is registered under.
+const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Read granularity for connection sockets.
 const READ_CHUNK: usize = 16 * 1024;
 
-// ------------------------------------------------------- thread mode
-
-/// One worker's bounded mailbox: the acceptor pushes to the least-
-/// loaded queue instead of every worker contending on one shared
-/// receiver lock. `load` counts queued + currently-served connections.
-struct WorkerQueue {
-    inner: Mutex<(VecDeque<TcpStream>, bool)>,
-    cv: Condvar,
-    load: AtomicUsize,
-}
-
-impl WorkerQueue {
-    fn new() -> WorkerQueue {
-        WorkerQueue {
-            inner: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-            load: AtomicUsize::new(0),
-        }
-    }
-
-    fn push(&self, stream: TcpStream) {
-        self.load.fetch_add(1, Ordering::SeqCst);
-        lock_or_recover(&self.inner).0.push_back(stream);
-        self.cv.notify_one();
-    }
-
-    fn close(&self) {
-        lock_or_recover(&self.inner).1 = true;
-        self.cv.notify_all();
-    }
-
-    /// Blocks for the next connection; `None` once closed and empty.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut guard = lock_or_recover(&self.inner);
-        loop {
-            if let Some(stream) = guard.0.pop_front() {
-                return Some(stream);
-            }
-            if guard.1 {
-                return None;
-            }
-            guard = self
-                .cv
-                .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// The connection taken by `pop` has been fully served (or
-    /// dropped).
-    fn done(&self) {
-        self.load.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn run_thread(shared: &Shared, listener: &TcpListener) {
-    let workers = shared.config.workers.max(1);
-    let queues: Vec<WorkerQueue> = (0..workers).map(|_| WorkerQueue::new()).collect();
-    std::thread::scope(|scope| {
-        for (i, queue) in queues.iter().enumerate() {
-            std::thread::Builder::new()
-                .name(format!("acctee-net-worker-{i}"))
-                .spawn_scoped(scope, move || worker_loop(shared, queue))
-                .expect("spawn worker");
-        }
-        accept_loop(shared, listener, |stream| {
-            queues
-                .iter()
-                .min_by_key(|q| q.load.load(Ordering::SeqCst))
-                .expect("at least one worker")
-                .push(stream);
-        });
-        for queue in &queues {
-            queue.close();
-        }
-    });
-}
-
-fn worker_loop(shared: &Shared, queue: &WorkerQueue) {
-    while let Some(stream) = queue.pop() {
-        shared.backlog.fetch_sub(1, Ordering::SeqCst);
-        shared.stats.queue_left();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Draining: the connection was queued but never served;
-            // close it rather than start new work.
-            queue.done();
-            continue;
-        }
-        {
-            // The worker is occupied for the connection's whole life,
-            // idle keep-alive reads included.
-            let _busy = shared.stats.worker_busy();
-            handle_connection(shared, stream);
-        }
-        queue.done();
-    }
-}
-
-/// Serves one keep-alive connection on the calling worker: blocking
-/// reads into `rx`, the frame pump, one write per pump.
-fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    let _active = shared.stats.connection_active();
-    logging::debug(LOG, "connection start", &[]);
-    let mut rx = Vec::new();
-    let mut tx = Vec::new();
-    let mut chunk = [0u8; READ_CHUNK];
-    loop {
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => {
-                logging::debug(LOG, "connection closed", &[]);
-                return; // peer closed (a trailing partial frame is dropped)
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                logging::debug(LOG, "connection idle timeout", &[]);
-                return; // idle past the read deadline
-            }
-            Err(_) => return,
-        };
-        let batch_start = Instant::now();
-        rx.extend_from_slice(&chunk[..n]);
-        let close = pump_frames(shared, &mut rx, &mut tx, batch_start);
-        if stream.write_all(&tx).is_err() || close || shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        tx.clear();
-    }
-}
-
-// ------------------------------------------------------- event mode
-
-/// Token the per-loop wake pipe is registered under.
-#[cfg(target_os = "linux")]
-const WAKE_TOKEN: u64 = u64::MAX;
-
 /// Per-round read bound per connection: level-triggered polling picks
 /// the rest up next round, so one firehose peer cannot starve the
 /// loop's other connections.
-#[cfg(target_os = "linux")]
 const MAX_ROUND_RX: usize = 256 * 1024;
 
 /// An event loop's mailbox from the acceptor.
-#[cfg(target_os = "linux")]
 struct Inbox {
     queue: Mutex<VecDeque<TcpStream>>,
     /// Connections this loop owns (queued + registered); the
@@ -715,7 +561,6 @@ struct Inbox {
     wake: UnixStream,
 }
 
-#[cfg(target_os = "linux")]
 impl Inbox {
     fn wake(&self) {
         // Non-blocking: if the pipe is full a wake byte is already
@@ -724,8 +569,30 @@ impl Inbox {
     }
 }
 
+/// An event loop's own half: its poller, with the read end of the wake
+/// pair already registered under [`WAKE_TOKEN`].
+struct LoopIo {
+    poller: Epoll,
+    wake_rx: UnixStream,
+}
+
+/// Sets up one event loop in [`Server::bind`], so a setup failure fails
+/// the bind instead of leaving a loop that never drains its inbox.
+fn new_loop() -> std::io::Result<(Inbox, LoopIo)> {
+    let (wake_rx, wake_tx) = UnixStream::pair()?;
+    wake_rx.set_nonblocking(true)?;
+    wake_tx.set_nonblocking(true)?;
+    let mut poller = Epoll::new()?;
+    poller.add(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::Read)?;
+    let inbox = Inbox {
+        queue: Mutex::new(VecDeque::new()),
+        load: AtomicUsize::new(0),
+        wake: wake_tx,
+    };
+    Ok((inbox, LoopIo { poller, wake_rx }))
+}
+
 /// One keep-alive connection owned by an event loop.
-#[cfg(target_os = "linux")]
 struct Conn<'a> {
     stream: TcpStream,
     /// Unconsumed request bytes (partial frames wait here).
@@ -741,7 +608,6 @@ struct Conn<'a> {
     _active: BusyGuard<'a>,
 }
 
-#[cfg(target_os = "linux")]
 impl Conn<'_> {
     /// Writes as much pending tx as the socket accepts. `Ok(true)`
     /// when nothing is pending.
@@ -763,62 +629,11 @@ impl Conn<'_> {
     }
 }
 
-#[cfg(target_os = "linux")]
-fn run_event(shared: &Shared, listener: &TcpListener) {
-    let workers = shared.config.workers.max(1);
-    let mut inboxes = Vec::with_capacity(workers);
-    let mut wake_rxs = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let Ok((wake_rx, wake_tx)) = UnixStream::pair() else {
-            logging::error(LOG, "wake pipe unavailable; thread fallback", &[]);
-            return run_thread(shared, listener);
-        };
-        let _ = wake_tx.set_nonblocking(true);
-        if let Ok(clone) = wake_tx.try_clone() {
-            lock_or_recover(&shared.wakes).push(clone);
-        }
-        inboxes.push(Inbox {
-            queue: Mutex::new(VecDeque::new()),
-            load: AtomicUsize::new(0),
-            wake: wake_tx,
-        });
-        wake_rxs.push(wake_rx);
-    }
-    std::thread::scope(|scope| {
-        for (i, (inbox, wake_rx)) in inboxes.iter().zip(&wake_rxs).enumerate() {
-            std::thread::Builder::new()
-                .name(format!("acctee-net-loop-{i}"))
-                .spawn_scoped(scope, move || event_loop(shared, inbox, wake_rx))
-                .expect("spawn event loop");
-        }
-        accept_loop(shared, listener, |stream| {
-            let inbox = inboxes
-                .iter()
-                .min_by_key(|i| i.load.load(Ordering::SeqCst))
-                .expect("at least one loop");
-            inbox.load.fetch_add(1, Ordering::SeqCst);
-            lock_or_recover(&inbox.queue).push_back(stream);
-            inbox.wake();
-        });
-        // The acceptor saw the shutdown flag; make sure every loop
-        // leaves its poll and sees it too.
-        shared.wake_loops();
-    });
-}
-
-#[cfg(target_os = "linux")]
-fn event_loop(shared: &Shared, inbox: &Inbox, wake_rx: &UnixStream) {
-    let Ok(mut poller) = Epoll::new() else {
-        logging::error(LOG, "epoll unavailable; event loop exiting", &[]);
-        return;
-    };
-    let _ = wake_rx.set_nonblocking(true);
-    if poller
-        .add(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::Read)
-        .is_err()
-    {
-        return;
-    }
+fn event_loop(shared: &Shared, inbox: &Inbox, io: LoopIo) {
+    let LoopIo {
+        mut poller,
+        wake_rx,
+    } = io;
     let mut conns: HashMap<u64, Conn<'_>> = HashMap::new();
     let mut next_token: u64 = 0;
     let mut events: Vec<Event> = Vec::new();
@@ -835,7 +650,7 @@ fn event_loop(shared: &Shared, inbox: &Inbox, wake_rx: &UnixStream) {
         let batch_start = Instant::now();
         for &ev in &events {
             if ev.token == WAKE_TOKEN {
-                drain_wake(wake_rx);
+                drain_wake(&wake_rx);
                 adopt_connections(shared, inbox, &mut poller, &mut conns, &mut next_token);
                 continue;
             }
@@ -859,7 +674,6 @@ fn event_loop(shared: &Shared, inbox: &Inbox, wake_rx: &UnixStream) {
     drain_and_close_all(shared, inbox, conns);
 }
 
-#[cfg(target_os = "linux")]
 fn drain_wake(wake_rx: &UnixStream) {
     let mut buf = [0u8; 64];
     loop {
@@ -873,7 +687,6 @@ fn drain_wake(wake_rx: &UnixStream) {
 
 /// Pulls newly dispatched connections out of the inbox and registers
 /// them with the poller.
-#[cfg(target_os = "linux")]
 fn adopt_connections<'a>(
     shared: &'a Shared,
     inbox: &Inbox,
@@ -919,7 +732,6 @@ fn adopt_connections<'a>(
 /// Services one readiness event: read everything available, pump the
 /// decoded frames, flush responses. Returns `true` when the
 /// connection should close now.
-#[cfg(target_os = "linux")]
 fn step_conn(shared: &Shared, conn: &mut Conn<'_>, ev: Event, batch_start: Instant) -> bool {
     conn.last_seen = batch_start;
     if ev.hangup && !ev.readable {
@@ -966,7 +778,6 @@ fn step_conn(shared: &Shared, conn: &mut Conn<'_>, ev: Event, batch_start: Insta
     }
 }
 
-#[cfg(target_os = "linux")]
 fn update_interest(poller: &mut Epoll, conn: &mut Conn<'_>, token: u64) {
     let want = conn.tx_pos < conn.tx.len();
     if want != conn.want_write {
@@ -984,7 +795,6 @@ fn update_interest(poller: &mut Epoll, conn: &mut Conn<'_>, token: u64) {
     }
 }
 
-#[cfg(target_os = "linux")]
 fn close_conn(poller: &mut Epoll, conns: &mut HashMap<u64, Conn<'_>>, token: u64, inbox: &Inbox) {
     if let Some(conn) = conns.remove(&token) {
         let _ = poller.remove(conn.stream.as_raw_fd());
@@ -993,7 +803,6 @@ fn close_conn(poller: &mut Epoll, conns: &mut HashMap<u64, Conn<'_>>, token: u64
     }
 }
 
-#[cfg(target_os = "linux")]
 fn sweep_idle(
     shared: &Shared,
     poller: &mut Epoll,
@@ -1013,7 +822,6 @@ fn sweep_idle(
 
 /// Drain at shutdown: close never-served queued connections, flush
 /// pending responses on live ones (bounded blocking writes), close.
-#[cfg(target_os = "linux")]
 fn drain_and_close_all(shared: &Shared, inbox: &Inbox, conns: HashMap<u64, Conn<'_>>) {
     loop {
         let stream = lock_or_recover(&inbox.queue).pop_front();
@@ -1092,7 +900,7 @@ fn pump_frames(shared: &Shared, rx: &mut Vec<u8>, tx: &mut Vec<u8>, batch_start:
 }
 
 /// Finishes a batch of served requests — every frame one pump
-/// decoded, in either I/O mode — before any of its responses leaves:
+/// decoded — before any of its responses leaves:
 /// one WAL commit covers every usage record the batch staged (its
 /// `InvokeOk`s, when the server is durable) and is charged to each of
 /// them, since each waited for it; then [`deliver`] settles the
@@ -1917,12 +1725,11 @@ mod tests {
 
     #[test]
     fn log_store_retention_is_bounded_per_shard() {
-        let cfg = ServerConfig {
-            shards: 4,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
-        assert_eq!(server.shared.logs.len(), 4);
-        assert_eq!(server.shared.log_retention_per_shard, LOG_RETENTION / 4);
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        assert_eq!(server.shared.logs.len(), SHARDS);
+        assert_eq!(
+            server.shared.log_retention_per_shard,
+            LOG_RETENTION / SHARDS
+        );
     }
 }

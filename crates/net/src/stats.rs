@@ -184,7 +184,7 @@ pub struct TenantStats {
 pub struct StatsSnapshot {
     /// Nanoseconds since the server started.
     pub uptime_ns: u64,
-    /// Worker-pool size.
+    /// Worker count (event loops).
     pub workers: u32,
     /// Workers currently holding a connection.
     pub workers_busy: u32,
@@ -253,7 +253,7 @@ pub struct HealthReport {
     pub uptime_ns: u64,
     /// The protocol version the server speaks.
     pub wire_version: u16,
-    /// Worker-pool size.
+    /// Worker count (event loops).
     pub workers: u32,
     /// Admission-queue capacity.
     pub queue_capacity: u32,

@@ -63,15 +63,14 @@ for CALL in "fib --arg 30" "grow --arg 20"; do
         || { echo "signed log differs between tree and default engine ($CALL)"; exit 1; }
 done
 
-# serve / attested invoke / pipelined invoke / shutdown, in one I/O
-# mode. The pipelined invoke exercises keep-alive multi-frame batches
-# end to end (client write coalescing through server frame pump).
+# serve / attested invoke / pipelined invoke / shutdown. The pipelined
+# invoke exercises keep-alive multi-frame batches end to end (client
+# write coalescing through server frame pump).
 net_smoke() {
-    local IO="$1"
-    echo "==> net serving smoke, --io $IO (serve / attested invoke / pipeline / shutdown)"
+    echo "==> net serving smoke (serve / attested invoke / pipeline / shutdown)"
     local SERVE_LOG SERVE_PID ADDR
     SERVE_LOG="$(mktemp)"
-    "$ACCTEE_BIN" serve --listen 127.0.0.1:0 --io "$IO" >"$SERVE_LOG" 2>&1 &
+    "$ACCTEE_BIN" serve --listen 127.0.0.1:0 >"$SERVE_LOG" 2>&1 &
     SERVE_PID=$!
     ADDR=""
     for _ in $(seq 1 50); do
@@ -94,8 +93,7 @@ net_smoke() {
     rm -f "$SERVE_LOG"
 }
 
-net_smoke event
-net_smoke thread
+net_smoke
 
 echo "==> stats-plane smoke (undersized server, shed load, strict Prometheus scrape)"
 SERVE_LOG="$(mktemp)"

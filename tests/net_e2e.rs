@@ -3,13 +3,18 @@
 //! and the acceptance properties of DESIGN.md §11 — byte-identical
 //! accounting over the wire, anti-replay across connections, explicit
 //! load shed, deadline recovery and garbage tolerance.
+//!
+//! The server has one I/O path, its epoll event loops; tests named
+//! `*_event_mode` keep the names they had when a thread-pool twin ran
+//! beside each, so their history stays comparable.
 
 use std::time::Duration;
 
 use acctee::{Deployment, Level};
 use acctee_interp::Value;
 use acctee_net::{
-    Client, InvokeSpec, IoMode, NetError, RequestOutcome, Server, ServerConfig, TrustAnchor,
+    Client, InvokeSpec, NetError, Request, RequestOutcome, Response, Server, ServerConfig,
+    TrustAnchor,
 };
 use acctee_sgx::crypto::sha256;
 use acctee_volunteer::{Escrow, PaymentError};
@@ -21,14 +26,10 @@ use acctee_wasm::BlockType;
 const SEED: u64 = 42;
 const TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Baseline config for one I/O mode. The acceptance bar is that every
-/// property below holds bit-identically whether the server runs the
-/// event loops or the thread-pool fallback, so each test body takes
-/// the mode as a parameter and is instantiated for both.
-fn cfg(io: IoMode) -> ServerConfig {
+/// Baseline config: the default server under the test seed.
+fn cfg() -> ServerConfig {
     ServerConfig {
         seed: SEED,
-        io_mode: io,
         ..ServerConfig::default()
     }
 }
@@ -98,16 +99,7 @@ fn spin_module() -> Vec<u8> {
 
 #[test]
 fn loopback_counters_are_bit_identical_event_mode() {
-    loopback_counters_are_bit_identical(IoMode::Event);
-}
-
-#[test]
-fn loopback_counters_are_bit_identical_thread_mode() {
-    loopback_counters_are_bit_identical(IoMode::Thread);
-}
-
-fn loopback_counters_are_bit_identical(io: IoMode) {
-    let (addr, handle) = spawn_server(cfg(io));
+    let (addr, handle) = spawn_server(cfg());
     let module = work_module();
     let mut client = connect(addr);
     let deployed = client.deploy(&module, Level::LoopBased).expect("deploy");
@@ -163,16 +155,7 @@ fn loopback_counters_are_bit_identical(io: IoMode) {
 
 #[test]
 fn replayed_log_is_rejected_across_connections_event_mode() {
-    replayed_log_is_rejected_across_connections(IoMode::Event);
-}
-
-#[test]
-fn replayed_log_is_rejected_across_connections_thread_mode() {
-    replayed_log_is_rejected_across_connections(IoMode::Thread);
-}
-
-fn replayed_log_is_rejected_across_connections(io: IoMode) {
-    let (addr, handle) = spawn_server(cfg(io));
+    let (addr, handle) = spawn_server(cfg());
     let module = work_module();
 
     // Two separate connections, one invoke each: the server-side
@@ -210,21 +193,11 @@ fn replayed_log_is_rejected_across_connections(io: IoMode) {
 
 #[test]
 fn tenant_limit_sheds_busy_and_deadline_frees_the_worker_event_mode() {
-    tenant_limit_sheds_busy_and_deadline_frees_the_worker(IoMode::Event);
-}
-
-#[test]
-fn tenant_limit_sheds_busy_and_deadline_frees_the_worker_thread_mode() {
-    tenant_limit_sheds_busy_and_deadline_frees_the_worker(IoMode::Thread);
-}
-
-fn tenant_limit_sheds_busy_and_deadline_frees_the_worker(io: IoMode) {
     let (addr, handle) = spawn_server(ServerConfig {
         seed: SEED,
         workers: 2,
         tenant_inflight: 1,
         request_deadline: Some(Duration::from_millis(400)),
-        io_mode: io,
         ..ServerConfig::default()
     });
     let module = spin_module();
@@ -280,18 +253,9 @@ fn tenant_limit_sheds_busy_and_deadline_frees_the_worker(io: IoMode) {
 
 #[test]
 fn garbage_frames_get_an_error_response_and_server_survives_event_mode() {
-    garbage_frames_get_an_error_response_and_server_survives(IoMode::Event);
-}
-
-#[test]
-fn garbage_frames_get_an_error_response_and_server_survives_thread_mode() {
-    garbage_frames_get_an_error_response_and_server_survives(IoMode::Thread);
-}
-
-fn garbage_frames_get_an_error_response_and_server_survives(io: IoMode) {
     use std::io::{Read, Write};
 
-    let (addr, handle) = spawn_server(cfg(io));
+    let (addr, handle) = spawn_server(cfg());
 
     // Raw garbage: the server answers with an Error frame (it cannot
     // trust the stream afterwards, so it hangs up) and must not panic.
@@ -346,21 +310,11 @@ fn poll_until<T>(mut f: impl FnMut() -> Option<T>) -> T {
 
 #[test]
 fn stats_snapshot_and_flight_recorder_match_observed_load_event_mode() {
-    stats_snapshot_and_flight_recorder_match_observed_load(IoMode::Event);
-}
-
-#[test]
-fn stats_snapshot_and_flight_recorder_match_observed_load_thread_mode() {
-    stats_snapshot_and_flight_recorder_match_observed_load(IoMode::Thread);
-}
-
-fn stats_snapshot_and_flight_recorder_match_observed_load(io: IoMode) {
     let (addr, handle) = spawn_server(ServerConfig {
         seed: SEED,
         workers: 3,
         tenant_inflight: 1,
         request_deadline: Some(Duration::from_millis(1200)),
-        io_mode: io,
         ..ServerConfig::default()
     });
     let module = spin_module();
@@ -480,16 +434,7 @@ fn stats_snapshot_and_flight_recorder_match_observed_load(io: IoMode) {
 
 #[test]
 fn pipelined_invokes_answer_in_order_event_mode() {
-    pipelined_invokes_answer_in_order(IoMode::Event);
-}
-
-#[test]
-fn pipelined_invokes_answer_in_order_thread_mode() {
-    pipelined_invokes_answer_in_order(IoMode::Thread);
-}
-
-fn pipelined_invokes_answer_in_order(io: IoMode) {
-    let (addr, handle) = spawn_server(cfg(io));
+    let (addr, handle) = spawn_server(cfg());
     let module = spin_module();
     let mut client = connect(addr);
     let dep = client.deploy(&module, Level::Naive).expect("deploy");
@@ -538,28 +483,17 @@ fn pipelined_invokes_answer_in_order(io: IoMode) {
     shutdown(addr, handle);
 }
 
-#[test]
-fn tenant_cap_holds_across_connections_event_mode() {
-    tenant_cap_holds_across_connections(IoMode::Event);
-}
-
-#[test]
-fn tenant_cap_holds_across_connections_thread_mode() {
-    tenant_cap_holds_across_connections(IoMode::Thread);
-}
-
 /// The shard-consistency property: a tenant's in-flight cap is
-/// enforced across *connections* (hence across event loops / workers),
+/// enforced across *connections* (hence across event loops),
 /// because every connection's admission goes through the same tenant
 /// shard.
-fn tenant_cap_holds_across_connections(io: IoMode) {
+#[test]
+fn tenant_cap_holds_across_connections_event_mode() {
     let (addr, handle) = spawn_server(ServerConfig {
         seed: SEED,
         workers: 4,
         tenant_inflight: 2,
         request_deadline: Some(Duration::from_millis(1200)),
-        io_mode: io,
-        shards: 4,
         ..ServerConfig::default()
     });
     let module = spin_module();
@@ -620,29 +554,12 @@ fn tenant_cap_holds_across_connections(io: IoMode) {
     shutdown(addr, handle);
 }
 
-#[test]
-fn drain_completes_under_keep_alive_event_mode() {
-    drain_completes_under_keep_alive(IoMode::Event);
-}
-
-#[test]
-fn drain_completes_under_keep_alive_thread_mode() {
-    drain_completes_under_keep_alive(IoMode::Thread);
-}
-
 /// Graceful drain must not wait for keep-alive clients to hang up: an
 /// idle attested session is closed by the server, while the response
 /// to the last served request still arrives intact.
-fn drain_completes_under_keep_alive(io: IoMode) {
-    let (addr, handle) = spawn_server(ServerConfig {
-        seed: SEED,
-        // Short idle timeout so the thread-mode worker blocked in read
-        // notices the drain quickly; the event loops are woken
-        // explicitly and don't need it.
-        io_timeout: Duration::from_millis(400),
-        io_mode: io,
-        ..ServerConfig::default()
-    });
+#[test]
+fn drain_completes_under_keep_alive_event_mode() {
+    let (addr, handle) = spawn_server(cfg());
     let module = spin_module();
     let mut a = connect(addr);
     let dep = a.deploy(&module, Level::Naive).expect("deploy");
@@ -668,23 +585,45 @@ fn drain_completes_under_keep_alive(io: IoMode) {
     );
 }
 
-/// Admission control at the acceptor, deterministically: a 1-worker,
-/// 1-slot thread-mode server whose worker is held by a keep-alive
-/// session queues the next connection and sheds the one after it.
+/// Admission control at the acceptor: a 1-loop, 1-slot server whose
+/// only loop is held by a runaway invoke leaves the next connection
+/// unadopted and sheds the one after it.
 #[test]
 fn full_admission_queue_sheds_at_accept() {
+    use acctee_net::wire::{encode_request, read_response};
+    use std::io::Write;
+
     let (addr, handle) = spawn_server(ServerConfig {
         seed: SEED,
         workers: 1,
         queue_depth: 1,
-        io_mode: IoMode::Thread,
+        request_deadline: Some(Duration::from_secs(2)),
         ..ServerConfig::default()
     });
-    // A's attestation was answered, so the only worker has taken A off
-    // the queue and serves it until A hangs up.
     let mut a = connect(addr);
-    // B is accepted into the queue (backlog 1 = queue_depth). Its
-    // handshake completes before C's, so the acceptor sees B first.
+    let dep = a.deploy(&spin_module(), Level::Naive).expect("deploy");
+    // S is adopted by the loop (its Health is answered)…
+    let mut s = std::net::TcpStream::connect(addr).expect("raw connect s");
+    s.set_read_timeout(Some(TIMEOUT)).unwrap();
+    s.write_all(&encode_request(&Request::Health)).unwrap();
+    assert!(matches!(
+        read_response(&mut s),
+        Ok(Response::HealthOk { .. })
+    ));
+    // …then its runaway invoke holds the only loop until the deadline.
+    // Its bytes reach the server before B's handshake starts, so the
+    // loop is running it, not adopting, when B is dispatched.
+    let runaway = Request::Invoke {
+        deploy_id: dep.deploy_id,
+        func: "inf".into(),
+        args: Vec::new(),
+        input: Vec::new(),
+        tenant: "t".into(),
+        trace_id: 0,
+    };
+    s.write_all(&encode_request(&runaway)).unwrap();
+    // B waits unadopted in the loop's inbox (backlog 1 = queue_depth).
+    // The acceptor takes connections in order, so it sees B before C.
     let b = std::net::TcpStream::connect(addr).expect("raw connect b");
     // C finds the queue full: its attestation is answered Busy.
     match Client::connect(addr, TrustAnchor::new(SEED), TIMEOUT) {
@@ -694,12 +633,16 @@ fn full_admission_queue_sheds_at_accept() {
             other.map(|_| ())
         ),
     }
+    match read_response(&mut s) {
+        Ok(Response::Error { message }) => assert!(message.contains("deadline"), "{message}"),
+        other => panic!("expected the runaway's deadline error, got {other:?}"),
+    }
 
-    // The shed is recorded before Busy is written, so A reads it now.
+    // The loop is free again. The shed was recorded before Busy was
+    // written, so A reads it now.
     let snap = a.stats().expect("stats");
     assert_eq!(snap.shed_queue_total, 1);
-    assert_eq!(snap.queue_depth, 1, "B still waits for the worker");
-    assert_eq!(snap.workers_busy, 1, "one worker, counted once");
+    assert_eq!(snap.workers_busy, 1, "the one loop, counted once");
     let records = a.recent(64).expect("recent");
     assert_eq!(
         records
@@ -710,11 +653,11 @@ fn full_admission_queue_sheds_at_accept() {
         "one accept-shed record in the flight recorder"
     );
 
-    // Shutdown through A: the worker leaves A, drops the never-served
-    // B and the server drains.
+    // Shutdown through A (a new connection could race B's adoption
+    // for the one admission slot).
     a.shutdown().expect("shutdown accepted");
     handle.join().expect("server drains and exits");
-    drop(b);
+    drop((b, s));
 }
 
 #[test]
