@@ -266,6 +266,9 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
             "--capacity" => o.capacity = want(&mut it)?.parse().map_err(|e| format!("{e}"))?,
             "--rate" => o.rate = want(&mut it)?.parse().map_err(|e| format!("{e}"))?,
             "--bonus" => o.bonus = want(&mut it)?.parse().map_err(|e| format!("{e}"))?,
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown flag {flag}; see `acctee help`"));
+            }
             other => o.rest.push(other.to_string()),
         }
     }
@@ -326,7 +329,30 @@ fn real_main() -> Result<(), String> {
     }
 }
 
+/// Refuses the positional arguments of a command that takes none.
+fn no_positionals(cmd: &str, stray: &[String]) -> Result<(), String> {
+    match stray.first() {
+        Some(arg) => Err(format!(
+            "{cmd} takes no argument {arg:?}; see `acctee help`"
+        )),
+        None => Ok(()),
+    }
+}
+
 fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
+    const NO_POSITIONALS: [&str; 8] = [
+        "serve",
+        "fetch-log",
+        "settle",
+        "replay",
+        "stats",
+        "top",
+        "recent",
+        "shutdown",
+    ];
+    if NO_POSITIONALS.contains(&cmd) {
+        no_positionals(cmd, &opts.rest)?;
+    }
     match cmd {
         "help" => {
             println!("acctee — WebAssembly two-way sandbox with trusted resource accounting");
@@ -446,7 +472,6 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
                 },
             )
             .map_err(|e| e.to_string())?;
-            let started = std::time::Instant::now();
             let out = if hub.enabled() {
                 let span = hub
                     .span("cli.run", "cli")
@@ -474,15 +499,6 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
                 inst.invoke(&opts.invoke, &args)
                     .map_err(|e| e.to_string())?
             };
-            if hub.enabled() {
-                hub.metrics()
-                    .histogram_with(
-                        "acctee_faas_request_latency_seconds",
-                        &[("function", opts.invoke.as_str())],
-                        1e-9,
-                    )
-                    .observe(started.elapsed().as_nanos() as u64);
-            }
             for v in out {
                 println!("{v}");
             }
@@ -516,17 +532,9 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
             let (ib, ev) = dep
                 .instrument(&bytes, opts.level)
                 .map_err(|e| e.to_string())?;
-            let started = std::time::Instant::now();
             let outcome = dep
                 .execute(&ib, &ev, &opts.invoke, &args, &opts.input)
                 .map_err(|e| e.to_string())?;
-            hub.metrics()
-                .histogram_with(
-                    "acctee_faas_request_latency_seconds",
-                    &[("function", opts.invoke.as_str())],
-                    1e-9,
-                )
-                .observe(started.elapsed().as_nanos() as u64);
             dep.workload_provider()
                 .verify_log(&outcome.log)
                 .map_err(|e| e.to_string())?;
@@ -991,6 +999,9 @@ fn cmd_recent(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_fleet(opts: &Opts) -> Result<(), String> {
+    if let [sub, stray @ ..] = opts.rest.as_slice() {
+        no_positionals(&format!("fleet {sub}"), stray)?;
+    }
     match opts.rest.first().map(String::as_str) {
         Some("coordinate") => cmd_fleet_coordinate(opts),
         Some("work") => cmd_fleet_work(opts),
@@ -1024,11 +1035,11 @@ fn cmd_fleet_coordinate(opts: &Opts) -> Result<(), String> {
     println!("listening on {bound}");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
+    // Poll often enough that a short campaign still reports progress;
+    // the last line printed is the count at completion.
     let mut last = 0u64;
     loop {
-        if handle.wait_done(std::time::Duration::from_secs(2)) {
-            break;
-        }
+        let done = handle.wait_done(std::time::Duration::from_millis(200));
         let r = handle.report();
         if r.completed != last {
             last = r.completed;
@@ -1042,6 +1053,9 @@ fn cmd_fleet_coordinate(opts: &Opts) -> Result<(), String> {
                 r.redispatched
             );
             let _ = std::io::stdout().flush();
+        }
+        if done {
+            break;
         }
     }
     let r = handle.report();
@@ -1117,20 +1131,28 @@ fn cmd_fleet_status(opts: &Opts) -> Result<(), String> {
         wire::Response::Error { message } => return Err(message),
         other => return Err(format!("unexpected response: {other:?}")),
     };
-    println!(
+    // One write: a reader that stops at the first line (`| grep -q`)
+    // cannot close the pipe between lines and fail a later print.
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "campaign: {}/{} units complete  {} pending  {} in flight  done={}",
         fleet.completed, fleet.units_total, fleet.pending, fleet.inflight, fleet.done
     );
-    println!(
+    let _ = writeln!(
+        out,
         "checks: {} scheduled, {} mismatched;  {} redispatched, {} rejected",
         fleet.checks_scheduled, fleet.checks_mismatched, fleet.redispatched, fleet.rejected
     );
-    println!(
+    let _ = writeln!(
+        out,
         "{:<16} {:>10} {:>9}  QUARANTINED",
         "WORKER", "COMPLETED", "INFLIGHT"
     );
     for w in &fleet.workers {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<16} {:>10} {:>9}  {}",
             w.name,
             w.completed,
@@ -1139,9 +1161,12 @@ fn cmd_fleet_status(opts: &Opts) -> Result<(), String> {
         );
     }
     if fleet.workers.is_empty() {
-        println!("(no workers joined yet)");
+        out.push_str("(no workers joined yet)\n");
     }
-    Ok(())
+    use std::io::Write as _;
+    std::io::stdout()
+        .write_all(out.as_bytes())
+        .map_err(|e| format!("stdout: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -1160,6 +1185,42 @@ mod tests {
 
     fn engine_flag(name: &str) -> Result<Engine, String> {
         parse_opts(&["--engine".to_string(), name.to_string()]).map(|o| o.engine)
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_refused() {
+        for flag in ["--io", "--shards", "--listne"] {
+            let refused = parse_opts(&argv(&["--listen", "127.0.0.1:0", flag, "3"]));
+            assert_eq!(
+                refused.err(),
+                Some(format!("unknown flag {flag}; see `acctee help`"))
+            );
+        }
+        // A flag's value may itself start with a dash.
+        let o = parse_opts(&argv(&["m.wat", "--arg", "-3"])).unwrap();
+        assert_eq!((o.rest, o.args), (argv(&["m.wat"]), argv(&["-3"])));
+    }
+
+    #[test]
+    fn commands_without_positionals_refuse_a_stray_one() {
+        // Refused before anything binds or connects.
+        let stray = parse_opts(&argv(&["thread", "--listen", "127.0.0.1:0"])).unwrap();
+        for cmd in ["serve", "stats", "shutdown", "settle"] {
+            let err = dispatch(cmd, &stray).unwrap_err();
+            assert!(err.contains("takes no argument \"thread\""), "{cmd}: {err}");
+        }
+        for sub in ["coordinate", "work", "status"] {
+            let opts = parse_opts(&argv(&[sub, "extra", "--listen", "127.0.0.1:0"])).unwrap();
+            let err = dispatch("fleet", &opts).unwrap_err();
+            assert_eq!(
+                err,
+                format!("fleet {sub} takes no argument \"extra\"; see `acctee help`")
+            );
+        }
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! coordinator itself runs — any node running modified enclave code
 //! measures differently and never receives work.
 //!
-//! Everything that changes what the campaign owes or trusts goes
-//! through the [`Journal`] *before* the acknowledgement leaves the
-//! coordinator, so a `kill -9` at any instant resumes to a state where
-//! no acknowledged submission is lost and no unit can complete twice.
+//! Everything that changes what the campaign owes or trusts is
+//! appended to the [`Journal`], and each request's events are committed
+//! with one fsync *before* its acknowledgement leaves the coordinator,
+//! so a `kill -9` at any instant resumes to a state where no
+//! acknowledged submission is lost and no unit can complete twice.
 //! In-flight assignments are deliberately **not** journaled: an
 //! assignment the coordinator forgot is merely re-dispatched, and the
 //! submission that eventually arrives for the forgotten session id is
@@ -33,7 +34,7 @@ use acctee::{channel_binding, Deployment, InstrumentationEvidence, Level, Signed
 use acctee_durable::UsageRecord;
 use acctee_net::wire::{self, FleetAck, FleetReport, FleetSubmission, FleetUnit, FleetWorkerRow};
 use acctee_net::{Request, Response, WireError};
-use acctee_sgx::crypto::sha256;
+use acctee_sgx::crypto::{sha256, Digest};
 
 use crate::journal::{credited, Journal, JournalSubmission, JournalUnit};
 use crate::reconcile::{reconcile, ReconcileConfig, SignedNodeStatement};
@@ -121,11 +122,29 @@ struct UnitState {
     /// The unit's journaled state: spec, deadline, checks, verified
     /// submissions and completion.
     unit: JournalUnit,
-    module: Vec<u8>,
-    evidence: InstrumentationEvidence,
+    /// The instrumented module and its evidence, held only while the
+    /// unit is open: a done unit is never granted, refereed or verified
+    /// again, so it is dropped on completion and not rebuilt on resume.
+    artifact: Option<(Vec<u8>, InstrumentationEvidence)>,
     live: Vec<Assignment>,
     /// Tickets for this unit currently sitting in the pending queue.
     queued: u32,
+}
+
+impl UnitState {
+    /// The open unit's instrumented module and evidence.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Protocol`] for a done unit, which holds none.
+    fn artifact(&self) -> Result<&(Vec<u8>, InstrumentationEvidence), FleetError> {
+        self.artifact.as_ref().ok_or_else(|| {
+            FleetError::Protocol(format!(
+                "unit {} is done and holds no instrumented module",
+                self.unit.spec.id
+            ))
+        })
+    }
 }
 
 struct WorkerState {
@@ -316,19 +335,18 @@ impl State {
                     }
                 }
                 self.units[idx].unit.done = Some(sessions);
+                self.units[idx].artifact = None;
                 return Ok(());
             }
             // Counters disagree: the coordinator's own enclave is the
             // deterministic referee (accounting is engine- and
             // host-independent, so the honest triple is unique).
             self.checks_mismatched += 1;
-            let (module, evidence, func) = {
-                let u = &self.units[idx];
-                (u.module.clone(), u.evidence.clone(), u.unit.spec.func())
-            };
+            let u = &self.units[idx];
+            let (module, evidence) = u.artifact()?;
             let out = self
                 .dep
-                .execute(&module, &evidence, func, &[], b"")
+                .execute(module, evidence, u.unit.spec.func(), &[], b"")
                 .map_err(|e| FleetError::Protocol(format!("referee execution failed: {e}")))?;
             let truth = (
                 result_key(&out.results),
@@ -420,7 +438,7 @@ impl Coordinator {
     /// # Errors
     ///
     /// Bind or journal I/O failures, journal corruption, or an
-    /// instrumentation failure rebuilding a journaled unit.
+    /// instrumentation failure rebuilding a journaled open unit.
     pub fn open(
         addr: &str,
         config: FleetConfig,
@@ -456,8 +474,13 @@ impl Coordinator {
         };
         let mut checks_scheduled = 0u64;
         for unit in journaled {
-            let (module, evidence) = dep
-                .instrument(&unit.spec.module_bytes(), Level::LoopBased)
+            // Only open units are instrumented, so a restart costs
+            // O(open units) beyond the replay.
+            let artifact = unit
+                .done
+                .is_none()
+                .then(|| dep.instrument(&unit.spec.module_bytes(), Level::LoopBased))
+                .transpose()
                 .map_err(|e| {
                     FleetError::Protocol(format!("unit {} does not instrument: {e}", unit.spec.id))
                 })?;
@@ -465,8 +488,7 @@ impl Coordinator {
             index.insert(unit.spec.id, units.len());
             units.push(UnitState {
                 unit,
-                module,
-                evidence,
+                artifact,
                 live: Vec::new(),
                 queued: 0,
             });
@@ -512,6 +534,10 @@ impl Coordinator {
             state.try_complete(idx)?;
             state.refill(idx);
         }
+        // One fsync covers the seeded campaign and whatever the resume
+        // journaled above, and also the frames a crashed predecessor
+        // appended but never committed, which replay already trusted.
+        state.journal.commit()?;
         Ok(Coordinator {
             listener,
             shared: Arc::new(Shared {
@@ -656,9 +682,13 @@ impl CoordinatorHandle {
     ///
     /// # Errors
     ///
-    /// Quoting failures from the coordinator's accounting enclave.
+    /// Quoting failures from the coordinator's accounting enclave; a
+    /// journal poisoned by a failed commit.
     pub fn reconcile(&self, cfg: &ReconcileConfig) -> Result<Vec<SignedNodeStatement>, FleetError> {
-        let st = self.lock();
+        let mut st = self.lock();
+        // Sign committed history only: the commit is free unless a
+        // failed one poisoned the journal, which it then refuses.
+        st.journal.commit()?;
         let pairs: Vec<(String, SignedLog)> = st
             .units
             .iter()
@@ -763,6 +793,15 @@ fn dispatch(shared: &Shared, hello: &mut Option<(String, [u8; 32])>, req: Reques
             message: "this endpoint is a fleet coordinator, not a serving node".into(),
         },
     };
+    // One fsync covers every event this request appended, and no
+    // response leaves before it. A failed commit poisons the journal,
+    // so this and every later request is refused until a restart
+    // replays what reached the disk.
+    if let Err(e) = st.journal.commit() {
+        return Response::Error {
+            message: format!("journal commit failed: {e}"),
+        };
+    }
     resp
 }
 
@@ -895,6 +934,10 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
             skipped.push(unit_id);
             continue;
         }
+        let (module, evidence) = match st.units[idx].artifact() {
+            Ok(a) => a.clone(),
+            Err(e) => return refuse_pull(st, unit_id, skipped, format!("grant refused: {e}")),
+        };
         // Probation: a new node's first units are force-promoted to
         // spot checks so its honesty is tested deterministically.
         let promote = st.workers.get(&name).is_some_and(|w| w.probation > 0)
@@ -902,15 +945,7 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
             && !sole;
         if promote {
             if let Err(e) = st.journal.check_scheduled(unit_id) {
-                // Journal failure: put the ticket back and fail the
-                // pull; nothing was granted for this ticket.
-                st.pending.push_front(unit_id);
-                for s in skipped {
-                    st.pending.push_back(s);
-                }
-                return Response::Error {
-                    message: format!("journal append failed: {e}"),
-                };
+                return refuse_pull(st, unit_id, skipped, format!("journal append failed: {e}"));
             }
             st.units[idx].unit.checks += 1;
             st.checks_scheduled += 1;
@@ -924,13 +959,7 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
         let session_id = match st.take_session() {
             Ok(s) => s,
             Err(e) => {
-                st.pending.push_front(unit_id);
-                for s in skipped {
-                    st.pending.push_back(s);
-                }
-                return Response::Error {
-                    message: format!("journal append failed: {e}"),
-                };
+                return refuse_pull(st, unit_id, skipped, format!("journal append failed: {e}"))
             }
         };
         st.units[idx].queued = st.units[idx].queued.saturating_sub(1);
@@ -946,8 +975,8 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
             unit_id,
             session_id,
             func: st.units[idx].unit.spec.func().to_string(),
-            module: st.units[idx].module.clone(),
-            evidence: st.units[idx].evidence.clone(),
+            module,
+            evidence,
             deadline_ms: st.units[idx].unit.deadline_ms,
         });
     }
@@ -979,6 +1008,14 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
                 .map(|(i, _)| i)
                 .next();
             if let Some(idx) = victim {
+                let (module, evidence) = match st.units[idx].artifact() {
+                    Ok(a) => a.clone(),
+                    Err(e) => {
+                        return Response::Error {
+                            message: format!("steal refused: {e}"),
+                        }
+                    }
+                };
                 match st.take_session() {
                     Ok(session_id) => {
                         st.steals += 1;
@@ -994,8 +1031,8 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
                             unit_id: st.units[idx].unit.spec.id,
                             session_id,
                             func: st.units[idx].unit.spec.func().to_string(),
-                            module: st.units[idx].module.clone(),
-                            evidence: st.units[idx].evidence.clone(),
+                            module,
+                            evidence,
                             deadline_ms: st.units[idx].unit.deadline_ms,
                         });
                     }
@@ -1012,6 +1049,14 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
         units: granted,
         done: st.campaign_done(),
     }
+}
+
+/// Fails a pull whose ticket `unit_id` was not granted: the ticket goes
+/// back to the head of the queue and the skipped ones to its tail.
+fn refuse_pull(st: &mut State, unit_id: u64, skipped: Vec<u64>, message: String) -> Response {
+    st.pending.push_front(unit_id);
+    st.pending.extend(skipped);
+    Response::Error { message }
 }
 
 fn handle_submit(
@@ -1066,7 +1111,8 @@ fn handle_submit(
             Ok(FleetAck::Accepted)
         }
         FleetSubmission::Completed { results, log } => {
-            let verdict = verify_submission(st, idx, session_id, &log);
+            let module_hash = st.units[idx].artifact()?.1.instrumented_hash;
+            let verdict = verify_submission(st, &module_hash, session_id, &log);
             if let Err(reason) = verdict {
                 st.units[idx].live.remove(live_at);
                 if let Some(w) = st.workers.get_mut(&name) {
@@ -1084,8 +1130,8 @@ fn handle_submit(
                 tenant: name.clone(),
                 signed: *log,
             };
-            // Journal first (fsync), acknowledge after: an
-            // acknowledged submission survives any crash.
+            // Journal first, acknowledge after: `dispatch` commits
+            // before the ack leaves, so it survives any crash.
             st.journal.submission(unit_id, &name, result, &record)?;
             st.units[idx].live.remove(live_at);
             if let Some(w) = st.workers.get_mut(&name) {
@@ -1105,10 +1151,10 @@ fn handle_submit(
 /// Checks a completed submission's signed log: authority + AE
 /// measurement + log binding (via the workload provider), then the
 /// binding of the log to *this* assignment (session id) and *this*
-/// unit (instrumented module hash).
+/// unit (its instrumented module's hash).
 fn verify_submission(
     st: &State,
-    idx: usize,
+    module_hash: &Digest,
     session_id: u64,
     log: &SignedLog,
 ) -> Result<(), String> {
@@ -1122,7 +1168,7 @@ fn verify_submission(
             log.log.session_id
         ));
     }
-    if log.log.module_hash != st.units[idx].evidence.instrumented_hash {
+    if log.log.module_hash != *module_hash {
         return Err("log covers a different module".into());
     }
     Ok(())
@@ -1149,5 +1195,189 @@ mod tests {
         assert!(c.redundancy > 0.0 && c.redundancy < 1.0);
         assert!(c.deadline_growth >= 2);
         assert!(c.probation_checks >= 1);
+    }
+
+    // A campaign driven through `dispatch` by one in-process node, with
+    // no sockets or threads: every unit needs exactly one execution and
+    // is granted in creation order.
+
+    const SEED: u64 = 0xacc7ee;
+
+    fn campaign_config(tag: &str) -> FleetConfig {
+        let state_dir = std::env::temp_dir().join(format!(
+            "acctee-fleet-coordinator-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&state_dir);
+        FleetConfig {
+            seed: SEED,
+            state_dir,
+            redundancy: 0.0,
+            probation_checks: 0,
+            ..FleetConfig::default()
+        }
+    }
+
+    fn specs() -> Vec<UnitSpec> {
+        UnitSpec::campaign(6, crate::WorkloadKind::SubsetSum, 6, 7000)
+    }
+
+    fn state(c: &Coordinator) -> MutexGuard<'_, State> {
+        c.shared.state.lock().expect("no test thread panicked")
+    }
+
+    /// Which units hold an instrumented module, in creation order.
+    fn holding(c: &Coordinator) -> Vec<bool> {
+        state(c)
+            .units
+            .iter()
+            .map(|u| u.artifact.is_some())
+            .collect()
+    }
+
+    /// An attested worker node joined through `dispatch`.
+    struct Node {
+        dep: Deployment,
+        hello: Option<(String, [u8; 32])>,
+        id: u64,
+    }
+
+    impl Node {
+        fn join(c: &Coordinator, name: &str) -> Node {
+            let dep = Deployment::new(SEED);
+            let mut hello = None;
+            let hi = Request::FleetHello {
+                worker: name.into(),
+            };
+            let Response::FleetChallenge { nonce } = dispatch(&c.shared, &mut hello, hi) else {
+                panic!("no challenge");
+            };
+            let ae = dep.infrastructure().accounting_enclave();
+            let join = Request::FleetJoin {
+                worker: name.into(),
+                quote: ae.attest_channel(&nonce).unwrap(),
+            };
+            let Response::FleetWelcome { worker_id } = dispatch(&c.shared, &mut hello, join) else {
+                panic!("join refused");
+            };
+            Node {
+                dep,
+                hello,
+                id: worker_id,
+            }
+        }
+
+        fn submit(
+            &mut self,
+            c: &Coordinator,
+            unit_id: u64,
+            session_id: u64,
+            log: SignedLog,
+            results: Vec<acctee_interp::Value>,
+        ) -> FleetAck {
+            let req = Request::FleetSubmit {
+                worker_id: self.id,
+                unit_id,
+                session_id,
+                submission: FleetSubmission::Completed {
+                    results,
+                    log: Box::new(log),
+                },
+            };
+            match dispatch(&c.shared, &mut self.hello, req) {
+                Response::FleetAckOk { ack } => ack,
+                other => panic!("submit answered {other:?}"),
+            }
+        }
+
+        /// Pulls, executes and submits `n` units one at a time; each
+        /// must be accepted and drop its artifact on completion.
+        fn work(&mut self, c: &Coordinator, n: usize) {
+            for _ in 0..n {
+                let pull = Request::FleetPull {
+                    worker_id: self.id,
+                    capacity: 1,
+                };
+                let Response::FleetAssign { units, .. } =
+                    dispatch(&c.shared, &mut self.hello, pull)
+                else {
+                    panic!("pull refused");
+                };
+                let [unit] = units.as_slice() else {
+                    panic!("granted {} units", units.len());
+                };
+                let infra = self.dep.infrastructure();
+                let loaded = infra.load(&unit.module, &unit.evidence).unwrap();
+                let (out, _) = infra
+                    .execute_billed(&loaded, &unit.func, &[], b"", unit.session_id)
+                    .unwrap();
+                let idx = state(c).index[&unit.unit_id];
+                assert!(state(c).units[idx].artifact.is_some());
+                let ack = self.submit(c, unit.unit_id, unit.session_id, out.log, out.results);
+                assert_eq!(ack, FleetAck::Accepted);
+                let st = state(c);
+                assert!(st.units[idx].unit.done.is_some());
+                assert!(
+                    st.units[idx].artifact.is_none(),
+                    "a completed unit kept its module"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_resumed_half_done_campaign_instruments_only_its_open_units() {
+        let config = campaign_config("half");
+        let specs = specs();
+        let c = Coordinator::open("127.0.0.1:0", config.clone(), &specs).unwrap();
+        assert!(holding(&c).iter().all(|&held| held));
+        Node::join(&c, "node-a").work(&c, 3);
+        assert_eq!(holding(&c), [false, false, false, true, true, true]);
+        drop(c);
+
+        let c = Coordinator::open("127.0.0.1:0", config.clone(), &[]).unwrap();
+        assert_eq!(holding(&c), [false, false, false, true, true, true]);
+        Node::join(&c, "node-a").work(&c, 3);
+        assert!(state(&c).campaign_done());
+        assert!(holding(&c).iter().all(|&held| !held));
+        drop(c);
+
+        let (_, replay) = Journal::open(&config.state_dir).unwrap();
+        assert_eq!(replay.duplicate_done_dropped, 0);
+        for (unit, spec) in replay.units.iter().zip(&specs) {
+            let credited: Vec<_> = credited(&unit.submissions, unit.done.as_deref()).collect();
+            assert_eq!(credited.len(), 1, "unit {}", spec.id);
+            assert_eq!(
+                credited[0].result,
+                spec.expected_result(),
+                "unit {}",
+                spec.id
+            );
+        }
+        std::fs::remove_dir_all(&config.state_dir).unwrap();
+    }
+
+    #[test]
+    fn a_reopened_finished_campaign_holds_no_module_and_acks_late_submits_stale() {
+        let config = campaign_config("finished");
+        let c = Coordinator::open("127.0.0.1:0", config.clone(), &specs()).unwrap();
+        Node::join(&c, "node-a").work(&c, specs().len());
+        let first = state(&c).units[0].unit.submissions[0].clone();
+        drop(c);
+
+        let c = Coordinator::open("127.0.0.1:0", config.clone(), &[]).unwrap();
+        assert!(state(&c).campaign_done());
+        assert!(holding(&c).iter().all(|&held| !held));
+        // A replayed submission for a done unit has no live assignment
+        // to match: it is acked stale before anything reads the
+        // (dropped) module.
+        let mut node = Node::join(&c, "node-a");
+        let session = first.record.signed.log.session_id;
+        let results = vec![acctee_interp::Value::I64(first.result)];
+        let ack = node.submit(&c, specs()[0].id, session, first.record.signed, results);
+        assert_eq!(ack, FleetAck::Stale);
+        drop(c);
+        std::fs::remove_dir_all(&config.state_dir).unwrap();
     }
 }

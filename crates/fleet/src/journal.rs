@@ -12,11 +12,17 @@
 //! | 5 | node quarantined | worker, reason |
 //! | 6 | session lease | high watermark |
 //!
-//! Every append fsyncs before returning — the coordinator writes the
-//! event *then* acknowledges the worker, so an acknowledged submission
-//! is on disk by construction. Duplicate submissions (same session id)
-//! and duplicate unit-done frames are dropped first-wins and counted,
-//! so a doubled frame can never double-credit a unit.
+//! Appending an event does not fsync; [`Journal::commit`] does, once
+//! for everything appended since the last commit (group commit, as on
+//! the usage WAL). The coordinator commits once per request, after
+//! handling it and before its response leaves, and once at the end of
+//! [`crate::Coordinator::open`]: no acknowledgement leaves before the
+//! fsync that covers its event, so an acknowledged submission is on
+//! disk by construction. A failed commit poisons the journal (the
+//! framed log's rule), and every later commit is refused until the
+//! journal is reopened. Duplicate submissions (same session id) and
+//! duplicate unit-done frames are dropped first-wins and counted, so a
+//! doubled frame can never double-credit a unit.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -318,10 +324,21 @@ impl Journal {
         Ok((Journal { log, path }, replay))
     }
 
-    /// Appends one event and fsyncs — when this returns, the event is
-    /// on disk, so the caller may acknowledge it.
+    /// Appends one event. It is durable, and may be acknowledged, only
+    /// once a later [`Journal::commit`] returns.
     fn append(&mut self, event: &Event) -> Result<(), FleetError> {
         self.log.append(&framed::frame(|e| event.encode(e)))?;
+        Ok(())
+    }
+
+    /// Fsyncs every event appended since the last commit; free when
+    /// there is none.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from fsync. They poison the journal: this and every
+    /// later append or commit fails until it is reopened.
+    pub fn commit(&mut self) -> Result<(), FleetError> {
         self.log.sync()?;
         Ok(())
     }
@@ -330,7 +347,8 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// I/O errors from the fsynced append (as for every event below).
+    /// I/O errors from the append (as for every event below); a
+    /// poisoned journal refuses.
     pub fn unit_added(&mut self, spec: &UnitSpec, deadline_ms: u64) -> Result<(), FleetError> {
         self.append(&Event::UnitAdded {
             spec: *spec,
@@ -348,7 +366,7 @@ impl Journal {
         self.append(&Event::CheckScheduled { unit: unit_id })
     }
 
-    /// Journals a verified submission (write *before* acking).
+    /// Journals a verified submission (commit *before* acking).
     ///
     /// # Errors
     ///
@@ -474,6 +492,7 @@ mod tests {
             j.unit_done(0, &[10]).unwrap();
             j.quarantine("node-b", "counter mismatch").unwrap();
             j.session_lease(1024).unwrap();
+            j.commit().unwrap();
         }
         let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.units.len(), 2);
@@ -521,6 +540,7 @@ mod tests {
             assert_eq!(replay.torn_bytes_discarded, (cut - sub_start) as u64);
             // Appending resumes cleanly from the truncated tail.
             j.submission(0, "node-a", 1, &rec(5)).unwrap();
+            j.commit().unwrap();
             drop(j);
             let (_, replay) = Journal::open(&dir).unwrap();
             assert_eq!(replay.units[0].submissions.len(), 1);

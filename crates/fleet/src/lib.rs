@@ -14,10 +14,10 @@
 //!   channel attestation; only recognised enclave identities get work;
 //! * **a durable job queue** ([`journal`]) — every campaign-changing
 //!   event (unit added, check scheduled, verified submission, unit
-//!   completed, node quarantined, session lease) is a CRC-framed,
-//!   fsynced journal record written *before* the acknowledgement
-//!   leaves, so a `kill -9`'d coordinator resumes without losing or
-//!   double-crediting a unit;
+//!   completed, node quarantined, session lease) is a CRC-framed
+//!   journal record, and each request's records are committed with one
+//!   fsync *before* its acknowledgement leaves, so a `kill -9`'d
+//!   coordinator resumes without losing or double-crediting a unit;
 //! * **redundant spot checks** — a sampled fraction of units (plus
 //!   every new node's probation units) is executed by two distinct
 //!   nodes and the signed counters compared bit-for-bit; a mismatch is

@@ -243,11 +243,11 @@ rm -rf "$FLEET_DIR" "$COORD_LOG"
 echo "==> fleet coordinator SIGKILL resume smoke (no unit lost, none double-credited)"
 FLEET_DIR="$(mktemp -d)"
 COORD_LOG="$(mktemp)"
-UNITS=48
+UNITS=32
 start_coordinator() {
     : >"$COORD_LOG"
     "$ACCTEE_BIN" fleet coordinate --listen 127.0.0.1:0 --state-dir "$FLEET_DIR" \
-        --units "$UNITS" --unit-count 256 --redundancy 0 --probation 0 >"$COORD_LOG" 2>&1 &
+        --units "$UNITS" --unit-count 128 --redundancy 0 --probation 0 >"$COORD_LOG" 2>&1 &
     COORD_PID=$!
     ADDR=""
     for _ in $(seq 1 50); do

@@ -5,13 +5,18 @@
 //! Workers run as threads against a real TCP coordinator — the same
 //! wire path the multi-process bench uses, minus the process spawn.
 
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use acctee::Deployment;
 use acctee_fleet::{
     run_worker, Behavior, Coordinator, CoordinatorHandle, FleetConfig, Journal, ReconcileConfig,
     UnitSpec, WorkerConfig, WorkerExit, WorkloadKind,
 };
+use acctee_interp::Value;
+use acctee_net::wire::{self, FleetAck, FleetSubmission};
+use acctee_net::{Request, Response};
 
 const SEED: u64 = 0xacc7ee;
 
@@ -284,8 +289,12 @@ fn killed_coordinator_resumes_without_losing_or_double_crediting() {
     let specs = UnitSpec::campaign(12, WorkloadKind::SubsetSum, 8, 6000);
     let handle = spawn_coordinator(cfg.clone(), &specs);
     let addr = handle.addr();
+    // The early nodes are honest but pace each submission by 100 ms,
+    // so the stop below lands mid-campaign however fast the
+    // coordinator acknowledges (unpaced, 12 small units can all finish
+    // between two polls).
     let w1: Vec<_> = (0..2)
-        .map(|i| spawn_worker(addr, &format!("early-{i}"), Behavior::Honest))
+        .map(|i| spawn_worker(addr, &format!("early-{i}"), Behavior::Slow(100)))
         .collect();
     // Let some units complete, then pull the plug.
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
@@ -345,5 +354,101 @@ fn killed_coordinator_resumes_without_losing_or_double_crediting() {
     sessions.sort_unstable();
     sessions.dedup();
     assert_eq!(sessions.len(), credited.len(), "a session credited twice");
+    for u in &replay.units {
+        let done = u.done.as_deref().unwrap_or_default();
+        for sub in u
+            .submissions
+            .iter()
+            .filter(|s| done.contains(&s.record.signed.log.session_id))
+        {
+            assert_eq!(sub.result, u.spec.expected_result(), "unit {}", u.spec.id);
+        }
+    }
+    std::fs::remove_dir_all(&state_dir).unwrap();
+}
+
+/// One request/response exchange on a raw coordinator connection.
+fn exchange(stream: &mut TcpStream, req: &Request) -> Response {
+    wire::write_request(stream, req).unwrap();
+    wire::read_response(stream).unwrap()
+}
+
+#[test]
+fn reopened_finished_campaign_signs_identical_statements_and_acks_late_submits_stale() {
+    let cfg = FleetConfig {
+        redundancy: 0.0,
+        probation_checks: 0,
+        ..config("finished")
+    };
+    let state_dir = cfg.state_dir.clone();
+    let specs = UnitSpec::campaign(4, WorkloadKind::SubsetSum, 8, 7000);
+    let handle = spawn_coordinator(cfg.clone(), &specs);
+    let worker = spawn_worker(handle.addr(), "node-0", Behavior::Honest);
+    assert!(
+        handle.wait_done(Duration::from_secs(120)),
+        "campaign stalled"
+    );
+    assert_eq!(worker.join().unwrap().exit, WorkerExit::CampaignDone);
+    let signed = handle.reconcile(&ReconcileConfig::default()).unwrap();
+    handle.stop();
+    let (_, replay) = Journal::open(&state_dir).unwrap();
+    let unit = &replay.units[0];
+    let late = unit.submissions[0].clone();
+    assert_eq!(
+        unit.done.as_deref(),
+        Some(&[late.record.signed.log.session_id][..])
+    );
+
+    // The restart rebuilds no module for a done unit; what it signs is
+    // still exactly what was signed before the stop.
+    let handle = spawn_coordinator(cfg, &[]);
+    assert!(handle.report().done);
+    assert_eq!(
+        handle.reconcile(&ReconcileConfig::default()).unwrap(),
+        signed
+    );
+
+    // The node that earned the unit rejoins and submits its credited
+    // log again: stale, never credited twice.
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let hello = Request::FleetHello {
+        worker: late.worker.clone(),
+    };
+    let Response::FleetChallenge { nonce } = exchange(&mut stream, &hello) else {
+        panic!("no challenge");
+    };
+    let dep = Deployment::new(SEED);
+    let join = Request::FleetJoin {
+        worker: late.worker.clone(),
+        quote: dep
+            .infrastructure()
+            .accounting_enclave()
+            .attest_channel(&nonce)
+            .unwrap(),
+    };
+    let Response::FleetWelcome { worker_id } = exchange(&mut stream, &join) else {
+        panic!("rejoin refused");
+    };
+    let submit = Request::FleetSubmit {
+        worker_id,
+        unit_id: unit.spec.id,
+        session_id: late.record.signed.log.session_id,
+        submission: FleetSubmission::Completed {
+            results: vec![Value::I64(late.result)],
+            log: Box::new(late.record.signed.clone()),
+        },
+    };
+    match exchange(&mut stream, &submit) {
+        Response::FleetAckOk { ack } => assert_eq!(ack, FleetAck::Stale),
+        other => panic!("late submit answered {other:?}"),
+    }
+    assert_eq!(
+        handle.reconcile(&ReconcileConfig::default()).unwrap(),
+        signed
+    );
+    handle.stop();
     std::fs::remove_dir_all(&state_dir).unwrap();
 }
