@@ -73,7 +73,7 @@ pub(crate) const NONCE_LEN: usize = 16;
 pub(crate) const TAG_LEN: usize = 32;
 
 /// One deployment as persisted: enough to re-instrument and reload
-/// the workload on startup.
+/// the workload after a restart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeployRecord {
     /// The id handed to the client at deploy time.

@@ -45,7 +45,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use std::io::{Read, Write};
@@ -54,7 +54,7 @@ use std::os::unix::net::UnixStream;
 
 use acctee::enclave::LoadedWorkload;
 use acctee::{Deployment, SignedLog};
-use acctee_durable::{Durable, DurableOptions, FsyncPolicy, WalCommits};
+use acctee_durable::{DeployRecord, Durable, DurableOptions, FsyncPolicy, WalCommits};
 use acctee_interp::Engine;
 use acctee_telemetry::logging;
 
@@ -155,12 +155,78 @@ impl Default for ServerConfig {
 }
 
 /// A deployed workload: the artifact an `Invoke` executes against.
-/// Verified and loaded into the AE at deploy time; the compiled
-/// artifact inside is shared by every invoke. Clients keep the
-/// instrumented bytes + evidence from the deploy response themselves,
-/// so the server only retains the loaded form.
+/// A deploy made while the server runs is verified and loaded into the
+/// AE at deploy time. A deployment rehydrated from the deploy log on
+/// restart holds only its logged module until its first invoke, which
+/// instruments, verifies and loads it once (racing invokes wait on
+/// that one load) and keeps the result; a module that no longer loads
+/// keeps its error instead and fails only its own invokes. The
+/// compiled artifact inside is shared by every invoke. Clients keep
+/// the instrumented bytes + evidence from the deploy response
+/// themselves, so the server only retains the loaded form.
 struct Deployed {
-    workload: LoadedWorkload,
+    /// The loaded workload, or why the logged module would not load.
+    /// Once set, one atomic load reaches it.
+    workload: OnceLock<Result<LoadedWorkload, String>>,
+    /// The logged module awaiting its first invoke; freed by the load.
+    logged: Mutex<Option<DeployRecord>>,
+}
+
+impl Deployed {
+    fn loaded(workload: LoadedWorkload) -> Deployed {
+        Deployed {
+            workload: OnceLock::from(Ok(workload)),
+            logged: Mutex::new(None),
+        }
+    }
+
+    fn logged(rec: DeployRecord) -> Deployed {
+        Deployed {
+            workload: OnceLock::new(),
+            logged: Mutex::new(Some(rec)),
+        }
+    }
+
+    /// The workload to execute, loading a rehydrated deployment on its
+    /// first invoke. That load is timed as the request's `instrument`
+    /// stage, as a deploy's is.
+    fn workload(&self, shared: &Shared, trace: &mut ReqTrace) -> Result<&LoadedWorkload, &str> {
+        let loaded = match self.workload.get() {
+            Some(loaded) => loaded,
+            None => {
+                let started = Instant::now();
+                let loaded = self.workload.get_or_init(|| self.load_logged(shared));
+                trace
+                    .stages
+                    .push(("instrument".into(), started.elapsed().as_nanos() as u64));
+                loaded
+            }
+        };
+        loaded.as_ref().map_err(String::as_str)
+    }
+
+    /// Runs the deploy-time instrument → load pair on the logged
+    /// module, which it frees.
+    fn load_logged(&self, shared: &Shared) -> Result<LoadedWorkload, String> {
+        let rec = lock_or_recover(&self.logged)
+            .take()
+            .expect("only a logged deployment loads, and only once");
+        shared
+            .dep
+            .instrument(&rec.module, rec.level)
+            .and_then(|(bytes, evidence)| shared.dep.infrastructure().load(&bytes, &evidence))
+            .map_err(|e| {
+                logging::error(
+                    LOG,
+                    "logged deployment not rehydrated",
+                    &[
+                        ("deploy_id", rec.deploy_id.to_string()),
+                        ("error", e.to_string()),
+                    ],
+                );
+                format!("deploy id {} could not be rehydrated: {e}", rec.deploy_id)
+            })
+    }
 }
 
 /// A hash-sharded map: `shards` independent mutexes, each guarding a
@@ -349,21 +415,18 @@ impl Server {
                 let (durable, recovery) =
                     Durable::open(dir, opts, infra.accounting_enclave(), infra.pricing)
                         .map_err(std::io::Error::other)?;
-                // Rehydrate logged deployments: re-instrument and
-                // reload each module so pre-crash deploy ids keep
-                // serving invokes. Determinism makes this exact — the
-                // same module and level reproduce the same workload.
-                for rec in &recovery.deployments {
-                    let (bytes, evidence) = dep
-                        .instrument(&rec.module, rec.level)
-                        .map_err(std::io::Error::other)?;
-                    let workload = dep
-                        .infrastructure()
-                        .load(&bytes, &evidence)
-                        .map_err(std::io::Error::other)?;
+                let deployment_count = recovery.deployments.len();
+                // Register logged deployments so pre-crash deploy ids
+                // keep serving invokes. Each is instrumented and loaded
+                // on its first invoke, not here: a restart pays only
+                // for the deployments it serves, and a module that no
+                // longer loads fails only its own invokes. Determinism
+                // makes this exact — the same module and level
+                // reproduce the same workload.
+                for rec in recovery.deployments {
                     deployments
                         .lock(&rec.deploy_id)
-                        .insert(rec.deploy_id, Arc::new(Deployed { workload }));
+                        .insert(rec.deploy_id, Arc::new(Deployed::logged(rec)));
                 }
                 next_deploy = recovery.next_deploy;
                 next_session = recovery.next_session;
@@ -375,7 +438,7 @@ impl Server {
                         ("records", recovery.records_replayed.to_string()),
                         ("duplicates", recovery.duplicates_dropped.to_string()),
                         ("torn_bytes", recovery.torn_bytes_discarded.to_string()),
-                        ("deployments", recovery.deployments.len().to_string()),
+                        ("deployments", deployment_count.to_string()),
                         (
                             "deploy_torn_bytes",
                             recovery.deploy_torn_bytes_discarded.to_string(),
@@ -1224,7 +1287,7 @@ fn handle_deploy(
     shared
         .deployments
         .lock(&deploy_id)
-        .insert(deploy_id, Arc::new(Deployed { workload }));
+        .insert(deploy_id, Arc::new(Deployed::loaded(workload)));
     // Persist before acknowledging: a deploy id the client saw must
     // survive a restart. On failure the in-memory insert is rolled
     // back so the maps never advertise an unrecoverable deployment.
@@ -1294,6 +1357,10 @@ fn handle_invoke(
             message: format!("unknown deploy id {deploy_id}"),
         };
     };
+    let workload = match deployed.workload(shared, trace) {
+        Ok(w) => w,
+        Err(e) => return error_resp(e),
+    };
     let session_id = shared.next_session.fetch_add(1, Ordering::SeqCst);
     // Cover the id with the sealed session lease *before* executing:
     // once leased, a restart can never re-issue it — even if this
@@ -1308,13 +1375,10 @@ fn handle_invoke(
         }
     }
     let execute_started = Instant::now();
-    let result = shared.dep.infrastructure().execute_billed(
-        &deployed.workload,
-        func,
-        args,
-        input,
-        session_id,
-    );
+    let result = shared
+        .dep
+        .infrastructure()
+        .execute_billed(workload, func, args, input, session_id);
     trace.stages.push((
         "execute".into(),
         execute_started.elapsed().as_nanos() as u64,

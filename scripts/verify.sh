@@ -173,6 +173,13 @@ done
 # The one pre-crash deployment came back from the deploy log.
 grep 'msg="durable state recovered"' "$SERVE_LOG" | grep -q ' deployments=1 ' \
     || { echo "restarted server did not recover exactly 1 deployment"; kill "$SERVE_PID"; exit 1; }
+# Rehydration is lazy: the restart instruments no logged module until
+# an invoke needs it.
+PROM="$(mktemp)"
+"$ACCTEE_BIN" stats --prom --connect "$ADDR" >"$PROM"
+grep -qx 'acctee_cache_misses_total 0' "$PROM" \
+    || { echo "restart instrumented a logged module before any invoke"; kill "$SERVE_PID"; exit 1; }
+rm -f "$PROM"
 # The pre-crash record must come back over the wire, signature intact,
 OUT="$("$ACCTEE_BIN" fetch-log --connect "$ADDR" --session "$SESSION")" \
     && grep -q "verified" <<<"$OUT" \
@@ -215,12 +222,23 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 [ -n "$ADDR" ] || { echo "coordinator never reported its address"; kill "$COORD_PID"; exit 1; }
+# The cheater joins first: a campaign this small can otherwise finish
+# before it holds any work. Honest workers start once it is listed.
+"$ACCTEE_BIN" fleet work --connect "$ADDR" --name smoke-cheat --behavior flip >/dev/null 2>&1 &
+W2=$!
+JOINED=""
+for _ in $(seq 1 50); do
+    if "$ACCTEE_BIN" fleet status --connect "$ADDR" | grep -q "^smoke-cheat "; then
+        JOINED=1
+        break
+    fi
+    sleep 0.1
+done
+[ -n "$JOINED" ] || { echo "cheater never joined"; kill "$COORD_PID" "$W2" 2>/dev/null; exit 1; }
 "$ACCTEE_BIN" fleet work --connect "$ADDR" --name smoke-h0 --behavior honest >/dev/null 2>&1 &
 W0=$!
 "$ACCTEE_BIN" fleet work --connect "$ADDR" --name smoke-h1 --behavior honest >/dev/null 2>&1 &
 W1=$!
-"$ACCTEE_BIN" fleet work --connect "$ADDR" --name smoke-cheat --behavior flip >/dev/null 2>&1 &
-W2=$!
 "$ACCTEE_BIN" fleet status --connect "$ADDR" | grep -q "campaign:" \
     || { echo "fleet status probe failed"; kill "$COORD_PID" "$W0" "$W1" "$W2" 2>/dev/null; exit 1; }
 wait "$COORD_PID"   # exits 0 only after the campaign completes and every statement verifies

@@ -22,7 +22,9 @@ use acctee_durable::{
     Durable, DurableError, DurableOptions, FsyncPolicy, SnapshotStore, UsageRecord,
 };
 use acctee_interp::Value;
-use acctee_net::{Client, InvokeSpec, Server, ServerConfig, TrustAnchor};
+use acctee_net::{
+    Client, DeployHandle, InvokeOutcome, InvokeSpec, NetError, Server, ServerConfig, TrustAnchor,
+};
 use acctee_sgx::crypto::sha256;
 use acctee_sgx::{Measurement, Quote};
 use acctee_wasm::builder::ModuleBuilder;
@@ -75,6 +77,12 @@ fn shutdown(addr: std::net::SocketAddr, handle: std::thread::JoinHandle<()>) {
 
 /// A module with real work so the accounted counters are non-trivial.
 fn work_module() -> Vec<u8> {
+    biased_work_module(0)
+}
+
+/// [`work_module`] with `bias` added to its result: a distinct module
+/// (and cache key) per bias.
+fn biased_work_module(bias: i32) -> Vec<u8> {
     let mut b = ModuleBuilder::new();
     b.memory(1, None);
     let f = b.func("run", &[ValType::I32], &[ValType::I32], |f| {
@@ -96,6 +104,10 @@ fn work_module() -> Vec<u8> {
         });
         f.i32_const(0);
         f.i32_load(0);
+        if bias != 0 {
+            f.i32_const(bias);
+            f.i32_add();
+        }
     });
     b.export_func("run", f);
     encode_module(&b.build())
@@ -507,5 +519,141 @@ fn graceful_drain_checkpoints_even_without_fsync() {
         .expect("drained state recovered");
     assert_eq!(fetched, outcome.log);
     shutdown(addr2, handle2);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ------------------------------------------- lazy rehydration
+
+/// A restart instruments no logged module until that module is
+/// invoked: right after the rebind the artifact cache has seen no
+/// miss, each deployment's first invoke adds exactly one (two
+/// connections racing one id share it), and every rehydrated
+/// deployment answers and accounts exactly as before the restart.
+#[test]
+fn restart_rehydrates_each_deployment_on_its_first_invoke() {
+    let dir = tmpdir("lazy");
+    let levels = [
+        Level::Naive,
+        Level::FlowBased,
+        Level::LoopBased,
+        Level::Naive,
+        Level::LoopBased,
+    ];
+    let args = [Value::I32(40)];
+    let (addr, handle) = Server::bind("127.0.0.1:0", durable_cfg(&dir))
+        .expect("bind")
+        .spawn();
+    let mut client = connect(addr);
+    let before: Vec<_> = levels
+        .iter()
+        .enumerate()
+        .map(|(bias, &level)| {
+            let deployed = client
+                .deploy(&biased_work_module(bias as i32), level)
+                .expect("deploy");
+            let outcome = client
+                .invoke(&deployed, "run", &args, b"", "gina")
+                .expect("invoke");
+            (deployed, outcome)
+        })
+        .collect();
+    shutdown(addr, handle);
+
+    let (addr, handle) = Server::bind("127.0.0.1:0", durable_cfg(&dir))
+        .expect("rebind")
+        .spawn();
+    let mut client = connect(addr);
+    let misses = |client: &mut Client| client.stats().expect("stats").instr_cache.misses;
+    assert_eq!(misses(&mut client), 0, "bind instrumented a logged module");
+    let same_as_before = |after: &InvokeOutcome, before: &InvokeOutcome| {
+        assert_eq!(after.results, before.results);
+        assert_eq!(
+            after.log.log.weighted_instructions,
+            before.log.log.weighted_instructions
+        );
+    };
+
+    // Two connections race the first invoke of one rehydrated id.
+    let (raced, raced_before) = &before[0];
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut racer = connect(addr);
+                    start.wait();
+                    racer
+                        .invoke(raced, "run", &args, b"", "gina")
+                        .expect("raced first invoke")
+                })
+            })
+            .collect();
+        for racer in racers {
+            same_as_before(&racer.join().expect("racer"), raced_before);
+        }
+    });
+    assert_eq!(misses(&mut client), 1, "a raced rehydration loaded twice");
+
+    for (k, (deployed, outcome)) in before.iter().enumerate().skip(1) {
+        let after = client
+            .invoke(deployed, "run", &args, b"", "gina")
+            .expect("first invoke after restart");
+        same_as_before(&after, outcome);
+        assert_eq!(misses(&mut client), 1 + k as u64);
+    }
+    shutdown(addr, handle);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `tests/golden/state_registry_v1/` logs deploys 1 and 2 under seed
+/// `0x901d` with module bytes that are not valid wasm. The server still
+/// binds on it; each of those ids fails only its own invokes, naming
+/// the id, with the load error cached rather than retried, and a fresh
+/// deployment on the same server serves verified invokes.
+#[test]
+fn a_logged_module_that_no_longer_loads_fails_only_its_own_invokes() {
+    const GOLDEN_SEED: u64 = 0x901d;
+    let dir = tmpdir("unloadable");
+    copy_dir(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/state_registry_v1"),
+        &dir,
+    );
+    let cfg = ServerConfig {
+        seed: GOLDEN_SEED,
+        state_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = Server::bind("127.0.0.1:0", cfg)
+        .expect("an unloadable logged module must not stop bind")
+        .spawn();
+    let mut client =
+        Client::connect(addr, TrustAnchor::new(GOLDEN_SEED), TIMEOUT).expect("connect + attest");
+    let fresh = client
+        .deploy(&work_module(), Level::LoopBased)
+        .expect("fresh deploy");
+    assert_eq!(fresh.deploy_id, 3, "ids resume past the logged deployments");
+
+    let logged = DeployHandle {
+        deploy_id: 1,
+        ..fresh.clone()
+    };
+    let mut misses = Vec::new();
+    for _ in 0..2 {
+        match client.invoke(&logged, "run", &[Value::I32(3)], b"", "hana") {
+            Err(NetError::Server(message)) => {
+                assert!(message.contains("deploy id 1"), "{message}");
+            }
+            other => panic!("an unloadable deployment must answer an error: {other:?}"),
+        }
+        misses.push(client.stats().expect("stats").instr_cache.misses);
+    }
+    assert_eq!(misses[0], misses[1], "a failed rehydration was retried");
+
+    let outcome = client
+        .invoke(&fresh, "run", &[Value::I32(3)], b"", "hana")
+        .expect("fresh invoke verified");
+    assert_eq!(outcome.results, vec![Value::I32(6)]);
+    client.shutdown().expect("shutdown accepted");
+    handle.join().expect("server drains and exits");
     std::fs::remove_dir_all(&dir).unwrap();
 }
