@@ -273,6 +273,100 @@ mod tests {
         );
     }
 
+    /// `(i % 251)` for `i` in `0..len`: no 64-byte block repeats.
+    fn counting_bytes(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    // Reference hex from Python's `hashlib.sha256`. The lengths sit on
+    // the padding edges: 55 is the longest message whose length field
+    // fits its last block, 56..=63 spill the padding into a second one.
+    #[test]
+    fn sha256_padding_boundaries() {
+        const VECTORS: [(usize, &str); 10] = [
+            (
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                1,
+                "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+            ),
+            (
+                55,
+                "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59",
+            ),
+            (
+                56,
+                "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562",
+            ),
+            (
+                63,
+                "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488",
+            ),
+            (
+                64,
+                "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108",
+            ),
+            (
+                65,
+                "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781",
+            ),
+            (
+                119,
+                "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6",
+            ),
+            (
+                120,
+                "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c",
+            ),
+            (
+                1000,
+                "4e4c294b331f7a2099a379bec34b9f9fc03dc46ab465d998f4d683da53487e6d",
+            ),
+        ];
+        for (len, want) in VECTORS {
+            assert_eq!(hex(&sha256(&counting_bytes(len))), want, "len {len}");
+        }
+    }
+
+    // Reference hex from Python's `hmac` module. Keys of up to 64 bytes
+    // are zero-padded, longer ones are hashed first.
+    #[test]
+    fn hmac_key_length_boundaries() {
+        const VECTORS: [(usize, &str); 6] = [
+            (
+                0,
+                "f50c8157520b0c1aa1ff29e8273b06d48e0a993ffeff696538019e6761c161b7",
+            ),
+            (
+                1,
+                "30e25daca1e402edda4027a5be255ad550a7490011f374cafc28d53dd6105779",
+            ),
+            (
+                32,
+                "2ddac5d222bc74033e4cf64d3b07d9717dd76bf0f7826d244a08c972d442fa1e",
+            ),
+            (
+                64,
+                "6e67abe60e80691f8b48b7fd776e3fb7dec7774e8c5f303ef00f62e369b794f6",
+            ),
+            (
+                65,
+                "c492464f2a8ce29bbd45f564761c25daef181bae690bd19634de9e15c8e13186",
+            ),
+            (
+                131,
+                "76cd03b1a24fc89c4db035b00b67f88501e853434a4df11874dae4671ef60c76",
+            ),
+        ];
+        let msg = b"acctee hmac boundary vector";
+        for (key_len, want) in VECTORS {
+            let key: Vec<u8> = (0..key_len).map(|i| (0x40 + i) as u8).collect();
+            assert_eq!(hex(&hmac_sha256(&key, msg)), want, "key len {key_len}");
+        }
+    }
+
     #[test]
     fn digest_eq_works() {
         let a = sha256(b"x");

@@ -132,4 +132,72 @@ mod tests {
         assert_eq!(unseal(&e, &seal(&e, [1; 16], &big)).unwrap(), big);
         assert_eq!(unseal(&e, &seal(&e, [2; 16], b"")).unwrap(), b"");
     }
+
+    /// The sealed-blob format, pinned byte for byte. Every registry
+    /// checkpoint and deploy-log frame on disk was sealed this way, so
+    /// a change to the cipher that moves any of these bytes would stop
+    /// them opening. The reference hex was computed independently with
+    /// Python's `hashlib`/`hmac` from the construction in this module.
+    #[test]
+    fn seal_format_is_pinned() {
+        const PINNED: [(usize, &str, &str); 6] = [
+            (
+                0,
+                "",
+                "1afc95c75b27a4b166a31481fbc4b926ac916690b4e39724ad0c431540e2c267",
+            ),
+            (
+                1,
+                "ca",
+                "d72b63fe2591374d7286edf6b0d3ae408e753e540fad2539e26bce410dfa6d7d",
+            ),
+            (
+                31,
+                "cae27b7c60805c44fe96e9222e59f1b8f787d3656ff3ab9a36589ea660af2a",
+                "64021d95308a0d8492e72190a59cd072e735c5f72b15d839fdcb471c566fdb1f",
+            ),
+            (
+                32,
+                "cae27b7c60805c44fe96e9222e59f1b8f787d3656ff3ab9a36589ea660af2a2e",
+                "bb74ca51d8f82521fd9edc93e373b922bf2063e18cd117589bf1307f008df4ec",
+            ),
+            (
+                33,
+                "cae27b7c60805c44fe96e9222e59f1b8f787d3656ff3ab9a36589ea660af2a2e58",
+                "8e12e4712284710296d15e06a2327219c323cdb084f3a75f8fa6a3134dde6994",
+            ),
+            (
+                100,
+                "cae27b7c60805c44fe96e9222e59f1b8f787d3656ff3ab9a36589ea660af2a2e\
+                 58b046ad5c2e5c3363af2ae8b791dabee4d9fe76cf5de84d5c0b81b5bacac721\
+                 9f6939e1b14b719e8680ff255b3d0f922bd8faf528d2672fe465346d7745de52\
+                 d32598be",
+                "15aff6805615c0ba6b384d51e9aa4f1cb35399ac3686a9ff2ae573370696a08d",
+            ),
+        ];
+        let e = Platform::new("seal-pin", 0x5ea1).create_enclave(b"seal-pin-enclave");
+        let other = Platform::new("seal-pin", 0x5ea1).create_enclave(b"seal-pin-other");
+        let nonce: [u8; 16] = std::array::from_fn(|i| 0x10 + i as u8);
+        let hex_bytes = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        for (len, ciphertext, tag) in PINNED {
+            let plain: Vec<u8> = (0..len).map(|i| ((i * 7 + 3) % 256) as u8).collect();
+            let sealed = seal(&e, nonce, &plain);
+            assert_eq!(hex_bytes(&sealed.ciphertext), ciphertext, "len {len}");
+            assert_eq!(crate::crypto::hex(&sealed.tag), tag, "len {len}");
+            assert_eq!(
+                unseal(&e, &sealed).as_deref(),
+                Some(&plain[..]),
+                "len {len}"
+            );
+            assert_eq!(unseal(&other, &sealed), None, "len {len}: other enclave");
+            let mut bad_tag = sealed.clone();
+            bad_tag.tag[len % 32] ^= 0x01;
+            assert_eq!(unseal(&e, &bad_tag), None, "len {len}: flipped tag");
+            if len > 0 {
+                let mut bad_ct = sealed.clone();
+                bad_ct.ciphertext[len - 1] ^= 0x80;
+                assert_eq!(unseal(&e, &bad_ct), None, "len {len}: flipped ciphertext");
+            }
+        }
+    }
 }
