@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::crypto::{digest_eq, hmac_sha256, Digest};
+use crate::crypto::{digest_eq, Digest, HmacKey};
 use crate::enclave::{Measurement, Platform, Report};
 
 /// Why attestation failed.
@@ -54,12 +54,13 @@ pub struct Quote {
 }
 
 impl Quote {
-    fn payload(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(32 + 64 + self.platform.len());
-        p.extend_from_slice(&self.mrenclave.0);
-        p.extend_from_slice(&self.report_data);
-        p.extend_from_slice(self.platform.as_bytes());
-        p
+    /// The MAC of mrenclave || report_data || platform under `key`.
+    fn signature_under(&self, key: &HmacKey) -> Digest {
+        key.mac_parts(&[
+            &self.mrenclave.0,
+            &self.report_data,
+            self.platform.as_bytes(),
+        ])
     }
 }
 
@@ -67,8 +68,10 @@ impl Quote {
 /// quotes (the IAS role).
 #[derive(Debug, Clone)]
 pub struct AttestationAuthority {
-    root: Digest,
-    registered: Arc<Mutex<HashMap<String, ()>>>,
+    root: HmacKey,
+    /// Each genuine platform's quote key, derived once when the
+    /// platform is provisioned or recognized.
+    registered: Arc<Mutex<HashMap<String, HmacKey>>>,
 }
 
 impl AttestationAuthority {
@@ -77,25 +80,27 @@ impl AttestationAuthority {
         let mut material = b"acctee-attestation-root".to_vec();
         material.extend_from_slice(&seed.to_le_bytes());
         AttestationAuthority {
-            root: crate::crypto::sha256(&material),
+            root: HmacKey::new(&crate::crypto::sha256(&material)),
             registered: Arc::new(Mutex::new(HashMap::new())),
         }
     }
 
-    fn platform_quote_key(&self, platform: &str) -> Digest {
-        hmac_sha256(&self.root, platform.as_bytes())
+    /// Registers `platform` as genuine and returns its quote key.
+    fn register(&self, platform: &str) -> HmacKey {
+        let key = HmacKey::new(&self.root.mac(platform.as_bytes()));
+        self.registered
+            .lock()
+            .expect("registry lock")
+            .insert(platform.to_string(), key.clone());
+        key
     }
 
     /// Provisions a platform's quoting enclave, returning it. This is
     /// the moment the authority decides the platform is genuine.
     pub fn provision(&self, platform: &Platform) -> QuotingEnclave {
-        self.registered
-            .lock()
-            .expect("registry lock")
-            .insert(platform.name.clone(), ());
         QuotingEnclave {
             platform: platform.clone(),
-            quote_key: self.platform_quote_key(&platform.name),
+            quote_key: self.register(&platform.name),
         }
     }
 
@@ -107,10 +112,7 @@ impl AttestationAuthority {
     /// accept quotes from the well-known platform names it audited,
     /// without ever holding those platforms' quoting keys.
     pub fn recognize(&self, platform_name: &str) {
-        self.registered
-            .lock()
-            .expect("registry lock")
-            .insert(platform_name.to_string(), ());
+        self.register(platform_name);
     }
 
     /// Verifies a quote, returning the attested measurement.
@@ -121,17 +123,14 @@ impl AttestationAuthority {
     /// provisioned; [`AttestationError::BadQuote`] if the signature
     /// does not verify.
     pub fn verify(&self, quote: &Quote) -> Result<Measurement, AttestationError> {
-        if !self
+        let key = self
             .registered
             .lock()
             .expect("registry lock")
-            .contains_key(&quote.platform)
-        {
-            return Err(AttestationError::UnknownPlatform);
-        }
-        let key = self.platform_quote_key(&quote.platform);
-        let expected = hmac_sha256(&key, &quote.payload());
-        if !digest_eq(&expected, &quote.signature) {
+            .get(&quote.platform)
+            .cloned()
+            .ok_or(AttestationError::UnknownPlatform)?;
+        if !digest_eq(&quote.signature_under(&key), &quote.signature) {
             return Err(AttestationError::BadQuote);
         }
         Ok(quote.mrenclave)
@@ -143,7 +142,7 @@ impl AttestationAuthority {
 #[derive(Debug, Clone)]
 pub struct QuotingEnclave {
     platform: Platform,
-    quote_key: Digest,
+    quote_key: HmacKey,
 }
 
 impl QuotingEnclave {
@@ -163,7 +162,7 @@ impl QuotingEnclave {
             platform: self.platform.name.clone(),
             signature: [0; 32],
         };
-        q.signature = hmac_sha256(&self.quote_key, &q.payload());
+        q.signature = q.signature_under(&self.quote_key);
         Ok(q)
     }
 }
@@ -257,6 +256,67 @@ mod tests {
         let enclave = other.create_enclave(b"code");
         let report = enclave.report(report_data(b"x"));
         assert_eq!(qe.quote(&report), Err(AttestationError::BadReport));
+    }
+
+    #[test]
+    fn unregistered_name_is_unknown_even_with_other_platforms_cached() {
+        let (authority, platform, qe) = setup();
+        authority.recognize("audited");
+        let enclave = platform.create_enclave(b"code");
+        let mut quote = qe.quote(&enclave.report(report_data(b"x"))).unwrap();
+        quote.platform = "never-registered".to_string();
+        assert_eq!(
+            authority.verify(&quote),
+            Err(AttestationError::UnknownPlatform)
+        );
+    }
+
+    #[test]
+    fn recognizing_a_provisioned_platform_keeps_its_quotes_verifying() {
+        let (authority, platform, qe) = setup();
+        authority.recognize("prov-1");
+        let enclave = platform.create_enclave(b"code");
+        let quote = qe.quote(&enclave.report(report_data(b"x"))).unwrap();
+        assert_eq!(authority.verify(&quote).unwrap(), enclave.measurement());
+        let fresh = qe.quote(&enclave.report(report_data(b"y"))).unwrap();
+        assert_eq!(authority.verify(&fresh).unwrap(), enclave.measurement());
+    }
+
+    #[test]
+    fn quote_relabelled_to_another_registered_platform_is_bad() {
+        let (authority, platform, qe) = setup();
+        let other = Platform::new("prov-2", 8);
+        let _other_qe = authority.provision(&other);
+        authority.recognize("audited");
+        let enclave = platform.create_enclave(b"code");
+        let quote = qe.quote(&enclave.report(report_data(b"x"))).unwrap();
+        for name in ["prov-2", "audited"] {
+            let mut relabelled = quote.clone();
+            relabelled.platform = name.to_string();
+            assert_eq!(
+                authority.verify(&relabelled),
+                Err(AttestationError::BadQuote),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn quoting_and_verifying_cost_a_fixed_number_of_compressions() {
+        use crate::crypto::compressions;
+        let (authority, platform, qe) = setup();
+        let enclave = platform.create_enclave(b"code");
+        let report = enclave.report(report_data(b"x"));
+        // A quote verifies its 96-byte report (2 inner blocks + 1 outer)
+        // and signs 96 + 6 bytes of payload (2 + 1), with every key
+        // already absorbed.
+        let before = compressions();
+        let quote = qe.quote(&report).unwrap();
+        assert_eq!(compressions() - before, 3 + 3);
+        // Verification uses the cached quote key: one signature check.
+        let before = compressions();
+        authority.verify(&quote).unwrap();
+        assert_eq!(compressions() - before, 3);
     }
 
     #[test]

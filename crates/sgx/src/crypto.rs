@@ -5,7 +5,8 @@
 //! the NIST test vectors in the unit tests) and builds HMAC (RFC 2104)
 //! and a keyed signature scheme on top. Within the simulation the MACs
 //! are unforgeable without the key, which is the property the
-//! attestation protocol relies on.
+//! attestation protocol relies on. Keys that sign repeatedly are held
+//! as [`HmacKey`]s, which absorb the key once rather than per MAC.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -62,93 +63,106 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return self;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while rest.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&rest[..64]);
-            self.compress(&block);
-            rest = &rest[64..];
+        let mut blocks = rest.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        let tail = blocks.remainder();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
         self
     }
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> Digest {
+        // Padding: 0x80, zeros, then the message length in bits in the
+        // last 8 bytes of a block. `buf_len` is below 64 here; from 56
+        // on the length no longer fits and takes a block of its own.
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0; 64];
         }
-        // Manually append the length (the update above tracked
-        // total_len for padding bytes too, but padding is not counted
-        // in the message length, which we already captured).
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+#[cfg(test)]
+thread_local! {
+    static COMPRESSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// SHA-256 block compressions run so far on this thread. Tests count
+/// with it, so a change that hashes more than it should fails
+/// deterministically rather than by a timing threshold.
+#[cfg(test)]
+pub(crate) fn compressions() -> u64 {
+    COMPRESSIONS.with(|c| c.get())
+}
+
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(test)]
+    COMPRESSIONS.with(|c| c.set(c.get() + 1));
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[i * 4],
+            block[i * 4 + 1],
+            block[i * 4 + 2],
+            block[i * 4 + 3],
+        ]);
     }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 /// One-shot SHA-256.
@@ -158,26 +172,60 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// HMAC-SHA-256 (RFC 2104).
+/// An HMAC-SHA-256 key (RFC 2104) with its ipad and opad blocks
+/// already absorbed. A key that signs many messages is absorbed once:
+/// each [`HmacKey::mac`] then hashes only the message and one outer
+/// block, two compressions fewer than keying from scratch.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Absorbs `key`; keys longer than a block are hashed first.
+    pub fn new(key: &[u8]) -> HmacKey {
+        let mut k = [0u8; 64];
+        if key.len() > 64 {
+            k[..32].copy_from_slice(&sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&k.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&k.map(|b| b ^ 0x5c));
+        HmacKey { inner, outer }
+    }
+
+    /// The MAC of `msg`.
+    pub fn mac(&self, msg: &[u8]) -> Digest {
+        self.mac_parts(&[msg])
+    }
+
+    /// The MAC of the concatenation of `parts`, without building it.
+    pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+/// The absorbed states are as good as the key, so `{:?}` shows neither.
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("HmacKey(..)")
+    }
+}
+
+/// HMAC-SHA-256 (RFC 2104) under a key used once; a key that signs
+/// repeatedly belongs in an [`HmacKey`].
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
-    let mut k = [0u8; 64];
-    if key.len() > 64 {
-        k[..32].copy_from_slice(&sha256(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; 64];
-    let mut opad = [0x5cu8; 64];
-    for i in 0..64 {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad).update(msg);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad).update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(msg)
 }
 
 /// Constant-time-ish digest comparison (sufficient for a simulation;
@@ -365,6 +413,42 @@ mod tests {
             let key: Vec<u8> = (0..key_len).map(|i| (0x40 + i) as u8).collect();
             assert_eq!(hex(&hmac_sha256(&key, msg)), want, "key len {key_len}");
         }
+    }
+
+    #[test]
+    fn hmac_key_matches_one_shot_and_parts_match_whole() {
+        let msg = counting_bytes(200);
+        for key_len in [0, 1, 32, 64, 65, 131] {
+            let raw: Vec<u8> = (0..key_len).map(|i| (0x40 + i) as u8).collect();
+            let key = HmacKey::new(&raw);
+            for len in [0, 1, 55, 56, 63, 64, 65, 200] {
+                let whole = hmac_sha256(&raw, &msg[..len]);
+                assert_eq!(key.mac(&msg[..len]), whole, "key {key_len}, len {len}");
+                for split in [0, len / 3, len] {
+                    let (a, b) = msg[..len].split_at(split);
+                    assert_eq!(key.mac_parts(&[a, &[], b]), whole, "split {split}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compression_counts() {
+        // A message of n bytes plus the 9 bytes of padding fills
+        // ceil((n + 9) / 64) blocks.
+        let before = compressions();
+        sha256(&[0; 55]);
+        sha256(&[0; 56]);
+        assert_eq!(compressions() - before, 1 + 2);
+        // An absorbed key costs its two pad blocks once; each MAC then
+        // costs the message blocks and one outer block.
+        let before = compressions();
+        let key = HmacKey::new(b"k");
+        assert_eq!(compressions() - before, 2);
+        let before = compressions();
+        key.mac(&[0; 55]);
+        key.mac(&[0; 56]);
+        assert_eq!(compressions() - before, (1 + 1) + (2 + 1));
     }
 
     #[test]

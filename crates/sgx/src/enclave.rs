@@ -1,6 +1,7 @@
 //! Enclave lifecycle: platforms, measurements, reports.
 
-use crate::crypto::{digest_eq, hex, hmac_sha256, sha256, Digest};
+use crate::crypto::{digest_eq, hex, sha256, Digest, HmacKey};
+use crate::seal::SealKeys;
 
 /// An enclave measurement (MRENCLAVE): the SHA-256 of the enclave's
 /// code and configuration.
@@ -40,11 +41,8 @@ pub struct Report {
 }
 
 impl Report {
-    fn payload(mrenclave: &Measurement, report_data: &[u8; 64]) -> Vec<u8> {
-        let mut p = Vec::with_capacity(32 + 64);
-        p.extend_from_slice(&mrenclave.0);
-        p.extend_from_slice(report_data);
-        p
+    fn mac_under(key: &HmacKey, mrenclave: &Measurement, report_data: &[u8; 64]) -> Digest {
+        key.mac_parts(&[&mrenclave.0, report_data])
     }
 }
 
@@ -52,7 +50,7 @@ impl Report {
 /// links enclaves to the local quoting enclave.
 #[derive(Debug, Clone)]
 pub struct Platform {
-    platform_key: Digest,
+    platform_key: HmacKey,
     /// A stable identifier for logs.
     pub name: String,
 }
@@ -66,26 +64,27 @@ impl Platform {
         material.extend_from_slice(name.as_bytes());
         material.extend_from_slice(&seed.to_le_bytes());
         Platform {
-            platform_key: sha256(&material),
+            platform_key: HmacKey::new(&sha256(&material)),
             name: name.to_string(),
         }
     }
 
     /// Loads `code` into a new enclave on this platform.
     pub fn create_enclave(&self, code: &[u8]) -> Enclave {
+        let mrenclave = Measurement::of(code);
+        let seal = SealKeys::derive(&seal_key(&self.platform_key, &mrenclave));
         Enclave {
-            mrenclave: Measurement::of(code),
-            platform_key: self.platform_key,
+            mrenclave,
+            platform_key: self.platform_key.clone(),
+            seal,
         }
     }
 
     /// Verifies a report produced by an enclave on this platform
     /// (local attestation, used by the quoting enclave).
     pub fn verify_report(&self, report: &Report) -> bool {
-        let expected = hmac_sha256(
-            &self.platform_key,
-            &Report::payload(&report.mrenclave, &report.report_data),
-        );
+        let expected =
+            Report::mac_under(&self.platform_key, &report.mrenclave, &report.report_data);
         digest_eq(&expected, &report.mac)
     }
 }
@@ -95,7 +94,8 @@ impl Platform {
 #[derive(Debug, Clone)]
 pub struct Enclave {
     mrenclave: Measurement,
-    platform_key: Digest,
+    platform_key: HmacKey,
+    seal: SealKeys,
 }
 
 impl Enclave {
@@ -106,10 +106,7 @@ impl Enclave {
 
     /// Produces a local-attestation report binding `report_data`.
     pub fn report(&self, report_data: [u8; 64]) -> Report {
-        let mac = hmac_sha256(
-            &self.platform_key,
-            &Report::payload(&self.mrenclave, &report_data),
-        );
+        let mac = Report::mac_under(&self.platform_key, &self.mrenclave, &report_data);
         Report {
             mrenclave: self.mrenclave,
             report_data,
@@ -120,11 +117,18 @@ impl Enclave {
     /// Derives the enclave's sealing key (stable across restarts on the
     /// same platform for the same measurement).
     pub fn seal_key(&self) -> Digest {
-        let mut material = Vec::new();
-        material.extend_from_slice(b"seal");
-        material.extend_from_slice(&self.mrenclave.0);
-        hmac_sha256(&self.platform_key, &material)
+        seal_key(&self.platform_key, &self.mrenclave)
     }
+
+    /// The cipher and MAC keys [`crate::seal`] uses, derived once from
+    /// [`Enclave::seal_key`] when the enclave was created.
+    pub(crate) fn seal_keys(&self) -> &SealKeys {
+        &self.seal
+    }
+}
+
+fn seal_key(platform_key: &HmacKey, mrenclave: &Measurement) -> Digest {
+    platform_key.mac_parts(&[b"seal", &mrenclave.0])
 }
 
 /// Packs at most 64 bytes into report data (zero padded).
@@ -186,6 +190,34 @@ mod tests {
         assert_eq!(k1, k1_again);
         assert_ne!(k1, k2);
         assert_ne!(k1, k3);
+    }
+
+    #[test]
+    fn a_report_costs_a_fixed_number_of_compressions() {
+        let e = Platform::new("alpha", 1).create_enclave(b"code");
+        // 32 + 64 bytes of payload: two inner blocks and one outer,
+        // the platform key having been absorbed once.
+        let before = crate::crypto::compressions();
+        e.report(report_data(b"hello"));
+        assert_eq!(crate::crypto::compressions() - before, 3);
+    }
+
+    #[test]
+    fn debug_output_shows_no_key_material() {
+        let p = Platform::new("alpha", 1);
+        let e = p.create_enclave(b"code");
+        let mut material = b"acctee-platform-key".to_vec();
+        material.extend_from_slice(b"alpha");
+        material.extend_from_slice(&1u64.to_le_bytes());
+        let platform_key = sha256(&material);
+        for shown in [format!("{p:?}"), format!("{e:?}"), format!("{e:#?}")] {
+            assert!(shown.contains("HmacKey(..)"), "{shown}");
+            for key in [platform_key, e.seal_key()] {
+                assert!(!shown.contains(&hex(&key)), "{shown}");
+                assert!(!shown.contains(&format!("{key:?}")), "{shown}");
+                assert!(!shown.contains(&format!("{key:#?}")), "{shown}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the confidentiality + integrity contract the AccTEE protocol needs
 //! within the simulation.
 
-use crate::crypto::{digest_eq, hmac_sha256, Digest};
+use crate::crypto::{digest_eq, Digest, HmacKey};
 use crate::enclave::Enclave;
 
 /// A sealed blob: nonce, ciphertext and integrity tag.
@@ -21,40 +21,51 @@ pub struct Sealed {
     pub tag: Digest,
 }
 
-fn keystream_block(key: &Digest, nonce: &[u8; 16], counter: u64) -> Digest {
-    let mut input = Vec::with_capacity(16 + 8);
-    input.extend_from_slice(nonce);
-    input.extend_from_slice(&counter.to_le_bytes());
-    hmac_sha256(key, &input)
+/// The two keys an enclave seals under, both derived from its
+/// [`Enclave::seal_key`]: `enc` generates the keystream, `mac` tags
+/// nonce || ciphertext.
+#[derive(Debug, Clone)]
+pub(crate) struct SealKeys {
+    enc: HmacKey,
+    mac: HmacKey,
 }
 
-fn apply_keystream(key: &Digest, nonce: &[u8; 16], data: &mut [u8]) {
-    for (i, chunk) in data.chunks_mut(32).enumerate() {
-        let ks = keystream_block(key, nonce, i as u64);
-        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-            *b ^= k;
+impl SealKeys {
+    pub(crate) fn derive(seal_key: &Digest) -> SealKeys {
+        let seal_key = HmacKey::new(seal_key);
+        SealKeys {
+            enc: HmacKey::new(&seal_key.mac(b"seal-enc")),
+            mac: HmacKey::new(&seal_key.mac(b"seal-mac")),
         }
     }
-}
 
-fn mac_key(seal_key: &Digest) -> Digest {
-    hmac_sha256(seal_key, b"seal-mac")
-}
+    fn tag(&self, nonce: &[u8; 16], ciphertext: &[u8]) -> Digest {
+        self.mac.mac_parts(&[nonce, ciphertext])
+    }
 
-fn enc_key(seal_key: &Digest) -> Digest {
-    hmac_sha256(seal_key, b"seal-enc")
+    /// XORs `data` with the keystream: block `i` of 32 bytes is
+    /// HMAC(enc, nonce || i as little-endian u64).
+    fn apply_keystream(&self, nonce: &[u8; 16], data: &mut [u8]) {
+        let mut input = [0u8; 24];
+        input[..16].copy_from_slice(nonce);
+        for (i, chunk) in data.chunks_mut(32).enumerate() {
+            input[16..].copy_from_slice(&(i as u64).to_le_bytes());
+            let ks = self.enc.mac(&input);
+            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+                *b ^= k;
+            }
+        }
+    }
 }
 
 /// Seals `data` to `enclave`'s identity. The nonce must be unique per
 /// seal; the caller supplies it (deterministic tests pass fixed
 /// nonces, production embedders pass fresh randomness).
 pub fn seal(enclave: &Enclave, nonce: [u8; 16], data: &[u8]) -> Sealed {
-    let sk = enclave.seal_key();
+    let keys = enclave.seal_keys();
     let mut ciphertext = data.to_vec();
-    apply_keystream(&enc_key(&sk), &nonce, &mut ciphertext);
-    let mut macd = nonce.to_vec();
-    macd.extend_from_slice(&ciphertext);
-    let tag = hmac_sha256(&mac_key(&sk), &macd);
+    keys.apply_keystream(&nonce, &mut ciphertext);
+    let tag = keys.tag(&nonce, &ciphertext);
     Sealed {
         nonce,
         ciphertext,
@@ -69,15 +80,12 @@ pub fn seal(enclave: &Enclave, nonce: [u8; 16], data: &[u8]) -> Sealed {
 ///
 /// Returns `Err(())`-like `None` when the tag does not verify.
 pub fn unseal(enclave: &Enclave, sealed: &Sealed) -> Option<Vec<u8>> {
-    let sk = enclave.seal_key();
-    let mut macd = sealed.nonce.to_vec();
-    macd.extend_from_slice(&sealed.ciphertext);
-    let expected = hmac_sha256(&mac_key(&sk), &macd);
-    if !digest_eq(&expected, &sealed.tag) {
+    let keys = enclave.seal_keys();
+    if !digest_eq(&keys.tag(&sealed.nonce, &sealed.ciphertext), &sealed.tag) {
         return None;
     }
     let mut plain = sealed.ciphertext.clone();
-    apply_keystream(&enc_key(&sk), &sealed.nonce, &mut plain);
+    keys.apply_keystream(&sealed.nonce, &mut plain);
     Some(plain)
 }
 
@@ -131,6 +139,25 @@ mod tests {
         let big: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
         assert_eq!(unseal(&e, &seal(&e, [1; 16], &big)).unwrap(), big);
         assert_eq!(unseal(&e, &seal(&e, [2; 16], b"")).unwrap(), b"");
+    }
+
+    #[test]
+    fn sealing_costs_only_keystream_and_tag_compressions() {
+        use crate::crypto::compressions;
+        let e = Platform::new("p", 1).create_enclave(b"code");
+        for n in [0usize, 1, 31, 32, 33, 39, 40, 100, 1000] {
+            let data = vec![0xa5; n];
+            // Each 32-byte keystream block MACs 24 bytes (one inner
+            // block, one outer); the tag MACs 16 + n bytes. No key is
+            // absorbed per call.
+            let expected = 2 * n.div_ceil(32) as u64 + ((n + 16 + 9).div_ceil(64) + 1) as u64;
+            let before = compressions();
+            let sealed = seal(&e, [3; 16], &data);
+            assert_eq!(compressions() - before, expected, "seal {n}");
+            let before = compressions();
+            assert_eq!(unseal(&e, &sealed).as_deref(), Some(&data[..]));
+            assert_eq!(compressions() - before, expected, "unseal {n}");
+        }
     }
 
     /// The sealed-blob format, pinned byte for byte. Every registry
