@@ -24,10 +24,10 @@
 //! is durable once [`Wal::commit`] returns, and the caller commits
 //! before acknowledging (an acknowledged request survives `kill -9`);
 //! one commit covers every record appended before it, so a batch of
-//! appends shares one fsync (group commit). `EveryN` and `Never` trade
-//! tail-loss windows for throughput and ignore `commit` — a checkpoint
-//! still fsyncs before sealing, so sealed rollups never claim a record
-//! the disk does not hold.
+//! appends shares one fsync (group commit). `Never` trades a tail-loss
+//! window for throughput and ignores `commit` — a checkpoint still
+//! fsyncs before sealing, so sealed rollups never claim a record the
+//! disk does not hold.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -50,23 +50,17 @@ pub enum FsyncPolicy {
     /// share one fsync ([`Wal::commit`]).
     #[default]
     Always,
-    /// fsync every N appends (bounded tail-loss window).
-    EveryN(u32),
     /// Never fsync on append (checkpoints still fsync).
     Never,
 }
 
 impl FsyncPolicy {
-    /// Parses a `--fsync` flag value: `always`, `never`/`none`, or
-    /// `every=N`.
+    /// Parses a `--fsync` flag value: `always` or `never`/`none`.
     pub fn parse(s: &str) -> Option<FsyncPolicy> {
         match s {
             "always" => Some(FsyncPolicy::Always),
             "never" | "none" => Some(FsyncPolicy::Never),
-            other => {
-                let n: u32 = other.strip_prefix("every=")?.parse().ok()?;
-                Some(FsyncPolicy::EveryN(n.max(1)))
-            }
+            _ => None,
         }
     }
 
@@ -74,7 +68,6 @@ impl FsyncPolicy {
     pub fn name(self) -> String {
         match self {
             FsyncPolicy::Always => "always".into(),
-            FsyncPolicy::EveryN(n) => format!("every={n}"),
             FsyncPolicy::Never => "never".into(),
         }
     }
@@ -214,9 +207,8 @@ impl Wal {
         Ok((wal, replay))
     }
 
-    /// Appends one record, rotating per size and, under `EveryN`,
-    /// fsyncing per count. Under `Always` the record is durable once
-    /// [`Wal::commit`] returns.
+    /// Appends one record, rotating per size. Under `Always` the record
+    /// is durable once [`Wal::commit`] returns.
     ///
     /// # Errors
     ///
@@ -243,17 +235,12 @@ impl Wal {
         );
         self.max_session = self.max_session.max(session);
         self.unsynced += 1;
-        if let FsyncPolicy::EveryN(n) = self.policy {
-            if self.unsynced >= u64::from(n) {
-                self.sync()?;
-            }
-        }
         Ok(())
     }
 
     /// Makes every record appended so far durable under `Always` (one
-    /// fsync, or none when nothing is pending); the other policies
-    /// leave the tail to their own schedule.
+    /// fsync, or none when nothing is pending); `Never` leaves the
+    /// tail to rotation and checkpoints.
     ///
     /// # Errors
     ///
@@ -603,24 +590,26 @@ mod tests {
     }
 
     #[test]
-    fn every_n_policy_counts_appends() {
-        let dir = tmpdir("everyn");
-        let (mut wal, _) = Wal::open(&dir, FsyncPolicy::EveryN(3), 1 << 20).unwrap();
+    fn never_policy_leaves_records_to_an_explicit_sync() {
+        let dir = tmpdir("never");
+        let (mut wal, _) = Wal::open(&dir, FsyncPolicy::Never, 1 << 20).unwrap();
         for s in 1..=7 {
             wal.append(&rec(s)).unwrap();
         }
-        // 7 appends with N=3: syncs after 3 and 6, one pending.
-        assert_eq!(wal.unsynced, 1);
+        // `commit` is a no-op under `Never`: all 7 stay pending.
+        wal.commit().unwrap();
+        assert_eq!(wal.unsynced, 7);
+        assert_eq!(wal.commits(), WalCommits::default());
+        // A sync (rotation, checkpoint) covers them in one commit.
+        wal.sync().unwrap();
+        assert_eq!(wal.unsynced, 0);
         assert_eq!(
             wal.commits(),
             WalCommits {
-                commits: 2,
-                records: 6
+                commits: 1,
+                records: 7
             }
         );
-        // `commit` leaves the EveryN schedule alone.
-        wal.commit().unwrap();
-        assert_eq!(wal.unsynced, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -658,12 +647,9 @@ mod tests {
         assert_eq!(FsyncPolicy::parse("always"), Some(FsyncPolicy::Always));
         assert_eq!(FsyncPolicy::parse("never"), Some(FsyncPolicy::Never));
         assert_eq!(FsyncPolicy::parse("none"), Some(FsyncPolicy::Never));
-        assert_eq!(
-            FsyncPolicy::parse("every=16"),
-            Some(FsyncPolicy::EveryN(16))
-        );
-        assert_eq!(FsyncPolicy::parse("every=0"), Some(FsyncPolicy::EveryN(1)));
+        assert_eq!(FsyncPolicy::parse("every=16"), None);
         assert_eq!(FsyncPolicy::parse("sometimes"), None);
-        assert_eq!(FsyncPolicy::parse("every=16").unwrap().name(), "every=16");
+        assert_eq!(FsyncPolicy::Always.name(), "always");
+        assert_eq!(FsyncPolicy::Never.name(), "never");
     }
 }

@@ -13,7 +13,7 @@
 //! acctee serve --listen ADDR               attested network server
 //!              [--log-level L]             structured stderr logging
 //!              [--state-dir DIR]           durable WAL, deploy log, sealed checkpoints
-//!              [--fsync always|every=N|never]
+//!              [--fsync always|never]
 //! acctee deploy <in> --connect ADDR        deploy over the network
 //! acctee invoke <in> --connect ADDR [--invoke F] [--arg V]*
 //!                                          deploy + attested invoke,
@@ -240,9 +240,8 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
             "--state-dir" => o.state_dir = Some(want(&mut it)?),
             "--fsync" => {
                 let v = want(&mut it)?;
-                o.fsync = FsyncPolicy::parse(&v).ok_or_else(|| {
-                    format!("--fsync: unknown policy `{v}` (always|every=N|never)")
-                })?;
+                o.fsync = FsyncPolicy::parse(&v)
+                    .ok_or_else(|| format!("--fsync: unknown policy `{v}` (always|never)"))?;
             }
             "--session" => o.session = Some(want(&mut it)?.parse().map_err(|e| format!("{e}"))?),
             "--repeat" => o.repeat = want(&mut it)?.parse().map_err(|e| format!("{e}"))?,
@@ -368,7 +367,7 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
             println!("                   --request-deadline-ms N --io-timeout-ms N");
             println!("                   --log-level off|error|warn|info|debug|trace");
             println!("                   --state-dir DIR (WAL, deploy log, sealed checkpoints)");
-            println!("                   --fsync always|every=N|never (default always)");
+            println!("                   --fsync always|never (default always)");
             println!("deploy/invoke:     --connect ADDR --seed S --level L [--out FILE]");
             println!("                   invoke also: --invoke F --arg V --input STR --tenant T");
             println!("                   --repeat N (pipeline N invokes on one connection)");
@@ -1230,6 +1229,17 @@ mod tests {
         assert_eq!(
             engine_flag("bytecode"),
             Err("unknown engine \"bytecode\" (tree|regs)".to_string())
+        );
+    }
+
+    #[test]
+    fn fsync_flag_accepts_exactly_always_and_never() {
+        let fsync = |v: &str| parse_opts(&argv(&["--fsync", v])).map(|o| o.fsync);
+        assert_eq!(fsync("always"), Ok(FsyncPolicy::Always));
+        assert_eq!(fsync("never"), Ok(FsyncPolicy::Never));
+        assert_eq!(
+            fsync("every=8"),
+            Err("--fsync: unknown policy `every=8` (always|never)".to_string())
         );
     }
 }

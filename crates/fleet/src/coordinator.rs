@@ -677,7 +677,7 @@ impl CoordinatorHandle {
         }
     }
 
-    /// Folds the journal's credited work through the volunteer escrow
+    /// Folds the journal's credited work through the reimbursement escrow
     /// into per-node statements signed by the coordinator's enclave.
     ///
     /// # Errors

@@ -30,9 +30,9 @@
 //!   `DeadlineExceeded` trap (no second timer path), and the
 //!   coordinator re-queues assignments that never come back at all;
 //! * **reimbursement reconciliation** ([`reconcile`]) — verified logs
-//!   fold through the volunteer escrow into per-node statements signed
-//!   by the coordinator's enclave, with an optional bounty pool split
-//!   by largest-remainder apportionment.
+//!   fold through the [`reimburse`] escrow into per-node statements
+//!   signed by the coordinator's enclave, with an optional bounty pool
+//!   split by largest-remainder apportionment.
 //!
 //! The `acctee` CLI (this crate's binary) exposes it as `acctee fleet
 //! coordinate|work|status`, riding the versioned `acctee-net` framing
@@ -41,6 +41,7 @@
 pub mod coordinator;
 pub mod journal;
 pub mod reconcile;
+pub mod reimburse;
 pub mod unit;
 pub mod worker;
 

@@ -1,6 +1,6 @@
 //! Reimbursement reconciliation: folding a campaign's credited,
-//! verified usage logs through the volunteer escrow into per-node
-//! statements signed by the coordinator's accounting enclave.
+//! verified usage logs through the [`crate::reimburse`] escrow into
+//! per-node statements signed by the coordinator's accounting enclave.
 //!
 //! The statement mirrors the durable plane's `SignedSettlement`
 //! pattern: a canonical, domain-separated binding digest quoted by the
@@ -15,7 +15,8 @@ use acctee::codec::Enc;
 use acctee::{AccTeeError, AccountingEnclave, SignedLog, WorkloadProvider};
 use acctee_sgx::crypto::{sha256, Digest};
 use acctee_sgx::{AttestationAuthority, Measurement, Quote};
-use acctee_volunteer::reimburse::{split_bounty, Escrow};
+
+use crate::reimburse::{split_bounty, Escrow};
 
 /// Reconciliation economics.
 #[derive(Debug, Clone, Copy)]

@@ -542,8 +542,10 @@ impl Client {
                 log.log.session_id
             )));
         }
+        // `deploy` verified the module against the evidence's hash, so
+        // compare digests instead of re-hashing the module.
         if let Some(handle) = handle {
-            if log.log.module_hash != sha256(&handle.module) {
+            if log.log.module_hash != handle.evidence.instrumented_hash {
                 return Err(NetError::Verification(
                     "log accounts a different module than the one deployed".into(),
                 ));

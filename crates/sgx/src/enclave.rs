@@ -115,13 +115,15 @@ impl Enclave {
     }
 
     /// Derives the enclave's sealing key (stable across restarts on the
-    /// same platform for the same measurement).
-    pub fn seal_key(&self) -> Digest {
+    /// same platform for the same measurement). Only tests read it;
+    /// sealing uses the keys derived from it, [`Enclave::seal_keys`].
+    #[cfg(test)]
+    pub(crate) fn seal_key(&self) -> Digest {
         seal_key(&self.platform_key, &self.mrenclave)
     }
 
     /// The cipher and MAC keys [`crate::seal`] uses, derived once from
-    /// [`Enclave::seal_key`] when the enclave was created.
+    /// the sealing key when the enclave was created.
     pub(crate) fn seal_keys(&self) -> &SealKeys {
         &self.seal
     }

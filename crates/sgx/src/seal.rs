@@ -21,9 +21,9 @@ pub struct Sealed {
     pub tag: Digest,
 }
 
-/// The two keys an enclave seals under, both derived from its
-/// [`Enclave::seal_key`]: `enc` generates the keystream, `mac` tags
-/// nonce || ciphertext.
+/// The two keys an enclave seals under, both derived from its sealing
+/// key (platform key and measurement): `enc` generates the keystream,
+/// `mac` tags nonce || ciphertext.
 #[derive(Debug, Clone)]
 pub(crate) struct SealKeys {
     enc: HmacKey,

@@ -1,53 +1,86 @@
 //! Volunteer-computing example (§2.1 "Volunteer Computing").
 //!
-//! Runs the same factorisation campaign twice — once with today's
-//! redundancy-based verification and once with AccTEE's attested
-//! accounting — over a volunteer pool containing cheaters, and prints
-//! the comparison the paper's motivation promises.
+//! Runs a 16-unit campaign on an in-process fleet coordinator at the
+//! default spot-check rate, with two honest volunteers, one that
+//! inflates its signed counters and one running a modified enclave.
+//! It prints how many executions each credited unit cost (full
+//! redundancy costs 2.0) and the enclave-signed reimbursement
+//! statements: the forger is paid nothing, the rogue never joins.
 //!
 //! Run with: `cargo run -p acctee-integration --example volunteer_campaign --release`
 
-use acctee_volunteer::{campaign::standard_environment, run_campaign, ServerMode, Task};
+use std::time::Duration;
+
+use acctee::Deployment;
+use acctee_fleet::{
+    run_worker, Behavior, Coordinator, FleetConfig, ReconcileConfig, UnitSpec, WorkerConfig,
+    WorkloadKind,
+};
 
 fn main() {
-    let (authority, ie, provider, volunteers) = standard_environment(8, 4);
-    println!("volunteer pool:");
-    for v in &volunteers {
-        println!("  {:<8} {:?}", v.name, v.kind);
-    }
-    let tasks: Vec<Task> = (0..8)
-        .map(|i| Task {
-            id: i,
-            seed: i * 3 + 1,
-            count: 2,
-        })
-        .collect();
-    println!("{} factorisation work units\n", tasks.len());
+    let cfg = FleetConfig {
+        state_dir: std::env::temp_dir().join(format!("volunteer-campaign-{}", std::process::id())),
+        ..FleetConfig::default()
+    };
+    let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    let specs = UnitSpec::campaign(16, WorkloadKind::SubsetSum, 8, 1);
+    let coordinator = Coordinator::open("127.0.0.1:0", cfg.clone(), &specs).expect("open");
+    let (addr, handle) = coordinator.spawn().expect("spawn");
+    let volunteer = |name: &str, behavior| {
+        let cfg = WorkerConfig {
+            behavior,
+            ..WorkerConfig::new(name, cfg.seed)
+        };
+        std::thread::spawn(move || run_worker(&addr.to_string(), &cfg).expect("worker"))
+    };
 
-    for (label, mode) in [
-        (
-            "redundancy (replicas=2, claim-based credit)",
-            ServerMode::Redundancy { replicas: 2 },
-        ),
-        ("AccTEE (attested accounting)", ServerMode::AccTee),
-    ] {
-        let r = run_campaign(&tasks, &volunteers, mode, &authority, &ie, &provider);
-        println!("== {label} ==");
-        println!("  executions performed:   {}", r.executions);
-        println!("  correct accepted:       {}", r.correct_accepted);
-        println!("  WRONG accepted:         {}", r.wrong_accepted);
-        println!("  unresolved:             {}", r.unresolved);
-        println!("  rejected submissions:   {}", r.rejected_submissions);
+    // Cheaters first and alone: both are turned away before the honest
+    // nodes start, which could otherwise drain a campaign this small.
+    let cheaters = [
+        ("rogue", volunteer("rogue", Behavior::RogueEnclave)),
+        ("inflate", volunteer("inflate", Behavior::InflateWic)),
+    ];
+    for (name, c) in cheaters {
         println!(
-            "  over-credit fraction:   {:.1}%",
-            r.overcredit_fraction() * 100.0
+            "{name:<8} exit: {:?}",
+            c.join().expect("cheater thread").exit
         );
-        println!("  leaderboard:");
-        for (name, credit) in r.leaderboard().into_iter().take(5) {
-            println!("    {name:<8} {credit}");
-        }
-        println!();
     }
-    println!("takeaway: AccTEE executes each task once, never accepts a forged result");
-    println!("and pays exactly the attested work — redundancy does neither.");
+    let honest = [
+        volunteer("honest-0", Behavior::Honest),
+        volunteer("honest-1", Behavior::Honest),
+    ];
+    assert!(
+        handle.wait_done(Duration::from_secs(120)),
+        "campaign stalled"
+    );
+    for h in honest {
+        h.join().expect("honest thread");
+    }
+
+    let r = handle.report();
+    let executions: u64 = r.workers.iter().map(|w| w.completed).sum();
+    println!(
+        "{}/{} units, {} spot checks, {} rejected submissions",
+        r.completed, r.units_total, r.checks_scheduled, r.rejected
+    );
+    println!(
+        "executions per unit: {:.2} (full redundancy: 2.00)",
+        executions as f64 / r.completed as f64
+    );
+    let statements = handle
+        .reconcile(&ReconcileConfig::default())
+        .expect("reconcile");
+    handle.stop();
+    let dep = Deployment::new(cfg.seed);
+    let ae = dep.infrastructure().accounting_enclave().measurement();
+    for s in &statements {
+        s.verify(&dep.authority, ae).expect("statement verifies");
+        let st = &s.statement;
+        println!(
+            "statement {:<8} {:>3} credited {:>9} wic {:>10} nano paid (enclave-signed, verified)",
+            st.worker, st.units_credited, st.weighted_instructions, st.paid_nano
+        );
+    }
+    let _ = std::fs::remove_dir_all(&cfg.state_dir);
 }

@@ -254,6 +254,14 @@ kill "$W0" "$W1" "$W2" 2>/dev/null || true
 wait "$W0" "$W1" "$W2" 2>/dev/null || true
 rm -rf "$FLEET_DIR" "$COORD_LOG"
 
+# The volunteer example runs the fleet in one process at the default
+# spot-check rate: the counter-inflating node must be paid nothing.
+echo "==> volunteer campaign example (in-process fleet, forger paid 0)"
+OUT="$(cargo run --offline --release -q -p acctee-integration --example volunteer_campaign)" \
+    || { echo "volunteer_campaign example failed"; exit 1; }
+grep -Eq '^statement inflate +0 credited +0 wic +0 nano paid' <<<"$OUT" \
+    || { echo "volunteer_campaign paid the forger"; printf '%s\n' "$OUT"; exit 1; }
+
 # The second campaign runs without redundancy or probation, so every
 # unit is executed and credited exactly once: the statements' credited
 # column must sum to the unit count across a SIGKILL of the

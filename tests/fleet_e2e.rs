@@ -9,10 +9,10 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use acctee::Deployment;
+use acctee::{Deployment, SignedLog};
 use acctee_fleet::{
-    run_worker, Behavior, Coordinator, CoordinatorHandle, FleetConfig, Journal, ReconcileConfig,
-    UnitSpec, WorkerConfig, WorkerExit, WorkloadKind,
+    reconcile, run_worker, Behavior, Coordinator, CoordinatorHandle, FleetConfig, Journal,
+    ReconcileConfig, UnitSpec, WorkerConfig, WorkerExit, WorkloadKind,
 };
 use acctee_interp::Value;
 use acctee_net::wire::{self, FleetAck, FleetSubmission};
@@ -230,6 +230,129 @@ fn rogue_enclave_never_joins() {
     assert!(handle.wait_done(Duration::from_secs(60)));
     assert_eq!(honest.join().unwrap().exit, WorkerExit::CampaignDone);
     handle.stop();
+    std::fs::remove_dir_all(&state_dir).unwrap();
+}
+
+/// The volunteer-computing claim of §2.1 on the real fleet, at the
+/// default spot-check rate (5 % of units sampled, one probation check
+/// per new node): each unit is executed about once rather than twice
+/// as under full redundancy, every credited result is right, a
+/// modified enclave never joins, a forged log is never paid, and every
+/// statement pays exactly the rate times the attested weighted
+/// instructions, so over-credit is zero, even for a node that claims
+/// every credited log twice.
+///
+/// The cast has no `FlipResult` node. At 5 % sampling a result
+/// flipper's unchecked units can complete before a check catches it,
+/// and quarantine does not reopen done units, so its wrong results
+/// could stand; that attack has its own test at redundancy 1.0
+/// (`result_flipping_cheater_is_detected_quarantined_and_unpaid`).
+#[test]
+fn volunteer_campaign_pays_only_attested_work_at_default_sampling() {
+    let cfg = config("volunteer");
+    let state_dir = cfg.state_dir.clone();
+    let specs = UnitSpec::campaign(16, WorkloadKind::SubsetSum, 8, 8000);
+    let handle = spawn_coordinator(cfg, &specs);
+    let addr = handle.addr();
+    // The cheaters go first, alone: a campaign this small can finish
+    // before a late joiner holds any work. Honest nodes start once the
+    // inflater has been caught.
+    let rogue = spawn_worker(addr, "rogue", Behavior::RogueEnclave);
+    let inflate = spawn_worker(addr, "inflate", Behavior::InflateWic);
+    let rogue_exit = rogue.join().unwrap().exit;
+    assert!(
+        matches!(&rogue_exit, WorkerExit::Rejected(r) if r.contains("quote")),
+        "rogue exit: {rogue_exit:?}"
+    );
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while !handle
+        .report()
+        .workers
+        .iter()
+        .any(|w| w.name == "inflate" && w.quarantined)
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "inflater never caught"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(matches!(
+        inflate.join().unwrap().exit,
+        WorkerExit::Quarantined(_)
+    ));
+    let honest: Vec<_> = (0..2)
+        .map(|i| spawn_worker(addr, &format!("honest-{i}"), Behavior::Honest))
+        .collect();
+    assert!(
+        handle.wait_done(Duration::from_secs(120)),
+        "campaign stalled"
+    );
+    for h in honest {
+        assert_eq!(h.join().unwrap().exit, WorkerExit::CampaignDone);
+    }
+    let report = handle.report();
+    assert_eq!(report.completed, 16);
+    assert!(report.workers.iter().all(|w| w.name != "rogue"));
+    // Executions per credited unit (perfbench's
+    // `fleet.executions_per_unit`): full redundancy reads 2.0.
+    let executions: u64 = report.workers.iter().map(|w| w.completed).sum();
+    let per_unit = executions as f64 / report.completed as f64;
+    assert!(per_unit < 2.0, "{executions} executions for 16 units");
+
+    let cfg = ReconcileConfig::default();
+    let statements = handle.reconcile(&cfg).unwrap();
+    handle.stop();
+    let dep = Deployment::new(SEED);
+    let ae = dep.infrastructure().accounting_enclave();
+    let inflate = statements
+        .iter()
+        .find(|s| s.statement.worker == "inflate")
+        .expect("the quarantined inflater gets an attested statement");
+    assert_eq!(inflate.statement.paid_nano, 0);
+    for s in &statements {
+        s.verify(&dep.authority, ae.measurement()).unwrap();
+        assert_eq!(
+            s.statement.paid_nano,
+            cfg.rate * u128::from(s.statement.weighted_instructions),
+            "{} over-credited",
+            s.statement.worker
+        );
+    }
+    let credited: u64 = statements.iter().map(|s| s.statement.units_credited).sum();
+    assert_eq!(credited, executions);
+
+    // Audit against the journal: every credited result is right, the
+    // statements pay exactly the distinct credited sessions, and
+    // claiming each credited log twice adds nothing.
+    let (_, replay) = Journal::open(&state_dir).unwrap();
+    for u in &replay.units {
+        let done = u.done.as_deref().expect("unit done");
+        for sub in u
+            .submissions
+            .iter()
+            .filter(|s| done.contains(&s.record.signed.log.session_id))
+        {
+            assert_eq!(sub.result, u.spec.expected_result(), "unit {}", u.spec.id);
+        }
+    }
+    let pairs: Vec<(String, SignedLog)> = replay
+        .credited_pairs()
+        .into_iter()
+        .map(|(w, r)| (w, r.signed))
+        .collect();
+    assert_eq!(pairs.len() as u64, executions);
+    let claimed_twice: Vec<(String, SignedLog)> = pairs.iter().chain(&pairs).cloned().collect();
+    let quarantined = ["inflate".to_string()];
+    let replayed = reconcile(
+        &claimed_twice,
+        &quarantined,
+        dep.workload_provider(),
+        ae,
+        &cfg,
+    )
+    .unwrap();
+    assert_eq!(replayed, statements, "a replayed log changed a statement");
     std::fs::remove_dir_all(&state_dir).unwrap();
 }
 

@@ -11,13 +11,13 @@
 use std::time::Duration;
 
 use acctee::{Deployment, Level};
+use acctee_fleet::reimburse::{Escrow, PaymentError};
 use acctee_interp::Value;
 use acctee_net::{
-    Client, InvokeSpec, NetError, Request, RequestOutcome, Response, Server, ServerConfig,
-    TrustAnchor,
+    Client, DeployHandle, InvokeSpec, NetError, Request, RequestOutcome, Response, Server,
+    ServerConfig, TrustAnchor,
 };
 use acctee_sgx::crypto::sha256;
-use acctee_volunteer::{Escrow, PaymentError};
 use acctee_wasm::builder::ModuleBuilder;
 use acctee_wasm::encode::encode_module;
 use acctee_wasm::types::ValType;
@@ -188,6 +188,33 @@ fn replayed_log_is_rejected_across_connections_event_mode() {
         Err(PaymentError::Replay)
     );
 
+    shutdown(addr, handle);
+}
+
+#[test]
+fn log_for_another_deployment_fails_verification() {
+    // Invoke module A's deployment while holding module B's verified
+    // handle: the server honestly runs A, and the client must refuse a
+    // log that accounts a module other than the one it verified.
+    let (addr, handle) = spawn_server(cfg());
+    let mut client = connect(addr);
+    let a = client
+        .deploy(&work_module(), Level::LoopBased)
+        .expect("deploy a");
+    let b = client
+        .deploy(&spin_module(), Level::LoopBased)
+        .expect("deploy b");
+    let crossed = DeployHandle {
+        deploy_id: a.deploy_id,
+        ..b
+    };
+    match client.invoke(&crossed, "run", &[Value::I32(8)], b"", "t") {
+        Err(NetError::Verification(m)) => assert!(m.contains("different module"), "{m}"),
+        other => panic!("log for module A accepted against B's handle: {other:?}"),
+    }
+    client
+        .invoke(&a, "run", &[Value::I32(8)], b"", "t")
+        .expect("the matching handle verifies");
     shutdown(addr, handle);
 }
 

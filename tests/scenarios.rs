@@ -1,8 +1,9 @@
-//! Scenario integration tests: the three §5.3 use-case domains
-//! exercised end to end.
+//! Scenario integration tests: the FaaS and pay-by-computation
+//! use-case domains of §5.3 exercised end to end. The third, volunteer
+//! computing, runs over the wire in `tests/fleet_e2e.rs`
+//! (`volunteer_campaign_pays_only_attested_work_at_default_sampling`).
 
 use acctee_faas::{ClosedLoopSim, FaasPlatform, FunctionKind, Setup};
-use acctee_volunteer::{run_campaign, ServerMode, Task};
 use acctee_workloads::faas_fns::{resize_native, test_image};
 
 /// Fig 9 sanity: every setup serves correct responses, throughput is
@@ -66,55 +67,6 @@ fn faas_echo_payload_trend() {
             last = t;
         }
     }
-}
-
-/// The volunteer-computing claim of §2.1: AccTEE does the work once
-/// with no wrong results; redundancy does it twice and still pays
-/// inflated credit claims.
-#[test]
-fn volunteer_acctee_beats_redundancy() {
-    let (authority, ie, provider, volunteers) =
-        acctee_volunteer::campaign::standard_environment(6, 3);
-    let tasks: Vec<Task> = (0..6)
-        .map(|i| Task {
-            id: i,
-            seed: i + 1,
-            count: 2,
-        })
-        .collect();
-
-    let red = run_campaign(
-        &tasks,
-        &volunteers,
-        ServerMode::Redundancy { replicas: 2 },
-        &authority,
-        &ie,
-        &provider,
-    );
-    let acc = run_campaign(
-        &tasks,
-        &volunteers,
-        ServerMode::AccTee,
-        &authority,
-        &ie,
-        &provider,
-    );
-
-    // Resource bill: redundancy performs (close to) twice the work.
-    assert!(
-        red.executions > acc.executions,
-        "{} vs {}",
-        red.executions,
-        acc.executions
-    );
-    // Integrity: AccTEE never accepts a wrong result.
-    assert_eq!(acc.wrong_accepted, 0);
-    // Fairness: AccTEE grants zero undeserved credit.
-    assert!(acc.overcredit_fraction() < 1e-9);
-    // The leaderboard exists and is consistent.
-    let lb = acc.leaderboard();
-    assert_eq!(lb.len(), volunteers.len());
-    assert!(lb.windows(2).all(|w| w[0].1 >= w[1].1));
 }
 
 /// Pay-by-computation: classifying images earns attested credit that
