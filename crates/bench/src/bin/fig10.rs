@@ -3,9 +3,10 @@
 //! volunteer-computing and pay-by-computation programs, for plain WASM
 //! and WASM on SGX.
 //!
-//! Usage: `fig10 [reps]` (default 3).
+//! Usage: `fig10 [reps] [--engine tree|regs]` (default reps=3,
+//! engine tree — the engine `results/fig10.txt` was recorded on).
 
-use acctee_bench::{run_wall_ns, sgx_hw_factor, time_ns};
+use acctee_bench::{engine_arg, sgx_hw_factor, time_ns, Runner};
 use acctee_instrument::{instrument, Level, WeightTable};
 use acctee_interp::Value;
 use acctee_wasm::Module;
@@ -47,19 +48,20 @@ fn use_cases() -> Vec<UseCase> {
 }
 
 fn main() {
-    let reps: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(3);
+    let (engine, args) = engine_arg(std::env::args().skip(1));
+    let reps: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(3);
     let weights = WeightTable::uniform();
-    println!("# Fig 10 — instrumentation overhead, normalised to uninstrumented (reps={reps})");
+    println!(
+        "# Fig 10 — instrumentation overhead, normalised to uninstrumented (reps={reps}, engine={engine})"
+    );
     println!(
         "{:<10} {:>11} {:>11} {:>11} | {:>11} {:>11} {:>11}",
         "program", "wasm-naive", "wasm-flow", "wasm-loop", "sgx-naive", "sgx-flow", "sgx-loop"
     );
     for uc in use_cases() {
+        let raw = Runner::new(&uc.module, engine, uc.func, &uc.args);
         let base = time_ns(reps, || {
-            std::hint::black_box(run_wall_ns(&uc.module, uc.func, &uc.args));
+            std::hint::black_box(raw.run_ns(uc.func, &uc.args));
         })
         .max(1);
         let hw = sgx_hw_factor(&uc.module, uc.func, &uc.args);
@@ -68,8 +70,9 @@ fn main() {
             let m = instrument(&uc.module, level, &weights)
                 .expect("instrumentable")
                 .module;
+            let accounted = Runner::new(&m, engine, uc.func, &uc.args);
             let t = time_ns(reps, || {
-                std::hint::black_box(run_wall_ns(&m, uc.func, &uc.args));
+                std::hint::black_box(accounted.run_ns(uc.func, &uc.args));
             });
             cols.push(t as f64 / base as f64);
         }

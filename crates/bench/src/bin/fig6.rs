@@ -2,9 +2,11 @@
 //! under WASM / WASM-SGX SIM / WASM-SGX HW / WASM-SGX HW instrumented,
 //! relative to native execution.
 //!
-//! Usage: `fig6 [n] [reps]` (default n=20, reps=3).
+//! Usage: `fig6 [n] [reps] [--engine tree|regs]` (default n=20,
+//! reps=3, engine tree — the engine `results/fig6.txt` was recorded
+//! on).
 
-use acctee_bench::{geomean, run_wall_ns, sgx_hw_factor, time_ns};
+use acctee_bench::{engine_arg, geomean, sgx_hw_factor, time_ns, Runner};
 use acctee_instrument::{instrument, Level, WeightTable};
 use acctee_workloads::polybench;
 
@@ -14,12 +16,13 @@ use acctee_workloads::polybench;
 const SIM_FACTOR: f64 = 1.02;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
+    let (engine, args) = engine_arg(std::env::args().skip(1));
+    let mut args = args.into_iter();
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
     let reps: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(3);
     let weights = WeightTable::uniform();
 
-    println!("# Fig 6 — PolyBench/C normalised runtimes (n={n}, reps={reps})");
+    println!("# Fig 6 — PolyBench/C normalised runtimes (n={n}, reps={reps}, engine={engine})");
     println!(
         "# columns: kernel  WASM  WASM-SGX-SIM  WASM-SGX-HW  WASM-SGX-HW-instr  instr-overhead"
     );
@@ -42,11 +45,13 @@ fn main() {
             std::hint::black_box((k.native)(n));
         })
         .max(1);
+        let raw = Runner::new(&module, engine, "run", &[]);
+        let accounted = Runner::new(&instrumented, engine, "run", &[]);
         let t_wasm = time_ns(reps, || {
-            std::hint::black_box(run_wall_ns(&module, "run", &[]));
+            std::hint::black_box(raw.run_ns("run", &[]));
         });
         let t_instr = time_ns(reps, || {
-            std::hint::black_box(run_wall_ns(&instrumented, "run", &[]));
+            std::hint::black_box(accounted.run_ns("run", &[]));
         });
         let hw_factor = sgx_hw_factor(&module, "run", &[]);
 

@@ -1,6 +1,14 @@
 //! Interpreter-throughput smoke benchmark: ns/instr over the PolyBench
-//! suite, per execution engine, emitted as `BENCH_interp.json` so the
-//! perf trajectory of the execution tier is tracked PR-over-PR.
+//! suite plus the fleet's msieve and subsetsum units, per execution
+//! engine, and what the accounting meter costs on the register tier,
+//! emitted as `BENCH_interp.json` so the perf trajectory of the
+//! execution tier is tracked PR-over-PR.
+//!
+//! Rows: `tree` and `regs` run the uninstrumented kernels; `regs-loop`
+//! runs the same kernels instrumented at [`Level::LoopBased`] under
+//! [`WeightTable::calibrated`] (the accounting enclave's setting) on
+//! the register tier. `instrumentation_overhead_geomean` is the
+//! per-kernel geomean of `regs-loop` over `regs` time, minus one.
 //!
 //! Usage: `interp [n] [reps] [--out FILE]` (default n=12, reps=3,
 //! out=BENCH_interp.json).
@@ -9,8 +17,36 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use acctee_bench::geomean;
-use acctee_interp::{Config, Engine, Imports, Instance, Value};
-use acctee_workloads::polybench;
+use acctee_instrument::{instrument, Level, WeightTable};
+use acctee_interp::{Config, Engine, Imports, Instance};
+use acctee_wasm::Module;
+use acctee_workloads::{msieve, polybench, subsetsum};
+
+/// One measured configuration: an engine, running either the raw
+/// kernels or their loop-based instrumented builds.
+struct Variant {
+    name: &'static str,
+    engine: Engine,
+    instrumented: bool,
+}
+
+const VARIANTS: [Variant; 3] = [
+    Variant {
+        name: "tree",
+        engine: Engine::Tree,
+        instrumented: false,
+    },
+    Variant {
+        name: "regs",
+        engine: Engine::Regs,
+        instrumented: false,
+    },
+    Variant {
+        name: "regs-loop",
+        engine: Engine::Regs,
+        instrumented: true,
+    },
+];
 
 struct EngineRow {
     name: &'static str,
@@ -32,7 +68,7 @@ impl EngineRow {
 /// steady-state execution, the paper's methodology. The kernels
 /// re-initialise their arrays on entry, so repeated invokes are
 /// deterministic and bit-identical.
-fn run_once(module: &acctee_wasm::Module, engine: Engine) -> (u64, u64) {
+fn run_once(module: &Module, engine: Engine) -> (u64, u64) {
     let cfg = Config {
         engine,
         ..Config::default()
@@ -43,39 +79,55 @@ fn run_once(module: &acctee_wasm::Module, engine: Engine) -> (u64, u64) {
     let t = Instant::now();
     let out = inst.invoke("run", &[]).expect("run");
     let ns = t.elapsed().as_nanos() as u64;
-    assert!(matches!(out[0], Value::F64(_)));
+    assert_eq!(out.len(), 1, "kernels return one checksum");
     (ns, instrs)
 }
 
-/// Measures every engine over the suite with engines *interleaved*
-/// per repetition: each rep times all engines back to back on the
-/// same kernel, so machine-load noise lands on every engine alike and
-/// cancels out of the speedup ratios.
+/// The suite: every PolyBench kernel at size `n`, plus one msieve and
+/// one subsetsum unit at the sizes a fleet campaign grants.
+fn kernels(n: usize) -> Vec<(String, Module)> {
+    let mut ks: Vec<(String, Module)> = polybench::all()
+        .into_iter()
+        .map(|k| (k.name.to_string(), (k.build)(n)))
+        .collect();
+    ks.push(("msieve".into(), msieve::msieve_module(8, 42)));
+    ks.push(("subsetsum".into(), subsetsum::subsetsum_module(10, 7)));
+    ks
+}
+
+/// Measures every variant over the suite with variants *interleaved*
+/// per repetition: each rep times all variants back to back on the
+/// same kernel, so machine-load noise lands on every variant alike and
+/// cancels out of the speedup and overhead ratios.
 fn measure_all(n: usize, reps: usize) -> Vec<EngineRow> {
-    let mut rows: Vec<EngineRow> = Engine::ALL
+    let weights = WeightTable::calibrated();
+    let mut rows: Vec<EngineRow> = VARIANTS
         .iter()
-        .map(|e| EngineRow {
-            name: e.name(),
+        .map(|v| EngineRow {
+            name: v.name,
             total_ns: 0,
             total_instrs: 0,
             kernels: Vec::new(),
         })
         .collect();
-    for k in polybench::all() {
-        let module = (k.build)(n);
-        let mut best = [u64::MAX; Engine::ALL.len()];
-        let mut instrs = [0u64; Engine::ALL.len()];
+    for (name, raw) in kernels(n) {
+        let accounted = instrument(&raw, Level::LoopBased, &weights)
+            .expect("instrumentable")
+            .module;
+        let mut best = [u64::MAX; VARIANTS.len()];
+        let mut instrs = [0u64; VARIANTS.len()];
         for _ in 0..reps {
-            for (ei, engine) in Engine::ALL.into_iter().enumerate() {
-                let (ns, ic) = run_once(&module, engine);
-                best[ei] = best[ei].min(ns);
-                instrs[ei] = ic;
+            for (vi, v) in VARIANTS.iter().enumerate() {
+                let module = if v.instrumented { &accounted } else { &raw };
+                let (ns, ic) = run_once(module, v.engine);
+                best[vi] = best[vi].min(ns);
+                instrs[vi] = ic;
             }
         }
-        for (ei, row) in rows.iter_mut().enumerate() {
-            row.total_ns += best[ei];
-            row.total_instrs += instrs[ei];
-            row.kernels.push((k.name.to_string(), best[ei], instrs[ei]));
+        for (vi, row) in rows.iter_mut().enumerate() {
+            row.total_ns += best[vi];
+            row.total_instrs += instrs[vi];
+            row.kernels.push((name.clone(), best[vi], instrs[vi]));
         }
     }
     rows
@@ -93,12 +145,23 @@ fn speedup_geomean(num: &EngineRow, den: &EngineRow) -> f64 {
     geomean(&per_kernel)
 }
 
+/// Per-kernel geomean of the instrumented register-tier time over the
+/// raw register-tier time, minus one (0.05 = the meter costs +5 %).
+fn instrumentation_overhead(rows: &[EngineRow]) -> f64 {
+    speedup_geomean(&rows[1], &rows[2]) - 1.0
+}
+
 fn json_for(rows: &[EngineRow], n: usize, reps: usize) -> String {
     let tree = &rows[0];
     let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"suite\": \"polybench\",");
+    let _ = writeln!(s, "  \"suite\": \"polybench+msieve+subsetsum\",");
     let _ = writeln!(s, "  \"n\": {n},");
     let _ = writeln!(s, "  \"reps\": {reps},");
+    let _ = writeln!(
+        s,
+        "  \"instrumentation_overhead_geomean\": {:.4},",
+        instrumentation_overhead(rows)
+    );
     let _ = writeln!(s, "  \"engines\": {{");
     for (ei, row) in rows.iter().enumerate() {
         let _ = writeln!(s, "    \"{}\": {{", row.name);
@@ -148,7 +211,7 @@ fn main() {
     }
 
     let rows = measure_all(n, reps);
-    println!("# interpreter throughput (polybench, n={n}, reps={reps})");
+    println!("# interpreter throughput (polybench n={n} + msieve + subsetsum, reps={reps})");
     for row in &rows {
         println!(
             "{:<10} {:>14} ns  {:>14} instrs  {:>8.2} ns/instr  {:>6.2}x vs tree",
@@ -159,6 +222,10 @@ fn main() {
             speedup_geomean(row, &rows[0]),
         );
     }
+    println!(
+        "# loop-based instrumentation on regs: {:+.1}% (geomean over kernels)",
+        instrumentation_overhead(&rows) * 100.0
+    );
     let json = json_for(&rows, n, reps);
     std::fs::write(&out, &json).expect("write BENCH_interp.json");
     println!("# -> {out}");

@@ -17,10 +17,11 @@
 //! throughput, instrumentation pass cost, crypto primitives, and the
 //! flow-optimisation ablation.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use acctee_cachesim::CycleModel;
-use acctee_interp::{Config, Engine, Imports, Instance, Value};
+use acctee_interp::{CompiledModule, Config, Engine, Imports, Instance, Value};
 use acctee_wasm::Module;
 
 /// Times `f` (median of `reps`) and prints a one-line `cargo bench`
@@ -43,34 +44,86 @@ pub fn time_ns(reps: usize, mut f: impl FnMut()) -> u64 {
     samples[samples.len() / 2]
 }
 
-/// Runs an exported nullary function and returns wall nanoseconds
-/// (excluding instantiation, matching the paper's methodology).
+/// A module prepared for repeated timed runs of one export on one
+/// engine, each on a fresh [`Instance`] (instantiation excluded from
+/// the time, matching the paper's methodology).
 ///
-/// # Panics
-///
-/// Panics if the module does not instantiate or traps.
-pub fn run_wall_ns(module: &Module, func: &str, args: &[Value]) -> u64 {
-    run_wall_ns_engine(module, func, args, Engine::Tree)
+/// On [`Engine::Regs`] every run shares one [`CompiledModule`] whose
+/// register code is lowered by an untimed warm-up invoke in
+/// [`Runner::new`]. Without a shared artifact each fresh instance
+/// lowers the module again on its first invoke, and since every
+/// repetition pays that compile, no median over repetitions removes it
+/// from the timing.
+pub struct Runner<'m> {
+    module: &'m Module,
+    engine: Engine,
+    artifact: Option<Arc<CompiledModule>>,
 }
 
-/// [`run_wall_ns`] on a chosen execution engine. For
-/// [`Engine::Regs`] the timing includes the one-time lazy compile
-/// of the module's code (amortised away by callers that take a
-/// best-of or median over repetitions on a fresh instance each time —
-/// the compile is linear and tiny next to kernel runtimes).
+impl<'m> Runner<'m> {
+    /// Prepares `module` for `engine` and warms it with one untimed
+    /// invoke of `func(args)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the module does not compile, instantiate or run.
+    pub fn new(module: &'m Module, engine: Engine, func: &str, args: &[Value]) -> Runner<'m> {
+        let artifact =
+            (engine == Engine::Regs).then(|| CompiledModule::compile(module).expect("compile"));
+        let runner = Runner {
+            module,
+            engine,
+            artifact,
+        };
+        runner.instance().invoke(func, args).expect("warm-up run");
+        runner
+    }
+
+    fn instance(&self) -> Instance<'m> {
+        let cfg = Config {
+            engine: self.engine,
+            ..Config::default()
+        };
+        match &self.artifact {
+            Some(a) => Instance::with_artifact(self.module, Imports::new(), cfg, Arc::clone(a)),
+            None => Instance::with_config(self.module, Imports::new(), cfg),
+        }
+        .expect("instantiate")
+    }
+
+    /// Wall nanoseconds of one `func(args)` on a fresh instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the module does not instantiate or traps.
+    pub fn run_ns(&self, func: &str, args: &[Value]) -> u64 {
+        let mut inst = self.instance();
+        let t = Instant::now();
+        inst.invoke(func, args).expect("run");
+        t.elapsed().as_nanos() as u64
+    }
+}
+
+/// Parses `--engine tree|regs` out of `args` (default: the tree-walker,
+/// the engine the committed `results/` figures were recorded on) and
+/// returns the engine with the remaining arguments.
 ///
 /// # Panics
 ///
-/// Panics if the module does not instantiate or traps.
-pub fn run_wall_ns_engine(module: &Module, func: &str, args: &[Value], engine: Engine) -> u64 {
-    let cfg = Config {
-        engine,
-        ..Config::default()
-    };
-    let mut inst = Instance::with_config(module, Imports::new(), cfg).expect("instantiate");
-    let t = Instant::now();
-    inst.invoke(func, args).expect("run");
-    t.elapsed().as_nanos() as u64
+/// Panics on a missing or unknown engine name.
+pub fn engine_arg(args: impl Iterator<Item = String>) -> (Engine, Vec<String>) {
+    let mut engine = Engine::Tree;
+    let mut rest = Vec::new();
+    let mut args = args;
+    while let Some(a) = args.next() {
+        if a == "--engine" {
+            let name = args.next().expect("--engine needs tree|regs");
+            engine = Engine::from_name(&name).expect("--engine: tree|regs");
+        } else {
+            rest.push(a);
+        }
+    }
+    (engine, rest)
 }
 
 /// Simulated-cycle ratio SGX-hardware / plain for one execution of
@@ -133,6 +186,30 @@ mod tests {
         let m = b.build();
         let factor = sgx_hw_factor(&m, "run", &[]);
         assert!(factor >= 1.0, "{factor}");
+    }
+
+    #[test]
+    fn engine_arg_defaults_to_tree_and_strips_the_flag() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let (e, rest) = engine_arg(args(&["20", "3"]).into_iter());
+        assert_eq!((e, rest), (Engine::Tree, args(&["20", "3"])));
+        let (e, rest) = engine_arg(args(&["20", "--engine", "regs", "3"]).into_iter());
+        assert_eq!((e, rest), (Engine::Regs, args(&["20", "3"])));
+    }
+
+    #[test]
+    fn regs_runner_shares_one_warmed_artifact() {
+        let mut b = ModuleBuilder::new();
+        let f = b.func("run", &[], &[ValType::I32], |f| {
+            f.i32_const(7);
+        });
+        b.export_func("run", f);
+        let m = b.build();
+        let r = Runner::new(&m, Engine::Regs, "run", &[]);
+        let art = r.artifact.as_ref().expect("regs runs share an artifact");
+        assert!(art.matches(&m));
+        let _ = r.run_ns("run", &[]);
+        assert!(Runner::new(&m, Engine::Tree, "run", &[]).artifact.is_none());
     }
 
     #[test]

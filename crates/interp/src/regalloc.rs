@@ -15,6 +15,9 @@
 //! * `<op>; local.set x` retargets the op's destination straight to
 //!   `x` (the *retarget peephole*), eliminating the move.
 //! * `<compare>; br_if` fuses into a single compare-and-branch op.
+//! * An accounting instrumenter's charge sequences on an i64 global
+//!   (`counter += k` and the loop closed form) each lower to one op,
+//!   placed before a compare whose branch they would otherwise split.
 //!
 //! The invariant that makes joins tractable: the full abstract stack is
 //! materialised into canonical registers at every `block`/`loop`/`if`
@@ -44,7 +47,7 @@ use acctee_wasm::instr::{BlockType, Instr};
 use acctee_wasm::module::{ImportKind, Module};
 use acctee_wasm::op::NumOp;
 use acctee_wasm::rangeproof::{prove_loop, LoopBound};
-use acctee_wasm::types::FuncType;
+use acctee_wasm::types::{FuncType, Mutability, ValType};
 
 use crate::numslot::enc;
 use crate::observer::InstrWeights;
@@ -552,11 +555,6 @@ impl<'m> FnRegCompiler<'m> {
         }
     }
 
-    /// Compiles one body. `unchecked` holds the body-slice indices of
-    /// loads/stores proven in bounds by the enclosing loop's guard
-    /// (top level of a guarded loop body only — such bodies contain
-    /// no nested control).
-    #[allow(clippy::too_many_lines)]
     /// Recognises the canonical counted-loop tail at `instrs[at..]` —
     /// `local.get i; i32.const step; i32.add; local.set i;
     /// local.get i; (local.get n | i32.const c); i32.lt_s; br_if 0` —
@@ -566,19 +564,24 @@ impl<'m> FnRegCompiler<'m> {
     /// single dispatch. All eight source instructions are infallible
     /// and execute as a unit (`br_if` is counted whether taken or
     /// not), so the op carries their full eight-instruction cost and
-    /// accounting stays exact at every flush boundary. Returns
-    /// whether it fused; the caller then skips the window.
-    fn try_for_tail(&mut self, instrs: &[Instr], at: usize) -> bool {
+    /// accounting stays exact at every flush boundary.
+    ///
+    /// A charge sequence between the `i32.lt_s` and the `br_if` (where
+    /// an instrumenter closes the loop body's segment) lowers to its
+    /// fused op just before the tail op, for the reason
+    /// [`FnRegCompiler::try_charge`] gives. Returns how many
+    /// instructions it consumed (0: no match); the caller skips them.
+    fn try_for_tail(&mut self, instrs: &[Instr], at: usize) -> usize {
         let Some(lbl) = self.labels.last() else {
-            return false;
+            return 0;
         };
         if !lbl.is_loop || lbl.br_arity != 0 {
-            return false;
+            return 0;
         }
         let target = lbl.pc;
         let w = &instrs[at..];
         if w.len() < 8 {
-            return false;
+            return 0;
         }
         let (i, step) = match (&w[0], &w[1], &w[2], &w[3]) {
             (
@@ -587,28 +590,41 @@ impl<'m> FnRegCompiler<'m> {
                 Instr::Num(NumOp::I32Add),
                 Instr::LocalSet(i2),
             ) if i2 == i => (*i as u16, *k),
-            _ => return false,
+            _ => return 0,
         };
-        let bound = match (&w[4], &w[5], &w[6], &w[7]) {
-            (
-                Instr::LocalGet(i3),
-                Instr::LocalGet(n),
-                Instr::Num(NumOp::I32LtS),
-                Instr::BrIf(0),
-            ) if *i3 as u16 == i => Src::Reg(*n as u16),
-            (
-                Instr::LocalGet(i3),
-                Instr::I32Const(c),
-                Instr::Num(NumOp::I32LtS),
-                Instr::BrIf(0),
-            ) if *i3 as u16 == i => Src::Const(enc::I32(*c)),
-            _ => return false,
+        let bound = match (&w[4], &w[5], &w[6]) {
+            (Instr::LocalGet(i3), Instr::LocalGet(n), Instr::Num(NumOp::I32LtS))
+                if *i3 as u16 == i =>
+            {
+                Src::Reg(*n as u16)
+            }
+            (Instr::LocalGet(i3), Instr::I32Const(c), Instr::Num(NumOp::I32LtS))
+                if *i3 as u16 == i =>
+            {
+                Src::Const(enc::I32(*c))
+            }
+            _ => return 0,
         };
+        let charge = match &w[7] {
+            Instr::BrIf(0) => None,
+            _ => match self.match_charge(&w[7..]) {
+                Some((o, len)) if matches!(w.get(7 + len), Some(Instr::BrIf(0))) => Some((o, len)),
+                _ => return 0,
+            },
+        };
+        let n = 8 + charge.map_or(0, |(_, len)| len);
         // The op writes local `i` in place; stale aliases of it on
         // the operand stack are materialised first, exactly as the
         // `local.set` would have done.
         self.flush_local_aliases(i, false);
-        for instr in &w[..8] {
+        if let Some((o, len)) = charge {
+            for instr in &w[7..7 + len] {
+                self.count(instr);
+            }
+            let cost = self.take_pending();
+            self.emit(o, cost);
+        }
+        for instr in w[..7].iter().chain(&w[n - 1..n]) {
             self.count(instr);
         }
         let mut o = match bound {
@@ -628,9 +644,98 @@ impl<'m> FnRegCompiler<'m> {
         o.imm2 = target;
         let cost = self.take_pending();
         self.emit(o, cost);
-        true
+        n
     }
 
+    /// Matches a charge sequence at the start of `w` — the two shapes
+    /// an accounting instrumenter emits on an i64 counter global `g`:
+    ///
+    /// * `global.get g; i64.const k; i64.add; global.set g` →
+    ///   [`ctl::charge`];
+    /// * the loop closed form `global.get g; local.get i; local.get s;
+    ///   i32.sub; i32.const step; i32.div_s; i64.extend_i32_s;
+    ///   i64.const k; i64.mul; i64.add; global.set g` with `step` in
+    ///   `1..=u16::MAX` (so the `div_s` cannot trap) →
+    ///   [`ctl::charge_trips`].
+    ///
+    /// Returns the fused op (not yet emitted) and the window length.
+    /// Either window is straight-line and infallible, so the fused op
+    /// carries the full cost of its source instructions and
+    /// accounting stays exact at every flush boundary. Nothing here
+    /// knows which global is the counter: any mutable i64 global
+    /// fuses.
+    fn match_charge(&self, w: &[Instr]) -> Option<(RegOp, usize)> {
+        use Instr::{GlobalGet, GlobalSet, I32Const, I64Const, LocalGet, Num};
+        let (g, mut o, n) = match w {
+            [GlobalGet(g), I64Const(k), Num(NumOp::I64Add), GlobalSet(g2), ..] if g == g2 => {
+                let mut o = mk_kind(ctl::charge, OpKind::Charge);
+                o.imm = *k as u64;
+                (*g, o, 4)
+            }
+            [GlobalGet(g), LocalGet(i), LocalGet(saved), Num(NumOp::I32Sub), I32Const(step), Num(NumOp::I32DivS), Num(NumOp::I64ExtendI32S), I64Const(k), Num(NumOp::I64Mul), Num(NumOp::I64Add), GlobalSet(g2), ..]
+                if g == g2 && (1..=i32::from(u16::MAX)).contains(step) =>
+            {
+                let mut o = mk_kind(ctl::charge_trips, OpKind::ChargeTrips);
+                o.a = *i as u16;
+                o.b = *saved as u16;
+                o.c = *step as u16;
+                o.imm = *k as u64;
+                (*g, o, 11)
+            }
+            _ => return None,
+        };
+        let is_var_i64 = self
+            .module
+            .global_type(g)
+            .is_some_and(|t| t.val == ValType::I64 && t.mutability == Mutability::Var);
+        o.imm2 = g;
+        is_var_i64.then_some((o, n))
+    }
+
+    /// Lowers a charge sequence at `instrs[at..]` (see
+    /// [`FnRegCompiler::match_charge`]) to its fused op. Returns how
+    /// many instructions it consumed (0: no match).
+    ///
+    /// When the charge sits between an infallible producer (the last
+    /// op, still the fusion candidate) and the `br_if` / `if` that
+    /// consumes its result, the charge op is placed *before* the
+    /// producer, so the producer stays fusable into a
+    /// compare-and-branch. That reorder is exact: no label lies
+    /// between the two, both are infallible, and the producer reads
+    /// only registers, never the charged global; a branch that
+    /// targeted the producer now lands on the charge, which every path
+    /// through the producer ran anyway.
+    fn try_charge(&mut self, instrs: &[Instr], at: usize) -> usize {
+        let Some((o, n)) = self.match_charge(&instrs[at..]) else {
+            return 0;
+        };
+        for instr in &instrs[at..at + n] {
+            self.count(instr);
+        }
+        let cost = self.take_pending();
+        let top = self.stack.last().copied();
+        match (self.cand, instrs.get(at + n)) {
+            (Some(c), Some(Instr::BrIf(_) | Instr::If { .. }))
+                if c.fused.is_some() && top == Some(Src::Reg(c.dst)) =>
+            {
+                debug_assert_eq!(c.at + 1, self.code.len(), "the candidate is the last op");
+                self.code.insert(c.at, o);
+                self.cost.insert(c.at, cost);
+                self.mem.insert(c.at, (0, 0));
+                self.cand = Some(Cand { at: c.at + 1, ..c });
+            }
+            _ => {
+                self.emit(o, cost);
+            }
+        }
+        n
+    }
+
+    /// Compiles one body. `unchecked` holds the body-slice indices of
+    /// loads/stores proven in bounds by the enclosing loop's guard
+    /// (top level of a guarded loop body only — such bodies contain
+    /// no nested control).
+    #[allow(clippy::too_many_lines)]
     fn body(&mut self, instrs: &[Instr], unchecked: Option<&BTreeSet<usize>>) -> Result<(), Trap> {
         let mut skip = 0usize;
         for (at, instr) in instrs.iter().enumerate() {
@@ -641,8 +746,13 @@ impl<'m> FnRegCompiler<'m> {
             if self.unreachable {
                 break;
             }
-            if matches!(instr, Instr::LocalGet(_)) && self.try_for_tail(instrs, at) {
-                skip = 7;
+            let fused = match instr {
+                Instr::LocalGet(_) => self.try_for_tail(instrs, at),
+                Instr::GlobalGet(_) => self.try_charge(instrs, at),
+                _ => 0,
+            };
+            if fused > 0 {
+                skip = fused - 1;
                 continue;
             }
             match instr {
@@ -729,7 +839,7 @@ impl<'m> FnRegCompiler<'m> {
                 Instr::GlobalGet(g) => {
                     self.count(instr);
                     let dst = self.canon(self.stack.len());
-                    let mut o = mk(ctl::global_get);
+                    let mut o = mk_kind(ctl::global_get, OpKind::GlobalGet);
                     o.imm2 = *g;
                     o.c = dst;
                     let cost = self.take_pending();
@@ -747,7 +857,7 @@ impl<'m> FnRegCompiler<'m> {
                     self.check_pop(1)?;
                     let ra = self.val_reg(self.stack.len() - 1);
                     self.stack.pop();
-                    let mut o = mk(ctl::global_set);
+                    let mut o = mk_kind(ctl::global_set, OpKind::GlobalSet);
                     o.imm2 = *g;
                     o.a = ra;
                     let cost = self.take_pending();
@@ -1079,6 +1189,7 @@ impl<'m> FnRegCompiler<'m> {
                             // into a compare-and-branch-if-false.
                             let (_, brifnot) = c.fused.expect("checked");
                             self.code[c.at].handler = brifnot;
+                            self.code[c.at].kind = OpKind::CmpBranch;
                             self.code[c.at].imm2 = u32::MAX;
                             self.absorb_pending(c.at);
                             self.cand = None;
@@ -1148,6 +1259,7 @@ impl<'m> FnRegCompiler<'m> {
                                 let (brif, _) = c.fused.expect("checked");
                                 let target = self.branch_target(*l, RPatch::Imm2(c.at))?;
                                 self.code[c.at].handler = brif;
+                                self.code[c.at].kind = OpKind::CmpBranch;
                                 self.code[c.at].imm2 = target;
                                 self.absorb_pending(c.at);
                                 self.cand = None;
@@ -1593,6 +1705,67 @@ mod tests {
             agree(&m, &[Value::I32(8193)]).unwrap_err(),
             Trap::MemoryOutOfBounds { .. }
         ));
+    }
+
+    /// Every charge an instrumenter emits lowers to one fused op: on
+    /// every PolyBench kernel and the served use-case programs, at
+    /// every level, no `global.get` / `global.set` on the counter
+    /// global survives the lowering. A change to the sequences
+    /// `segment.rs` or `loopopt.rs` emit turns this red instead of
+    /// silently dropping accounted code back to the unfused path.
+    #[test]
+    fn every_instrumenter_charge_fuses() {
+        use acctee_instrument::{instrument, Level, WeightTable};
+        use acctee_workloads::{darknet, faas_fns, msieve, polybench, subsetsum};
+        let mut modules: Vec<(&str, Module)> = polybench::all()
+            .into_iter()
+            .map(|k| (k.name, (k.build)(k.default_n)))
+            .collect();
+        modules.push(("darknet", darknet::darknet_module(12)));
+        modules.push(("msieve", msieve::msieve_module(3, 5)));
+        modules.push(("subsetsum", subsetsum::subsetsum_module(10, 2)));
+        modules.push(("resize", faas_fns::resize_module()));
+        let weights = WeightTable::calibrated();
+        for (name, m) in &modules {
+            for level in [Level::Naive, Level::FlowBased, Level::LoopBased] {
+                let r = instrument(m, level, &weights).expect("instrument");
+                let rm = compile_regs(&r.module, None).expect("compiles");
+                let stray = rm
+                    .funcs
+                    .iter()
+                    .flat_map(|f| &f.code)
+                    .filter(|o| matches!(o.kind, OpKind::GlobalGet | OpKind::GlobalSet))
+                    .filter(|o| o.imm2 == r.counter_global)
+                    .count();
+                assert_eq!(stray, 0, "{name} {level}: unfused counter access");
+                let fused = count_ops(&rm, OpKind::Charge) + count_ops(&rm, OpKind::ChargeTrips);
+                assert!(fused > 0, "{name} {level}: no fused charge");
+                if level == Level::LoopBased && r.stats.loops_hoisted > 0 {
+                    assert!(
+                        count_ops(&rm, OpKind::ChargeTrips) > 0,
+                        "{name}: hoisted loop's closed form did not fuse"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A charge between a loop's exit compare and its branch does not
+    /// cost the compare-and-branch fusion: subsetsum's LoopBased module
+    /// keeps exactly as many fused compare-and-branch ops, and fused
+    /// counted-loop tails, as the raw module.
+    #[test]
+    fn charges_keep_compare_and_branch_fused() {
+        use acctee_instrument::{instrument, Level, WeightTable};
+        let m = acctee_workloads::subsetsum::subsetsum_module(10, 2);
+        let raw = compile_regs(&m, None).expect("compiles");
+        let r = instrument(&m, Level::LoopBased, &WeightTable::calibrated()).expect("instrument");
+        let inst = compile_regs(&r.module, None).expect("compiles");
+        for kind in [OpKind::CmpBranch, OpKind::ForTailConst] {
+            let want = count_ops(&raw, kind);
+            assert!(want > 0, "{kind:?}");
+            assert_eq!(count_ops(&inst, kind), want, "{kind:?}");
+        }
     }
 
     #[test]

@@ -111,6 +111,17 @@ pub(crate) enum OpKind {
     ForTailConst,
     /// Fused multiply-add ([`ctl::madd`]).
     Madd,
+    /// An infallible producer fused with the conditional branch (or
+    /// `if`) consuming its result.
+    CmpBranch,
+    /// A `global.get`.
+    GlobalGet,
+    /// A `global.set`.
+    GlobalSet,
+    /// Fused `global += k` on an i64 global ([`ctl::charge`]).
+    Charge,
+    /// Fused `global += ((i - saved) / step) * k` ([`ctl::charge_trips`]).
+    ChargeTrips,
     /// A load. `proven`: the guard-proven (unchecked) copy;
     /// `scaled`: an `i32.shl`-by-const folded into the address.
     Load {
@@ -574,6 +585,36 @@ pub(crate) fn h_for_tail_i(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
     } else {
         pc + 1
     }
+}
+
+/// Fused charge on an i64 global: `global[imm2] += imm`, wrapping —
+/// the four source instructions `global.get g; i64.const k; i64.add;
+/// global.set g` in one dispatch. All four are infallible and run as a
+/// unit, so the op carries their full cost. The lowering only emits
+/// it for a mutable i64 global, so the `if let` always matches.
+pub(crate) fn h_charge(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
+    if let Value::I64(g) = &mut vm.inst.globals[op.imm2 as usize] {
+        *g = g.wrapping_add(op.imm as i64);
+    }
+    pc + 1
+}
+
+/// Fused closed-form loop charge: `global[imm2] += i64((a - b) / c) *
+/// imm` — the eleven source instructions `global.get g; local.get i;
+/// local.get saved; i32.sub; i32.const step; i32.div_s;
+/// i64.extend_i32_s; i64.const k; i64.mul; i64.add; global.set g`.
+/// The lowering fuses only a step in `1..=u16::MAX` (carried in `c`),
+/// for which the `div_s` cannot trap, so the op is infallible and
+/// carries all eleven instructions' cost. Every operation wraps (or
+/// truncates toward zero) exactly as its wasm source does.
+pub(crate) fn h_charge_trips(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
+    let i = dec::as_i32(vm.regs[vm.base + op.a as usize]);
+    let saved = dec::as_i32(vm.regs[vm.base + op.b as usize]);
+    let trips = i64::from(i.wrapping_sub(saved) / i32::from(op.c));
+    if let Value::I64(g) = &mut vm.inst.globals[op.imm2 as usize] {
+        *g = g.wrapping_add(trips.wrapping_mul(op.imm as i64));
+    }
+    pc + 1
 }
 
 /// Register-to-register move (materialisation, alias flushes, branch
@@ -1071,11 +1112,11 @@ gen_store_handlers! {
 pub(crate) mod ctl {
     pub(crate) use super::{
         h_br_if as br_if, h_br_if_not as br_if_not, h_br_table as br_table, h_call as call,
-        h_call_indirect as call_indirect, h_for_tail_i as for_tail_i, h_for_tail_r as for_tail_r,
-        h_global_get as global_get, h_global_set as global_set, h_guard as guard, h_jump as jump,
-        h_madd as madd, h_mem_grow as mem_grow, h_mem_size as mem_size, h_mv_ci as mv_ci,
-        h_mv_rr as mv_rr, h_return as ret, h_select as select, h_tick as tick,
-        h_unreachable as unreachable,
+        h_call_indirect as call_indirect, h_charge as charge, h_charge_trips as charge_trips,
+        h_for_tail_i as for_tail_i, h_for_tail_r as for_tail_r, h_global_get as global_get,
+        h_global_set as global_set, h_guard as guard, h_jump as jump, h_madd as madd,
+        h_mem_grow as mem_grow, h_mem_size as mem_size, h_mv_ci as mv_ci, h_mv_rr as mv_rr,
+        h_return as ret, h_select as select, h_tick as tick, h_unreachable as unreachable,
     };
 }
 

@@ -40,6 +40,10 @@ for f in /tmp/BENCH_interp.json BENCH_interp.json; do
     [ -n "$REGS_X" ] || { echo "$f missing the regs speedup_geomean_vs_tree"; exit 1; }
     awk -v x="$REGS_X" 'BEGIN { exit !(x >= 3.0) }' \
         || { echo "$f: register tier only ${REGS_X}x tree (geomean; gate 3.0x)"; exit 1; }
+    # What the accounting meter costs on the register tier is recorded
+    # (not gated: it is a wall-clock ratio).
+    grep -q '"instrumentation_overhead_geomean": -\?[0-9]' "$f" \
+        || { echo "$f missing instrumentation_overhead_geomean"; exit 1; }
 done
 
 echo "==> artifact-cache concurrency suite"

@@ -1722,3 +1722,235 @@ fn declined_module_falls_back_to_the_tree_walker() {
     let mut dep = Deployment::new(19);
     assert_signed_logs_agree(&mut dep, "wide frame", &wide, "f", &[Value::I32(9)], b"");
 }
+
+// ------------------------------------------------------ fused charges
+
+/// `global.get g; i64.const k; i64.add; global.set g` — the charge an
+/// instrumenter closes a segment with, which the register tier lowers
+/// to one op.
+fn emit_charge(f: &mut FuncBuilder, g: u32, k: i64) {
+    f.global_get(g)
+        .i64_const(k)
+        .num(NumOp::I64Add)
+        .global_set(g);
+}
+
+/// The loop closed form `g += i64((i - saved) / step) * k`, in the
+/// eleven instructions the loop-based level emits after a hoisted
+/// loop.
+fn emit_charge_trips(f: &mut FuncBuilder, g: u32, i: u32, saved: u32, step: i32, k: i64) {
+    f.global_get(g).local_get(i).local_get(saved).i32_sub();
+    f.i32_const(step)
+        .num(NumOp::I32DivS)
+        .num(NumOp::I64ExtendI32S);
+    f.i64_const(k)
+        .num(NumOp::I64Mul)
+        .num(NumOp::I64Add)
+        .global_set(g);
+}
+
+/// `f(params) -> i64` over a mutable i64 global exported as `c`
+/// (initialised to `init`); the body gets the global's index and `f`
+/// returns the global's final value.
+fn charge_module(
+    init: i64,
+    params: &[ValType],
+    body: impl FnOnce(&mut FuncBuilder, u32),
+) -> Module {
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(2));
+    let ty = acctee_wasm::types::GlobalType::mutable(ValType::I64);
+    let g = b.global("c", ty, acctee_wasm::instr::ConstExpr::I64(init));
+    let f = b.func("f", params, &[ValType::I64], |f| {
+        body(f, g);
+        f.global_get(g);
+    });
+    b.export_func("f", f);
+    b.export_global("c", g);
+    b.build()
+}
+
+/// Tree and regs agree on `f(args)` in every observer mode (results,
+/// traps, `ExecStats`, counts), on the value left in the exported i64
+/// global `global` (after a trap too) and on the weighted memory
+/// integral.
+fn assert_run_agrees(what: &str, m: &Module, global: &str, args: &[Value]) {
+    assert_engines_agree(m, &no_imports, "f", args, None);
+    let mut seen = Vec::new();
+    for engine in Engine::ALL {
+        let cfg = Config {
+            engine,
+            ..Config::default()
+        };
+        let mut inst = Instance::with_config(m, Imports::new(), cfg).expect("instantiate");
+        let r = inst.invoke("f", args);
+        let c = inst.global(global).expect("exported global").as_i64();
+        seen.push((r.map(|vs| vs.iter().map(value_bits).collect::<Vec<_>>()), c));
+    }
+    assert_eq!(seen[0], seen[1], "{what}: result or charged global");
+    assert_weighted_agrees(m, "f", args, b"", what);
+}
+
+/// [`assert_run_agrees`] on the global `c`, plus the signed usage log
+/// at every instrumentation level.
+fn assert_charges_agree(dep: &mut Deployment, what: &str, m: &Module, args: &[Value]) {
+    assert_run_agrees(what, m, "c", args);
+    assert_signed_logs_agree(dep, what, m, "f", args, b"");
+}
+
+/// The register tier lowers charge sequences on an i64 global to
+/// single ops (and moves a charge that splits a compare from its
+/// branch above the compare). Those rewrites must be invisible: each
+/// hand-built edge case below agrees with the tree-walker on results,
+/// traps, stats, the charged global and the signed log.
+#[test]
+fn fused_charges_agree() {
+    let mut dep = Deployment::new(19);
+
+    // The charged global wraps past i64::MAX, from a body charge and
+    // from a charge between a loop's exit compare and its `br_if`
+    // (both the counted-tail shape and a decrementing loop).
+    let wrap = charge_module(i64::MAX - 5, &[ValType::I32], |f, g| {
+        let i = f.local(ValType::I32);
+        f.loop_(BlockType::Empty, |f| {
+            emit_charge(f, g, i64::MAX / 4);
+            f.local_get(i).i32_const(1).i32_add().local_set(i);
+            f.local_get(i).local_get(0).i32_lt_s();
+            emit_charge(f, g, 3);
+            f.br_if(0);
+        });
+        f.loop_(BlockType::Empty, |f| {
+            f.local_get(0).i32_const(1).i32_sub().local_tee(0);
+            f.i32_const(0).num(NumOp::I32GtS);
+            emit_charge(f, g, 7);
+            f.br_if(0);
+        });
+    });
+    for n in [0, 1, 5, 100] {
+        assert_charges_agree(&mut dep, &format!("wrap({n})"), &wrap, &[Value::I32(n)]);
+    }
+
+    // The closed form: fused steps (1..=u16::MAX, including one past
+    // i16::MAX) and unfused ones (a zero or negative step, one past
+    // u16::MAX), over negative, wrapping and trapping trip counts.
+    let trip_args = [
+        (10, 0),
+        (0, 10),
+        (-7, 5),
+        (i32::MAX, -1),
+        (i32::MIN, 0),
+        (i32::MIN, 1),
+    ];
+    for step in [1, 3, 40_000, 65_535, 65_536, 0, -1, -7] {
+        for k in [7, -3, i64::MAX / 3] {
+            let m = charge_module(11, &[ValType::I32, ValType::I32], |f, g| {
+                emit_charge_trips(f, g, 0, 1, step, k);
+            });
+            for (i, saved) in trip_args {
+                let what = format!("trips(step {step}, k {k}, i {i}, saved {saved})");
+                assert_charges_agree(&mut dep, &what, &m, &[Value::I32(i), Value::I32(saved)]);
+            }
+        }
+    }
+
+    // A charge between a compare and the `if` it feeds, where a
+    // forward `br` lands on the compare, and a loop whose backedge
+    // lands on a compare followed by a charge.
+    let join = charge_module(0, &[ValType::I32, ValType::I32], |f, g| {
+        f.block(BlockType::Empty, |f| {
+            f.local_get(0).num(NumOp::I32Eqz).br_if(0);
+            emit_charge(f, g, 5);
+            f.br(0);
+        });
+        f.local_get(0).local_get(1).i32_lt_s();
+        emit_charge(f, g, 11);
+        f.if_(BlockType::Empty, |f| emit_charge(f, g, 100));
+        f.loop_(BlockType::Empty, |f| {
+            f.local_get(1).i32_const(0).num(NumOp::I32GtS);
+            emit_charge(f, g, 2);
+            f.if_(BlockType::Empty, |f| {
+                f.local_get(1).i32_const(1).i32_sub().local_set(1);
+                f.br(1);
+            });
+        });
+    });
+    for (a, b) in [(0, 1), (0, -1), (3, 5), (5, 3), (-2, 40)] {
+        let what = format!("join({a}, {b})");
+        assert_charges_agree(&mut dep, &what, &join, &[Value::I32(a), Value::I32(b)]);
+    }
+
+    // A charge whose producer traps must not run: the fallible
+    // `div_s` feeding the branch stays below the charge.
+    let div = charge_module(0, &[ValType::I32, ValType::I32], |f, g| {
+        f.local_get(0).local_get(1).num(NumOp::I32DivS);
+        emit_charge(f, g, 9);
+        f.if_(BlockType::Empty, |f| emit_charge(f, g, 1));
+    });
+    for (a, b) in [(7, 2), (7, 0), (i32::MIN, -1)] {
+        let what = format!("div({a}, {b})");
+        assert_charges_agree(&mut dep, &what, &div, &[Value::I32(a), Value::I32(b)]);
+    }
+    // Nor does a charge move above a `memory.grow` (its weight would
+    // be integrated at the old memory size) or a call whose callee
+    // reads the charged global.
+    let grow = charge_module(0, &[ValType::I32], |f, g| {
+        f.local_get(0).emit(Instr::MemoryGrow);
+        emit_charge(f, g, 13);
+        f.if_(BlockType::Empty, |f| emit_charge(f, g, 1));
+    });
+    for pages in [0, 1, 5] {
+        let what = format!("grow({pages})");
+        assert_charges_agree(&mut dep, &what, &grow, &[Value::I32(pages)]);
+    }
+    let call = {
+        let mut b = ModuleBuilder::new();
+        let ty = acctee_wasm::types::GlobalType::mutable(ValType::I64);
+        let g = b.global("c", ty, acctee_wasm::instr::ConstExpr::I64(0));
+        let odd = b.func("odd", &[], &[ValType::I32], |f| {
+            f.global_get(g)
+                .num(NumOp::I32WrapI64)
+                .i32_const(1)
+                .i32_and();
+        });
+        let f = b.func("f", &[ValType::I64], &[ValType::I64], |f| {
+            f.local_get(0).global_set(g);
+            f.call(odd);
+            emit_charge(f, g, 1);
+            f.if_(BlockType::Empty, |f| emit_charge(f, g, 1000));
+            f.global_get(g);
+        });
+        b.export_func("f", f);
+        b.export_global("c", g);
+        b.build()
+    };
+    for c in [0, 1] {
+        let what = format!("call({c})");
+        assert_charges_agree(&mut dep, &what, &call, &[Value::I64(c)]);
+    }
+
+    // A trap inside a hoisted loop, before the closed-form update
+    // after it runs: the loop-based level's counter is charged for
+    // the code before the loop only, on both engines.
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    let f = b.func("f", &[ValType::I32], &[ValType::I64], |f| {
+        let i = f.local(ValType::I32);
+        let sum = f.local(ValType::I64);
+        f.for_loop(i, Bound::Const(0), Bound::Local(0), |f| {
+            f.local_get(sum).local_get(i).i32_const(3).i32_shl();
+            f.load(LoadOp::I64Load, 0).num(NumOp::I64Add).local_set(sum);
+        });
+        f.local_get(sum);
+    });
+    b.export_func("f", f);
+    let raw = b.build();
+    let r = instrument(&raw, Level::LoopBased, &WeightTable::calibrated()).expect("instrument");
+    assert!(r.stats.loops_hoisted > 0, "the loop should be hoisted");
+    for n in [1, 100, 8192, 8193, 20_000] {
+        let what = format!("hoisted-trap({n})");
+        // The accounting enclave instruments (and bills) the raw
+        // module itself.
+        assert_run_agrees(&what, &r.module, COUNTER_EXPORT, &[Value::I32(n)]);
+        assert_signed_logs_agree(&mut dep, &what, &raw, "f", &[Value::I32(n)], b"");
+    }
+}
