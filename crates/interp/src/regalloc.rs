@@ -569,7 +569,9 @@ impl<'m> FnRegCompiler<'m> {
     /// A charge sequence between the `i32.lt_s` and the `br_if` (where
     /// an instrumenter closes the loop body's segment) lowers to its
     /// fused op just before the tail op, for the reason
-    /// [`FnRegCompiler::try_charge`] gives. Returns how many
+    /// [`FnRegCompiler::try_charge`] gives — unless it is a closed
+    /// form reading `i`, which the tail op increments: then the window
+    /// does not match. Returns how many
     /// instructions it consumed (0: no match); the caller skips them.
     fn try_for_tail(&mut self, instrs: &[Instr], at: usize) -> usize {
         let Some(lbl) = self.labels.last() else {
@@ -608,6 +610,11 @@ impl<'m> FnRegCompiler<'m> {
         let charge = match &w[7] {
             Instr::BrIf(0) => None,
             _ => match self.match_charge(&w[7..]) {
+                // A closed form reading `i` must see it incremented,
+                // so it cannot run before the tail op.
+                Some((o, _)) if o.kind == OpKind::ChargeTrips && (o.a == i || o.b == i) => {
+                    return 0
+                }
                 Some((o, len)) if matches!(w.get(7 + len), Some(Instr::BrIf(0))) => Some((o, len)),
                 _ => return 0,
             },

@@ -94,7 +94,10 @@ pub(crate) struct RegOp {
     /// Never read on the dispatch path: it identifies ops for
     /// white-box tests, because a handler's address is not a stable
     /// identity (Rust does not promise one address per function
-    /// across codegen units). It rides in the struct's padding.
+    /// across codegen units, and in release builds small handlers such
+    /// as `global_get` do get a copy per unit, so comparing against
+    /// `ctl::global_get` misses the lowering's ops). It rides in the
+    /// struct's padding.
     pub kind: OpKind,
 }
 

@@ -1830,6 +1830,33 @@ fn fused_charges_agree() {
         assert_charges_agree(&mut dep, &format!("wrap({n})"), &wrap, &[Value::I32(n)]);
     }
 
+    // A closed form between a counted tail's compare and its `br_if`
+    // that reads the induction variable sees it after the increment,
+    // so it must not move above the fused tail op; one that reads
+    // other locals only may.
+    for reads in ["i - s", "s - i", "n - s"] {
+        let m = charge_module(0, &[ValType::I32], |f, g| {
+            let i = f.local(ValType::I32);
+            let s = f.local(ValType::I32);
+            f.i32_const(-3).local_set(s);
+            let (a, b) = match reads {
+                "i - s" => (i, s),
+                "s - i" => (s, i),
+                _ => (0, s),
+            };
+            f.loop_(BlockType::Empty, |f| {
+                f.local_get(i).i32_const(1).i32_add().local_set(i);
+                f.local_get(i).local_get(0).i32_lt_s();
+                emit_charge_trips(f, g, a, b, 1, 1);
+                f.br_if(0);
+            });
+        });
+        for n in [0, 1, 5, 100] {
+            let what = format!("tail-trips({reads}, {n})");
+            assert_charges_agree(&mut dep, &what, &m, &[Value::I32(n)]);
+        }
+    }
+
     // The closed form: fused steps (1..=u16::MAX, including one past
     // i16::MAX) and unfused ones (a zero or negative step, one past
     // u16::MAX), over negative, wrapping and trapping trip counts.
