@@ -6,7 +6,7 @@
 //! Usage: `fig10 [reps] [--engine tree|regs]` (default reps=3,
 //! engine tree — the engine `results/fig10.txt` was recorded on).
 
-use acctee_bench::{engine_arg, sgx_hw_factor, time_ns, Runner};
+use acctee_bench::{engine_arg, sgx_hw_factor, Runner};
 use acctee_instrument::{instrument, Level, WeightTable};
 use acctee_interp::Value;
 use acctee_wasm::Module;
@@ -47,9 +47,18 @@ fn use_cases() -> Vec<UseCase> {
     ]
 }
 
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 fn main() {
     let (engine, args) = engine_arg(std::env::args().skip(1));
-    let reps: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(3);
+    let reps: usize = args
+        .first()
+        .and_then(|a| a.parse().ok())
+        .unwrap_or(3)
+        .max(1);
     let weights = WeightTable::uniform();
     println!(
         "# Fig 10 — instrumentation overhead, normalised to uninstrumented (reps={reps}, engine={engine})"
@@ -60,22 +69,32 @@ fn main() {
     );
     for uc in use_cases() {
         let raw = Runner::new(&uc.module, engine, uc.func, &uc.args);
-        let base = time_ns(reps, || {
-            std::hint::black_box(raw.run_ns(uc.func, &uc.args));
-        })
-        .max(1);
         let hw = sgx_hw_factor(&uc.module, uc.func, &uc.args);
-        let mut cols = Vec::new();
-        for level in [Level::Naive, Level::FlowBased, Level::LoopBased] {
-            let m = instrument(&uc.module, level, &weights)
-                .expect("instrumentable")
-                .module;
-            let accounted = Runner::new(&m, engine, uc.func, &uc.args);
-            let t = time_ns(reps, || {
-                std::hint::black_box(accounted.run_ns(uc.func, &uc.args));
-            });
-            cols.push(t as f64 / base as f64);
+        let modules: Vec<_> = [Level::Naive, Level::FlowBased, Level::LoopBased]
+            .into_iter()
+            .map(|level| {
+                instrument(&uc.module, level, &weights)
+                    .expect("instrumentable")
+                    .module
+            })
+            .collect();
+        let accounted: Vec<_> = modules
+            .iter()
+            .map(|m| Runner::new(m, engine, uc.func, &uc.args))
+            .collect();
+        // Each rep times the baseline right before every level, and a
+        // cell is the median of those per-pair ratios, so machine-load
+        // drift lands on both sides of a ratio rather than on one
+        // baseline shared by the whole row.
+        let mut ratios = vec![Vec::with_capacity(reps); accounted.len()];
+        for _ in 0..reps {
+            for (runner, cell) in accounted.iter().zip(&mut ratios) {
+                let base = raw.run_ns(uc.func, &uc.args).max(1);
+                let t = runner.run_ns(uc.func, &uc.args);
+                cell.push(t as f64 / base as f64);
+            }
         }
+        let cols: Vec<f64> = ratios.iter_mut().map(|r| median(r)).collect();
         // The SGX columns apply the hardware factor to both numerator
         // and denominator, so the *ratio* is the same instrumentation
         // overhead (the paper's SGX bars differ only in noise); we

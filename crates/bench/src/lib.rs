@@ -24,12 +24,13 @@ use acctee_cachesim::CycleModel;
 use acctee_interp::{CompiledModule, Config, Engine, Imports, Instance, Value};
 use acctee_wasm::Module;
 
-/// Times `f` (median of `reps`) and prints a one-line `cargo bench`
-/// style result. The bench targets are harness-free `fn main()`
+/// Times `f` (median of `reps`), prints a one-line `cargo bench`
+/// style result and returns the median in nanoseconds. The bench targets are harness-free `fn main()`
 /// programs built on this, keeping the workspace dependency-free.
-pub fn bench(name: &str, reps: usize, f: impl FnMut()) {
+pub fn bench(name: &str, reps: usize, f: impl FnMut()) -> u64 {
     let ns = time_ns(reps, f);
     println!("{name:<50} {ns:>12} ns/iter (median of {reps})");
+    ns
 }
 
 /// Median-of-`reps` wall time of `f`, in nanoseconds.

@@ -70,12 +70,19 @@ pub enum InstrumentError {
     /// The input module is invalid; instrumenting it would be unsound
     /// (e.g. it could reference the counter global's future index).
     InvalidModule(String),
+    /// The input module already exports [`COUNTER_EXPORT`]; adding the
+    /// counter under that name would duplicate an export, and a host
+    /// reading the counter by name could read the module's own value.
+    CounterExportTaken,
 }
 
 impl std::fmt::Display for InstrumentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             InstrumentError::InvalidModule(e) => write!(f, "invalid input module: {e}"),
+            InstrumentError::CounterExportTaken => {
+                write!(f, "input module already exports {COUNTER_EXPORT:?}")
+            }
         }
     }
 }
@@ -374,7 +381,9 @@ fn observe_pass(hub: &acctee_telemetry::Telemetry, pass: &str, start: std::time:
 ///
 /// [`InstrumentError::InvalidModule`] if the input does not validate —
 /// instrumenting an invalid module would be unsound (its code could
-/// name the counter global's index).
+/// name the counter global's index) — and
+/// [`InstrumentError::CounterExportTaken`] if it already exports
+/// [`COUNTER_EXPORT`] (an instrumented module, for one).
 pub fn instrument(
     module: &Module,
     level: Level,
@@ -391,6 +400,9 @@ pub fn instrument(
         let _s = hub.span("instrument.validate", "instrument");
         let t = Instant::now();
         validate_module(module).map_err(|e| InstrumentError::InvalidModule(e.to_string()))?;
+        if module.exports.iter().any(|e| e.name == COUNTER_EXPORT) {
+            return Err(InstrumentError::CounterExportTaken);
+        }
         observe_pass(&hub, "validate", t);
     }
 
@@ -669,6 +681,25 @@ mod tests {
             instrument(&m, Level::Naive, &WeightTable::uniform()),
             Err(InstrumentError::InvalidModule(_))
         ));
+    }
+
+    #[test]
+    fn module_exporting_the_counter_name_rejected() {
+        let w = WeightTable::uniform();
+        // An already-instrumented module exports the counter global.
+        let once = instrument(&sum_module(), Level::LoopBased, &w).expect("instrument");
+        assert_eq!(
+            instrument(&once.module, Level::LoopBased, &w).unwrap_err(),
+            InstrumentError::CounterExportTaken
+        );
+        // So may a tenant's function, under the counter's name.
+        let mut b = ModuleBuilder::new();
+        let f = b.func("f", &[], &[], |_| {});
+        b.export_func(COUNTER_EXPORT, f);
+        assert_eq!(
+            instrument(&b.build(), Level::Naive, &w).unwrap_err(),
+            InstrumentError::CounterExportTaken
+        );
     }
 
     #[test]

@@ -66,14 +66,13 @@ impl Sha256 {
             if self.buf_len < 64 {
                 return self;
             }
-            compress(&mut self.state, &self.buf);
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buf));
             self.buf_len = 0;
         }
-        let mut blocks = rest.chunks_exact(64);
-        for block in &mut blocks {
-            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
-        }
-        let tail = blocks.remainder();
+        // One call for the whole run of full blocks, so the hardware
+        // path keeps the state in registers between them.
+        let (blocks, tail) = rest.as_chunks::<64>();
+        compress_blocks(&mut self.state, blocks);
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
         self
@@ -88,11 +87,11 @@ impl Sha256 {
         self.buf[self.buf_len] = 0x80;
         self.buf[self.buf_len + 1..].fill(0);
         if self.buf_len >= 56 {
-            compress(&mut self.state, &self.buf);
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buf));
             self.buf = [0; 64];
         }
         self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.state, &self.buf);
+        compress_blocks(&mut self.state, std::slice::from_ref(&self.buf));
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
@@ -114,6 +113,30 @@ pub(crate) fn compressions() -> u64 {
     COMPRESSIONS.with(|c| c.get())
 }
 
+/// Compresses `blocks` into `state` in order, on the CPU's SHA
+/// extensions when it has them and on the portable [`compress`]
+/// otherwise. Both give the same state bit for bit; nothing but the
+/// CPU chooses between them.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::detected() {
+        #[cfg(test)]
+        COMPRESSIONS.with(|c| c.set(c.get() + blocks.len() as u64));
+        // SAFETY: `shani::detected` confirmed through CPUID that this
+        // CPU has every feature `shani::compress_blocks` is compiled
+        // for (sha, sse2, ssse3, sse4.1). The function reads and writes
+        // only through its two reference arguments.
+        unsafe { shani::compress_blocks(state, blocks) };
+        return;
+    }
+    for block in blocks {
+        compress(state, block);
+    }
+}
+
+/// The portable FIPS 180-4 compression function: the fallback on CPUs
+/// without SHA extensions and the oracle the hardware path is tested
+/// against.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     #[cfg(test)]
     COMPRESSIONS.with(|c| c.set(c.get() + 1));
@@ -163,6 +186,84 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[5] = state[5].wrapping_add(f);
     state[6] = state[6].wrapping_add(g);
     state[7] = state[7].wrapping_add(h);
+}
+
+/// SHA-256 on the x86_64 SHA extensions (SHA-NI). `SHA256RNDS2` runs
+/// two rounds on the state split as ABEF and CDGH; `SHA256MSG1/2`
+/// extend the message schedule four words at a time.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// Whether this CPU has every feature [`compress_blocks`] needs,
+    /// asked once per process.
+    pub(super) fn detected() -> bool {
+        static DETECTED: OnceLock<bool> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("sse2")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1")
+        })
+    }
+
+    /// Lanes 0..4 hold the big-endian words at `block[at..at + 16]`.
+    #[target_feature(enable = "sse2,ssse3")]
+    fn load_words(block: &[u8; 64], at: usize) -> __m128i {
+        let half = |i: usize| i64::from_le_bytes(block[i..i + 8].try_into().expect("8-byte slice"));
+        // Reverses the bytes of each 32-bit lane.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        _mm_shuffle_epi8(_mm_set_epi64x(half(at + 8), half(at)), bswap)
+    }
+
+    /// Rounds `4 * quad .. 4 * quad + 4` on message words `w`.
+    #[target_feature(enable = "sha,sse2")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, quad: usize) {
+        let k = &K[quad * 4..quad * 4 + 4];
+        let wk = _mm_add_epi32(
+            w,
+            _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32),
+        );
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+    }
+
+    /// The hardware counterpart of [`super::compress`], over a run of
+    /// blocks so the state stays in registers between them.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // `_mm_set_epi32` lists lanes from 3 down to 0: lane 3 of
+        // ABEF is `a`, lane 0 of CDGH is `h`.
+        let s = state.map(|w| w as i32);
+        let mut abef = _mm_set_epi32(s[0], s[1], s[4], s[5]);
+        let mut cdgh = _mm_set_epi32(s[2], s[3], s[6], s[7]);
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // Entering quad `q`, `w0..w3` hold schedule words 4q..4q+16
+            // (the last four quads extend words that go unused).
+            let [mut w0, mut w1, mut w2, mut w3] = [0, 16, 32, 48].map(|at| load_words(block, at));
+            for quad in 0..16 {
+                rounds4(&mut abef, &mut cdgh, w0, quad);
+                let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+                (w0, w1, w2, w3) = (w1, w2, w3, _mm_sha256msg2_epu32(t, w3));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|w| w as u32);
+    }
 }
 
 /// One-shot SHA-256.
@@ -440,6 +541,10 @@ mod tests {
         sha256(&[0; 55]);
         sha256(&[0; 56]);
         assert_eq!(compressions() - before, 1 + 2);
+        // A run of full blocks counts one per block on either backend.
+        let before = compressions();
+        sha256(&[0; 640]);
+        assert_eq!(compressions() - before, 10 + 1);
         // An absorbed key costs its two pad blocks once; each MAC then
         // costs the message blocks and one outer block.
         let before = compressions();
@@ -449,6 +554,86 @@ mod tests {
         key.mac(&[0; 55]);
         key.mac(&[0; 56]);
         assert_eq!(compressions() - before, (1 + 1) + (2 + 1));
+    }
+
+    /// Whether [`compress_blocks`] runs on the SHA extensions here.
+    fn hardware_backend() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return shani::detected();
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    /// A seeded xorshift64* stream, so a failing case replays.
+    fn seeded(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+    }
+
+    /// SHA-256 on the portable [`compress`] alone, padding by hand.
+    fn portable_sha256(msg: &[u8]) -> Digest {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&((msg.len() as u64) * 8).to_be_bytes());
+        let mut state = Sha256::new().state;
+        for block in padded.as_chunks::<64>().0 {
+            compress(&mut state, block);
+        }
+        let mut out = [0u8; 32];
+        for (i, w) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn backends_agree_on_random_states_and_blocks() {
+        if !hardware_backend() {
+            // Written to the stream itself, past the test harness's
+            // capture, so a passing run still says what it covered.
+            use std::io::Write;
+            let _ = writeln!(
+                std::io::stderr(),
+                "no SHA extensions on this CPU: ran the portable backend only"
+            );
+        }
+        let mut next = seeded(0x5eed_acc7_ee00_0001);
+        let mut blocks = vec![[0u8; 64]; 4];
+        for case in 0..10_000 {
+            let start: [u32; 8] = std::array::from_fn(|_| next() as u32);
+            // Runs of 1..=4 blocks, so state carried across blocks in
+            // registers is checked too.
+            let run = &mut blocks[..1 + case % 4];
+            for block in run.iter_mut() {
+                block.fill_with(|| next() as u8);
+            }
+            let mut dispatched = start;
+            compress_blocks(&mut dispatched, run);
+            let mut portable = start;
+            for block in run.iter() {
+                compress(&mut portable, block);
+            }
+            assert_eq!(dispatched, portable, "case {case}: start {start:08x?}");
+        }
+    }
+
+    #[test]
+    fn update_at_every_split_matches_portable() {
+        let msg = counting_bytes(300);
+        let want = portable_sha256(&msg);
+        assert_eq!(sha256(&msg), want);
+        for split in 0..=msg.len() {
+            let mut h = Sha256::new();
+            h.update(&msg[..split]).update(&msg[split..]);
+            assert_eq!(h.finalize(), want, "split {split}");
+        }
     }
 
     #[test]

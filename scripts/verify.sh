@@ -22,6 +22,12 @@ cargo test --offline -q
 echo "==> interpreter unit tests, release profile"
 cargo test --offline --release -q -p acctee-interp
 
+# SHA-256 runs on the CPU's SHA extensions where it has them; their
+# differential test against the portable compression function must
+# also hold under optimised codegen.
+echo "==> sgx crypto unit tests, release profile"
+cargo test --offline --release -q -p acctee-sgx
+
 echo "==> end-to-end benchmark builds and its unit tests pass (perfbench/)"
 cargo build --offline --release --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml

@@ -43,6 +43,23 @@ fn counter_name_squatting_is_harmless() {
     assert!(counter > 0 && counter < 100, "counter isolated: {counter}");
 }
 
+/// Exporting something under the counter's name is refused before
+/// anything is signed: the instrumented module would carry a duplicate
+/// export, and a host reading the counter by name would read the
+/// workload's value.
+#[test]
+fn counter_export_squatting_refused() {
+    let src = r#"(module
+        (global $fake (mut i64) (i64.const 1))
+        (export "__acctee_wic" (global $fake))
+        (func $f (export "run") (result i64) global.get $fake))"#;
+    let bytes = encode_module(&parse_module(src).expect("parses"));
+    let dep = Deployment::new(11);
+    let err = dep.instrument(&bytes, Level::LoopBased).unwrap_err();
+    assert!(matches!(err, AccTeeError::Instrumentation(_)), "{err}");
+    assert!(err.to_string().contains(COUNTER_EXPORT), "{err}");
+}
+
 /// An adversarial loop that writes its induction variable twice must
 /// not be loop-hoisted — and the counter must still be exact
 /// (the paper's §3.6 attack).
