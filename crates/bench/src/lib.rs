@@ -24,12 +24,22 @@ use acctee_cachesim::CycleModel;
 use acctee_interp::{CompiledModule, Config, Engine, Imports, Instance, Value};
 use acctee_wasm::Module;
 
-/// Times `f` (median of `reps`), prints a one-line `cargo bench`
-/// style result and returns the median in nanoseconds. The bench targets are harness-free `fn main()`
-/// programs built on this, keeping the workspace dependency-free.
-pub fn bench(name: &str, reps: usize, f: impl FnMut()) -> u64 {
-    let ns = time_ns(reps, f);
-    println!("{name:<50} {ns:>12} ns/iter (median of {reps})");
+/// Times `f` (median of `reps` samples), prints a one-line `cargo
+/// bench` style result and returns the median in nanoseconds per call.
+/// Each sample times a batch of calls spanning at least 20 µs, so a
+/// sub-microsecond `f` is not measured as the clock reads around it.
+/// The bench targets are harness-free `fn main()` programs built on
+/// this, keeping the workspace dependency-free.
+pub fn bench(name: &str, reps: usize, mut f: impl FnMut()) -> u64 {
+    // One untimed call first, so one-time setup does not size the batch.
+    f();
+    let mut batch = 1u64;
+    // Capped, in case `f` costs nothing at all.
+    while batch < 1 << 20 && time_ns(1, || (0..batch).for_each(|_| f())) < 20_000 {
+        batch *= 2;
+    }
+    let ns = time_ns(reps, || (0..batch).for_each(|_| f())) / batch;
+    println!("{name:<50} {ns:>12} ns/iter (median of {reps} x {batch} calls)");
     ns
 }
 
@@ -211,6 +221,22 @@ mod tests {
         assert!(art.matches(&m));
         let _ = r.run_ns("run", &[]);
         assert!(Runner::new(&m, Engine::Tree, "run", &[]).artifact.is_none());
+    }
+
+    #[test]
+    fn bench_batches_only_short_calls() {
+        // A batch of b calls costs one warm-up call, 2b - 1
+        // calibration calls and 3b timed ones.
+        let mut calls = 0u64;
+        bench("bench/25us", 3, || {
+            calls += 1;
+            let t = Instant::now();
+            while t.elapsed() < std::time::Duration::from_micros(25) {}
+        });
+        assert_eq!(calls, 5, "one call per sample");
+        let mut calls = 0u64;
+        bench("bench/counted", 3, || calls += 1);
+        assert!(calls >= 5 * 64, "{calls} calls: at least 64 per sample");
     }
 
     #[test]

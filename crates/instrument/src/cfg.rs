@@ -156,15 +156,6 @@ impl Cfg {
     }
 }
 
-/// Statistics from the flow-based transformation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowStats {
-    /// Increments zeroed by the push-down transformation.
-    pub pushed_down: usize,
-    /// Increments zeroed by the min-over-predecessors transformation.
-    pub hoisted_min: usize,
-}
-
 /// Applies the two flow-based transformations of §3.6 to the per-node
 /// amounts, returning the adjusted amounts.
 ///
@@ -177,11 +168,10 @@ pub struct FlowStats {
 ///
 /// Both preserve the path sum: along every entry-to-exit path the total
 /// of executed amounts is unchanged.
-pub fn flow_optimise(cfg: &Cfg) -> (Vec<u64>, FlowStats) {
+pub fn flow_optimise(cfg: &Cfg) -> Vec<u64> {
     let mut amount = cfg.weight.clone();
     let reach = cfg.reachable();
     let preds = cfg.preds();
-    let mut stats = FlowStats::default();
 
     // Transformation 1: push-down, in node order (roughly program
     // order, so pushed amounts can cascade forward in one pass).
@@ -208,7 +198,6 @@ pub fn flow_optimise(cfg: &Cfg) -> (Vec<u64>, FlowStats) {
             amount[s] += amount[a];
         }
         amount[a] = 0;
-        stats.pushed_down += 1;
     }
 
     // Transformation 2: min-over-predecessors.
@@ -241,14 +230,11 @@ pub fn flow_optimise(cfg: &Cfg) -> (Vec<u64>, FlowStats) {
         }
         for &p in &ps {
             amount[p] -= m;
-            if amount[p] == 0 {
-                stats.hoisted_min += 1;
-            }
         }
         amount[n] += m;
     }
 
-    (amount, stats)
+    amount
 }
 
 #[cfg(test)]
@@ -285,13 +271,13 @@ mod tests {
         // common path*); our variant composes both transformations
         // fully. The path sums match either way.
         let g = fig4();
-        let (amount, stats) = flow_optimise(&g);
+        let amount = flow_optimise(&g);
         // Path sums preserved: A-B-D and A-C-D.
         assert_eq!(amount[0] + amount[1] + amount[3], 3 + 5 + 2);
         assert_eq!(amount[0] + amount[2] + amount[3], 3 + 8 + 2);
         // Two increments eliminated, as in the paper ("2 out of 4").
         let zeroed = amount.iter().filter(|a| **a == 0).count();
-        assert_eq!(zeroed, 2, "{amount:?} {stats:?}");
+        assert_eq!(zeroed, 2, "{amount:?}");
     }
 
     #[test]
@@ -309,7 +295,7 @@ mod tests {
         // b is unreachable here, so it is ignored; make it reachable:
         g.add_edge(a, b);
         g.add_edge(b, c);
-        let (amount, _) = flow_optimise(&g);
+        let amount = flow_optimise(&g);
         // A has successors {b, c}; c has preds {a, b} so push-down must
         // not fire.
         assert_eq!(amount[a], 5);
@@ -323,7 +309,7 @@ mod tests {
         g.weight[h] = 7;
         g.add_edge(a, h);
         g.add_edge(h, h); // loop header back-edge
-        let (amount, _) = flow_optimise(&g);
+        let amount = flow_optimise(&g);
         // h's amount must stay in h: it executes once per iteration.
         assert_eq!(amount[h], 7);
     }
@@ -343,7 +329,7 @@ mod tests {
         g.add_edge(g.entry, c);
         g.add_edge(b, n);
         g.add_edge(c, n);
-        let (amount, _) = flow_optimise(&g);
+        let amount = flow_optimise(&g);
         // Push-down first moves entry's 1 into B and C (6, 9); min-pred
         // then moves min(6,9)=6 into N.
         assert_eq!(amount[g.entry], 0);
@@ -370,7 +356,7 @@ mod tests {
         let mut g = Cfg::new();
         let dead = g.add_node();
         g.weight[dead] = 100;
-        let (amount, _) = flow_optimise(&g);
+        let amount = flow_optimise(&g);
         assert_eq!(amount[dead], 100); // untouched
         assert_eq!(g.dominators()[dead], usize::MAX);
     }

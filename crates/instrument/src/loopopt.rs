@@ -13,14 +13,15 @@
 //! For a hoisted loop the per-iteration increments are zeroed and the
 //! instrumenter instead saves the induction variable before the loop
 //! and, after the loop, adds `((i_end - i_start) / k) * W` to the
-//! counter, where `W` is the per-iteration weight.
+//! counter (a [`Charge::Trips`]), where `W` is the per-iteration
+//! weight.
 
+use acctee_wasm::charge::{self, Charge};
 use acctee_wasm::instr::Instr;
 use acctee_wasm::op::NumOp;
 use acctee_wasm::types::ValType;
 
 use crate::segment::Item;
-use crate::weights::WeightTable;
 
 /// A detected induction variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,64 +99,24 @@ fn straight_line_ending_in_backedge(body: &[Item]) -> Option<Vec<&Instr>> {
     }
 }
 
-fn loop_flush_total(body: &[Item], amounts: &[u64]) -> u64 {
+/// Zeroes the loop body's flushes and returns their sum, the weight of
+/// one trip.
+fn take_loop_flushes(body: &[Item], amounts: &mut [u64]) -> u64 {
     body.iter()
         .map(|i| match i {
-            Item::Flush(id) => amounts[*id],
+            Item::Flush(id) => std::mem::take(&mut amounts[*id]),
             _ => 0,
         })
         .sum()
 }
 
-fn zero_loop_flushes(body: &[Item], amounts: &mut [u64]) {
-    for i in body {
-        if let Item::Flush(id) = i {
-            amounts[*id] = 0;
-        }
-    }
-}
-
-/// Emits the post-loop counter update:
-/// `c += ((i - saved) / step) * per_iteration`.
-fn counter_update(counter: u32, ind: Induction, saved: u32, per_iteration: u64) -> Vec<Item> {
-    [
-        Instr::GlobalGet(counter),
-        Instr::LocalGet(ind.local),
-        Instr::LocalGet(saved),
-        Instr::Num(NumOp::I32Sub),
-        Instr::I32Const(ind.step),
-        Instr::Num(NumOp::I32DivS),
-        Instr::Num(NumOp::I64ExtendI32S),
-        Instr::I64Const(per_iteration as i64),
-        Instr::Num(NumOp::I64Mul),
-        Instr::Num(NumOp::I64Add),
-        Instr::GlobalSet(counter),
-    ]
-    .into_iter()
-    .map(Item::Instr)
-    .collect()
-}
-
-/// Applies the loop-based optimisation to an item tree. Returns the
-/// rewritten items, the adjusted amounts, and how many loops were
-/// hoisted. `locals`/`n_params` describe the enclosing function so
-/// fresh save-locals can be allocated.
+/// Applies the loop-based optimisation to an item tree: returns the
+/// rewritten items, zeroes the hoisted loops' flushes in `amounts` and
+/// counts the loops in `hoisted`. `locals`/`n_params` describe the
+/// enclosing function so fresh save-locals can be allocated.
 pub(crate) fn hoist_loops(
     items: Vec<Item>,
-    mut amounts: Vec<u64>,
-    counter: u32,
-    locals: &mut Vec<ValType>,
-    n_params: u32,
-    _weights: &WeightTable,
-) -> (Vec<Item>, Vec<u64>, usize) {
-    let mut hoisted = 0;
-    let items = rewrite(items, &mut amounts, counter, locals, n_params, &mut hoisted);
-    (items, amounts, hoisted)
-}
-
-fn rewrite(
-    items: Vec<Item>,
-    amounts: &mut Vec<u64>,
+    amounts: &mut [u64],
     counter: u32,
     locals: &mut Vec<ValType>,
     n_params: u32,
@@ -169,33 +130,39 @@ fn rewrite(
                     .and_then(|instrs| find_induction(&instrs));
                 match qualifies {
                     Some(ind) => {
-                        let per_iteration = loop_flush_total(&body, amounts);
+                        let per_iteration = take_loop_flushes(&body, amounts);
                         if per_iteration == 0 {
                             out.push(Item::Loop { ty, body });
                             continue;
                         }
-                        zero_loop_flushes(&body, amounts);
                         locals.push(ValType::I32);
                         let saved = n_params + locals.len() as u32 - 1;
                         out.push(Item::Instr(Instr::LocalGet(ind.local)));
                         out.push(Item::Instr(Instr::LocalSet(saved)));
                         out.push(Item::Loop { ty, body });
-                        out.extend(counter_update(counter, ind, saved, per_iteration));
+                        let update = Charge::Trips {
+                            global: counter,
+                            i: ind.local,
+                            saved,
+                            step: ind.step,
+                            k: per_iteration as i64,
+                        };
+                        out.extend(charge::emit(&update).into_iter().map(Item::Instr));
                         *hoisted += 1;
                     }
                     None => {
-                        let body = rewrite(body, amounts, counter, locals, n_params, hoisted);
+                        let body = hoist_loops(body, amounts, counter, locals, n_params, hoisted);
                         out.push(Item::Loop { ty, body });
                     }
                 }
             }
             Item::Block { ty, body } => {
-                let body = rewrite(body, amounts, counter, locals, n_params, hoisted);
+                let body = hoist_loops(body, amounts, counter, locals, n_params, hoisted);
                 out.push(Item::Block { ty, body });
             }
             Item::If { ty, then, els } => {
-                let then = rewrite(then, amounts, counter, locals, n_params, hoisted);
-                let els = rewrite(els, amounts, counter, locals, n_params, hoisted);
+                let then = hoist_loops(then, amounts, counter, locals, n_params, hoisted);
+                let els = hoist_loops(els, amounts, counter, locals, n_params, hoisted);
                 out.push(Item::If { ty, then, els });
             }
             other => out.push(other),
@@ -259,6 +226,46 @@ mod tests {
             run.invoke("f", &[Value::I32(n)]).unwrap();
             let counter = run.global(COUNTER_EXPORT).unwrap().as_i64() as u64;
             assert_eq!(counter, oracle.count, "n={n}");
+        }
+    }
+
+    /// A step past `u16::MAX` is still hoisted, though the register
+    /// tier leaves such a closed form unfused (its fused op holds the
+    /// step in 16 bits): both engines must charge what the oracle
+    /// counts.
+    #[test]
+    fn wide_step_loop_is_hoisted_and_exact_on_both_engines() {
+        const STEP: i32 = 70_000;
+        let mut b = ModuleBuilder::new();
+        let f = b.func("f", &[ValType::I32], &[], |f| {
+            let i = f.local(ValType::I32);
+            f.loop_(BlockType::Empty, |f| {
+                f.local_get(i).i32_const(STEP).i32_add().local_set(i);
+                f.local_get(i);
+                f.local_get(0);
+                f.i32_lt_s();
+                f.br_if(0);
+            });
+        });
+        b.export_func("f", f);
+        let m = b.build();
+        let inst = instrument(&m, Level::LoopBased, &WeightTable::uniform()).unwrap();
+        assert_eq!(inst.stats.loops_hoisted, 1);
+        for n in [0, STEP, 5 * STEP, 5 * STEP + 1] {
+            let mut oracle = CountingObserver::unit();
+            let mut orig = oracle_instance(&m);
+            orig.invoke_observed("f", &[Value::I32(n)], &mut oracle)
+                .unwrap();
+            for engine in [Engine::Tree, Engine::Regs] {
+                let cfg = Config {
+                    engine,
+                    ..Config::default()
+                };
+                let mut run = Instance::with_config(&inst.module, Imports::new(), cfg).unwrap();
+                run.invoke("f", &[Value::I32(n)]).unwrap();
+                let counter = run.global(COUNTER_EXPORT).unwrap().as_i64() as u64;
+                assert_eq!(counter, oracle.count, "{engine:?} n={n}");
+            }
         }
     }
 

@@ -11,18 +11,19 @@
 //!   already accounted when control leaves; or
 //! * at the **end of the enclosing structured body** on fall-through.
 //!
-//! Increments are `global.get $c; i64.const w; i64.add; global.set $c`
-//! on a fresh module global the workload cannot name (the module is
-//! validated first, so no pre-existing instruction can reference the
-//! appended global index — requirement R4 / design point D4).
+//! Increments are [`Charge::Add`]s (`global.get $c; i64.const w;
+//! i64.add; global.set $c`) on a fresh module global the workload
+//! cannot name (the module is validated first, so no pre-existing
+//! instruction can reference the appended global index — requirement
+//! R4 / design point D4).
 
+use acctee_wasm::charge::{self, Charge};
 use acctee_wasm::instr::{BlockType, ConstExpr, Instr};
 use acctee_wasm::module::{Export, ExportKind, Global, Module};
-use acctee_wasm::op::NumOp;
 use acctee_wasm::types::{GlobalType, ValType};
 use acctee_wasm::validate::validate_module;
 
-use crate::cfg::{flow_optimise, Cfg, FlowStats};
+use crate::cfg::{flow_optimise, Cfg};
 use crate::loopopt;
 use crate::weights::WeightTable;
 
@@ -129,9 +130,7 @@ pub struct Instrumented {
     pub stats: InstrumentStats,
 }
 
-/// Name under which the counter global is exported, so the embedder
-/// (the accounting enclave) can read it.
-pub const COUNTER_EXPORT: &str = "__acctee_wic";
+pub use acctee_wasm::charge::COUNTER_EXPORT;
 
 /// An instruction stream with flush markers, mirroring the structured
 /// body.
@@ -178,126 +177,93 @@ impl Walker<'_> {
             // Dead code still gets a segment so its (never-executed)
             // increments keep the module well-formed.
             let c = *cur.get_or_insert_with(|| self.cfg.add_node());
-            let w = self.weights.weight(instr);
+            self.cfg.weight[c] += self.weights.weight(instr);
             match instr {
                 Instr::Block { ty, body } => {
                     // Fall-through entry: the segment continues inside.
-                    self.cfg.weight[c] += w;
                     let after = self.cfg.add_node();
-                    labels.push(after);
-                    let mut inner = Vec::new();
-                    let end = self.walk(body, Some(c), labels, &mut inner);
-                    labels.pop();
-                    if let Some(end) = end {
-                        inner.push(Item::Flush(end));
-                        self.cfg.add_edge(end, after);
-                    }
-                    out.push(Item::Block {
-                        ty: *ty,
-                        body: inner,
-                    });
+                    let body = self.nested(body, c, after, after, labels);
+                    out.push(Item::Block { ty: *ty, body });
                     cur = Some(after);
                 }
                 Instr::Loop { ty, body } => {
                     // The loop header is a branch target: fresh segment.
-                    self.cfg.weight[c] += w;
                     out.push(Item::Flush(c));
                     let header = self.cfg.add_node();
                     self.cfg.add_edge(c, header);
                     let after = self.cfg.add_node();
-                    labels.push(header);
-                    let mut inner = Vec::new();
-                    let end = self.walk(body, Some(header), labels, &mut inner);
-                    labels.pop();
-                    if let Some(end) = end {
-                        inner.push(Item::Flush(end));
-                        self.cfg.add_edge(end, after);
-                    }
-                    out.push(Item::Loop {
-                        ty: *ty,
-                        body: inner,
-                    });
+                    let body = self.nested(body, header, header, after, labels);
+                    out.push(Item::Loop { ty: *ty, body });
                     cur = Some(after);
                 }
                 Instr::If { ty, then, els } => {
-                    self.cfg.weight[c] += w;
                     out.push(Item::Flush(c));
                     let after = self.cfg.add_node();
                     let t_entry = self.cfg.add_node();
                     let e_entry = self.cfg.add_node();
                     self.cfg.add_edge(c, t_entry);
                     self.cfg.add_edge(c, e_entry);
-                    labels.push(after);
-                    let mut t_items = Vec::new();
-                    if let Some(end) = self.walk(then, Some(t_entry), labels, &mut t_items) {
-                        t_items.push(Item::Flush(end));
-                        self.cfg.add_edge(end, after);
-                    }
-                    let mut e_items = Vec::new();
-                    if let Some(end) = self.walk(els, Some(e_entry), labels, &mut e_items) {
-                        e_items.push(Item::Flush(end));
-                        self.cfg.add_edge(end, after);
-                    }
-                    labels.pop();
-                    out.push(Item::If {
-                        ty: *ty,
-                        then: t_items,
-                        els: e_items,
-                    });
+                    let then = self.nested(then, t_entry, after, after, labels);
+                    let els = self.nested(els, e_entry, after, after, labels);
+                    out.push(Item::If { ty: *ty, then, els });
                     cur = Some(after);
                 }
-                Instr::Br(l) => {
-                    self.cfg.weight[c] += w;
+                // Every other transfer ends the segment before it
+                // leaves. A call is a basic-block boundary too (the
+                // paper's REM-style segmentation), so periodic log
+                // reads see the caller's charge.
+                Instr::Br(_)
+                | Instr::BrIf(_)
+                | Instr::BrTable { .. }
+                | Instr::Return
+                | Instr::Unreachable
+                | Instr::Call(_)
+                | Instr::CallIndirect(_) => {
                     out.push(Item::Flush(c));
-                    let target = labels[labels.len() - 1 - *l as usize];
-                    self.cfg.add_edge(c, target);
                     out.push(Item::Instr(instr.clone()));
-                    cur = None;
-                }
-                Instr::BrIf(l) => {
-                    self.cfg.weight[c] += w;
-                    out.push(Item::Flush(c));
-                    let target = labels[labels.len() - 1 - *l as usize];
-                    self.cfg.add_edge(c, target);
-                    out.push(Item::Instr(instr.clone()));
-                    let cont = self.cfg.add_node();
-                    self.cfg.add_edge(c, cont);
-                    cur = Some(cont);
-                }
-                Instr::BrTable { targets, default } => {
-                    self.cfg.weight[c] += w;
-                    out.push(Item::Flush(c));
-                    for l in targets.iter().chain(std::iter::once(default)) {
-                        let target = labels[labels.len() - 1 - *l as usize];
-                        self.cfg.add_edge(c, target);
+                    let label = |l: &u32| labels[labels.len() - 1 - *l as usize];
+                    match instr {
+                        Instr::Br(l) | Instr::BrIf(l) => self.cfg.add_edge(c, label(l)),
+                        Instr::BrTable { targets, default } => {
+                            for l in targets.iter().chain([default]) {
+                                self.cfg.add_edge(c, label(l));
+                            }
+                        }
+                        _ => {}
                     }
-                    out.push(Item::Instr(instr.clone()));
-                    cur = None;
+                    cur = match instr {
+                        Instr::BrIf(_) | Instr::Call(_) | Instr::CallIndirect(_) => {
+                            let cont = self.cfg.add_node();
+                            self.cfg.add_edge(c, cont);
+                            Some(cont)
+                        }
+                        _ => None,
+                    };
                 }
-                Instr::Return | Instr::Unreachable => {
-                    self.cfg.weight[c] += w;
-                    out.push(Item::Flush(c));
-                    out.push(Item::Instr(instr.clone()));
-                    cur = None;
-                }
-                Instr::Call(_) | Instr::CallIndirect(_) => {
-                    // Basic-block boundary (the paper's REM-style
-                    // segmentation): flush before transferring into the
-                    // callee so periodic log reads see it.
-                    self.cfg.weight[c] += w;
-                    out.push(Item::Flush(c));
-                    out.push(Item::Instr(instr.clone()));
-                    let cont = self.cfg.add_node();
-                    self.cfg.add_edge(c, cont);
-                    cur = Some(cont);
-                }
-                simple => {
-                    self.cfg.weight[c] += w;
-                    out.push(Item::Instr(simple.clone()));
-                }
+                simple => out.push(Item::Instr(simple.clone())),
             }
         }
         cur
+    }
+
+    /// Walks a nested body entered in segment `entry` with `label` as
+    /// its branch target, closing its fall-through end into `after`.
+    fn nested(
+        &mut self,
+        body: &[Instr],
+        entry: usize,
+        label: usize,
+        after: usize,
+        labels: &mut Vec<usize>,
+    ) -> Vec<Item> {
+        labels.push(label);
+        let mut items = Vec::new();
+        if let Some(end) = self.walk(body, Some(entry), labels, &mut items) {
+            items.push(Item::Flush(end));
+            self.cfg.add_edge(end, after);
+        }
+        labels.pop();
+        items
     }
 }
 
@@ -346,10 +312,10 @@ fn materialise(
                     stats.elided += 1;
                 } else {
                     stats.increments += 1;
-                    out.push(Instr::GlobalGet(counter));
-                    out.push(Instr::I64Const(amount as i64));
-                    out.push(Instr::Num(NumOp::I64Add));
-                    out.push(Instr::GlobalSet(counter));
+                    out.extend(charge::emit(&Charge::Add {
+                        global: counter,
+                        k: amount as i64,
+                    }));
                 }
             }
         }
@@ -357,11 +323,18 @@ fn materialise(
     out
 }
 
-/// Records one pass's duration in the per-pass latency histogram.
-fn observe_pass(hub: &acctee_telemetry::Telemetry, pass: &str, start: std::time::Instant) {
+/// Runs one pass of [`instrument`] under its telemetry span
+/// (`instrument.<pass>`) and records its duration in the per-pass
+/// latency histogram.
+fn timed<T>(hub: &acctee_telemetry::Telemetry, span: &str, pass: impl FnOnce() -> T) -> T {
+    let _s = hub.span(span, "instrument");
+    let t = std::time::Instant::now();
+    let out = pass();
+    let name = span.trim_start_matches("instrument.");
     hub.metrics()
-        .histogram_with("acctee_instrument_pass_seconds", &[("pass", pass)], 1e-9)
-        .observe(start.elapsed().as_nanos() as u64);
+        .histogram_with("acctee_instrument_pass_seconds", &[("pass", name)], 1e-9)
+        .observe(t.elapsed().as_nanos() as u64);
+    out
 }
 
 /// Instruments `module` at `level` with `weights`.
@@ -389,29 +362,26 @@ pub fn instrument(
     level: Level,
     weights: &WeightTable,
 ) -> Result<Instrumented, InstrumentError> {
-    use std::time::Instant;
     let hub = acctee_telemetry::global();
     let mut run_span = hub
         .span("instrument", "instrument")
         .with_arg("level", level.to_string())
         .with_arg("funcs", module.funcs.len());
 
-    {
-        let _s = hub.span("instrument.validate", "instrument");
-        let t = Instant::now();
+    timed(&hub, "instrument.validate", || {
         validate_module(module).map_err(|e| InstrumentError::InvalidModule(e.to_string()))?;
         if module.exports.iter().any(|e| e.name == COUNTER_EXPORT) {
             return Err(InstrumentError::CounterExportTaken);
         }
-        observe_pass(&hub, "validate", t);
-    }
+        Ok(())
+    })?;
 
     let mut out = module.clone();
     let counter = out.num_globals();
     out.globals.push(Global {
         ty: GlobalType::mutable(ValType::I64),
         init: ConstExpr::I64(0),
-        name: Some("__acctee_wic".into()),
+        name: Some(COUNTER_EXPORT.into()),
     });
     out.exports.push(Export {
         name: COUNTER_EXPORT.into(),
@@ -425,86 +395,60 @@ pub fn instrument(
 
     // Pass 1: segmentation — walk every function, building its CFG and
     // flush-marked item stream.
-    let segmented: Vec<SegmentedFunc> = {
-        let _s = hub.span("instrument.segment", "instrument");
-        let t = Instant::now();
-        let segs: Vec<SegmentedFunc> = out
-            .funcs
+    let segmented: Vec<SegmentedFunc> = timed(&hub, "instrument.segment", || {
+        out.funcs
             .iter()
             .map(|f| segment_function(&f.body, weights))
-            .collect();
-        stats.segments = segs.iter().map(|s| s.cfg.len()).sum();
-        observe_pass(&hub, "segment", t);
-        segs
-    };
+            .collect()
+    });
+    stats.segments = segmented.iter().map(|s| s.cfg.len()).sum();
 
     // Pass 2: flow optimisation — dominator-based push-down and
     // min-predecessor merging of per-segment amounts.
-    let optimised: Vec<(Vec<Item>, Vec<u64>)> = {
-        let _s = hub.span("instrument.flow_optimise", "instrument");
-        let t = Instant::now();
-        let o = segmented
+    let optimised: Vec<(Vec<Item>, Vec<u64>)> = timed(&hub, "instrument.flow_optimise", || {
+        segmented
             .into_iter()
             .map(|seg| {
-                let (amounts, _flow): (Vec<u64>, FlowStats) = match level {
-                    Level::Naive => (seg.cfg.weight.clone(), FlowStats::default()),
+                let amounts = match level {
+                    Level::Naive => seg.cfg.weight,
                     Level::FlowBased | Level::LoopBased => flow_optimise(&seg.cfg),
                 };
                 (seg.items, amounts)
             })
-            .collect();
-        observe_pass(&hub, "flow_optimise", t);
-        o
-    };
+            .collect()
+    });
 
     // Pass 3: loop hoisting — move per-iteration increments out of
     // counted loops (LoopBased only; identity otherwise).
-    let hoisted: Vec<(Vec<Item>, Vec<u64>)> = {
-        let _s = hub.span("instrument.hoist_loops", "instrument");
-        let t = Instant::now();
-        let types = out.types.clone();
-        let h = optimised
+    let hoisted: Vec<(Vec<Item>, Vec<u64>)> = timed(&hub, "instrument.hoist_loops", || {
+        let types = &out.types;
+        optimised
             .into_iter()
             .zip(out.funcs.iter_mut())
-            .map(|((items, amounts), f)| {
-                if level == Level::LoopBased {
-                    let n_params = types[f.ty as usize].params.len() as u32;
-                    let (items, amounts, n) = loopopt::hoist_loops(
-                        items,
-                        amounts,
-                        counter,
-                        &mut f.locals,
-                        n_params,
-                        weights,
-                    );
-                    stats.loops_hoisted += n;
-                    (items, amounts)
-                } else {
-                    (items, amounts)
+            .map(|((items, mut amounts), f)| {
+                if level != Level::LoopBased {
+                    return (items, amounts);
                 }
+                let n_params = types[f.ty as usize].params.len() as u32;
+                let (locals, hoisted) = (&mut f.locals, &mut stats.loops_hoisted);
+                let items =
+                    loopopt::hoist_loops(items, &mut amounts, counter, locals, n_params, hoisted);
+                (items, amounts)
             })
-            .collect();
-        observe_pass(&hub, "hoist_loops", t);
-        h
-    };
+            .collect()
+    });
 
     // Pass 4: materialisation — emit the surviving increments.
-    {
-        let _s = hub.span("instrument.materialise", "instrument");
-        let t = Instant::now();
+    timed(&hub, "instrument.materialise", || {
         for ((items, amounts), f) in hoisted.into_iter().zip(out.funcs.iter_mut()) {
             f.body = materialise(&items, &amounts, counter, &mut stats);
         }
-        observe_pass(&hub, "materialise", t);
-    }
+    });
 
     // Pass 5: encode — for the §5.4 size metric.
-    {
-        let _s = hub.span("instrument.encode", "instrument");
-        let t = Instant::now();
-        stats.size_after = acctee_wasm::encode::encode_module(&out).len();
-        observe_pass(&hub, "encode", t);
-    }
+    stats.size_after = timed(&hub, "instrument.encode", || {
+        acctee_wasm::encode::encode_module(&out).len()
+    });
     debug_assert!(
         validate_module(&out).is_ok(),
         "instrumented module must validate"
@@ -541,6 +485,7 @@ mod tests {
     use super::*;
     use acctee_interp::{Config, CountingObserver, Engine, Imports, Instance, Value};
     use acctee_wasm::builder::{Bound, ModuleBuilder};
+    use acctee_wasm::op::NumOp;
 
     /// The accounting oracle: always the tree-walker, whatever the
     /// default engine is.

@@ -15,9 +15,10 @@
 //! * `<op>; local.set x` retargets the op's destination straight to
 //!   `x` (the *retarget peephole*), eliminating the move.
 //! * `<compare>; br_if` fuses into a single compare-and-branch op.
-//! * An accounting instrumenter's charge sequences on an i64 global
-//!   (`counter += k` and the loop closed form) each lower to one op,
-//!   placed before a compare whose branch they would otherwise split.
+//! * An accounting instrumenter's charges on an i64 global (the
+//!   shapes of [`acctee_wasm::charge`], found with its `recognize`)
+//!   each lower to one op, placed before a compare whose branch they
+//!   would otherwise split.
 //!
 //! The invariant that makes joins tractable: the full abstract stack is
 //! materialised into canonical registers at every `block`/`loop`/`if`
@@ -43,6 +44,7 @@
 
 use std::collections::BTreeSet;
 
+use acctee_wasm::charge::{self, Charge};
 use acctee_wasm::instr::{BlockType, Instr};
 use acctee_wasm::module::{ImportKind, Module};
 use acctee_wasm::op::NumOp;
@@ -654,42 +656,38 @@ impl<'m> FnRegCompiler<'m> {
         n
     }
 
-    /// Matches a charge sequence at the start of `w` — the two shapes
-    /// an accounting instrumenter emits on an i64 counter global `g`:
-    ///
-    /// * `global.get g; i64.const k; i64.add; global.set g` →
-    ///   [`ctl::charge`];
-    /// * the loop closed form `global.get g; local.get i; local.get s;
-    ///   i32.sub; i32.const step; i32.div_s; i64.extend_i32_s;
-    ///   i64.const k; i64.mul; i64.add; global.set g` with `step` in
-    ///   `1..=u16::MAX` (so the `div_s` cannot trap) →
-    ///   [`ctl::charge_trips`].
-    ///
-    /// Returns the fused op (not yet emitted) and the window length.
-    /// Either window is straight-line and infallible, so the fused op
-    /// carries the full cost of its source instructions and
-    /// accounting stays exact at every flush boundary. Nothing here
-    /// knows which global is the counter: any mutable i64 global
-    /// fuses.
+    /// Lowers a charge at the start of `w` ([`charge::recognize`]) on
+    /// a mutable i64 global: [`Charge::Add`] to [`ctl::charge`], and
+    /// [`Charge::Trips`] to [`ctl::charge_trips`] if `step` is in
+    /// `1..=u16::MAX`, where its `div_s` cannot trap; any other step
+    /// stays unfused and traps where the oracle does. Returns the
+    /// fused op (not yet emitted) and the window length. Either window
+    /// is straight-line and infallible, so the op carries the full
+    /// cost of its source instructions. Nothing here knows which
+    /// global is the counter: any mutable i64 global fuses.
     fn match_charge(&self, w: &[Instr]) -> Option<(RegOp, usize)> {
-        use Instr::{GlobalGet, GlobalSet, I32Const, I64Const, LocalGet, Num};
-        let (g, mut o, n) = match w {
-            [GlobalGet(g), I64Const(k), Num(NumOp::I64Add), GlobalSet(g2), ..] if g == g2 => {
+        let (charge, n) = charge::recognize(w)?;
+        let (g, mut o) = match charge {
+            Charge::Add { global, k } => {
                 let mut o = mk_kind(ctl::charge, OpKind::Charge);
-                o.imm = *k as u64;
-                (*g, o, 4)
+                o.imm = k as u64;
+                (global, o)
             }
-            [GlobalGet(g), LocalGet(i), LocalGet(saved), Num(NumOp::I32Sub), I32Const(step), Num(NumOp::I32DivS), Num(NumOp::I64ExtendI32S), I64Const(k), Num(NumOp::I64Mul), Num(NumOp::I64Add), GlobalSet(g2), ..]
-                if g == g2 && (1..=i32::from(u16::MAX)).contains(step) =>
-            {
+            Charge::Trips {
+                global,
+                i,
+                saved,
+                step,
+                k,
+            } if (1..=i32::from(u16::MAX)).contains(&step) => {
                 let mut o = mk_kind(ctl::charge_trips, OpKind::ChargeTrips);
-                o.a = *i as u16;
-                o.b = *saved as u16;
-                o.c = *step as u16;
-                o.imm = *k as u64;
-                (*g, o, 11)
+                o.a = i as u16;
+                o.b = saved as u16;
+                o.c = step as u16;
+                o.imm = k as u64;
+                (global, o)
             }
-            _ => return None,
+            Charge::Trips { .. } => return None,
         };
         let is_var_i64 = self
             .module

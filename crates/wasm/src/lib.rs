@@ -30,6 +30,7 @@
 //! ```
 
 pub mod builder;
+pub mod charge;
 pub mod decode;
 pub mod encode;
 pub mod error;
