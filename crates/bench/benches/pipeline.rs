@@ -1,14 +1,12 @@
 //! Benches for the end-to-end AccTEE pipeline: the full instrument →
-//! attest → execute → sign-log → verify round trip, and the FaaS
-//! request path. Harness-free (`fn main`), timed with
+//! attest → execute → sign-log → verify round trip. The FaaS request
+//! paths are timed by `fig9`. Harness-free (`fn main`), timed with
 //! `acctee_bench::bench`.
 
 use acctee::{Deployment, Level};
 use acctee_bench::bench;
-use acctee_faas::{FaasPlatform, FunctionKind, Setup};
 use acctee_interp::Value;
 use acctee_wasm::encode::encode_module;
-use acctee_workloads::faas_fns::test_image;
 
 fn main() {
     let wasm = encode_module(&acctee_workloads::subsetsum::subsetsum_module(10, 3));
@@ -26,14 +24,6 @@ fn main() {
                 dep.execute(&bytes, &evidence, "run", &[], b"")
                     .expect("executes"),
             );
-        });
-    }
-
-    let img = test_image(64, 64);
-    for setup in [Setup::Wasm, Setup::WasmSgxHwIo] {
-        let platform = FaasPlatform::deploy(FunctionKind::Resize, setup);
-        bench(&format!("pipeline/faas-resize-64px ({setup})"), 10, || {
-            std::hint::black_box(platform.handle(&img).expect("served"));
         });
     }
 

@@ -2,11 +2,27 @@
 //! `echo` and `resize` functions at image sizes 64/128/512/1024 px,
 //! across the six setups, under 10 concurrent closed-loop clients.
 //!
+//! Each round serves one request per path (see `acctee_faas::rig`);
+//! a row's service time is its path's median over the rounds plus what
+//! the overhead model adds, and the closed-loop simulator turns that
+//! into throughput.
+//!
 //! Usage: `fig9 [virtual_requests] [measure_reps]` (defaults 200, 3).
 
-use acctee_bench::time_ns;
-use acctee_faas::{ClosedLoopSim, FaasPlatform, FunctionKind, Setup};
+use acctee_faas::{median_service_ns, ClosedLoopSim, FunctionKind, Rig, Round, Setup};
+use acctee_interp::Engine;
 use acctee_workloads::faas_fns::test_image;
+
+/// Which path each row measures and what the overhead model adds.
+const LEGEND: &str = "\
+# row                 path    measured, then what the model adds
+# WASM                plain   + HTTP/instantiate base, per-byte
+# WASM-SGX SIM        plain   + base, per-byte, SGX-LKL syscall path, enclave per-byte
+# WASM-SGX HW         plain   x HW factor (echo 1.05, resize 1.5), + SIM's + transitions
+# WASM-SGX HW instr.  served  x HW factor, + SIM's + transitions
+# WASM-SGX HW I/O     served  as instr., from the same sample: the served path always meters I/O
+# JS                  MiniJS  + base, per-byte, OpenFaaS fork per request
+";
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -15,8 +31,26 @@ fn main() {
     let sizes = [64usize, 128, 512, 1024];
     let sim = ClosedLoopSim::default();
 
-    println!("# Fig 9 — FaaS throughput [req/s], 10 closed-loop clients, {requests} requests");
+    println!(
+        "# Fig 9 — FaaS throughput [req/s], 10 closed-loop clients, {requests} requests, \
+         engine {}, median of {reps} rounds",
+        Engine::default().name()
+    );
+    print!("{LEGEND}");
     for kind in [FunctionKind::Echo, FunctionKind::Resize] {
+        let rig = Rig::start(kind).expect("rig starts");
+        let mut rows = vec![Vec::new(); Setup::ALL.len()];
+        for size in sizes {
+            let payload = test_image(size, size);
+            rig.round(&payload).expect("warm-up round served");
+            let rounds: Vec<Round> = (0..reps.max(1))
+                .map(|_| rig.round(&payload).expect("round served"))
+                .collect();
+            for (row, setup) in rows.iter_mut().zip(Setup::ALL) {
+                let service = median_service_ns(&rounds, *setup);
+                row.push(sim.run(requests, |_| service).throughput());
+            }
+        }
         println!("#");
         println!("## {} function", kind.name());
         print!("{:<20}", "setup \\ px");
@@ -24,23 +58,10 @@ fn main() {
             print!(" {s:>9}");
         }
         println!();
-        for setup in Setup::ALL {
-            let platform = FaasPlatform::deploy(kind, *setup);
+        for (row, setup) in rows.iter().zip(Setup::ALL) {
             print!("{:<20}", setup.to_string());
-            for size in sizes {
-                let payload = test_image(size, size);
-                // Measure the per-request service time (median of reps),
-                // then simulate the closed loop at that service time.
-                let mut last_stats = None;
-                let _warm = platform.handle(&payload).expect("request served");
-                let exec_ns = time_ns(reps, || {
-                    let (_, stats) = platform.handle(&payload).expect("request served");
-                    last_stats = Some(stats);
-                });
-                let stats = last_stats.expect("at least one rep");
-                let service = exec_ns.max(1) + stats.overhead_ns;
-                let report = sim.run(requests, |_| service);
-                print!(" {:>9.1}", report.throughput());
+            for tp in row {
+                print!(" {tp:>9.1}");
             }
             println!();
         }

@@ -150,6 +150,33 @@ mod tests {
         assert_eq!(meter.bytes_in(), 3);
     }
 
+    /// A length of -1 on either import: `read_input` copies nothing,
+    /// `write_output` refuses the call rather than reading ~4 GiB.
+    /// Neither counts a byte.
+    #[test]
+    fn negative_io_lengths_read_nothing_and_refuse_output() {
+        let mut b = ModuleBuilder::new();
+        let (_, read_input, write_output) = declare_io_imports(&mut b);
+        b.memory(1, None);
+        for (name, import) in [("read", read_input), ("write", write_output)] {
+            let f = b.func(name, &[], &[ValType::I32], |f| {
+                f.i32_const(0);
+                f.i32_const(-1);
+                f.call(import);
+            });
+            b.export_func(name, f);
+        }
+        let m = b.build();
+        let meter = IoMeter::with_input(b"abc");
+        let mut inst = Instance::new(&m, meter.register(Imports::new())).unwrap();
+        assert_eq!(inst.invoke("read", &[]).unwrap(), vec![Value::I32(0)]);
+        assert_eq!(meter.bytes_in(), 0);
+        let err = inst.invoke("write", &[]).unwrap_err();
+        assert!(matches!(err, Trap::Host(_)), "{err:?}");
+        assert_eq!(meter.bytes_out(), 0);
+        assert!(meter.take_output().is_empty());
+    }
+
     #[test]
     fn oob_write_output_traps() {
         let mut b = ModuleBuilder::new();

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::rig::FunctionKind;
+
 /// One bar group of Fig 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Setup {
@@ -32,14 +34,10 @@ impl Setup {
         Setup::Js,
     ];
 
-    /// Whether the module runs instrumented.
+    /// Whether the module runs instrumented (on the served path, which
+    /// also meters I/O).
     pub fn instrumented(self) -> bool {
         matches!(self, Setup::WasmSgxHwInstr | Setup::WasmSgxHwIo)
-    }
-
-    /// Whether I/O accounting is active.
-    pub fn io_accounting(self) -> bool {
-        matches!(self, Setup::WasmSgxHwIo)
     }
 
     /// Whether the SGX-LKL layer is on the request path.
@@ -125,6 +123,36 @@ impl OverheadModel {
         }
         ns
     }
+
+    /// SGX hardware-mode execution slowdown of `kind`, from the cycle
+    /// model: echo moves bytes (boundary cost dominates, factor near
+    /// 1); resize computes over a working set far below the EPC, so the
+    /// factor is the MEE-less in-cache ratio, close to 1 as the paper
+    /// observes for compute-heavy functions.
+    fn hw_exec_factor(&self, kind: FunctionKind) -> f64 {
+        match kind {
+            FunctionKind::Echo => 1.05,
+            FunctionKind::Resize => 1.5,
+        }
+    }
+
+    /// One request's service time under `setup`: the measured
+    /// `exec_ns` (scaled by `kind`'s hardware-mode slowdown on the
+    /// hardware-mode rows) plus [`OverheadModel::request_overhead_ns`].
+    pub fn service_ns(
+        &self,
+        kind: FunctionKind,
+        setup: Setup,
+        exec_ns: u64,
+        payload: usize,
+    ) -> u64 {
+        let exec_ns = if setup.sgx_hw() {
+            (exec_ns as f64 * self.hw_exec_factor(kind)) as u64
+        } else {
+            exec_ns
+        };
+        exec_ns.max(1) + self.request_overhead_ns(setup, payload)
+    }
 }
 
 #[cfg(test)]
@@ -138,8 +166,6 @@ mod tests {
         assert!(!Setup::WasmSgxSim.sgx_hw());
         assert!(Setup::WasmSgxHwIo.sgx_hw());
         assert!(Setup::WasmSgxHwIo.instrumented());
-        assert!(Setup::WasmSgxHwIo.io_accounting());
-        assert!(!Setup::WasmSgxHwInstr.io_accounting());
         assert_eq!(Setup::ALL.len(), 6);
     }
 

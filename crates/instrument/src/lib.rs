@@ -23,13 +23,6 @@ pub mod segment;
 pub mod wat;
 pub mod weights;
 
-/// Static range proofs for loop memory accesses — the analysis behind
-/// the register tier's bounds-check elimination. The implementation
-/// lives in `acctee-wasm` (the interpreter cannot depend on this
-/// crate) and recognises the same counted-loop shape as [`loopopt`];
-/// this is the canonical re-export for instrumentation consumers.
-pub use acctee_wasm::rangeproof;
-
 pub use segment::{
     instrument, InstrumentError, InstrumentStats, Instrumented, Level, COUNTER_EXPORT,
 };

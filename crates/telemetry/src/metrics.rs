@@ -94,11 +94,6 @@ impl Histogram {
         self.0.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Records a duration, in nanoseconds.
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_nanos() as u64);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)

@@ -149,26 +149,6 @@ impl Instr {
     pub fn is_simple(&self) -> bool {
         !self.is_control()
     }
-
-    /// Counts all instructions in a body, recursing into nested blocks.
-    /// Structured constructs count as one instruction each (their `end`
-    /// delimiters are not counted, matching the paper's accounting).
-    pub fn count_tree(body: &[Instr]) -> u64 {
-        let mut n = 0;
-        for i in body {
-            n += 1;
-            match i {
-                Instr::Block { body, .. } | Instr::Loop { body, .. } => {
-                    n += Instr::count_tree(body);
-                }
-                Instr::If { then, els, .. } => {
-                    n += Instr::count_tree(then) + Instr::count_tree(els);
-                }
-                _ => {}
-            }
-        }
-        n
-    }
 }
 
 /// A constant expression used for global initialisers and segment
@@ -214,25 +194,5 @@ mod tests {
         assert!(Instr::Num(NumOp::I32Add).is_simple());
         assert!(Instr::LocalGet(0).is_simple());
         assert!(Instr::Load(LoadOp::I32Load, MemArg::default()).is_simple());
-    }
-
-    #[test]
-    fn count_tree_recurses() {
-        let body = vec![
-            Instr::I32Const(1),
-            Instr::Block {
-                ty: BlockType::Empty,
-                body: vec![
-                    Instr::Nop,
-                    Instr::If {
-                        ty: BlockType::Empty,
-                        then: vec![Instr::Nop],
-                        els: vec![Instr::Nop, Instr::Nop],
-                    },
-                ],
-            },
-        ];
-        // 1 const + 1 block + 1 nop + 1 if + 1 + 2 nops = 7
-        assert_eq!(Instr::count_tree(&body), 7);
     }
 }

@@ -241,12 +241,6 @@ impl Module {
             .position(|f| f.name.as_deref() == Some(name))
             .map(|i| i as u32 + self.num_imported_funcs())
     }
-
-    /// Total count of instructions across all function bodies
-    /// (recursive; used for size statistics).
-    pub fn total_instructions(&self) -> u64 {
-        self.funcs.iter().map(|f| Instr::count_tree(&f.body)).sum()
-    }
 }
 
 #[cfg(test)]

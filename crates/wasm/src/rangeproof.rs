@@ -42,9 +42,8 @@
 //!
 //! Anything the analysis cannot prove it simply leaves out of
 //! [`LoopProof::accesses`]; the consumer keeps those accesses checked.
-//! The canonical re-export for instrumentation consumers lives at
-//! `acctee_instrument::rangeproof` (this crate hosts the core because
-//! the interpreter cannot depend on the instrumenter).
+//! It lives in this crate, not `acctee-instrument`, because the
+//! interpreter cannot depend on the instrumenter.
 
 use std::collections::{BTreeMap, BTreeSet};
 

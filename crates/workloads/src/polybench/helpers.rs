@@ -120,17 +120,6 @@ pub fn for_n(f: &mut FuncBuilder, i: u32, n: usize, body: impl FnOnce(&mut FuncB
     f.for_loop(i, Bound::Const(0), Bound::Const(n as i32), body);
 }
 
-/// Emits `for i in start..n` with a dynamic start local.
-pub fn for_from(
-    f: &mut FuncBuilder,
-    i: u32,
-    start: u32,
-    n: usize,
-    body: impl FnOnce(&mut FuncBuilder),
-) {
-    f.for_loop(i, Bound::Local(start), Bound::Const(n as i32), body);
-}
-
 /// Emits the PolyBench-style fractional init value
 /// `fmod((i*a + j*b + c), m) / d` as an f64, where all inputs are i32
 /// locals/constants. Uses `i32.rem_s` then converts.

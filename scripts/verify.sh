@@ -52,6 +52,22 @@ for f in /tmp/BENCH_interp.json BENCH_interp.json; do
         || { echo "$f missing instrumentation_overhead_geomean"; exit 1; }
 done
 
+# fig9 binds a loopback server (its served rows); a short run keeps
+# that path from rotting: six rows per function, every cell finite
+# and above zero.
+echo "==> fig9 smoke (plain, served and MiniJS paths)"
+FIG9_OUT="$(cargo run --offline --release -q -p acctee-bench --bin fig9 -- 20 1)"
+printf '%s\n' "$FIG9_OUT" | awk '
+    /^## / { fn = $2; next }
+    fn != "" && /^(WASM|JS)/ {
+        ok = NF >= 5
+        for (i = NF - 3; i <= NF; i++)
+            if ($i !~ /^[0-9]+(\.[0-9]+)?$/ || $i + 0 <= 0) ok = 0
+        if (ok) rows[fn]++; else bad++
+    }
+    END { exit !(rows["echo"] == 6 && rows["resize"] == 6 && bad == 0) }' \
+    || { printf '%s\n' "$FIG9_OUT"; echo "fig9: expected six finite, positive rows per function"; exit 1; }
+
 echo "==> artifact-cache concurrency suite"
 cargo test --offline -q --release -p acctee-integration --test artifact_cache
 

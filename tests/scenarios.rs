@@ -3,48 +3,47 @@
 //! computing, runs over the wire in `tests/fleet_e2e.rs`
 //! (`volunteer_campaign_pays_only_attested_work_at_default_sampling`).
 
-use acctee_faas::{ClosedLoopSim, FaasPlatform, FunctionKind, Setup};
+use acctee_faas::{median_service_ns, ClosedLoopSim, FunctionKind, Rig, Setup};
 use acctee_workloads::faas_fns::{resize_native, test_image};
 
 /// Fig 9 sanity: every setup serves correct responses, throughput is
 /// finite and ordered WASM > SGX setups, and the JS baseline is the
-/// slowest for the compute-heavy function.
+/// slowest for the compute-heavy function. The served row's signed log
+/// counts exactly the request and response bytes.
 ///
-/// Each setup's service time is the median of [`ROUNDS`] samples,
-/// taken in interleaved rounds (every round serves every setup once),
-/// so a descheduled request or a burst of machine load moves one
-/// sample of every setup, not one setup's only sample. Tolerance: the
-/// orderings rest on modelled overhead margins — WASM vs SGX HW
-/// ≥ 2.0 ms (LKL + enclave transitions), SGX SIM vs HW ≥ 0.6 ms plus
-/// the HW execution factor, JS ≥ 400 ms — which hold unless more than
-/// half of a setup's samples are each disturbed by at least that much.
+/// Each setup's service time is the median over [`ROUNDS`] rounds of
+/// the rig; a round serves one request per path (plain, served,
+/// MiniJS), and every row comes from its path's sample in that round.
+/// `WASM`, `WASM-SGX SIM` and `WASM-SGX HW` share the plain sample, so
+/// their order is the overhead model's — SGX SIM vs HW differs by the
+/// 0.6 ms enclave transitions plus the HW execution factor — and no
+/// machine load between two timings can swap them. JS vs WASM rests on
+/// the modelled ≥ 400 ms per JS request, which holds unless more than
+/// half of the rounds are each disturbed by at least that much.
 #[test]
 fn faas_throughput_ordering() {
     const ROUNDS: usize = 7;
     let payload = test_image(64, 64);
     let sim = ClosedLoopSim::default();
-    let platforms: Vec<_> = Setup::ALL
-        .iter()
-        .map(|s| (*s, FaasPlatform::deploy(FunctionKind::Resize, *s)))
-        .collect();
-    let mut samples: std::collections::HashMap<Setup, Vec<u64>> = Default::default();
+    let rig = Rig::start(FunctionKind::Resize).expect("rig starts");
+    let mut rounds = Vec::new();
     for _ in 0..ROUNDS {
-        for (setup, p) in &platforms {
-            let (resp, stats) = p.handle(&payload).expect("served");
-            assert_eq!(resp, resize_native(64, 64, &payload[8..]), "{setup}");
-            samples
-                .entry(*setup)
-                .or_default()
-                .push(stats.service_ns().max(1));
+        let round = rig.round(&payload).expect("served");
+        for setup in Setup::ALL {
+            let resp = &round.sample(*setup).output;
+            assert_eq!(*resp, resize_native(64, 64, &payload[8..]), "{setup}");
         }
+        assert_eq!(round.log.io_bytes_in, payload.len() as u64);
+        assert_eq!(round.log.io_bytes_out, round.served.output.len() as u64);
+        rounds.push(round);
     }
-    let mut tp = std::collections::HashMap::new();
-    for (setup, mut ns) in samples {
-        ns.sort_unstable();
-        let median = ns[ns.len() / 2];
-        let report = sim.run(100, |_| median);
-        tp.insert(setup, report.throughput());
-    }
+    let tp: std::collections::HashMap<Setup, f64> = Setup::ALL
+        .iter()
+        .map(|setup| {
+            let median = median_service_ns(&rounds, *setup);
+            (*setup, sim.run(100, |_| median).throughput())
+        })
+        .collect();
     assert!(tp[&Setup::Wasm] > tp[&Setup::WasmSgxHw], "{tp:?}");
     assert!(tp[&Setup::WasmSgxSim] >= tp[&Setup::WasmSgxHw], "{tp:?}");
     // The interpreted-JS baseline loses to wasm clearly (paper: 16x).
@@ -55,16 +54,17 @@ fn faas_throughput_ordering() {
 /// payload size in every setup (the Fig 9 x-axis trend).
 #[test]
 fn faas_echo_payload_trend() {
+    const SETUPS: [Setup; 3] = [Setup::Wasm, Setup::WasmSgxHw, Setup::WasmSgxHwInstr];
     let sim = ClosedLoopSim::default();
-    for setup in [Setup::Wasm, Setup::WasmSgxHw] {
-        let p = FaasPlatform::deploy(FunctionKind::Echo, setup);
-        let mut last = f64::INFINITY;
-        for px in [64usize, 256, 512] {
-            let payload = test_image(px, px);
-            let (_, stats) = p.handle(&payload).expect("served");
-            let t = sim.run(50, |_| stats.service_ns().max(1)).throughput();
-            assert!(t < last, "{setup} at {px}px: {t} !< {last}");
-            last = t;
+    let rig = Rig::start(FunctionKind::Echo).expect("rig starts");
+    let mut last = [f64::INFINITY; SETUPS.len()];
+    for px in [64usize, 256, 512] {
+        let payload = test_image(px, px);
+        let round = rig.round(&payload).expect("served");
+        for (setup, last) in SETUPS.iter().zip(&mut last) {
+            let t = sim.run(50, |_| round.service_ns(*setup)).throughput();
+            assert!(t < *last, "{setup} at {px}px: {t} !< {last}");
+            *last = t;
         }
     }
 }
