@@ -300,7 +300,12 @@ mod tests {
         for setup in Setup::ALL {
             assert_eq!(round.sample(*setup).output, b"ping", "{setup}");
         }
-        assert_eq!((round.log.io_bytes_in, round.log.io_bytes_out), (4, 4));
+    }
+
+    #[test]
+    fn overheads_rank_paths() {
+        let rig = Rig::start(FunctionKind::Echo).unwrap();
+        let round = rig.round(b"ping").unwrap();
         // Rows that share a sample rank by the model alone.
         let [wasm, sim, hw, instr, io] = [
             Setup::Wasm,
@@ -325,9 +330,31 @@ mod tests {
             assert_eq!(out.len(), OUT_SIZE * OUT_SIZE * 3, "{setup}");
             assert_eq!(*out, expected, "{setup}");
         }
+    }
+
+    #[test]
+    fn served_path_is_correct_and_metered() {
+        let img = test_image(16, 16);
+        let expected = faas_fns::resize_native(16, 16, &img[8..]);
+        let rig = Rig::start(FunctionKind::Resize).unwrap();
+        let round = rig.round(&img).unwrap();
+        assert_eq!(round.sample(Setup::WasmSgxHwInstr).output, expected);
         assert!(
             round.log.weighted_instructions > 0,
             "the served path is metered"
         );
+    }
+
+    #[test]
+    fn served_round_reports_request_bytes() {
+        let rig = Rig::start(FunctionKind::Echo).unwrap();
+        let round = rig.round(b"ping").unwrap();
+        assert_eq!((round.log.io_bytes_in, round.log.io_bytes_out), (4, 4));
+
+        let img = test_image(16, 16);
+        let rig = Rig::start(FunctionKind::Resize).unwrap();
+        let round = rig.round(&img).unwrap();
+        assert_eq!(round.log.io_bytes_in, img.len() as u64);
+        assert_eq!(round.log.io_bytes_out, (OUT_SIZE * OUT_SIZE * 3) as u64);
     }
 }
