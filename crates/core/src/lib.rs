@@ -61,9 +61,7 @@ pub mod evidence;
 pub mod io;
 pub mod log;
 pub mod pricing;
-pub mod progress;
 pub mod session;
-pub mod weights_store;
 
 pub use cache::InstrumentationCache;
 pub use enclave::{
@@ -74,7 +72,6 @@ pub use evidence::InstrumentationEvidence;
 pub use io::IoMeter;
 pub use log::{ResourceUsageLog, SignedLog};
 pub use pricing::{Invoice, PricingModel};
-pub use progress::ProgressMeter;
 pub use session::{Deployment, InfrastructureProvider, WorkloadProvider};
 
 pub use acctee_instrument::{Level, WeightTable};

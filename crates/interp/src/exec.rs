@@ -36,12 +36,12 @@ pub enum Engine {
     /// declined modules).
     Tree,
     /// The register-bytecode engine (`crate::regs`): three-address
-    /// ops over virtual registers with direct-threaded dispatch,
-    /// proven bounds-check elimination and inline caches for
-    /// `call_indirect`. The default; batched and weighted observers
-    /// run on it directly, while fueled or per-instruction-observed
-    /// invokes transparently run on the tree-walker (identical
-    /// semantics, exact per-instruction bookkeeping).
+    /// ops over virtual registers with direct-threaded dispatch and
+    /// proven bounds-check elimination. The default; null and weighted
+    /// observers run on it directly, while fueled or
+    /// per-instruction-observed invokes transparently run on the
+    /// tree-walker (identical semantics, exact per-instruction
+    /// bookkeeping).
     #[default]
     Regs,
 }
@@ -159,10 +159,6 @@ pub struct Instance<'m> {
     pub(crate) compiled: Option<std::sync::Arc<CompiledModule>>,
     /// Reusable register-tier execution buffers.
     pub(crate) reg_bufs: crate::regs::RegBuffers,
-    /// Per-instance inline caches for `call_indirect` sites (register
-    /// tier). Instance-local by design: cached translations are
-    /// per-table, and tables are per-instance.
-    pub(crate) reg_ics: Vec<crate::regs::IcEntry>,
     /// Scratch argument vectors pooled across tree-walker calls.
     scratch: Vec<Vec<Value>>,
 }
@@ -296,7 +292,6 @@ impl<'m> Instance<'m> {
             stats: ExecStats::default(),
             compiled: None,
             reg_bufs: crate::regs::RegBuffers::default(),
-            reg_ics: Vec::new(),
             scratch: Vec::new(),
         };
 

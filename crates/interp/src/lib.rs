@@ -51,7 +51,7 @@ pub use exec::{Config, Engine, Instance, DEADLINE_CHECK_INTERVAL};
 pub use host::{HostCtx, HostFunc, Imports};
 pub use memory::Memory;
 pub use observer::{
-    Accounting, BatchedCounter, CountingObserver, InstrWeights, NullObserver, Observer, WeightsKey,
+    Accounting, CountingObserver, InstrWeights, NullObserver, Observer, WeightsKey,
 };
 pub use profile::{FuncProfile, OpClass, ProfileReport, ProfilingObserver};
 pub use regs::CompiledModule;

@@ -56,9 +56,10 @@ impl std::fmt::Debug for InstrWeights {
 
 /// How an observer wants instruction events delivered.
 ///
-/// The register tier asks the attached observer once per invocation
-/// and picks a delivery mode accordingly; the tree-walker always
-/// delivers the exact per-instruction stream.
+/// The register tier asks the attached observer once per invocation:
+/// it runs a [`NullObserver`] or a weighted observer itself and hands
+/// every other invoke to the tree-walker, which always delivers the
+/// exact per-instruction stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Accounting {
     /// One [`Observer::on_instr`] per executed instruction, plus the
@@ -66,17 +67,13 @@ pub enum Accounting {
     /// profilers and the cache model.
     #[default]
     PerInstr,
-    /// Fused counting: the engine may coalesce a straight-line run of
-    /// instructions into a single [`Observer::on_block`] delivery and
-    /// skip `on_instr`, `on_mem_access`, `on_call` and `on_return`
-    /// entirely. The delivered totals still sum to the exact
-    /// instruction count, including partially executed blocks on a
-    /// trap.
-    Batched,
-    /// Fused *weighted* counting: like [`Accounting::Batched`], but
-    /// each straight-line run arrives as one
+    /// Fused *weighted* counting: the engine may coalesce a
+    /// straight-line run of instructions into one
     /// [`Observer::on_weighted_block`] carrying its instruction count
-    /// and its weighted sum under the weights with this key. Only the
+    /// and its weighted sum under the weights with this key, and skip
+    /// `on_instr`, `on_mem_access`, `on_call` and `on_return`
+    /// entirely. The delivered totals still sum exactly, including
+    /// partially executed blocks on a trap. Only the
     /// register tier running an artifact built with those weights
     /// ([`crate::CompiledModule::compile_weighted`]) delivers it; every
     /// other engine or artifact delivers the exact
@@ -109,8 +106,8 @@ pub trait Observer {
     /// Ordering, on every engine and in every delivery mode: every
     /// instruction up to *and including* the `memory.grow` has been
     /// delivered before this call — through [`Observer::on_instr`],
-    /// or through the [`Observer::on_block`] /
-    /// [`Observer::on_weighted_block`] that closes the grow's segment
+    /// or through the [`Observer::on_weighted_block`] that closes the
+    /// grow's segment
     /// — and no later instruction has. An observer that weighs
     /// instructions by the current memory size therefore charges the
     /// grow itself at the old size in every mode.
@@ -127,17 +124,11 @@ pub trait Observer {
     fn on_return(&mut self, _func_idx: u32) {}
 
     /// The delivery mode this observer needs. Defaults to the exact
-    /// per-instruction stream; override to [`Accounting::Batched`] or
-    /// [`Accounting::Weighted`] to let the register tier fuse
-    /// counter updates per basic block.
+    /// per-instruction stream; override to [`Accounting::Weighted`] to
+    /// let the register tier fuse counter updates per basic block.
     fn accounting(&self) -> Accounting {
         Accounting::PerInstr
     }
-
-    /// Called with a fused instruction count for a straight-line run,
-    /// only when [`Observer::accounting`] returned
-    /// [`Accounting::Batched`].
-    fn on_block(&mut self, _instrs: u64) {}
 
     /// Called with a fused instruction count and its weighted sum for
     /// a straight-line run, only when [`Observer::accounting`]
@@ -148,10 +139,10 @@ pub trait Observer {
 
     /// Whether this observer ignores every event ([`NullObserver`]).
     ///
-    /// The engines check this once per invoke and, when true, dispatch
-    /// to a monomorphised loop where the observer calls compile away —
-    /// hoisting the virtual-call null-check out of the hot loop
-    /// entirely. Only override to return `true` for an observer whose
+    /// The engines check this once per invoke, before
+    /// [`Observer::accounting`], and, when true, dispatch to a loop
+    /// where the observer calls compile away — hoisting the
+    /// virtual-call null-check out of the hot loop entirely. Only override to return `true` for an observer whose
     /// every hook is a no-op.
     fn is_null(&self) -> bool {
         false
@@ -164,39 +155,8 @@ pub trait Observer {
 pub struct NullObserver;
 
 impl Observer for NullObserver {
-    fn accounting(&self) -> Accounting {
-        Accounting::Batched
-    }
-
     fn is_null(&self) -> bool {
         true
-    }
-}
-
-/// A unit-weight instruction counter that opts in to batched delivery.
-///
-/// Under the register tier this receives one [`Observer::on_block`]
-/// per straight-line segment instead of one [`Observer::on_instr`] per
-/// instruction; under the tree-walker it counts per instruction. The
-/// final count is identical either way (the differential suite pins
-/// this down).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BatchedCounter {
-    /// Total instructions counted.
-    pub count: u64,
-}
-
-impl Observer for BatchedCounter {
-    fn on_instr(&mut self, _instr: &Instr) {
-        self.count += 1;
-    }
-
-    fn on_block(&mut self, instrs: u64) {
-        self.count += instrs;
-    }
-
-    fn accounting(&self) -> Accounting {
-        Accounting::Batched
     }
 }
 

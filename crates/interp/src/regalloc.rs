@@ -14,11 +14,14 @@
 //!   materialise it only when a register is genuinely required.
 //! * `<op>; local.set x` retargets the op's destination straight to
 //!   `x` (the *retarget peephole*), eliminating the move.
-//! * `<compare>; br_if` fuses into a single compare-and-branch op.
+//! * `i32.mul`-by-const feeding an `i32.add` fuses to one
+//!   [`ctl::madd`], and an `i32.shl`-by-const feeding a load folds
+//!   into the load's scaled address mode.
+//! * The canonical counted-loop tail (increment, compare, backedge)
+//!   fuses to one [`ctl::for_tail_r`] / [`ctl::for_tail_i`].
 //! * An accounting instrumenter's charges on an i64 global (the
 //!   shapes of [`acctee_wasm::charge`], found with its `recognize`)
-//!   each lower to one op, placed before a compare whose branch they
-//!   would otherwise split.
+//!   each lower to one op.
 //!
 //! The invariant that makes joins tractable: the full abstract stack is
 //! materialised into canonical registers at every `block`/`loop`/`if`
@@ -54,7 +57,7 @@ use acctee_wasm::types::{FuncType, Mutability, ValType};
 use crate::numslot::enc;
 use crate::observer::InstrWeights;
 use crate::regs::{
-    bin_handlers, bin_try_handler, ctl, load_handlers, store_handlers, un_handlers, un_try_handler,
+    bin_handlers, bin_try_handler, ctl, load_handlers, store_handlers, un_handler, un_try_handler,
     Handler, OpKind, RegAccess, RegBound, RegBrTable, RegFunc, RegGuard, RegModule, RegOp,
     SegPrefix,
 };
@@ -96,7 +99,6 @@ pub(crate) fn compile_regs(
             .iter()
             .any(|i| matches!(i.kind, ImportKind::Memory(_)));
 
-    let mut next_ic: u32 = 0;
     let mut weighted_fits = true;
     let mut funcs = Vec::with_capacity(module.funcs.len());
     for f in &module.funcs {
@@ -111,20 +113,15 @@ pub(crate) fn compile_regs(
             ty,
             f,
             has_memory,
-            next_ic,
             weights,
         );
         c.body(&f.body, None)?;
-        let (rf, fits) = c.finish(ty, &mut next_ic)?;
+        let (rf, fits) = c.finish(ty)?;
         weighted_fits &= fits;
         funcs.push(rf);
     }
     let weights = weights.filter(|_| weighted_fits).map(InstrWeights::key);
-    Ok(RegModule {
-        funcs,
-        n_ic: next_ic,
-        weights,
-    })
+    Ok(RegModule { funcs, weights })
 }
 
 /// The accounting an op carries: how many source instructions it
@@ -169,9 +166,6 @@ struct Cand {
     at: usize,
     /// Its destination register (the top's canonical register).
     dst: u16,
-    /// Fused compare-and-branch handlers `(brif, brifnot)`, for ops
-    /// whose result feeds a conditional branch.
-    fused: Option<(Handler, Handler)>,
     /// What the op is, for the address-arithmetic peepholes.
     kind: CandKind,
 }
@@ -253,8 +247,6 @@ struct FnRegCompiler<'m> {
     weights: Option<&'m InstrWeights>,
     cand: Option<Cand>,
     has_memory: bool,
-    /// Next module-wide inline-cache slot (seeded per function).
-    next_ic: u32,
 }
 
 fn mk(handler: Handler) -> RegOp {
@@ -274,7 +266,6 @@ fn mk_kind(handler: Handler, kind: OpKind) -> RegOp {
 }
 
 impl<'m> FnRegCompiler<'m> {
-    #[allow(clippy::too_many_arguments)] // module-level context, read-only per function
     fn new(
         module: &'m Module,
         type_canon: &'m [u32],
@@ -282,7 +273,6 @@ impl<'m> FnRegCompiler<'m> {
         ty: &FuncType,
         f: &acctee_wasm::module::Func,
         has_memory: bool,
-        ic_base: u32,
         weights: Option<&'m InstrWeights>,
     ) -> FnRegCompiler<'m> {
         FnRegCompiler {
@@ -305,7 +295,6 @@ impl<'m> FnRegCompiler<'m> {
             weights,
             cand: None,
             has_memory,
-            next_ic: ic_base,
         }
     }
 
@@ -570,10 +559,11 @@ impl<'m> FnRegCompiler<'m> {
     ///
     /// A charge sequence between the `i32.lt_s` and the `br_if` (where
     /// an instrumenter closes the loop body's segment) lowers to its
-    /// fused op just before the tail op, for the reason
-    /// [`FnRegCompiler::try_charge`] gives — unless it is a closed
-    /// form reading `i`, which the tail op increments: then the window
-    /// does not match. Returns how many
+    /// fused op just before the tail op, so the tail still fuses. That
+    /// is exact: both are infallible and straight-line, and the tail
+    /// op never reads the charged global — unless the charge is a
+    /// closed form reading `i`, which the tail op increments: then the
+    /// window does not match. Returns how many
     /// instructions it consumed (0: no match); the caller skips them.
     fn try_for_tail(&mut self, instrs: &[Instr], at: usize) -> usize {
         let Some(lbl) = self.labels.last() else {
@@ -700,16 +690,6 @@ impl<'m> FnRegCompiler<'m> {
     /// Lowers a charge sequence at `instrs[at..]` (see
     /// [`FnRegCompiler::match_charge`]) to its fused op. Returns how
     /// many instructions it consumed (0: no match).
-    ///
-    /// When the charge sits between an infallible producer (the last
-    /// op, still the fusion candidate) and the `br_if` / `if` that
-    /// consumes its result, the charge op is placed *before* the
-    /// producer, so the producer stays fusable into a
-    /// compare-and-branch. That reorder is exact: no label lies
-    /// between the two, both are infallible, and the producer reads
-    /// only registers, never the charged global; a branch that
-    /// targeted the producer now lands on the charge, which every path
-    /// through the producer ran anyway.
     fn try_charge(&mut self, instrs: &[Instr], at: usize) -> usize {
         let Some((o, n)) = self.match_charge(&instrs[at..]) else {
             return 0;
@@ -718,21 +698,7 @@ impl<'m> FnRegCompiler<'m> {
             self.count(instr);
         }
         let cost = self.take_pending();
-        let top = self.stack.last().copied();
-        match (self.cand, instrs.get(at + n)) {
-            (Some(c), Some(Instr::BrIf(_) | Instr::If { .. }))
-                if c.fused.is_some() && top == Some(Src::Reg(c.dst)) =>
-            {
-                debug_assert_eq!(c.at + 1, self.code.len(), "the candidate is the last op");
-                self.code.insert(c.at, o);
-                self.cost.insert(c.at, cost);
-                self.mem.insert(c.at, (0, 0));
-                self.cand = Some(Cand { at: c.at + 1, ..c });
-            }
-            _ => {
-                self.emit(o, cost);
-            }
-        }
+        self.emit(o, cost);
         n
     }
 
@@ -853,7 +819,6 @@ impl<'m> FnRegCompiler<'m> {
                     self.cand = Some(Cand {
                         at,
                         dst,
-                        fused: None,
                         kind: CandKind::Plain,
                     });
                 }
@@ -904,7 +869,6 @@ impl<'m> FnRegCompiler<'m> {
                             self.cand = Some(Cand {
                                 at,
                                 dst,
-                                fused: Some((h.ri_brif, h.ri_brifnot)),
                                 kind: match op {
                                     NumOp::I32Mul => CandKind::MulRi,
                                     NumOp::I32Shl => CandKind::ShlRi,
@@ -943,7 +907,6 @@ impl<'m> FnRegCompiler<'m> {
                                         self.cand = Some(Cand {
                                             at: c.at,
                                             dst,
-                                            fused: None,
                                             kind: CandKind::Plain,
                                         });
                                         continue;
@@ -963,17 +926,16 @@ impl<'m> FnRegCompiler<'m> {
                             self.cand = Some(Cand {
                                 at,
                                 dst,
-                                fused: Some((h.rr_brif, h.rr_brifnot)),
                                 kind: CandKind::Plain,
                             });
                         }
-                    } else if let Some(h) = un_handlers(*op) {
+                    } else if let Some(h) = un_handler(*op) {
                         self.check_pop(1)?;
                         let pa = self.stack.len() - 1;
                         let ra = self.val_reg(pa);
                         self.stack.truncate(pa);
                         let dst = self.canon(pa);
-                        let mut o = mk(h.r);
+                        let mut o = mk(h);
                         o.a = ra;
                         o.c = dst;
                         let cost = self.take_pending();
@@ -982,7 +944,6 @@ impl<'m> FnRegCompiler<'m> {
                         self.cand = Some(Cand {
                             at,
                             dst,
-                            fused: Some((h.r_brif, h.r_brifnot)),
                             kind: CandKind::Plain,
                         });
                     } else if let Some(h) = bin_try_handler(*op) {
@@ -1038,7 +999,6 @@ impl<'m> FnRegCompiler<'m> {
                     self.cand = Some(Cand {
                         at,
                         dst,
-                        fused: None,
                         kind: CandKind::Plain,
                     });
                 }
@@ -1080,9 +1040,9 @@ impl<'m> FnRegCompiler<'m> {
                     let ra = self.val_reg(pa);
                     self.stack.truncate(pa);
                     let mut o = mk_kind(
-                        if proven { h.unchecked } else { h.checked },
+                        h.checked,
                         OpKind::Load {
-                            proven,
+                            proven: false,
                             scaled: false,
                         },
                     );
@@ -1134,7 +1094,6 @@ impl<'m> FnRegCompiler<'m> {
                     self.cand = Some(Cand {
                         at,
                         dst,
-                        fused: None,
                         kind: CandKind::Plain,
                     });
                 }
@@ -1187,30 +1146,13 @@ impl<'m> FnRegCompiler<'m> {
                     for p in 0..self.stack.len() - 1 {
                         self.materialize(p);
                     }
-                    let top = *self.stack.last().expect("checked");
-                    let brifnot_at = match self.cand {
-                        Some(c) if top == Src::Reg(c.dst) && c.fused.is_some() => {
-                            // Fuse the condition-producing compare
-                            // into a compare-and-branch-if-false.
-                            let (_, brifnot) = c.fused.expect("checked");
-                            self.code[c.at].handler = brifnot;
-                            self.code[c.at].kind = OpKind::CmpBranch;
-                            self.code[c.at].imm2 = u32::MAX;
-                            self.absorb_pending(c.at);
-                            self.cand = None;
-                            self.stack.pop();
-                            c.at
-                        }
-                        _ => {
-                            let rc = self.val_reg(self.stack.len() - 1);
-                            self.stack.pop();
-                            let mut o = mk(ctl::br_if_not);
-                            o.a = rc;
-                            o.imm2 = u32::MAX;
-                            let cost = self.take_pending();
-                            self.emit(o, cost)
-                        }
-                    };
+                    let rc = self.val_reg(self.stack.len() - 1);
+                    self.stack.pop();
+                    let mut o = mk(ctl::br_if_not);
+                    o.a = rc;
+                    o.imm2 = u32::MAX;
+                    let cost = self.take_pending();
+                    let brifnot_at = self.emit(o, cost);
                     self.labels.push(RLabel {
                         is_loop: false,
                         height: self.stack.len(),
@@ -1258,30 +1200,15 @@ impl<'m> FnRegCompiler<'m> {
                     self.check_pop(1)?;
                     let (h_t, arity) = self.label_info(*l)?;
                     if arity == 0 {
-                        let top = *self.stack.last().expect("checked");
-                        match self.cand {
-                            Some(c) if top == Src::Reg(c.dst) && c.fused.is_some() => {
-                                let (brif, _) = c.fused.expect("checked");
-                                let target = self.branch_target(*l, RPatch::Imm2(c.at))?;
-                                self.code[c.at].handler = brif;
-                                self.code[c.at].kind = OpKind::CmpBranch;
-                                self.code[c.at].imm2 = target;
-                                self.absorb_pending(c.at);
-                                self.cand = None;
-                                self.stack.pop();
-                            }
-                            _ => {
-                                let rc = self.val_reg(self.stack.len() - 1);
-                                self.stack.pop();
-                                let j = self.code.len();
-                                let target = self.branch_target(*l, RPatch::Imm2(j))?;
-                                let mut o = mk(ctl::br_if);
-                                o.a = rc;
-                                o.imm2 = target;
-                                let cost = self.take_pending();
-                                self.emit(o, cost);
-                            }
-                        }
+                        let rc = self.val_reg(self.stack.len() - 1);
+                        self.stack.pop();
+                        let j = self.code.len();
+                        let target = self.branch_target(*l, RPatch::Imm2(j))?;
+                        let mut o = mk(ctl::br_if);
+                        o.a = rc;
+                        o.imm2 = target;
+                        let cost = self.take_pending();
+                        self.emit(o, cost);
                     } else {
                         // Taken path carries values: invert around a
                         // value-shuffle + jump sequence.
@@ -1399,8 +1326,6 @@ impl<'m> FnRegCompiler<'m> {
                     o.a = self.canon(self.stack.len() - n_args);
                     o.b = ri;
                     o.imm = u64::from(canon_ty);
-                    o.imm2 = self.next_ic;
-                    self.next_ic += 1;
                     let cost = self.take_pending();
                     self.emit(o, cost);
                     self.finish_call(n_args, n_res);
@@ -1499,7 +1424,7 @@ impl<'m> FnRegCompiler<'m> {
 
     /// Seals the function; the flag says whether its weighted prefix
     /// fits in `u64` (see [`compile_regs`]).
-    fn finish(mut self, ty: &FuncType, next_ic: &mut u32) -> Result<(RegFunc, bool), Trap> {
+    fn finish(mut self, ty: &FuncType) -> Result<(RegFunc, bool), Trap> {
         let n = self.n_results as usize;
         if !self.unreachable {
             // Fall-through results land in canonical positions
@@ -1522,7 +1447,6 @@ impl<'m> FnRegCompiler<'m> {
         if self.n_fixed as usize + self.max_height > usize::from(u16::MAX) {
             return Err(bad("frame too wide for u16 registers"));
         }
-        *next_ic = self.next_ic;
         let mut cost_prefix = Vec::with_capacity(self.code.len() + 1);
         let mut acc = SegPrefix::default();
         let mut weighted: u128 = 0;
@@ -1712,15 +1636,9 @@ mod tests {
         ));
     }
 
-    /// Every charge an instrumenter emits lowers to one fused op: on
-    /// every PolyBench kernel and the served use-case programs, at
-    /// every level, no `global.get` / `global.set` on the counter
-    /// global survives the lowering. A change to the sequences
-    /// `segment.rs` or `loopopt.rs` emit turns this red instead of
-    /// silently dropping accounted code back to the unfused path.
-    #[test]
-    fn every_instrumenter_charge_fuses() {
-        use acctee_instrument::{instrument, Level, WeightTable};
+    /// The paper's workloads: every PolyBench kernel, darknet, msieve,
+    /// subsetsum and resize.
+    fn workload_modules() -> Vec<(&'static str, Module)> {
         use acctee_workloads::{darknet, faas_fns, msieve, polybench, subsetsum};
         let mut modules: Vec<(&str, Module)> = polybench::all()
             .into_iter()
@@ -1730,6 +1648,19 @@ mod tests {
         modules.push(("msieve", msieve::msieve_module(3, 5)));
         modules.push(("subsetsum", subsetsum::subsetsum_module(10, 2)));
         modules.push(("resize", faas_fns::resize_module()));
+        modules
+    }
+
+    /// Every charge an instrumenter emits lowers to one fused op: on
+    /// every PolyBench kernel and the served use-case programs, at
+    /// every level, no `global.get` / `global.set` on the counter
+    /// global survives the lowering. A change to the sequences
+    /// `segment.rs` or `loopopt.rs` emit turns this red instead of
+    /// silently dropping accounted code back to the unfused path.
+    #[test]
+    fn every_instrumenter_charge_fuses() {
+        use acctee_instrument::{instrument, Level, WeightTable};
+        let modules = workload_modules();
         let weights = WeightTable::calibrated();
         for (name, m) in &modules {
             for level in [Level::Naive, Level::FlowBased, Level::LoopBased] {
@@ -1755,10 +1686,43 @@ mod tests {
         }
     }
 
+    /// A traffic census: every fused op kind the lowering keeps occurs
+    /// in at least one of the paper's workloads, raw or instrumented at
+    /// some level. A mechanism only tests exercise fails this.
+    #[test]
+    fn every_fused_op_kind_has_workload_traffic() {
+        use acctee_instrument::{instrument, Level, WeightTable};
+        let weights = WeightTable::calibrated();
+        let load = |proven, scaled| OpKind::Load { proven, scaled };
+        let mut census = [
+            (OpKind::ForTailReg, 0),
+            (OpKind::ForTailConst, 0),
+            (OpKind::Madd, 0),
+            (load(false, true), 0),
+            (load(true, true), 0),
+            (OpKind::Charge, 0),
+            (OpKind::ChargeTrips, 0),
+        ];
+        for (_, m) in workload_modules() {
+            let mut lowered = vec![compile_regs(&m, None).expect("compiles")];
+            for level in [Level::Naive, Level::FlowBased, Level::LoopBased] {
+                let r = instrument(&m, level, &weights).expect("instrument");
+                lowered.push(compile_regs(&r.module, None).expect("compiles"));
+            }
+            for rm in &lowered {
+                for (kind, n) in &mut census {
+                    *n += count_ops(rm, *kind);
+                }
+            }
+        }
+        for (kind, n) in census {
+            assert!(n > 0, "{kind:?}: no workload lowers to it");
+        }
+    }
+
     /// A charge between a loop's exit compare and its branch does not
-    /// cost the compare-and-branch fusion: subsetsum's LoopBased module
-    /// keeps exactly as many fused compare-and-branch ops, and fused
-    /// counted-loop tails, as the raw module.
+    /// cost the counted-loop tail fusion: subsetsum's LoopBased module
+    /// keeps exactly as many fused tails as the raw module.
     #[test]
     fn charges_keep_compare_and_branch_fused() {
         use acctee_instrument::{instrument, Level, WeightTable};
@@ -1766,11 +1730,9 @@ mod tests {
         let raw = compile_regs(&m, None).expect("compiles");
         let r = instrument(&m, Level::LoopBased, &WeightTable::calibrated()).expect("instrument");
         let inst = compile_regs(&r.module, None).expect("compiles");
-        for kind in [OpKind::CmpBranch, OpKind::ForTailConst] {
-            let want = count_ops(&raw, kind);
-            assert!(want > 0, "{kind:?}");
-            assert_eq!(count_ops(&inst, kind), want, "{kind:?}");
-        }
+        let want = count_ops(&raw, OpKind::ForTailConst);
+        assert!(want > 0);
+        assert_eq!(count_ops(&inst, OpKind::ForTailConst), want);
     }
 
     #[test]

@@ -19,35 +19,29 @@
 //! (or one of the [`DONE`]/[`TRAPPED`] sentinels) and the indirect
 //! call predicts per-opcode rather than per-loop-iteration.
 //!
-//! Two optimisations layer on top:
-//!
-//! * **Bounds-check elimination**: loops proven by
-//!   [`acctee_wasm::rangeproof`] get a [`RegGuard`] evaluated once per
-//!   loop entry; when the guard passes, control enters an *unchecked*
-//!   copy of the body whose loads/stores skip the bounds check
-//!   ([`crate::memory::Memory::read_in_bounds`]). When it fails, the
-//!   *checked* copy runs and traps exactly like the tree-walker.
-//!   Both copies have identical per-iteration accounting.
-//! * **Inline caches for `call_indirect`**: each indirect call site
-//!   owns an [`IcEntry`] keyed by table index; a hit skips the table,
-//!   null and type checks (tables are immutable after instantiation,
-//!   so a cached translation can never go stale).
+//! One optimisation layers on top: **bounds-check elimination**. Loops
+//! proven by [`acctee_wasm::rangeproof`] get a [`RegGuard`] evaluated
+//! once per loop entry; when the guard passes, control enters an
+//! *unchecked* copy of the body whose loads/stores skip the bounds
+//! check ([`crate::memory::Memory::read_in_bounds`]). When it fails,
+//! the *checked* copy runs and traps exactly like the tree-walker.
+//! Both copies have identical per-iteration accounting.
 //!
 //! Accounting is batched per straight-line segment: costs live in a
 //! per-function prefix sum ([`RegFunc::cost_prefix`]) and each segment
-//! exit delivers one [`Observer::on_block`] — or, for an
+//! exit settles the stats from it — and, for an
 //! [`Accounting::Weighted`] observer on an artifact lowered with its
-//! weights, one [`Observer::on_weighted_block`] carrying the segment's
-//! weighted sum from the same prefix. `memory.grow` closes its segment
-//! before reporting the new size, so a weighted observer that
-//! multiplies by the memory size (the accounting enclave's memory
-//! integral) matches per-instruction delivery exactly. The totals —
-//! results, traps, [`crate::ExecStats`], signed counters — are
-//! bit-identical to the tree-walker oracle for any module (the
-//! differential suite in `tests/engine_diff.rs` pins this down). The
-//! tier never runs fueled or per-instruction-observed executions:
-//! those run on the tree-walker, which owns exact per-instruction
-//! bookkeeping.
+//! weights, delivers one [`Observer::on_weighted_block`] carrying the
+//! segment's count and weighted sum from the same prefix.
+//! `memory.grow` closes its segment before reporting the new size, so
+//! a weighted observer that multiplies by the memory size (the
+//! accounting enclave's memory integral) matches per-instruction
+//! delivery exactly. The totals — results, traps, [`crate::ExecStats`],
+//! signed counters — are bit-identical to the tree-walker oracle for
+//! any module (the differential suite in `tests/engine_diff.rs` pins
+//! this down). The tier runs null and weighted observers only: fueled
+//! executions and every other observer run on the tree-walker, which
+//! owns exact per-instruction bookkeeping.
 
 use std::sync::Arc;
 
@@ -75,7 +69,7 @@ pub(crate) type Handler = fn(&mut RegVm<'_, '_>, RegOp, u32) -> u32;
 /// Field conventions: `c` is the destination register, `a`/`b` are
 /// sources (all frame-relative); branch targets always ride in
 /// `imm2`; constant slots and store-value immediates ride in `imm`.
-/// Calls use `a` = argument base, `imm2` = callee / IC slot.
+/// Calls use `a` = argument base, `imm2` = callee.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RegOp {
     /// The op's executor — dispatch is one indirect call, no decode.
@@ -114,9 +108,6 @@ pub(crate) enum OpKind {
     ForTailConst,
     /// Fused multiply-add ([`ctl::madd`]).
     Madd,
-    /// An infallible producer fused with the conditional branch (or
-    /// `if`) consuming its result.
-    CmpBranch,
     /// A `global.get`.
     GlobalGet,
     /// A `global.set`.
@@ -157,28 +148,6 @@ pub(crate) struct RegBuffers {
     pub regs: Vec<u64>,
     /// The frame stack (suspended callers).
     pub frames: Vec<RegFrame>,
-}
-
-/// One `call_indirect` site's inline cache.
-///
-/// The key is the table index widened to `u64` and initialised to
-/// `u64::MAX`, which no valid `u32` index ever equals — so the empty
-/// cache can never false-hit.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct IcEntry {
-    /// Cached table index (`u64::from(i)`), or `u64::MAX` when empty.
-    pub key: u64,
-    /// The resolved, type-checked callee for that index.
-    pub func: u32,
-}
-
-impl Default for IcEntry {
-    fn default() -> IcEntry {
-        IcEntry {
-            key: u64::MAX,
-            func: 0,
-        }
-    }
 }
 
 /// A lowered `br_table`: absolute target PCs (or stub PCs when the
@@ -282,23 +251,9 @@ pub(crate) struct RegFunc {
 pub(crate) struct RegModule {
     /// Local functions, indexed by `combined_idx - n_imported`.
     pub funcs: Vec<RegFunc>,
-    /// Total `call_indirect` sites (inline-cache array length).
-    pub n_ic: u32,
     /// The weights [`SegPrefix::weighted`] sums, if the lowering had
     /// any (and every function's total fits in `u64`).
     pub weights: Option<WeightsKey>,
-}
-
-/// What a segment exit delivers to the observer, fixed per invoke.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Delivery {
-    /// Nothing: the observer ignores every event (the count still
-    /// lands in the stats).
-    Null,
-    /// [`Observer::on_block`] with the segment's count.
-    Count,
-    /// [`Observer::on_weighted_block`] with count and weighted sum.
-    Weighted,
 }
 
 /// The register VM: everything a handler touches, in one place. The
@@ -317,8 +272,6 @@ pub(crate) struct RegVm<'a, 'm> {
     pub regs: Vec<u64>,
     /// The frame stack.
     pub frames: Vec<RegFrame>,
-    /// Per-instance inline caches (indexed by IC slot).
-    pub ics: Vec<IcEntry>,
     /// The executing frame's arena base.
     pub base: usize,
     /// The executing function's combined index.
@@ -333,10 +286,11 @@ pub(crate) struct RegVm<'a, 'm> {
     pub loads: u64,
     /// Stores executed this invoke (as above).
     pub stores: u64,
-    /// What each segment exit delivers (the observer null-check and
-    /// delivery mode, hoisted out of the loop).
-    pub delivery: Delivery,
-    /// The attached (batched or weighted) observer.
+    /// Whether each segment exit delivers
+    /// [`Observer::on_weighted_block`] (false for a null observer; the
+    /// check is hoisted out of the loop).
+    pub weighted: bool,
+    /// The attached observer.
     pub observer: &'a mut dyn Observer,
     /// The trap recorded by a handler that returned [`TRAPPED`].
     pub trap: Option<Trap>,
@@ -346,7 +300,7 @@ pub(crate) struct RegVm<'a, 'm> {
 }
 
 /// Closes the accounting segment `[seg_start, pc]`: counts it and
-/// delivers one batched observer event.
+/// delivers one weighted observer event.
 #[inline(always)]
 fn flush(vm: &mut RegVm<'_, '_>, pc: u32) {
     let hi = vm.rf.cost_prefix[pc as usize + 1];
@@ -356,12 +310,9 @@ fn flush(vm: &mut RegVm<'_, '_>, pc: u32) {
         vm.instrs += u64::from(c);
         vm.loads += u64::from(hi.loads - lo.loads);
         vm.stores += u64::from(hi.stores - lo.stores);
-        match vm.delivery {
-            Delivery::Null => {}
-            Delivery::Count => vm.observer.on_block(u64::from(c)),
-            Delivery::Weighted => vm
-                .observer
-                .on_weighted_block(u64::from(c), hi.weighted - lo.weighted),
+        if vm.weighted {
+            vm.observer
+                .on_weighted_block(u64::from(c), hi.weighted - lo.weighted);
         }
     }
 }
@@ -506,34 +457,19 @@ pub(crate) fn h_call_indirect(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32
     let i = vm.regs[vm.base + op.b as usize] as u32;
     flush(vm, pc);
     vm.seg_start = pc + 1;
-    let slot = op.imm2 as usize;
-    let cached = vm.ics[slot];
-    let f = if cached.key == u64::from(i) {
-        cached.func
-    } else {
-        // Slow path: full table + null + type check, then cache. The
-        // trap order matches the tree-walker exactly.
-        let entry = match vm.inst.table.get(i as usize) {
-            Some(e) => *e,
-            None => return trap(vm, pc, Trap::TableOutOfBounds),
-        };
-        let f = match entry {
-            Some(f) => f,
-            None => return trap(vm, pc, Trap::UndefinedElement),
-        };
-        let actual = match vm.compiled.canon_of_func.get(f as usize) {
-            Some(c) => *c,
-            None => return trap(vm, pc, Trap::UndefinedElement),
-        };
-        if u64::from(actual) != op.imm {
-            return trap(vm, pc, Trap::IndirectCallTypeMismatch);
-        }
-        vm.ics[slot] = IcEntry {
-            key: u64::from(i),
-            func: f,
-        };
-        f
+    // Table, null and type check, in the tree-walker's trap order.
+    let f = match vm.inst.table.get(i as usize) {
+        Some(Some(f)) => *f,
+        Some(None) => return trap(vm, pc, Trap::UndefinedElement),
+        None => return trap(vm, pc, Trap::TableOutOfBounds),
     };
+    let actual = match vm.compiled.canon_of_func.get(f as usize) {
+        Some(c) => *c,
+        None => return trap(vm, pc, Trap::UndefinedElement),
+    };
+    if u64::from(actual) != op.imm {
+        return trap(vm, pc, Trap::IndirectCallTypeMismatch);
+    }
     do_call(vm, f, op.a, pc)
 }
 
@@ -731,30 +667,12 @@ pub(crate) fn h_guard(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
 
 // --- Numeric handlers (generated from the single slot-op table) -------
 
-/// The fused-branch-capable handler set for an infallible binary op.
+/// The handler pair for an infallible binary op.
 pub(crate) struct BinHandlers {
     /// `dst = a <op> b`.
     pub rr: Handler,
     /// `dst = a <op> imm`.
     pub ri: Handler,
-    /// `if (a <op> b) != 0 { branch }` (fused compare-and-branch).
-    pub rr_brif: Handler,
-    /// `if (a <op> b) == 0 { branch }`.
-    pub rr_brifnot: Handler,
-    /// `if (a <op> imm) != 0 { branch }`.
-    pub ri_brif: Handler,
-    /// `if (a <op> imm) == 0 { branch }`.
-    pub ri_brifnot: Handler,
-}
-
-/// The handler set for an infallible unary op.
-pub(crate) struct UnHandlers {
-    /// `dst = <op> a`.
-    pub r: Handler,
-    /// `if (<op> a) != 0 { branch }`.
-    pub r_brif: Handler,
-    /// `if (<op> a) == 0 { branch }`.
-    pub r_brifnot: Handler,
 }
 
 /// The checked/unchecked/immediate handler set for a store op.
@@ -790,20 +708,6 @@ macro_rules! gen_reg_num_handlers {
                         eval(vm.regs[vm.base + op.a as usize]);
                     pc + 1
                 }
-                pub(super) fn r_brif(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
-                    if eval(vm.regs[vm.base + op.a as usize]) as u32 != 0 {
-                        jump_to(vm, pc, op.imm2)
-                    } else {
-                        pc + 1
-                    }
-                }
-                pub(super) fn r_brifnot(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
-                    if eval(vm.regs[vm.base + op.a as usize]) as u32 == 0 {
-                        jump_to(vm, pc, op.imm2)
-                    } else {
-                        pc + 1
-                    }
-                }
             }
         )*
         $(
@@ -827,42 +731,6 @@ macro_rules! gen_reg_num_handlers {
                     vm.regs[vm.base + op.c as usize] =
                         eval(vm.regs[vm.base + op.a as usize], op.imm);
                     pc + 1
-                }
-                pub(super) fn rr_brif(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
-                    let v = eval(
-                        vm.regs[vm.base + op.a as usize],
-                        vm.regs[vm.base + op.b as usize],
-                    );
-                    if v as u32 != 0 {
-                        jump_to(vm, pc, op.imm2)
-                    } else {
-                        pc + 1
-                    }
-                }
-                pub(super) fn rr_brifnot(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
-                    let v = eval(
-                        vm.regs[vm.base + op.a as usize],
-                        vm.regs[vm.base + op.b as usize],
-                    );
-                    if v as u32 == 0 {
-                        jump_to(vm, pc, op.imm2)
-                    } else {
-                        pc + 1
-                    }
-                }
-                pub(super) fn ri_brif(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
-                    if eval(vm.regs[vm.base + op.a as usize], op.imm) as u32 != 0 {
-                        jump_to(vm, pc, op.imm2)
-                    } else {
-                        pc + 1
-                    }
-                }
-                pub(super) fn ri_brifnot(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
-                    if eval(vm.regs[vm.base + op.a as usize], op.imm) as u32 == 0 {
-                        jump_to(vm, pc, op.imm2)
-                    } else {
-                        pc + 1
-                    }
                 }
             }
         )*
@@ -906,23 +774,16 @@ macro_rules! gen_reg_num_handlers {
                 $(NumOp::$bv => Some(BinHandlers {
                     rr: $bv::rr,
                     ri: $bv::ri,
-                    rr_brif: $bv::rr_brif,
-                    rr_brifnot: $bv::rr_brifnot,
-                    ri_brif: $bv::ri_brif,
-                    ri_brifnot: $bv::ri_brifnot,
                 }),)*
                 _ => None,
             }
         }
 
-        /// Handlers for an infallible unary op, or `None` otherwise.
-        pub(crate) fn un_handlers(op: NumOp) -> Option<UnHandlers> {
+        /// The handler (`dst = <op> a`) for an infallible unary op, or
+        /// `None` otherwise.
+        pub(crate) fn un_handler(op: NumOp) -> Option<Handler> {
             match op {
-                $(NumOp::$uv => Some(UnHandlers {
-                    r: $uv::r,
-                    r_brif: $uv::r_brif,
-                    r_brifnot: $uv::r_brifnot,
-                }),)*
+                $(NumOp::$uv => Some($uv::r as Handler),)*
                 _ => None,
             }
         }
@@ -965,14 +826,6 @@ macro_rules! gen_load_handlers {
                         Err(t) => trap(vm, pc, t),
                     }
                 }
-                pub(super) fn unchecked(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
-                    let addr = u64::from(vm.regs[vm.base + op.a as usize] as u32)
-                        + u64::from(op.imm2);
-                    let mem = vm.inst.memory.as_ref().expect("validated");
-                    let $bytes = mem.read_in_bounds::<$n>(addr);
-                    vm.regs[vm.base + op.c as usize] = $conv;
-                    pc + 1
-                }
                 // Shifted address modes: the `i32.shl`-by-constant
                 // that scales an index into a byte offset is folded
                 // into the access (`addr = (a << imm) + offset`). The
@@ -1007,7 +860,6 @@ macro_rules! gen_load_handlers {
             match op {
                 $(LoadOp::$lop => LoadHandlers {
                     checked: $name::checked as Handler,
-                    unchecked: $name::unchecked as Handler,
                     checked_shl: $name::checked_shl as Handler,
                     unchecked_shl: $name::unchecked_shl as Handler,
                 },)*
@@ -1016,12 +868,13 @@ macro_rules! gen_load_handlers {
     };
 }
 
-/// Handlers for one load op: plain and shl-fused address modes, each
-/// in checked and proven-in-bounds (unchecked) form.
+/// Handlers for one load op: plain and shl-fused address modes, the
+/// fused one also in proven-in-bounds (unchecked) form. A proven load
+/// with a plain address runs checked: no workload has one (see the
+/// traffic census in `crate::regalloc`'s tests).
 #[derive(Clone, Copy)]
 pub(crate) struct LoadHandlers {
     pub(crate) checked: Handler,
-    pub(crate) unchecked: Handler,
     pub(crate) checked_shl: Handler,
     pub(crate) unchecked_shl: Handler,
 }
@@ -1215,11 +1068,12 @@ impl<'m> Instance<'m> {
         args: &[Value],
         observer: &mut dyn Observer,
     ) -> Result<Vec<Value>, Trap> {
-        let accounting = observer.accounting();
-        if self.fuel.is_some()
-            || accounting == Accounting::PerInstr
-            || idx < self.module.num_imported_funcs()
-        {
+        let key = match observer.accounting() {
+            _ if observer.is_null() => None,
+            Accounting::Weighted(key) => Some(key),
+            Accounting::PerInstr => return self.invoke_tree(idx, args, observer),
+        };
+        if self.fuel.is_some() || idx < self.module.num_imported_funcs() {
             return self.invoke_tree(idx, args, observer);
         }
         if self.compiled.is_none() {
@@ -1230,22 +1084,15 @@ impl<'m> Instance<'m> {
             Ok(rm) => rm,
             Err(_) => return self.invoke_tree(idx, args, observer),
         };
-        let delivery = match accounting {
-            _ if observer.is_null() => Delivery::Null,
-            Accounting::Weighted(key) if rm.weights == Some(key) => Delivery::Weighted,
-            Accounting::Weighted(_) => return self.invoke_tree(idx, args, observer),
-            _ => Delivery::Count,
-        };
+        if key.is_some() && rm.weights != key {
+            return self.invoke_tree(idx, args, observer);
+        }
         if self.config.max_call_depth == 0 {
             return Err(Trap::CallStackExhausted);
         }
         self.stats.calls += 1;
         let rf = &rm.funcs[(idx - compiled.n_imported) as usize];
         let mut bufs = std::mem::take(&mut self.reg_bufs);
-        let mut ics = std::mem::take(&mut self.reg_ics);
-        if ics.len() < rm.n_ic as usize {
-            ics.resize(rm.n_ic as usize, IcEntry::default());
-        }
         bufs.regs.clear();
         bufs.frames.clear();
         bufs.regs.extend(args.iter().map(|v| value_to_slot(*v)));
@@ -1257,14 +1104,13 @@ impl<'m> Instance<'m> {
             rf,
             regs: bufs.regs,
             frames: bufs.frames,
-            ics,
             base: 0,
             cur_func: idx,
             seg_start: 0,
             instrs: 0,
             loads: 0,
             stores: 0,
-            delivery,
+            weighted: key.is_some(),
             observer,
             trap: None,
             ret_at: 0,
@@ -1280,7 +1126,6 @@ impl<'m> Instance<'m> {
         let RegVm {
             regs,
             frames,
-            ics,
             instrs,
             loads,
             stores,
@@ -1292,7 +1137,6 @@ impl<'m> Instance<'m> {
         self.stats.loads += loads;
         self.stats.stores += stores;
         self.reg_bufs = RegBuffers { regs, frames };
-        self.reg_ics = ics;
         if pc == TRAPPED {
             return Err(trap.expect("trap recorded"));
         }

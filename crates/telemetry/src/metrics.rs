@@ -379,45 +379,6 @@ impl Registry {
         }
         out
     }
-
-    /// Renders all metrics as a JSON object keyed by metric name (with
-    /// labels inline in the key, Prometheus style).
-    pub fn export_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (key, metric)) in self.sorted().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}{}\":",
-                key.name,
-                key.render_labels(None).replace('"', "'")
-            );
-            match metric {
-                Metric::Counter(c) => {
-                    let _ = write!(out, "{}", c.get());
-                }
-                Metric::Gauge(g) => {
-                    let _ = write!(out, "{}", fmt_f64(g.get()));
-                }
-                Metric::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "{{\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p95\":{},\"p99\":{}}}",
-                        h.count(),
-                        fmt_f64(h.sum()),
-                        fmt_f64(h.quantile(0.50)),
-                        fmt_f64(h.quantile(0.90)),
-                        fmt_f64(h.quantile(0.95)),
-                        fmt_f64(h.quantile(0.99)),
-                    );
-                }
-            }
-        }
-        out.push('}');
-        out
-    }
 }
 
 fn fmt_f64(v: f64) -> String {
@@ -604,22 +565,6 @@ mod tests {
         assert!(text.contains("acctee_latency_seconds_p99 "), "{text}");
         // The 1.5 ms sample exports in seconds.
         assert!(text.contains("acctee_latency_seconds_sum 0.0015"), "{text}");
-    }
-
-    #[test]
-    fn json_export_parses_as_json() {
-        let r = Registry::new();
-        r.counter("c").inc();
-        r.gauge("g").set(2.5);
-        r.histogram("h").observe(7);
-        let json = r.export_json();
-        // Reuse the trace parser to check well-formedness.
-        assert!(crate::trace_json::parse_chrome_json(&format!(
-            "{{\"traceEvents\":[],\"metrics\":{json}}}"
-        ))
-        .is_ok());
-        assert!(json.contains("\"c\":1"), "{json}");
-        assert!(json.contains("\"h\":{\"count\":1"), "{json}");
     }
 
     #[test]

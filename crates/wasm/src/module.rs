@@ -233,14 +233,6 @@ impl Module {
             _ => None,
         })
     }
-
-    /// Looks up a local function by its symbolic name.
-    pub fn func_by_name(&self, name: &str) -> Option<u32> {
-        self.funcs
-            .iter()
-            .position(|f| f.name.as_deref() == Some(name))
-            .map(|i| i as u32 + self.num_imported_funcs())
-    }
 }
 
 #[cfg(test)]
@@ -288,7 +280,6 @@ mod tests {
         assert_eq!(m.global_type(0).unwrap().val, ValType::I32);
         assert_eq!(m.global_type(1).unwrap().val, ValType::I64);
         assert!(m.global_type(2).is_none());
-        assert_eq!(m.func_by_name("f"), Some(1));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! indistinguishable from it for *any* module: bit-identical results,
 //! identical traps (kind and position, as witnessed by `ExecStats` and
 //! remaining fuel), identical `ExecStats`, and identical observer
-//! counts — across all delivery modes (null, batched, weighted). Every
+//! counts — across all delivery modes (null, per-instruction,
+//! weighted). Every
 //! route by which the register tier hands an invoke to the tree-walker
 //! (fuel, a per-instruction observer, a weights-key mismatch, an
 //! unweighted artifact, a module the register compiler declines) is
@@ -19,8 +20,8 @@ use acctee::Deployment;
 use acctee_instrument::{instrument, Level, WeightTable, COUNTER_EXPORT};
 use acctee_integration::prop::{check, Rng};
 use acctee_interp::{
-    Accounting, BatchedCounter, CompiledModule, Config, CountingObserver, Engine, ExecStats,
-    Imports, Instance, InstrWeights, Observer, Trap, Value, WeightsKey,
+    Accounting, CompiledModule, Config, CountingObserver, Engine, ExecStats, Imports, Instance,
+    InstrWeights, Observer, Trap, Value, WeightsKey,
 };
 use acctee_wasm::builder::{Bound, FuncBuilder, ModuleBuilder};
 use acctee_wasm::instr::{BlockType, Instr};
@@ -54,7 +55,42 @@ fn value_bits(v: &Value) -> (ValType, u64) {
 enum Obs {
     Null,
     Counting,
-    Batched,
+    /// A [`SegCounter`] on an artifact lowered with [`unit_weights`].
+    Weighted,
+}
+
+/// The key of [`unit_weights`].
+const UNIT_KEY: WeightsKey = WeightsKey([0x01; 32]);
+
+/// Every instruction weighs 1, so a segment's weighted sum is its
+/// instruction count.
+fn unit_weights() -> InstrWeights {
+    InstrWeights::new(UNIT_KEY, |_| 1)
+}
+
+/// A unit-weight counter on weighted delivery. On the register tier,
+/// through an artifact lowered with [`unit_weights`], it receives one
+/// `on_weighted_block` per segment, read off the segment prefix sums;
+/// everywhere else it counts per instruction. Either way the total is
+/// the executed instruction count.
+#[derive(Debug, Default)]
+struct SegCounter {
+    count: u64,
+}
+
+impl Observer for SegCounter {
+    fn on_instr(&mut self, _: &Instr) {
+        self.count += 1;
+    }
+
+    fn on_weighted_block(&mut self, instrs: u64, weighted: u64) {
+        assert_eq!(instrs, weighted, "unit weights: a segment weighs its count");
+        self.count += weighted;
+    }
+
+    fn accounting(&self) -> Accounting {
+        Accounting::Weighted(UNIT_KEY)
+    }
 }
 
 fn run(
@@ -71,7 +107,14 @@ fn run(
         engine,
         ..Config::default()
     };
-    let mut inst = Instance::with_config(module, imports, cfg).expect("instantiate");
+    let mut inst = match obs {
+        Obs::Weighted => {
+            let art = CompiledModule::compile_weighted(module, unit_weights()).expect("artifact");
+            Instance::with_artifact(module, imports, cfg, art)
+        }
+        Obs::Null | Obs::Counting => Instance::with_config(module, imports, cfg),
+    }
+    .expect("instantiate");
     let (result, count) = match obs {
         Obs::Null => (inst.invoke(func, args), None),
         Obs::Counting => {
@@ -79,8 +122,8 @@ fn run(
             let r = inst.invoke_observed(func, args, &mut c);
             (r, Some(c.count))
         }
-        Obs::Batched => {
-            let mut c = BatchedCounter::default();
+        Obs::Weighted => {
+            let mut c = SegCounter::default();
             let r = inst.invoke_observed(func, args, &mut c);
             (r, Some(c.count))
         }
@@ -147,14 +190,14 @@ fn assert_engines_agree(
         args,
     );
     assert_eq!(tn, rn, "null-observer mode diverged");
-    // A batched counter must still see the exact total, including
-    // partially executed blocks on traps.
+    // A segment counter must still see the exact total, including
+    // partially executed segments on traps.
     let rb = run(
         module,
         mk_imports(),
         Engine::Regs,
         fuel,
-        Obs::Batched,
+        Obs::Weighted,
         func,
         args,
     );
@@ -895,7 +938,7 @@ fn guarded_loop_commits_untouched_pages() {
 }
 
 /// In-bounds guarded loops: the register tier's unchecked body copy
-/// produces bit-identical results, stats, and batched counts.
+/// produces bit-identical results, stats, and segment counts.
 #[test]
 fn guarded_loops_agree_in_bounds() {
     let m = guarded_loop_module();
@@ -923,7 +966,7 @@ fn guarded_loops_agree_in_bounds() {
 /// pattern out of bounds (past the end, negative/huge base, address
 /// wraparound, do-while entry with a hostile start) must fail the
 /// hoisted guard and trap exactly where the oracle traps — same trap,
-/// same partially-accumulated stats, same batched count.
+/// same partially-accumulated stats, same segment count.
 #[test]
 fn guarded_loops_agree_out_of_bounds() {
     let m = guarded_loop_module();
@@ -1222,7 +1265,8 @@ fn grow_modules() -> Vec<(&'static str, Module, Vec<i32>)> {
 }
 
 /// Records how many instructions had been delivered at each
-/// `on_mem_grow`, and the size it reported.
+/// `on_mem_grow`, and the size it reported. It takes weighted delivery
+/// under [`unit_weights`], so on the register tier it counts segments.
 #[derive(Debug, Default)]
 struct GrowRecorder {
     delivered: u64,
@@ -1234,8 +1278,8 @@ impl Observer for GrowRecorder {
         self.delivered += 1;
     }
 
-    fn on_block(&mut self, instrs: u64) {
-        self.delivered += instrs;
+    fn on_weighted_block(&mut self, _instrs: u64, weighted: u64) {
+        self.delivered += weighted;
     }
 
     fn on_mem_grow(&mut self, new_size_bytes: usize) {
@@ -1243,7 +1287,7 @@ impl Observer for GrowRecorder {
     }
 
     fn accounting(&self) -> Accounting {
-        Accounting::Batched
+        Accounting::Weighted(UNIT_KEY)
     }
 }
 
@@ -1266,7 +1310,8 @@ fn memory_grow_is_reported_after_its_segment() {
                     fuel,
                     ..Config::default()
                 };
-                let mut inst = Instance::with_config(&m, Imports::new(), cfg).expect("inst");
+                let art = CompiledModule::compile_weighted(&m, unit_weights()).expect("artifact");
+                let mut inst = Instance::with_artifact(&m, Imports::new(), cfg, art).expect("inst");
                 let mut rec = GrowRecorder::default();
                 let r = inst.invoke_observed("f", &[Value::I32(a)], &mut rec);
                 assert!(!rec.grows.is_empty(), "{name}({a}) never grew");
