@@ -299,8 +299,8 @@ pub(crate) struct RegVm<'a, 'm> {
     pub ret_at: u32,
 }
 
-/// Closes the accounting segment `[seg_start, pc]`: counts it and
-/// delivers one weighted observer event.
+/// Closes the accounting segment `[seg_start, pc]`: counts it and, for
+/// a weighted observer, delivers one event.
 #[inline(always)]
 fn flush(vm: &mut RegVm<'_, '_>, pc: u32) {
     let hi = vm.rf.cost_prefix[pc as usize + 1];

@@ -5,11 +5,10 @@
 //! identical traps (kind and position, as witnessed by `ExecStats` and
 //! remaining fuel), identical `ExecStats`, and identical observer
 //! counts — across all delivery modes (null, per-instruction,
-//! weighted). Every
-//! route by which the register tier hands an invoke to the tree-walker
-//! (fuel, a per-instruction observer, a weights-key mismatch, an
-//! unweighted artifact, a module the register compiler declines) is
-//! asserted here on `Engine::Regs` as well.
+//! weighted). Every route by which the register tier hands an invoke
+//! to the tree-walker (fuel, a per-instruction observer, a weights-key
+//! mismatch, an unweighted artifact, a module the register compiler
+//! declines) is asserted here on `Engine::Regs` as well.
 //!
 //! Programs come from a control-flow-heavy generator (blocks, loops,
 //! ifs, br_table, direct/indirect calls, memory traffic, occasional
