@@ -131,19 +131,6 @@ impl WeightTable {
         }
         out
     }
-
-    /// Parses the serialisation produced by [`WeightTable::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Option<WeightTable> {
-        let body = bytes.strip_prefix(b"acctee-w")?;
-        if body.len() != SLOTS * 8 {
-            return None;
-        }
-        let slots = body
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
-        Some(WeightTable { slots })
-    }
 }
 
 #[cfg(test)]
@@ -175,9 +162,15 @@ mod tests {
         let mut t = WeightTable::calibrated();
         t.set(&Instr::Drop, 17);
         let bytes = t.to_bytes();
-        assert_eq!(WeightTable::from_bytes(&bytes).unwrap(), t);
-        assert!(WeightTable::from_bytes(&bytes[1..]).is_none());
-        assert!(WeightTable::from_bytes(b"acctee-wshort").is_none());
+        // The layout `weight_hash` pins: a tag, then each slot's weight
+        // as a little-endian u64, in slot order.
+        let body = bytes.strip_prefix(b"acctee-w").unwrap();
+        let slots: Vec<u64> = body
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(slots, t.slots);
+        assert_eq!(slots[slot_of(&Instr::Drop)], 17);
     }
 
     #[test]

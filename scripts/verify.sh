@@ -28,6 +28,12 @@ cargo test --offline --release -q -p acctee-interp
 echo "==> sgx crypto unit tests, release profile"
 cargo test --offline --release -q -p acctee-sgx
 
+# Likewise the framed logs' CRC-32 folds on the carry-less multiplier
+# where the CPU has one; its differential test against the byte-wise
+# loop must hold under optimised codegen.
+echo "==> durable unit tests, release profile"
+cargo test --offline --release -q -p acctee-durable
+
 echo "==> end-to-end benchmark builds and its unit tests pass (perfbench/)"
 cargo build --offline --release --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml

@@ -188,8 +188,26 @@ fn log_inflating_cheater_is_rejected_by_verification_alone() {
     let specs = UnitSpec::campaign(6, WorkloadKind::SubsetSum, 8, 3000);
     let handle = spawn_coordinator(cfg, &specs);
     let addr = handle.addr();
-    let honest = spawn_worker(addr, "honest", Behavior::Honest);
+    // The cheater goes first, alone: with six units an honest worker
+    // started beside it can finish them all before it is granted one.
     let cheat = spawn_worker(addr, "inflate", Behavior::InflateWic);
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let report = handle.report();
+        let quarantined = report
+            .workers
+            .iter()
+            .any(|w| w.name == "inflate" && w.quarantined);
+        if report.rejected >= 1 || quarantined {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "inflater never caught"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let honest = spawn_worker(addr, "honest", Behavior::Honest);
     assert!(
         handle.wait_done(Duration::from_secs(120)),
         "campaign stalled"
