@@ -403,6 +403,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framed::crc32;
     use acctee::{ResourceUsageLog, SignedLog};
     use acctee_sgx::crypto::sha256;
     use acctee_sgx::{Measurement, Quote};
@@ -438,6 +439,13 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // The classic check value for CRC-32/IEEE.
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -433,7 +433,7 @@ impl Journal {
 mod tests {
     use super::*;
     use acctee::{ResourceUsageLog, SignedLog};
-    use acctee_durable::framed::{FRAME_HEADER, HEADER_LEN as FILE_HEADER};
+    use acctee_durable::framed::{crc32, FRAME_HEADER, HEADER_LEN as FILE_HEADER};
     use acctee_sgx::crypto::sha256;
     use acctee_sgx::{Measurement, Quote};
 
@@ -591,6 +591,11 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(Journal::open(&dir), Err(FleetError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn crc32_matches_known_vector() {
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
     }
 
     #[test]
