@@ -25,12 +25,14 @@ use acctee_interp::{CompiledModule, Config, Engine, Imports, Instance, Value};
 use acctee_wasm::Module;
 
 /// Times `f` (median of `reps` samples), prints a one-line `cargo
-/// bench` style result and returns the median in nanoseconds per call.
-/// Each sample times a batch of calls spanning at least 20 µs, so a
-/// sub-microsecond `f` is not measured as the clock reads around it.
+/// bench` style result and returns the median in nanoseconds per call,
+/// fractional: a batch's time is divided by its call count without
+/// rounding, so a case of a few nanoseconds is not quantised to whole
+/// ones. Each sample times a batch of calls spanning at least 20 µs, so
+/// a sub-microsecond `f` is not measured as the clock reads around it.
 /// The bench targets are harness-free `fn main()` programs built on
 /// this, keeping the workspace dependency-free.
-pub fn bench(name: &str, reps: usize, mut f: impl FnMut()) -> u64 {
+pub fn bench(name: &str, reps: usize, mut f: impl FnMut()) -> f64 {
     // One untimed call first, so one-time setup does not size the batch.
     f();
     let mut batch = 1u64;
@@ -38,8 +40,8 @@ pub fn bench(name: &str, reps: usize, mut f: impl FnMut()) -> u64 {
     while batch < 1 << 20 && time_ns(1, || (0..batch).for_each(|_| f())) < 20_000 {
         batch *= 2;
     }
-    let ns = time_ns(reps, || (0..batch).for_each(|_| f())) / batch;
-    println!("{name:<50} {ns:>12} ns/iter (median of {reps} x {batch} calls)");
+    let ns = time_ns(reps, || (0..batch).for_each(|_| f())) as f64 / batch as f64;
+    println!("{name:<50} {ns:>12.2} ns/iter (median of {reps} x {batch} calls)");
     ns
 }
 

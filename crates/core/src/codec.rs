@@ -90,16 +90,9 @@ impl Enc {
         }
     }
 
-    /// A usage log. This is also the body of the binding preimage, so
-    /// the stored, transmitted and signed field orders are one order.
+    /// A usage log (see [`put_log`]).
     pub fn log(&mut self, log: &ResourceUsageLog) {
-        self.u64(log.weighted_instructions);
-        self.u64(log.peak_memory_bytes);
-        self.u128(log.memory_integral);
-        self.u64(log.io_bytes_in);
-        self.u64(log.io_bytes_out);
-        self.raw(&log.module_hash);
-        self.u64(log.session_id);
+        put_log(log, |bytes| self.raw(bytes));
     }
 
     pub fn quote(&mut self, quote: &Quote) {
@@ -114,6 +107,20 @@ impl Enc {
         self.log(&signed.log);
         self.quote(&signed.quote);
     }
+}
+
+/// Hands a usage log's canonical encoding to `put`, field by field.
+/// [`Enc::log`] appends it to a buffer and
+/// [`ResourceUsageLog::binding`] streams it into the hash, so the
+/// stored, transmitted and signed field orders are one order.
+pub(crate) fn put_log(log: &ResourceUsageLog, mut put: impl FnMut(&[u8])) {
+    put(&log.weighted_instructions.to_le_bytes());
+    put(&log.peak_memory_bytes.to_le_bytes());
+    put(&log.memory_integral.to_le_bytes());
+    put(&log.io_bytes_in.to_le_bytes());
+    put(&log.io_bytes_out.to_le_bytes());
+    put(&log.module_hash);
+    put(&log.session_id.to_le_bytes());
 }
 
 /// The reader: a bounds-checked, total cursor over a byte slice.

@@ -68,8 +68,7 @@ impl IoMeter {
             let len = args[1].as_i32().max(0) as usize;
             let mut s = st.borrow_mut();
             let n = len.min(s.input.len());
-            let data: Vec<u8> = s.input[..n].to_vec();
-            ctx.memory()?.write_bytes(dst, &data)?;
+            ctx.memory()?.write_bytes(dst, &s.input[..n])?;
             s.bytes_in += n as u64;
             Ok(vec![Value::I32(n as i32)])
         });
@@ -81,23 +80,12 @@ impl IoMeter {
             if len < 0 {
                 return Err(Trap::Host("negative output length".into()));
             }
-            let bytes = ctx.memory()?.read_bytes(src, len as u32)?;
             let mut s = st.borrow_mut();
-            s.bytes_out += bytes.len() as u64;
-            s.output.extend_from_slice(&bytes);
+            ctx.memory()?.read_append(src, len as u32, &mut s.output)?;
+            s.bytes_out += len as u64;
             Ok(vec![Value::I32(len)])
         })
     }
-}
-
-/// Declares the matching imports on a module builder: returns the
-/// function indices of (`input_len`, `read_input`, `write_output`).
-pub fn declare_io_imports(b: &mut acctee_wasm::builder::ModuleBuilder) -> (u32, u32, u32) {
-    use acctee_wasm::types::ValType::I32;
-    let input_len = b.import_func("env", "input_len", &[], &[I32]);
-    let read_input = b.import_func("env", "read_input", &[I32, I32], &[I32]);
-    let write_output = b.import_func("env", "write_output", &[I32, I32], &[I32]);
-    (input_len, read_input, write_output)
 }
 
 #[cfg(test)]
@@ -106,6 +94,16 @@ mod tests {
     use acctee_interp::Instance;
     use acctee_wasm::builder::ModuleBuilder;
     use acctee_wasm::types::ValType;
+
+    /// Declares the metered imports on a module builder: returns the
+    /// function indices of (`input_len`, `read_input`, `write_output`).
+    fn declare_io_imports(b: &mut ModuleBuilder) -> (u32, u32, u32) {
+        use ValType::I32;
+        let input_len = b.import_func("env", "input_len", &[], &[I32]);
+        let read_input = b.import_func("env", "read_input", &[I32, I32], &[I32]);
+        let write_output = b.import_func("env", "write_output", &[I32, I32], &[I32]);
+        (input_len, read_input, write_output)
+    }
 
     /// An echo module: reads the whole input to memory, writes it back.
     fn echo_module() -> acctee_wasm::Module {

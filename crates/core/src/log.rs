@@ -1,10 +1,10 @@
 //! The resource usage log (paper Fig. 1/3): what both parties end up
 //! trusting.
 
-use acctee_sgx::crypto::{sha256, Digest};
+use acctee_sgx::crypto::{Digest, Sha256};
 use acctee_sgx::Quote;
 
-use crate::codec::Enc;
+use crate::codec::put_log;
 
 /// Memory accounting policy (§3.5 "Memory"): either peak linear-memory
 /// size, or the integral of memory size over the instruction counter.
@@ -40,12 +40,15 @@ pub struct ResourceUsageLog {
 impl ResourceUsageLog {
     /// Canonical digest bound into the accounting enclave's quote:
     /// SHA-256 of a domain tag and the log's canonical encoding, so the
-    /// signed, stored and transmitted field orders are one order.
+    /// signed, stored and transmitted field orders are one order. The
+    /// encoding streams into the hash; nothing is buffered.
     pub fn binding(&self) -> Digest {
-        let mut e = Enc(Vec::with_capacity(96));
-        e.raw(b"acctee-log-v1");
-        e.log(self);
-        sha256(&e.0)
+        let mut h = Sha256::new();
+        h.update(b"acctee-log-v1");
+        put_log(self, |bytes| {
+            h.update(bytes);
+        });
+        h.finalize()
     }
 }
 
@@ -61,6 +64,26 @@ pub struct SignedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Enc;
+    use acctee_sgx::crypto::sha256;
+
+    /// The streamed binding is the hash of the buffered preimage: the
+    /// domain tag, then the log as `Enc::log` stores and sends it.
+    #[test]
+    fn binding_hashes_the_encoded_preimage() {
+        let log = ResourceUsageLog {
+            weighted_instructions: u64::MAX,
+            peak_memory_bytes: 1 << 40,
+            memory_integral: u128::MAX - 7,
+            io_bytes_in: 3,
+            io_bytes_out: 4,
+            module_hash: sha256(b"module"),
+            session_id: 99,
+        };
+        let mut e = Enc(b"acctee-log-v1".to_vec());
+        e.log(&log);
+        assert_eq!(log.binding(), sha256(&e.0));
+    }
 
     #[test]
     fn binding_changes_with_fields() {

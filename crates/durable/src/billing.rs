@@ -113,7 +113,12 @@ impl Aggregator {
     /// session-id uniqueness provides it on the durable path).
     pub fn fold(&mut self, tenant: &str, log: &ResourceUsageLog) -> Invoice {
         let invoice = self.pricing.invoice(log);
-        let r = self.rollups.entry(tenant.to_string()).or_default();
+        // Only a tenant's first log allocates its key.
+        if !self.rollups.contains_key(tenant) {
+            self.rollups
+                .insert(tenant.to_string(), TenantRollup::default());
+        }
+        let r = self.rollups.get_mut(tenant).expect("inserted above");
         r.requests += 1;
         r.weighted_instructions += u128::from(log.weighted_instructions);
         r.peak_memory_max = r.peak_memory_max.max(log.peak_memory_bytes);

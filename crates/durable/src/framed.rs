@@ -205,18 +205,27 @@ mod clmul {
     }
 }
 
-/// One frame around the payload `write` encodes, built in a single
-/// buffer: the payload is written in place after room for the frame
-/// header, which is filled in last.
+/// One frame around the payload `write` encodes (see [`frame_into`]).
 pub fn frame(write: impl FnOnce(&mut Enc)) -> Vec<u8> {
-    let mut e = Enc(vec![0; FRAME_HEADER]);
+    let mut buf = Vec::new();
+    frame_into(&mut buf, write);
+    buf
+}
+
+/// Replaces `buf`'s contents with one frame around the payload `write`
+/// encodes: the payload is written in place after room for the frame
+/// header, which is filled in last. A caller that frames into the same
+/// buffer each time allocates only while its frames outgrow it.
+pub fn frame_into(buf: &mut Vec<u8>, write: impl FnOnce(&mut Enc)) {
+    buf.clear();
+    buf.resize(FRAME_HEADER, 0);
+    let mut e = Enc(std::mem::take(buf));
     write(&mut e);
-    let mut buf = e.0;
+    *buf = e.0;
     let payload = &buf[FRAME_HEADER..];
     let (len, crc) = (payload.len() as u32, crc32(payload));
     buf[..4].copy_from_slice(&len.to_le_bytes());
     buf[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
-    buf
 }
 
 /// The intact payload of the frame at `pos`, if one is there.

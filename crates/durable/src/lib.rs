@@ -391,10 +391,7 @@ impl Durable {
         signed: &SignedLog,
         ae: &AccountingEnclave,
     ) -> Result<Invoice, DurableError> {
-        inner.wal.append(&UsageRecord {
-            tenant: tenant.to_string(),
-            signed: signed.clone(),
-        })?;
+        inner.wal.append(tenant, signed)?;
         let invoice = inner.agg.fold(tenant, &signed.log);
         inner.appends_since_checkpoint += 1;
         if inner.appends_since_checkpoint >= CHECKPOINT_EVERY {

@@ -32,18 +32,19 @@ pub struct UsageRecord {
     pub signed: SignedLog,
 }
 
-/// Writes a record: version tag, tenant, then the signed log.
-pub(crate) fn put_record(e: &mut Enc, rec: &UsageRecord) {
+/// Writes a record from its borrowed parts: version tag, tenant, then
+/// the signed log.
+pub(crate) fn put_record(e: &mut Enc, tenant: &str, signed: &SignedLog) {
     e.u16(RECORD_VERSION);
-    e.bytes(rec.tenant.as_bytes());
-    e.signed_log(&rec.signed);
+    e.bytes(tenant.as_bytes());
+    e.signed_log(signed);
 }
 
 /// Encodes a record into its canonical byte form (the WAL frame
 /// payload).
 pub fn encode_record(rec: &UsageRecord) -> Vec<u8> {
     let mut e = Enc::default();
-    put_record(&mut e, rec);
+    put_record(&mut e, &rec.tenant, &rec.signed);
     e.0
 }
 

@@ -33,6 +33,8 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
+use acctee::SignedLog;
+
 use crate::framed::{self, sync_dir, FramedLog, HEADER_LEN};
 use crate::record::{decode_record, put_record, UsageRecord};
 use crate::DurableError;
@@ -131,6 +133,9 @@ pub struct Wal {
     unsynced: u64,
     commits: WalCommits,
     max_session: u64,
+    /// The buffer each append frames its record in, reused so that a
+    /// steady stream of appends allocates no frame.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -203,29 +208,31 @@ impl Wal {
             unsynced: 0,
             commits: WalCommits::default(),
             max_session,
+            frame: Vec::new(),
         };
         Ok((wal, replay))
     }
 
-    /// Appends one record, rotating per size. Under `Always` the record
-    /// is durable once [`Wal::commit`] returns.
+    /// Appends one record, given as its borrowed tenant and signed log,
+    /// rotating per size. Under `Always` the record is durable once
+    /// [`Wal::commit`] returns.
     ///
     /// # Errors
     ///
     /// [`DurableError::DuplicateSession`] if a record with this
     /// session id is already in the log (session ids are never
     /// reissued, so a second append is always a bug); I/O errors.
-    pub fn append(&mut self, rec: &UsageRecord) -> Result<(), DurableError> {
-        let session = rec.signed.log.session_id;
+    pub fn append(&mut self, tenant: &str, signed: &SignedLog) -> Result<(), DurableError> {
+        let session = signed.log.session_id;
         if self.index.contains_key(&session) {
             return Err(DurableError::DuplicateSession(session));
         }
-        let frame = framed::frame(|e| put_record(e, rec));
+        framed::frame_into(&mut self.frame, |e| put_record(e, tenant, signed));
         let size = self.active.len();
-        if size > SEGMENT_HEADER && size + frame.len() as u64 > self.segment_bytes {
+        if size > SEGMENT_HEADER && size + self.frame.len() as u64 > self.segment_bytes {
             self.rotate()?;
         }
-        let offset = self.active.append(&frame)?;
+        let offset = self.active.append(&self.frame)?;
         self.index.insert(
             session,
             RecordLoc {
@@ -378,7 +385,7 @@ impl Wal {
         let mut new_locs = Vec::new();
         for rec in self.records_on_disk(|seg| seg != self.active_seq) {
             let (session, rec) = rec?;
-            let offset = out.append(&framed::frame(|e| put_record(e, &rec)))?;
+            let offset = out.append(&framed::frame(|e| put_record(e, &rec.tenant, &rec.signed)))?;
             let seg = target_seq;
             new_locs.push((session, RecordLoc { seg, offset }));
         }
@@ -407,6 +414,11 @@ mod tests {
     use acctee::{ResourceUsageLog, SignedLog};
     use acctee_sgx::crypto::sha256;
     use acctee_sgx::{Measurement, Quote};
+
+    fn append(wal: &mut Wal, session: u64) -> Result<(), DurableError> {
+        let r = rec(session);
+        wal.append(&r.tenant, &r.signed)
+    }
 
     fn rec(session: u64) -> UsageRecord {
         UsageRecord {
@@ -454,7 +466,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap();
             for s in 1..=5 {
-                wal.append(&rec(s)).unwrap();
+                append(&mut wal, s).unwrap();
             }
         }
         let (wal, replay) = Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap();
@@ -476,9 +488,9 @@ mod tests {
     fn duplicate_append_is_refused() {
         let dir = tmpdir("dup-append");
         let (mut wal, _) = Wal::open(&dir, FsyncPolicy::Never, 1 << 20).unwrap();
-        wal.append(&rec(9)).unwrap();
+        append(&mut wal, 9).unwrap();
         assert!(matches!(
-            wal.append(&rec(9)),
+            append(&mut wal, 9),
             Err(DurableError::DuplicateSession(9))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -493,7 +505,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap();
             for s in 1..=3 {
-                wal.append(&rec(s)).unwrap();
+                append(&mut wal, s).unwrap();
             }
         }
         let path = segment_path(&dir, 1);
@@ -511,7 +523,7 @@ mod tests {
             // The tail was truncated, so appending resumes cleanly.
             drop(wal);
             let (mut wal, _) = Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap();
-            wal.append(&rec(3)).unwrap();
+            append(&mut wal, 3).unwrap();
             assert_eq!(wal.get(3).unwrap().unwrap(), rec(3));
             std::fs::write(&path, &full).unwrap();
         }
@@ -525,7 +537,7 @@ mod tests {
             // Tiny segments force rotation: 3 records → ≥2 segments.
             let (mut wal, _) = Wal::open(&dir, FsyncPolicy::Always, 200).unwrap();
             for s in 1..=3 {
-                wal.append(&rec(s)).unwrap();
+                append(&mut wal, s).unwrap();
             }
             assert!(wal.segment_count() >= 2);
         }
@@ -547,8 +559,8 @@ mod tests {
         let dir = tmpdir("dup-replay");
         {
             let (mut wal, _) = Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap();
-            wal.append(&rec(1)).unwrap();
-            wal.append(&rec(2)).unwrap();
+            append(&mut wal, 1).unwrap();
+            append(&mut wal, 2).unwrap();
         }
         // Double the whole frame region (as a crashed compaction
         // might): sessions 1 and 2 each appear twice on disk.
@@ -569,7 +581,7 @@ mod tests {
         let dir = tmpdir("compact");
         let (mut wal, _) = Wal::open(&dir, FsyncPolicy::Never, 200).unwrap();
         for s in 1..=10 {
-            wal.append(&rec(s)).unwrap();
+            append(&mut wal, s).unwrap();
         }
         wal.sync().unwrap();
         let before = wal.segment_count();
@@ -594,7 +606,7 @@ mod tests {
         let dir = tmpdir("never");
         let (mut wal, _) = Wal::open(&dir, FsyncPolicy::Never, 1 << 20).unwrap();
         for s in 1..=7 {
-            wal.append(&rec(s)).unwrap();
+            append(&mut wal, s).unwrap();
         }
         // `commit` is a no-op under `Never`: all 7 stay pending.
         wal.commit().unwrap();
@@ -618,7 +630,7 @@ mod tests {
         let dir = tmpdir("group");
         let (mut wal, _) = Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap();
         for s in 1..=8 {
-            wal.append(&rec(s)).unwrap();
+            append(&mut wal, s).unwrap();
         }
         assert_eq!(
             wal.commits(),

@@ -215,33 +215,32 @@ impl Memory {
         Ok(())
     }
 
-    /// Reads `len` bytes at `addr` into a fresh vector. Uncommitted
-    /// bytes read as zero and stay uncommitted.
-    pub fn read_bytes(&self, addr: u64, len: u32) -> Result<Vec<u8>, Trap> {
-        let a = self.check(addr, len)?;
-        let mut out = vec![0; len as usize];
-        self.copy_committed(a, &mut out);
+    /// Reads `len` bytes at `addr` into a fresh vector (see
+    /// [`Memory::read_append`]).
+    #[cfg(test)]
+    pub(crate) fn read_bytes(&self, addr: u64, len: u32) -> Result<Vec<u8>, Trap> {
+        let mut out = Vec::new();
+        self.read_append(addr, len, &mut out)?;
         Ok(out)
+    }
+
+    /// Appends the `len` bytes at `addr` to `out`, checking the range
+    /// before `out` grows. Uncommitted bytes read as zero and stay
+    /// uncommitted.
+    pub fn read_append(&self, addr: u64, len: u32, out: &mut Vec<u8>) -> Result<(), Trap> {
+        let a = self.check(addr, len)?;
+        let start = out.len();
+        out.resize(start + len as usize, 0);
+        self.copy_committed(a, &mut out[start..]);
+        Ok(())
     }
 
     /// Convenience typed accessors used by host functions and tests.
     pub fn read_i32(&self, addr: u64) -> Result<i32, Trap> {
         Ok(i32::from_le_bytes(self.read::<4>(addr)?))
     }
-    /// Reads a little-endian `i64`.
-    pub fn read_i64(&self, addr: u64) -> Result<i64, Trap> {
-        Ok(i64::from_le_bytes(self.read::<8>(addr)?))
-    }
-    /// Reads a little-endian `f64`.
-    pub fn read_f64(&self, addr: u64) -> Result<f64, Trap> {
-        Ok(f64::from_le_bytes(self.read::<8>(addr)?))
-    }
     /// Writes a little-endian `i32`.
     pub fn write_i32(&mut self, addr: u64, v: i32) -> Result<(), Trap> {
-        self.write(addr, v.to_le_bytes())
-    }
-    /// Writes a little-endian `f64`.
-    pub fn write_f64(&mut self, addr: u64, v: f64) -> Result<(), Trap> {
         self.write(addr, v.to_le_bytes())
     }
 }
@@ -280,7 +279,7 @@ mod tests {
     fn new_pages_are_zeroed() {
         let mut m = mem(0, None);
         assert_eq!(m.grow(1), 0);
-        assert_eq!(m.read_i64(0).unwrap(), 0);
+        assert_eq!(m.read::<8>(0).unwrap(), [0; 8]);
     }
 
     #[test]
@@ -288,8 +287,27 @@ mod tests {
         let mut m = mem(1, None);
         m.write_bytes(10, b"hello").unwrap();
         assert_eq!(m.read_bytes(10, 5).unwrap(), b"hello");
-        m.write_f64(64, 2.75).unwrap();
-        assert_eq!(m.read_f64(64).unwrap(), 2.75);
+        m.write(64, 2.75f64.to_le_bytes()).unwrap();
+        assert_eq!(f64::from_le_bytes(m.read::<8>(64).unwrap()), 2.75);
+    }
+
+    #[test]
+    fn read_append_checks_the_range_before_growing_its_buffer() {
+        let mut m = mem(2, None);
+        m.write_bytes(PAGE - 2, b"ab").unwrap();
+        let mut out = b"head:".to_vec();
+        m.read_append(PAGE - 2, 4, &mut out).unwrap();
+        assert_eq!(out, b"head:ab\0\0", "uncommitted bytes append as zero");
+        assert_eq!(m.committed_bytes(), PAGE_SIZE);
+        let err = m.read_append(PAGE, u32::MAX, &mut out).unwrap_err();
+        assert_eq!(
+            err,
+            Trap::MemoryOutOfBounds {
+                addr: PAGE,
+                len: u32::MAX
+            }
+        );
+        assert_eq!(out, b"head:ab\0\0", "a trapping read appends nothing");
     }
 
     #[test]
@@ -298,7 +316,7 @@ mod tests {
         assert_eq!(m.size_bytes(), 64 * PAGE_SIZE);
         assert_eq!(m.committed_bytes(), 0);
         for addr in [0, 1, PAGE - 1, 17 * PAGE + 3, 64 * PAGE - 8] {
-            assert_eq!(m.read_i64(addr).unwrap(), 0);
+            assert_eq!(m.read::<8>(addr).unwrap(), [0; 8]);
         }
         assert_eq!(m.read::<1>(64 * PAGE - 1).unwrap(), [0]);
         assert_eq!(m.read_bytes(PAGE - 5, 4096).unwrap(), vec![0; 4096]);
@@ -340,9 +358,9 @@ mod tests {
         assert_eq!(m.grow(2), 1);
         assert_eq!(m.size_bytes(), 3 * PAGE_SIZE);
         assert_eq!(m.committed_bytes(), PAGE_SIZE, "grow commits nothing");
-        assert_eq!(m.read_i64(3 * PAGE - 8).unwrap(), 0);
-        m.write_f64(3 * PAGE - 8, 1.5).unwrap();
-        assert_eq!(m.read_f64(3 * PAGE - 8).unwrap(), 1.5);
+        assert_eq!(m.read::<8>(3 * PAGE - 8).unwrap(), [0; 8]);
+        m.write(3 * PAGE - 8, 1.5f64.to_le_bytes()).unwrap();
+        assert_eq!(f64::from_le_bytes(m.read::<8>(3 * PAGE - 8).unwrap()), 1.5);
         assert_eq!(m.read_i32(0).unwrap(), 5);
         assert_eq!(m.committed_bytes(), 3 * PAGE_SIZE);
     }
@@ -366,7 +384,7 @@ mod tests {
         assert_eq!(m.committed_bytes(), 2 * PAGE_SIZE);
         assert_eq!(m.read_i32(end - 3).unwrap_err(), oob(end - 3, 4));
         assert_eq!(m.write_i32(end - 3, 1).unwrap_err(), oob(end - 3, 4));
-        assert_eq!(m.read_i64(u64::MAX - 1).unwrap_err(), oob(u64::MAX - 1, 8));
+        assert_eq!(m.read::<8>(u64::MAX - 1).unwrap_err(), oob(u64::MAX - 1, 8));
     }
 
     #[test]

@@ -40,6 +40,7 @@
 //! the same attested channel via `Stats`, `Health` and `Recent`
 //! frames.
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -56,10 +57,10 @@ use acctee::enclave::LoadedWorkload;
 use acctee::{Deployment, SignedLog};
 use acctee_durable::{DeployRecord, Durable, DurableOptions, FsyncPolicy, WalCommits};
 use acctee_interp::Engine;
-use acctee_telemetry::logging;
+use acctee_telemetry::logging::{self, LogLevel};
 
 use crate::poll::{Epoll, Event, Interest};
-use crate::stats::{BusyGuard, CacheStats, RequestOutcome, RequestRecord, ServerStats};
+use crate::stats::{BusyGuard, CacheStats, RequestOutcome, RequestRecord, ServerStats, STAGES};
 use crate::wire::{
     decode_request_frame, encode_response_into, write_response, Request, Response, WIRE_VERSION,
 };
@@ -347,6 +348,15 @@ impl Shared {
             .map_or_else(WalCommits::default, Durable::wal_commits)
     }
 
+    /// The tenants with invokes in flight right now, and how many
+    /// (scrape path only). Idle tenants keep a zero entry in the shards
+    /// and are left out here.
+    fn inflight_now(&self) -> HashMap<String, usize> {
+        let mut inflight = self.inflight.fold();
+        inflight.retain(|_, n| *n > 0);
+        inflight
+    }
+
     fn log_shard(&self, session_id: u64) -> &Mutex<LogStore> {
         &self.logs[(session_id % self.logs.len() as u64) as usize]
     }
@@ -363,17 +373,17 @@ impl Shared {
 /// returns cannot leak a slot.
 struct TenantSlot<'a> {
     shared: &'a Shared,
-    tenant: String,
+    tenant: &'a str,
 }
 
 impl Drop for TenantSlot<'_> {
+    /// Releases the slot. The tenant's entry stays at zero rather than
+    /// being removed, so its next invoke finds the key instead of
+    /// allocating it again; [`Shared::inflight_now`] hides idle
+    /// tenants.
     fn drop(&mut self) {
-        let mut map = self.shared.inflight.lock(self.tenant.as_str());
-        if let Some(n) = map.get_mut(&self.tenant) {
+        if let Some(n) = self.shared.inflight.lock(self.tenant).get_mut(self.tenant) {
             *n -= 1;
-            if *n == 0 {
-                map.remove(&self.tenant);
-            }
         }
     }
 }
@@ -1047,7 +1057,9 @@ fn fail_closed(resp: Response, commit: &Result<(), String>) -> Response {
 // ------------------------------------------------------- request path
 
 /// Per-request context the handlers fill in for the stats plane: the
-/// trace id, the stage timings, and how the request ended.
+/// trace id, the stage timings, and how the request ended. An invoke's
+/// tenant and function move in from the request once it is served;
+/// stage names stay static until a `Recent` frame encodes them.
 struct ReqTrace {
     trace_id: u64,
     kind: &'static str,
@@ -1056,30 +1068,26 @@ struct ReqTrace {
     session_id: u64,
     outcome: RequestOutcome,
     error: String,
-    stages: Vec<(String, u64)>,
+    stages: Vec<(Cow<'static, str>, u64)>,
 }
 
 impl ReqTrace {
     fn new(req: &Request, parse_ns: u64) -> ReqTrace {
-        let (tenant, func, trace_id) = match req {
-            Request::Invoke {
-                tenant,
-                func,
-                trace_id,
-                ..
-            } => (tenant.clone(), func.clone(), *trace_id),
-            Request::Deploy { trace_id, .. } => (String::new(), String::new(), *trace_id),
-            _ => (String::new(), String::new(), 0),
+        let trace_id = match req {
+            Request::Invoke { trace_id, .. } | Request::Deploy { trace_id, .. } => *trace_id,
+            _ => 0,
         };
+        let mut stages = Vec::with_capacity(STAGES.len());
+        stages.push(("parse".into(), parse_ns));
         ReqTrace {
             trace_id,
             kind: kind_of(req),
-            tenant,
-            func,
+            tenant: String::new(),
+            func: String::new(),
             session_id: 0,
             outcome: RequestOutcome::Ok,
             error: String::new(),
-            stages: vec![("parse".into(), parse_ns)],
+            stages,
         }
     }
 }
@@ -1107,16 +1115,19 @@ fn finish_request(shared: &Shared, mut trace: ReqTrace, resp: &Response, started
     for (stage, ns) in &trace.stages {
         shared.stats.observe_stage(stage, *ns);
     }
-    logging::debug(
-        LOG,
-        "request served",
-        &[
-            ("kind", trace.kind.to_string()),
-            ("trace_id", format!("{:#018x}", trace.trace_id)),
-            ("outcome", trace.outcome.name().to_string()),
-            ("total_us", (total_ns / 1_000).to_string()),
-        ],
-    );
+    // The fields are formatted only when the line will be written.
+    if logging::log_enabled(LogLevel::Debug) {
+        logging::debug(
+            LOG,
+            "request served",
+            &[
+                ("kind", trace.kind.to_string()),
+                ("trace_id", format!("{:#018x}", trace.trace_id)),
+                ("outcome", trace.outcome.name().to_string()),
+                ("total_us", (total_ns / 1_000).to_string()),
+            ],
+        );
+    }
     shared.stats.recorder.record(RequestRecord {
         trace_id: trace.trace_id,
         kind: trace.kind.into(),
@@ -1175,7 +1186,12 @@ fn handle_request(shared: &Shared, req: Request, trace: &mut ReqTrace) -> Respon
             input,
             tenant,
             ..
-        } => handle_invoke(shared, deploy_id, &func, &args, &input, &tenant, trace),
+        } => {
+            let resp = handle_invoke(shared, deploy_id, &func, &args, &input, &tenant, trace);
+            trace.tenant = tenant;
+            trace.func = func;
+            resp
+        }
         Request::FetchLog { session_id } => {
             let hit = lock_or_recover(shared.log_shard(session_id))
                 .by_session
@@ -1208,7 +1224,7 @@ fn handle_request(shared: &Shared, req: Request, trace: &mut ReqTrace) -> Respon
             Response::ShutdownOk
         }
         Request::Stats { prometheus } => {
-            let inflight = shared.inflight.fold();
+            let inflight = shared.inflight_now();
             let cache = shared.cache_stats();
             let wal = shared.wal_commits();
             if prometheus {
@@ -1326,7 +1342,10 @@ fn handle_invoke(
     let admission_started = Instant::now();
     let _slot = {
         let mut map = shared.inflight.lock(tenant);
-        let n = map.entry(tenant.to_string()).or_insert(0);
+        if !map.contains_key(tenant) {
+            map.insert(tenant.to_string(), 0);
+        }
+        let n = map.get_mut(tenant).expect("inserted above");
         if *n >= shared.config.tenant_inflight {
             drop(map);
             shared.stats.shed_tenant(tenant);
@@ -1342,10 +1361,7 @@ fn handle_invoke(
             return Response::Busy;
         }
         *n += 1;
-        TenantSlot {
-            shared,
-            tenant: tenant.to_string(),
-        }
+        TenantSlot { shared, tenant }
     };
     trace.stages.push((
         "admission".into(),
@@ -1500,7 +1516,7 @@ mod tests {
         let len = cursor.get_ref().len() as u64;
         assert_eq!(cursor.position(), len, "no trailing bytes");
         let snap = shared.stats.snapshot(
-            &shared.inflight.fold(),
+            &shared.inflight_now(),
             shared.cache_stats(),
             shared.wal_commits(),
         );
@@ -1648,7 +1664,7 @@ mod tests {
         );
         assert_eq!(after.records, before.records + 8);
         let snap = shared.stats.snapshot(
-            &shared.inflight.fold(),
+            &shared.inflight_now(),
             shared.cache_stats(),
             shared.wal_commits(),
         );

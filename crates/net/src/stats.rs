@@ -25,6 +25,7 @@
 //! requests in flight at that instant. Each individual series is
 //! exact.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -93,13 +94,16 @@ impl RequestOutcome {
     }
 }
 
-/// One request as the flight recorder saw it.
+/// One request as the flight recorder saw it. The server fills the
+/// kind and stage names with its static names, so recording a request
+/// allocates none of them; a record decoded off the wire owns its
+/// strings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestRecord {
     /// Client-generated trace id (0 when the client sent none).
     pub trace_id: u64,
     /// Request kind (`invoke`, `deploy`, ...).
-    pub kind: String,
+    pub kind: Cow<'static, str>,
     /// Tenant (empty for non-invoke requests).
     pub tenant: String,
     /// Invoked function (empty for non-invoke requests).
@@ -116,7 +120,7 @@ pub struct RequestRecord {
     pub total_ns: u64,
     /// Per-stage durations in nanoseconds (see [`STAGES`]; only the
     /// stages the request actually went through appear).
-    pub stages: Vec<(String, u64)>,
+    pub stages: Vec<(Cow<'static, str>, u64)>,
 }
 
 /// Count/sum/percentiles of one latency histogram, in nanoseconds.
@@ -319,15 +323,16 @@ impl FlightRecorder {
         rec.outcome != RequestOutcome::Ok || rec.total_ns >= self.slow_threshold_ns
     }
 
-    /// Records one request.
+    /// Records one request: it moves into the ring, and only a
+    /// notable one is copied into the notable store.
     pub fn record(&self, rec: RequestRecord) {
-        let notable = self.is_notable(&rec);
+        let notable = self.is_notable(&rec).then(|| rec.clone());
         let mut inner = self.lock();
         if inner.ring.len() == self.ring_cap {
             inner.ring.pop_front();
         }
-        inner.ring.push_back(rec.clone());
-        if notable {
+        inner.ring.push_back(rec);
+        if let Some(rec) = notable {
             if inner.notable.len() == self.notable_cap {
                 inner.notable.pop_front();
             }
@@ -579,9 +584,15 @@ impl ServerStats {
         &self.tenants[(h.finish() as usize) % self.tenants.len()]
     }
 
+    /// Applies `f` to `tenant`'s accumulator; only a tenant's first
+    /// request allocates its key.
     fn tenant_mut(&self, tenant: &str, f: impl FnOnce(&mut TenantAccum)) {
         let mut map = lock_or_recover(self.tenant_shard(tenant));
-        f(map.entry(tenant.to_string()).or_default());
+        if let Some(t) = map.get_mut(tenant) {
+            f(t);
+        } else {
+            f(map.entry(tenant.to_string()).or_default());
+        }
     }
 
     /// Unions the tenant shards into one map (scrape path only).

@@ -877,10 +877,10 @@ fn get_record(c: &mut Dec) -> Result<RequestRecord, CodecError> {
     let error = c.string()?;
     let start_ns = c.u64()?;
     let total_ns = c.u64()?;
-    let stages = c.list(12, |c| Ok((c.string()?, c.u64()?)))?; // name length + ns
+    let stages = c.list(12, |c| Ok((c.string()?.into(), c.u64()?)))?; // name length + ns
     Ok(RequestRecord {
         trace_id,
-        kind,
+        kind: kind.into(),
         tenant,
         func,
         session_id,

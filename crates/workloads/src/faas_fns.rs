@@ -418,8 +418,7 @@ mod tests {
                 move |ctx, args| {
                     let src = args[0].as_i32() as u32 as u64;
                     let len = args[1].as_i32() as u32;
-                    let bytes = ctx.memory()?.read_bytes(src, len)?;
-                    out.borrow_mut().extend_from_slice(&bytes);
+                    ctx.memory()?.read_append(src, len, &mut out.borrow_mut())?;
                     Ok(vec![acctee_interp::Value::I32(len as i32)])
                 }
             });

@@ -34,6 +34,15 @@ cargo test --offline --release -q -p acctee-sgx
 echo "==> durable unit tests, release profile"
 cargo test --offline --release -q -p acctee-durable
 
+# A pipelined echo invoke's heap allocations on the server's threads,
+# counted exactly by that test binary's counting allocator: the test
+# fails above its budget, and the figure is echoed here either way.
+echo "==> served-invoke allocation budget (alloc_budget)"
+ALLOC_OUT="$(cargo test --offline --release -p acctee-integration --test alloc_budget \
+    -- --nocapture 2>&1)" || { printf '%s\n' "$ALLOC_OUT"; echo "alloc_budget failed"; exit 1; }
+grep '^alloc_budget:' <<<"$ALLOC_OUT" \
+    || { printf '%s\n' "$ALLOC_OUT"; echo "alloc_budget printed no figure"; exit 1; }
+
 echo "==> end-to-end benchmark builds and its unit tests pass (perfbench/)"
 cargo build --offline --release --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml

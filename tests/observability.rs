@@ -1,10 +1,11 @@
 //! Integration tests for the telemetry pipeline: spans emitted across
-//! the serving threads of a real server, and the profiler agreeing
-//! with the instrumentation counter.
+//! the serving threads of a real server, the server's per-request
+//! debug line, and the profiler agreeing with the instrumentation
+//! counter.
 //!
-//! The telemetry hub is process-global, so every test that installs
-//! one serialises on [`telemetry_lock`] and resets the hub before
-//! releasing it.
+//! The telemetry hub, the log level and the log writer are
+//! process-global, so every test that sets one serialises on
+//! [`telemetry_lock`] and restores it before releasing the lock.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -12,7 +13,10 @@ use std::time::Duration;
 use acctee_instrument::{instrument, Level, WeightTable, COUNTER_EXPORT};
 use acctee_interp::{Imports, Instance, ProfilingObserver, Value};
 use acctee_net::{Client, Server, ServerConfig, TrustAnchor};
-use acctee_telemetry::{parse_chrome_json, to_chrome_json, EventKind, Telemetry, TraceEvent};
+use acctee_telemetry::{
+    parse_chrome_json, set_log_level, set_log_writer, to_chrome_json, EventKind, LogLevel,
+    Telemetry, TraceEvent,
+};
 use acctee_wasm::builder::{Bound, ModuleBuilder};
 use acctee_wasm::encode::encode_module;
 use acctee_wasm::types::ValType;
@@ -103,6 +107,68 @@ fn server_spans_nest_across_worker_threads() {
         evs
     };
     assert_eq!(sorted(parsed), sorted(events));
+}
+
+/// The server builds its `request served` line only when debug logging
+/// is on: at `Debug` one invoke still logs its kind, trace id, outcome
+/// and total time; at `Off` serving an invoke writes no line at all.
+#[test]
+fn request_served_line_is_logged_only_at_debug() {
+    let _guard = telemetry_lock();
+    let lines = Arc::new(Mutex::new(Vec::<String>::new()));
+    let sink = Arc::clone(&lines);
+    set_log_writer(Some(Arc::new(move |line: &str| {
+        sink.lock().expect("capture lock").push(line.to_string());
+    })));
+    set_log_level(LogLevel::Debug);
+    let config = ServerConfig::default();
+    let anchor = TrustAnchor::new(config.seed);
+    let (addr, server) = Server::bind("127.0.0.1:0", config).expect("bind").spawn();
+    let mut client = Client::connect(addr, anchor, TIMEOUT).expect("connect");
+    let mut b = ModuleBuilder::new();
+    let f = b.func("inc", &[ValType::I32], &[ValType::I32], |f| {
+        f.local_get(0);
+        f.i32_const(1);
+        f.i32_add();
+    });
+    b.export_func("inc", f);
+    let deployed = client
+        .deploy(&encode_module(&b.build()), Level::Naive)
+        .expect("deploy");
+    let out = client
+        .invoke(&deployed, "inc", &[Value::I32(1)], b"", "obs")
+        .expect("invoke at debug");
+    let trace_id = format!("trace_id={:#018x}", out.trace_id);
+    let served: Vec<String> = lines
+        .lock()
+        .expect("capture lock")
+        .iter()
+        .filter(|l| l.contains("msg=\"request served\"") && l.contains(&trace_id))
+        .cloned()
+        .collect();
+
+    set_log_level(LogLevel::Off);
+    lines.lock().expect("capture lock").clear();
+    client
+        .invoke(&deployed, "inc", &[Value::I32(2)], b"", "obs")
+        .expect("invoke with logging off");
+    let quiet = std::mem::take(&mut *lines.lock().expect("capture lock"));
+    client.shutdown().expect("shutdown");
+    server.join().expect("server drains");
+    set_log_writer(None);
+
+    assert_eq!(served.len(), 1, "one line for the invoke: {served:?}");
+    let line = &served[0];
+    for field in [
+        "level=debug",
+        "kind=invoke",
+        trace_id.as_str(),
+        "outcome=ok",
+        "total_us=",
+    ] {
+        assert!(line.contains(field), "{field} missing from {line}");
+    }
+    assert!(quiet.is_empty(), "logged with the level off: {quiet:?}");
 }
 
 #[test]
